@@ -10,17 +10,11 @@
 //
 //	rtrload -as AS7018 -duration 5s                 # closed loop, 8 conns
 //	rtrload -mode open -rate 500 -scheme rtr        # open loop at 500 qps
-//	rtrload -bench-json internal/perf               # append serving entries
 //
-// The warm-vs-cold comparison is measured in the same run and
-// transport-free, so it prices the cache and nothing else: -baseline N
-// times N queries of the identical mix through two in-process engines
-// — one with a warm cache, one rebuilding converged state cold (full
-// per-destination Dijkstra, no cache) on every query — and reports the
-// warm-cache speedup as the ratio of the two. The HTTP numbers above
-// them carry the daemon's end-to-end serving qps and tail latency.
-// Exit status: 1 on any request error, qps below -min-qps, or warm
-// speedup below -min-speedup.
+// The numbers are the daemon's end-to-end serving qps and client-side
+// tail latency over HTTP; the in-process serving costs (hit, miss,
+// per-stage) are measured by bench/ (see bench/README.md).
+// Exit status: 1 on any request error or qps below -min-qps.
 package main
 
 import (
@@ -44,7 +38,6 @@ import (
 	seedpkg "repro/internal/seed"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/spt"
 )
 
 func main() {
@@ -62,29 +55,16 @@ func main() {
 		batch    = flag.Int("batch", 0, "POST batches of up to N (src,dst) pairs per failure instance (0 or 1 fires single GET queries)")
 		wait     = flag.Duration("wait", 30*time.Second, "max time to wait for the daemon's /healthz")
 		minQPS   = flag.Float64("min-qps", 0, "exit 1 when achieved qps is below this")
-		minSpeed = flag.Float64("min-speedup", 0, "exit 1 when warm-engine qps / cold baseline qps is below this (needs -baseline)")
-		baseline = flag.Int("baseline", 64, "queries timed through the in-process warm-vs-cold engine pair; 0 skips")
-		cacheSz  = flag.Int("cache", 64, "warm in-process engine's LRU capacity for the baseline comparison")
-		phase2   = flag.String("phase2", "dijkstra", "phase-2 engine for the in-process baseline")
-		benchOut = flag.String("bench-json", "", "merge serving entries into BENCH_<date>.json in this directory (or the given .json path)")
 	)
 	flag.Parse()
-	engine, err := spt.ParseEngine(*phase2)
-	if err != nil {
-		die(err)
-	}
 	if *mode != "closed" && *mode != "open" {
 		die(fmt.Errorf("unknown -mode %q (want closed or open)", *mode))
 	}
 
-	// The cold-convergence baseline engine serves double duty: its
-	// world generates the query mix, and -baseline times the
-	// cold-convergence-per-query cost on it.
-	cold, err := serve.New(serve.Config{Topos: []string{*asFlag}, Seed: *seed, Phase2: engine, ColdConvergence: true})
+	w, err := sim.NewWorld(*asFlag, *seed)
 	if err != nil {
 		die(err)
 	}
-	w := cold.World(*asFlag)
 	mix := buildMix(w, *asFlag, *seed, *failures, *pairs, *scheme)
 	if len(mix) == 0 {
 		die(fmt.Errorf("no test cases found on %s", *asFlag))
@@ -154,77 +134,6 @@ func main() {
 		ns(hist.Quantile(0.5)), ns(hist.Quantile(0.9)), ns(hist.Quantile(0.99)),
 		ns(hist.Quantile(0.999)), ns(hist.Max()))
 
-	name := "serve-" + *mode + "-" + *scheme
-	if *batch > 1 {
-		// A distinct entry name: a batched rerun must not clobber the
-		// single-query serving numbers (perf.MergeFile replaces by name).
-		name += fmt.Sprintf("-batch%d", *batch)
-	}
-	entries := []perf.Entry{{
-		Name:         name,
-		Topology:     *asFlag,
-		NsPerOp:      int64(hist.Mean()),
-		Cases:        int(total),
-		CasesPerSec:  qps,
-		P50Ns:        hist.Quantile(0.5),
-		P99Ns:        hist.Quantile(0.99),
-		CacheHitRate: hitRate,
-	}}
-
-	speedup := 0.0
-	if *baseline > 0 {
-		// Same mix, same process, no transport: one engine serves from
-		// a warm cache, the other rebuilds converged state cold (full
-		// per-destination Dijkstra) on every query. The ratio is the
-		// serving layer's win, with HTTP overhead priced into neither.
-		warm, err := serve.New(serve.Config{Topos: []string{*asFlag}, Seed: *seed, Phase2: engine, CacheEntries: *cacheSz})
-		if err != nil {
-			die(err)
-		}
-		for _, q := range mix { // prime the warm cache once
-			if _, err := warm.Query(q); err != nil {
-				die(fmt.Errorf("warm prime: %v", err))
-			}
-		}
-		warmHist, warmQPS := timeEngine(warm, mix, *baseline)
-		coldHist, coldQPS := timeEngine(cold, mix, *baseline)
-		if coldQPS > 0 {
-			speedup = warmQPS / coldQPS
-		}
-		fmt.Printf("  engine warm cache:  %.1f qps, p50 %v, p99 %v (in-process)\n",
-			warmQPS, ns(warmHist.Quantile(0.5)), ns(warmHist.Quantile(0.99)))
-		fmt.Printf("  cold convergence:   %.1f qps, p50 %v, p99 %v -> warm-cache speedup %.1fx\n",
-			coldQPS, ns(coldHist.Quantile(0.5)), ns(coldHist.Quantile(0.99)), speedup)
-		entries = append(entries,
-			perf.Entry{
-				Name:         "serve-warm-engine",
-				Topology:     *asFlag,
-				NsPerOp:      int64(warmHist.Mean()),
-				Cases:        *baseline,
-				CasesPerSec:  warmQPS,
-				P50Ns:        warmHist.Quantile(0.5),
-				P99Ns:        warmHist.Quantile(0.99),
-				CacheHitRate: 1,
-			},
-			perf.Entry{
-				Name:        "serve-cold-baseline",
-				Topology:    *asFlag,
-				NsPerOp:     int64(coldHist.Mean()),
-				Cases:       *baseline,
-				CasesPerSec: coldQPS,
-				P50Ns:       coldHist.Quantile(0.5),
-				P99Ns:       coldHist.Quantile(0.99),
-			})
-	}
-
-	if *benchOut != "" {
-		path, err := perf.MergeFile(*benchOut, entries)
-		if err != nil {
-			die(fmt.Errorf("bench-json: %v", err))
-		}
-		fmt.Fprintf(os.Stderr, "rtrload: wrote %s\n", path)
-	}
-
 	if errs > 0 {
 		fmt.Fprintf(os.Stderr, "rtrload: %d request errors\n", errs)
 		os.Exit(1)
@@ -233,32 +142,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rtrload: %.1f qps below -min-qps %.1f\n", qps, *minQPS)
 		os.Exit(1)
 	}
-	if *minSpeed > 0 && speedup < *minSpeed {
-		fmt.Fprintf(os.Stderr, "rtrload: warm speedup %.1fx below -min-speedup %.1f\n", speedup, *minSpeed)
-		os.Exit(1)
-	}
 }
 
 func ns(v int64) time.Duration { return time.Duration(v).Round(time.Microsecond) }
-
-// timeEngine runs n queries of the mix serially through an in-process
-// engine and returns the latency histogram and throughput.
-func timeEngine(e *serve.Engine, mix []serve.Query, n int) (*perf.Histogram, float64) {
-	var h perf.Histogram
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		if _, err := e.Query(mix[i%len(mix)]); err != nil {
-			die(fmt.Errorf("baseline query: %v", err))
-		}
-		h.Record(time.Since(t0).Nanoseconds())
-	}
-	elapsed := time.Since(start)
-	if elapsed <= 0 {
-		return &h, 0
-	}
-	return &h, float64(n) / elapsed.Seconds()
-}
 
 func die(err error) {
 	fmt.Fprintf(os.Stderr, "rtrload: %v\n", err)

@@ -10,7 +10,6 @@
 //
 //	rtrscale -nodes 100000                          # full pipeline, report timings
 //	rtrscale -nodes 100000 -budget 10m -max-rss-mb 6144   # CI smoke gate
-//	rtrscale -nodes 100000 -bench-json .            # merge scale-* BENCH entries
 //
 // Exit status: 1 on any pipeline error or a blown budget. All
 // randomness derives from -seed, so every run of the same flags
@@ -51,12 +50,10 @@ func main() {
 		servePair = flag.Int("serve-pairs", 32, "warm single-pair serving queries to time (0 skips)")
 		budget    = flag.Duration("budget", 0, "exit 1 when the whole pipeline exceeds this wall-clock budget (0 = no gate)")
 		maxRSS    = flag.Int("max-rss-mb", 0, "exit 1 when peak RSS (VmHWM) exceeds this many MiB (0 = no gate)")
-		benchOut  = flag.String("bench-json", "", "merge scale-* entries into BENCH_<date>.json in this directory (or the given .json path)")
 		keepSnap  = flag.String("snap", "", "write the binary snapshot here instead of a temp file (kept after the run)")
 	)
 	flag.Parse()
 	start := time.Now()
-	rec := perf.NewRecorder()
 	name := fmt.Sprintf("synth%d", *nodes)
 	if *links == 0 {
 		*links = 3 * *nodes
@@ -64,7 +61,7 @@ func main() {
 
 	// 1. Hierarchical synthesis.
 	var topo *topology.Topology
-	rec.Measure("scale-topo-gen", name, 0, func() {
+	dTopoGen := timed(func() {
 		var err error
 		topo, err = topology.Generate(
 			topology.GenParams{Name: name, Nodes: *nodes, Links: *links, Tiers: true},
@@ -73,7 +70,7 @@ func main() {
 			die(err)
 		}
 	})
-	report(rec, "scale-topo-gen", fmt.Sprintf("%d nodes, %d links", topo.G.NumNodes(), topo.G.NumLinks()))
+	report("scale-topo-gen", dTopoGen, fmt.Sprintf("%d nodes, %d links", topo.G.NumNodes(), topo.G.NumLinks()))
 
 	// 2. Binary snapshot: chunked write, then chunked read of the same
 	// file. The world below is built on the re-read copy, so the whole
@@ -87,7 +84,7 @@ func main() {
 		defer os.RemoveAll(dir)
 		snap = filepath.Join(dir, name+".snap")
 	}
-	rec.Measure("scale-snapshot-write", name, 0, func() {
+	dSnapshotWrite := timed(func() {
 		f, err := os.Create(snap)
 		if err != nil {
 			die(err)
@@ -104,10 +101,10 @@ func main() {
 		}
 	})
 	if st, err := os.Stat(snap); err == nil {
-		report(rec, "scale-snapshot-write", fmt.Sprintf("%.1f MiB", float64(st.Size())/(1<<20)))
+		report("scale-snapshot-write", dSnapshotWrite, fmt.Sprintf("%.1f MiB", float64(st.Size())/(1<<20)))
 	}
 	var snapTopo *topology.Topology
-	rec.Measure("scale-snapshot-read", name, 0, func() {
+	dSnapshotRead := timed(func() {
 		f, err := os.Open(snap)
 		if err != nil {
 			die(err)
@@ -122,12 +119,12 @@ func main() {
 		die(fmt.Errorf("snapshot round trip: %d/%d nodes, %d/%d links",
 			snapTopo.G.NumNodes(), topo.G.NumNodes(), snapTopo.G.NumLinks(), topo.G.NumLinks()))
 	}
-	report(rec, "scale-snapshot-read", "round trip verified")
+	report("scale-snapshot-read", dSnapshotRead, "round trip verified")
 
 	// 3. Scale-mode world. Concessions (lazy tables, no MRC) print so a
 	// budget run states what it skipped.
 	var w *sim.World
-	rec.Measure("scale-world-build", name, 0, func() {
+	dWorldBuild := timed(func() {
 		var err error
 		w, err = sim.NewWorldFromConfig(snapTopo, sim.WorldConfig{
 			Log: func(msg string) { fmt.Fprintln(os.Stderr, "rtrscale: "+msg) },
@@ -139,7 +136,7 @@ func main() {
 	if !w.Tables.Lazy() || w.HasMRC() {
 		die(fmt.Errorf("scale world did not engage scale mode at %d nodes", *nodes))
 	}
-	report(rec, "scale-world-build", "lazy tables, MRC disabled")
+	report("scale-world-build", dWorldBuild, "lazy tables, MRC disabled")
 
 	// 4. One invariant-checked sweep shard with destination sampling.
 	// The oracle gate skips the O(n^2) optimality cross-checks (logged
@@ -155,7 +152,7 @@ func main() {
 	}
 	eng := &sweep.Engine{Spec: spec, Worlds: map[string]*sim.World{name: w}, Workers: 1}
 	var run *sweep.RunResult
-	rec.Measure("scale-sweep-shard", name, 0, func() {
+	dSweepShard := timed(func() {
 		var err error
 		run, err = eng.Run(context.Background())
 		if err != nil {
@@ -169,7 +166,7 @@ func main() {
 	if ran == 0 {
 		die(fmt.Errorf("checked sweep shard produced no cases"))
 	}
-	report(rec, "scale-sweep-shard", fmt.Sprintf("%d checked cases (dst sample %d)", ran, *dstSample))
+	report("scale-sweep-shard", dSweepShard, fmt.Sprintf("%d checked cases (dst sample %d)", ran, *dstSample))
 
 	// 5. Converged-batch recompute: the delete-only incremental table
 	// rebuild plus materialization of the sampled destination trees —
@@ -179,13 +176,13 @@ func main() {
 	for !sc.HasFailures() {
 		sc = failure.RandomScenario(snapTopo, scRng)
 	}
-	rec.Measure("scale-recompute", name, 0, func() {
+	dRecompute := timed(func() {
 		post := routing.RecomputeTablesUnder(snapTopo, w.Tables, sc)
 		for i := 0; i < *dstSample; i++ {
 			post.DestTree(graph.NodeID(scRng.Intn(*nodes)))
 		}
 	})
-	report(rec, "scale-recompute", fmt.Sprintf("failure %s + %d dest trees", sc.Desc(), *dstSample))
+	report("scale-recompute", dRecompute, fmt.Sprintf("failure %s + %d dest trees", sc.Desc(), *dstSample))
 
 	// 6. Warm single-pair serving latency through the injected world.
 	if *servePair > 0 {
@@ -212,7 +209,6 @@ func main() {
 			die(err)
 		}
 		var h perf.Histogram
-		t0 := time.Now()
 		for i := 0; i < *servePair; i++ {
 			q0 := time.Now()
 			if _, err := srv.Query(queries[i%len(queries)]); err != nil {
@@ -220,40 +216,19 @@ func main() {
 			}
 			h.Record(time.Since(q0).Nanoseconds())
 		}
-		elapsed := time.Since(t0)
-		e := perf.Entry{
-			Name:         "scale-serve-pair",
-			Topology:     name,
-			NsPerOp:      int64(h.Mean()),
-			Cases:        *servePair,
-			P50Ns:        h.Quantile(0.5),
-			P99Ns:        h.Quantile(0.99),
-			CacheHitRate: 1,
-		}
-		if elapsed > 0 {
-			e.CasesPerSec = float64(*servePair) / elapsed.Seconds()
-		}
-		rec.Add(e)
 		fmt.Printf("rtrscale: %-22s %12v  (p50 %v, p99 %v, warm cache)\n", "scale-serve-pair",
-			time.Duration(e.NsPerOp).Round(time.Microsecond),
-			time.Duration(e.P50Ns).Round(time.Microsecond),
-			time.Duration(e.P99Ns).Round(time.Microsecond))
+			time.Duration(h.Mean()).Round(time.Microsecond),
+			time.Duration(h.Quantile(0.5)).Round(time.Microsecond),
+			time.Duration(h.Quantile(0.99)).Round(time.Microsecond))
 	}
 
-	// Budgets and record.
+	// Budgets.
 	wall := time.Since(start)
 	rss, rssErr := peakRSSMiB()
 	if rssErr != nil {
 		fmt.Fprintf(os.Stderr, "rtrscale: peak RSS unavailable: %v\n", rssErr)
 	}
 	fmt.Printf("rtrscale: pipeline complete in %v, peak RSS %d MiB\n", wall.Round(time.Millisecond), rss)
-	if *benchOut != "" {
-		path, err := perf.MergeFile(*benchOut, rec.Record().Entries)
-		if err != nil {
-			die(fmt.Errorf("bench-json: %v", err))
-		}
-		fmt.Fprintf(os.Stderr, "rtrscale: wrote %s\n", path)
-	}
 	if *budget > 0 && wall > *budget {
 		fmt.Fprintf(os.Stderr, "rtrscale: wall clock %v exceeds -budget %v\n", wall.Round(time.Millisecond), *budget)
 		os.Exit(1)
@@ -264,16 +239,16 @@ func main() {
 	}
 }
 
-// report prints the latest timing for one recorder entry with a
-// human-readable note.
-func report(r *perf.Recorder, entry, note string) {
-	for _, e := range r.Record().Entries {
-		if e.Name == entry {
-			fmt.Printf("rtrscale: %-22s %12v  (%s)\n", entry,
-				time.Duration(e.NsPerOp).Round(time.Millisecond), note)
-			return
-		}
-	}
+// timed runs one pipeline stage and returns its wall time.
+func timed(fn func()) time.Duration {
+	start := time.Now()
+	fn()
+	return time.Since(start)
+}
+
+// report prints one stage's wall time with a human-readable note.
+func report(stage string, d time.Duration, note string) {
+	fmt.Printf("rtrscale: %-22s %12v  (%s)\n", stage, d.Round(time.Millisecond), note)
 }
 
 // peakRSSMiB reads the process's peak resident set (VmHWM) from

@@ -48,11 +48,10 @@
 // different failure models never merge; multi-perimeter models relax
 // the single-perimeter invariants accordingly under -check.
 //
-// Profiling and performance tracking:
+// Profiling (timings are measured by bench/, see bench/README.md):
 //
 //	rtrsim -exp table3 -cpuprofile cpu.out  # pprof CPU profile
 //	rtrsim -exp table3 -memprofile mem.out  # pprof heap profile
-//	rtrsim -exp table3 -bench-json .        # write BENCH_<date>.json
 package main
 
 import (
@@ -75,11 +74,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/igp"
 	"repro/internal/invariant"
-	"repro/internal/mrc"
 	"repro/internal/netsim"
-	"repro/internal/perf"
 	"repro/internal/report"
-	"repro/internal/routing"
 	"repro/internal/scheme"
 	seedpkg "repro/internal/seed"
 	"repro/internal/sim"
@@ -101,7 +97,6 @@ func main() {
 		csvDir     = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		benchJSON  = flag.String("bench-json", "", "write a BENCH_<date>.json performance record into this directory (or to the given .json path)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel sweep shards (results are identical for any value)")
 		blockSize  = flag.Int("block", sweep.DefaultBlockCases, "test cases per sweep shard (checkpoint granularity)")
 		stateDir   = flag.String("state", "", "checkpoint directory (results.jsonl + manifest.json) for resumable sweeps")
@@ -177,22 +172,6 @@ func main() {
 			}
 		}()
 	}
-	var rec *perf.Recorder
-	if *benchJSON != "" {
-		rec = perf.NewRecorder()
-		defer func() {
-			// Merge, don't overwrite: the day's record accumulates
-			// entries from every tool (rtrsim, rtrload, rtrscale), and a
-			// partial rerun must only replace its own keys.
-			path, err := perf.MergeFile(*benchJSON, rec.Record().Entries)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rtrsim: bench-json: %v\n", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "rtrsim: wrote %s\n", path)
-		}()
-	}
-
 	names := topology.ASNames()
 	if *asFlag != "all" {
 		names = strings.Split(*asFlag, ",")
@@ -225,21 +204,13 @@ func main() {
 	var worlds []*sim.World
 	worldsByName := map[string]*sim.World{}
 	for _, name := range names {
-		start := time.Now()
 		w, err := sim.NewWorldPhase2(name, *seed, engine)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rtrsim: %v\n", err)
 			os.Exit(1)
 		}
-		if rec != nil {
-			rec.Observe("world-build", name, time.Since(start), 0)
-		}
 		worlds = append(worlds, w)
 		worldsByName[name] = w
-	}
-	if rec != nil {
-		recordConvergenceBench(rec, worlds, *seed)
-		recordSinglePairBench(rec, names, *seed)
 	}
 
 	// All case datasets and the fig11 radius sweep run as one sharded,
@@ -272,7 +243,6 @@ func main() {
 			MaxShards:     *maxShards,
 			Progress:      os.Stderr,
 			ProgressEvery: 10 * time.Second,
-			Recorder:      rec,
 		}
 		res, err := eng.Run(ctx)
 		if err != nil {
@@ -312,11 +282,6 @@ func main() {
 			if utilResults, err = res.Utils(); err != nil {
 				fmt.Fprintf(os.Stderr, "rtrsim: %v\n", err)
 				os.Exit(1)
-			}
-			if rec != nil {
-				for _, u := range utilResults {
-					rec.Add(perf.Entry{Name: "congestion-" + u.Scheme, Topology: u.Topology, PeakUtil: u.Post.Peak})
-				}
 			}
 		}
 	}
@@ -393,127 +358,6 @@ func printCongestion(results []*traffic.Result) {
 			r.Post.Peak, r.Post.P99, r.Post.P50, delivered)
 	}
 	fmt.Println()
-}
-
-// recordConvergenceBench times the per-scenario converged-table builds
-// (cold ComputeTablesUnder vs incremental RecomputeTablesUnder), the
-// MRC tree-matrix builds (cold vs warm-start), and the case runner
-// (per-case oracle vs batched grouped execution) for every topology,
-// once serially and once with GOMAXPROCS=NumCPU, so BENCH_<date>.json
-// tracks the incremental convergence layer, the execution batching,
-// and the par.For speedups.
-func recordConvergenceBench(rec *perf.Recorder, worlds []*sim.World, seed int64) {
-	const scenarios = 20
-	procsList := []int{1}
-	if n := runtime.NumCPU(); n > 1 {
-		procsList = append(procsList, n)
-	}
-	for _, w := range worlds {
-		name := w.Topo.Name
-		// Pre-draw the scenario batch so the cold and incremental
-		// variants time identical work.
-		rng := rand.New(rand.NewSource(seedpkg.Derive(seed, "bench-"+name)))
-		scs := make([]*failure.Scenario, 0, scenarios)
-		for len(scs) < scenarios {
-			if sc := failure.RandomScenario(w.Topo, rng); sc.HasFailures() {
-				scs = append(scs, sc)
-			}
-		}
-		for _, procs := range procsList {
-			rec.Measure("tables-cold", name, procs, func() {
-				for _, sc := range scs {
-					routing.ComputeTablesUnder(w.Topo, sc)
-				}
-			})
-			rec.Measure("tables-incremental", name, procs, func() {
-				for _, sc := range scs {
-					routing.RecomputeTablesUnder(w.Topo, w.Tables, sc)
-				}
-			})
-			rec.Measure("mrc-trees-cold", name, procs, func() {
-				if _, err := mrc.New(w.Topo, 0); err != nil {
-					fmt.Fprintf(os.Stderr, "rtrsim: bench mrc cold %s: %v\n", name, err)
-				}
-			})
-			rec.Measure("mrc-trees-warm", name, procs, func() {
-				if _, err := mrc.NewWarm(w.Topo, 0, w.Tables); err != nil {
-					fmt.Fprintf(os.Stderr, "rtrsim: bench mrc warm %s: %v\n", name, err)
-				}
-			})
-		}
-		// The runner entries use the full case fan-out of the first
-		// pre-drawn scenario with any cases: maximal destination
-		// sharing per (initiator, trigger) group, the workload the
-		// batched runner is built for.
-		var cases []*sim.Case
-		for _, sc := range scs {
-			r, i := sim.CasesFromScenario(w, sc)
-			if cases = append(append(cases, r...), i...); len(cases) > 0 {
-				break
-			}
-		}
-		if len(cases) == 0 {
-			continue
-		}
-		for _, procs := range procsList {
-			rec.Measure("runall-percase", name, procs, func() {
-				sim.RunAllPerCase(w, cases, procs)
-			})
-			rec.Measure("runall-batched", name, procs, func() {
-				sim.RunAllN(w, cases, procs)
-			})
-		}
-	}
-}
-
-// recordSinglePairBench times one frozen single-pair recovery per
-// protocol under every phase-2 engine on the two largest Table II
-// topologies, so BENCH_<date>.json tracks the goal-directed engines'
-// single-pair latency against the full-tree baseline. Each entry runs
-// the same frozen (initiator, destination, failure area) case — the
-// engines are output-identical, so the entries time identical work.
-func recordSinglePairBench(rec *perf.Recorder, names []string, seed int64) {
-	const ops = 50
-	singlePairAS := map[string]bool{"AS7018": true, "AS3549": true}
-	engines := []spt.Engine{spt.EngineDijkstra, spt.EngineAStar, spt.EngineALT}
-	for _, name := range names {
-		if !singlePairAS[name] {
-			continue
-		}
-		for _, eng := range engines {
-			w, err := sim.NewWorldPhase2(name, seed, eng)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rtrsim: bench single-pair %s/%s: %v\n", name, eng, err)
-				continue
-			}
-			p, err := sim.NewSinglePair(w, seedpkg.Derive(seed, "single-pair", name))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rtrsim: bench single-pair %s/%s: %v\n", name, eng, err)
-				continue
-			}
-			protos := []struct {
-				proto string
-				run   func() error
-			}{
-				{"rtr", func() error { _, err := p.RTR(); return err }},
-				{"fcp", func() error { _, err := p.FCP(); return err }},
-				{"mrc", func() error { _, err := p.MRC(); return err }},
-			}
-			for _, pr := range protos {
-				var runErr error
-				rec.Measure("single-pair-"+pr.proto+"-"+eng.String(), name, 1, func() {
-					for i := 0; i < ops; i++ {
-						if err := pr.run(); err != nil && runErr == nil {
-							runErr = err
-						}
-					}
-				})
-				if runErr != nil {
-					fmt.Fprintf(os.Stderr, "rtrsim: bench single-pair %s/%s/%s: %v\n", name, pr.proto, eng, runErr)
-				}
-			}
-		}
-	}
 }
 
 func printAblation(names []string, seed int64, cases int) {

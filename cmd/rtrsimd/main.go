@@ -19,7 +19,9 @@
 //
 // Responses are byte-identical to the sim harness's per-case outcomes
 // — the daemon is a serving shape over the same engines, never a
-// different answer. On SIGINT/SIGTERM the daemon stops accepting new
+// different answer. Connections that stall mid-request, never read
+// their response, or sit idle are closed on fixed timeouts. On
+// SIGINT/SIGTERM the daemon stops accepting new
 // connections, drains in-flight requests (bounded by -drain), and
 // exits 2, mirroring the sweep engine's interrupt discipline.
 package main
@@ -90,7 +92,7 @@ func main() {
 		strings.Join(e.Topologies(), ","), ln.Addr(), engine, *cache, *check,
 		time.Since(start).Round(time.Millisecond))
 
-	srv := &http.Server{Handler: e.Handler()}
+	srv := newServer(e.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -109,6 +111,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rtrsimd: interrupted; drained (%d queries: %d hits / %d misses, %d evictions, %d client errors)\n",
 			st.Queries, st.CacheHits, st.CacheMisses, st.Evictions, st.ClientErrors)
 		os.Exit(2)
+	}
+}
+
+// Connection timeouts, so a client that stalls cannot hold a
+// connection (and its goroutine) forever. They are constants, not
+// flags: no deployment of this daemon needs different values. A
+// request line plus headers is a few hundred bytes and a body at most
+// 1 MiB; writeTimeout also covers the handler, so it leaves room for
+// the largest batch on a 10^5-node world.
+const (
+	readHeaderTimeout = 2 * time.Second
+	readTimeout       = 10 * time.Second
+	writeTimeout      = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 var (
@@ -51,5 +55,40 @@ func TestUnknownSchemeExitsOne(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "unknown scheme") {
 		t.Errorf("stderr %q does not explain the unknown scheme", stderr.String())
+	}
+}
+
+// TestStalledHeaderIsClosed: a client that sends half a request line
+// and then goes quiet must not hold its connection forever — the
+// server closes it once readHeaderTimeout passes.
+func TestStalledHeaderIsClosed(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(http.NotFoundHandler())
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HT"); err != nil {
+		t.Fatal(err)
+	}
+	// The client's own deadline only bounds the test: hitting it means
+	// the server was still holding the connection.
+	conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 5*time.Second))
+	start := time.Now()
+	_, err = io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("server still holding a half-sent request after %v", time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -1,0 +1,52 @@
+package repro_test
+
+import (
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestDesignPackageMap keeps DESIGN.md §5 honest: every directory
+// under cmd/, internal/ and examples/ has a line in the package map,
+// and every line names a directory that exists.
+func TestDesignPackageMap(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## 5. Package map\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no \"## 5. Package map\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	mapped := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^((?:cmd|internal|examples)/[a-z0-9]+)/\s`).FindAllStringSubmatch(section, -1) {
+		if mapped[m[1]] {
+			t.Errorf("DESIGN.md §5 lists %s twice", m[1])
+		}
+		mapped[m[1]] = true
+	}
+	onDisk := map[string]bool{}
+	for _, root := range []string{"cmd", "internal", "examples"} {
+		entries, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() {
+				onDisk[root+"/"+e.Name()] = true
+			}
+		}
+	}
+	for d := range onDisk {
+		if !mapped[d] {
+			t.Errorf("%s is missing from the DESIGN.md §5 package map", d)
+		}
+	}
+	for d := range mapped {
+		if !onDisk[d] {
+			t.Errorf("DESIGN.md §5 package map lists %s, which does not exist", d)
+		}
+	}
+}

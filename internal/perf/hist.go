@@ -1,3 +1,7 @@
+// Package perf holds the allocation-free latency histogram the load
+// tools (cmd/rtrload, cmd/rtrscale) record client-side latencies into.
+// The repo's performance record itself is produced by bench/ (see
+// bench/README.md).
 package perf
 
 import (

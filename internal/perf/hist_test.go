@@ -1,7 +1,6 @@
 package perf
 
 import (
-	"encoding/json"
 	"math/rand"
 	"sort"
 	"testing"
@@ -90,28 +89,5 @@ func TestHistogramMerge(t *testing.T) {
 	a.Merge(&empty) // no-op
 	if a.Count() != all.Count() {
 		t.Fatal("merging an empty histogram changed the count")
-	}
-}
-
-// TestEntryPercentileFieldsOptional pins the satellite contract: the
-// new percentile fields must not disturb entries that do not use them.
-func TestEntryPercentileFieldsOptional(t *testing.T) {
-	plain, err := json.Marshal(Entry{Name: "world-build", Topology: "AS1221", NsPerOp: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := string(plain); s != `{"name":"world-build","topology":"AS1221","ns_per_op":42}` {
-		t.Fatalf("legacy entry JSON changed: %s", s)
-	}
-	full, err := json.Marshal(Entry{Name: "serve-closed-all", NsPerOp: 10, P50Ns: 7, P99Ns: 30, CacheHitRate: 0.96875})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Entry
-	if err := json.Unmarshal(full, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.P50Ns != 7 || back.P99Ns != 30 || back.CacheHitRate != 0.96875 {
-		t.Fatalf("percentile fields did not round-trip: %+v", back)
 	}
 }

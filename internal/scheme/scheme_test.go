@@ -173,11 +173,21 @@ func TestBuiltinDifferentialAllTopologies(t *testing.T) {
 				if rerr != nil {
 					t.Fatal(rerr)
 				}
-				check(NameRTR, got, Result{
+				rtrWant := Result{
 					Delivered: rr.Recovered, Optimal: rr.Optimal, Stretch: rr.Stretch,
 					SPCalcs: rr.SPCalcs, NoLiveNeighbor: rr.NoLiveNeighbor,
 					Walks: walks(rr.Phase2),
-				}, err)
+				}
+				check(NameRTR, got, rtrWant, err)
+
+				// Capped at one candidate, rtr-spread is RTR: the primary
+				// route, the same data walk, and the same grade (both
+				// grade through sim.TruthCost/CostEqual).
+				got, err = NewSpread(SpreadConfig{K: 1}).Run(w, c, truth)
+				if len(got.Walks) == 0 {
+					got.Walks = walks() // spread's early exits leave nil where rtr's projection leaves empty
+				}
+				check(NameSpread+"/k=1", got, rtrWant, err)
 
 				s, _ = Get(NameFCP)
 				got, err = s.Run(w, c, truth)

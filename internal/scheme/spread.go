@@ -104,8 +104,8 @@ func (s *Spread) Run(w *sim.World, c *sim.Case, truth *spt.Tree) (Result, error)
 		return res, nil
 	}
 	res.Delivered = true
-	opt, reachable := spreadTruthCost(w, c, truth)
-	if reachable && spreadCostEqual(chosen.Cost, opt) {
+	opt, reachable := sim.TruthCost(w, c, truth)
+	if reachable && sim.CostEqual(chosen.Cost, opt) {
 		res.Optimal = true
 		res.Stretch = 1
 	} else if reachable && opt > 0 {
@@ -169,28 +169,4 @@ func flowHash(init, dst graph.NodeID, trigger graph.LinkID) uint64 {
 		}
 	}
 	return h
-}
-
-// spreadTruthCost mirrors the sim runners' grading source: the shared
-// truth tree when supplied, a pooled computation otherwise.
-func spreadTruthCost(w *sim.World, c *sim.Case, truth *spt.Tree) (float64, bool) {
-	if truth != nil {
-		return truth.CostTo(c.Dst)
-	}
-	ws := spt.GetWorkspace()
-	defer ws.Release()
-	return ws.Compute(w.Topo.G, c.Initiator, c.Scenario).CostTo(c.Dst)
-}
-
-// spreadCostEqual matches the harness's grading tolerance.
-func spreadCostEqual(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	scale := a
-	if b > scale {
-		scale = b
-	}
-	return d <= 1e-9*(1+scale)
 }

@@ -31,19 +31,7 @@ func BenchmarkWarmQuery(b *testing.B) {
 // rebuilds the post-failure converged state via the incremental
 // recompute before the protocol runs.
 func BenchmarkNoCacheQuery(b *testing.B) {
-	benchUncached(b, Config{Topos: []string{"AS7018"}, Seed: testSeed})
-}
-
-// BenchmarkColdQuery times the cold-convergence-per-query baseline:
-// cache disabled and full per-destination Dijkstra rebuilds — the
-// cost a service pays when nothing (neither the LRU nor the
-// incremental convergence layer) amortizes the failure instance.
-func BenchmarkColdQuery(b *testing.B) {
-	benchUncached(b, Config{Topos: []string{"AS7018"}, Seed: testSeed, ColdConvergence: true})
-}
-
-func benchUncached(b *testing.B, cfg Config) {
-	e, err := New(cfg)
+	e, err := New(Config{Topos: []string{"AS7018"}, Seed: testSeed})
 	if err != nil {
 		b.Fatal(err)
 	}

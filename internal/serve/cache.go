@@ -130,30 +130,21 @@ func (en *entry) sessionFor(w *sim.World, init graph.NodeID, trigger graph.LinkI
 	return se
 }
 
-// warm builds the converged post-failure state on first use. cold
-// selects the baseline mode: a full per-destination Dijkstra rebuild
-// instead of the delete-only incremental recompute — identical output
-// (the incremental update is bit-identical by construction), only the
-// cost differs, which is exactly what the serving benchmark's
-// cold-convergence-per-query baseline measures.
-func (en *entry) warm(w *sim.World, cold bool) {
+// warm builds the converged post-failure state on first use, by the
+// delete-only incremental recompute from the world's clean tables.
+func (en *entry) warm(w *sim.World) {
 	en.once.Do(func() {
 		en.lv = routing.NewLocalView(w.Topo, en.sc)
-		if cold {
-			en.post = routing.ComputeTablesUnder(w.Topo, en.sc)
-		} else {
-			en.post = routing.RecomputeTablesUnder(w.Topo, w.Tables, en.sc)
-		}
+		en.post = routing.RecomputeTablesUnder(w.Topo, w.Tables, en.sc)
 		en.multiCluster = len(en.sc.Clusters()) > 1
 	})
 }
 
 // truthFor returns the shared forward ground-truth tree rooted at the
 // initiator, computing it on first use exactly as sim's truth cache
-// does (cold mode pays the cold Dijkstra instead; same tree either
-// way). Workers needing different initiators proceed in parallel;
+// does. Workers needing different initiators proceed in parallel;
 // workers needing the same one wait for a single computation.
-func (en *entry) truthFor(w *sim.World, init graph.NodeID, cold bool) *spt.Tree {
+func (en *entry) truthFor(w *sim.World, init graph.NodeID) *spt.Tree {
 	en.mu.Lock()
 	te := en.truth[init]
 	if te == nil {
@@ -162,11 +153,7 @@ func (en *entry) truthFor(w *sim.World, init graph.NodeID, cold bool) *spt.Tree 
 	}
 	en.mu.Unlock()
 	te.once.Do(func() {
-		if cold {
-			te.tree = spt.Compute(w.Topo.G, init, en.sc)
-		} else {
-			te.tree = spt.Recompute(w.Topo.G, w.RTR.CleanTree(init), graph.Nothing, en.sc)
-		}
+		te.tree = spt.Recompute(w.Topo.G, w.RTR.CleanTree(init), graph.Nothing, en.sc)
 	})
 	return te.tree
 }
@@ -199,8 +186,7 @@ func newLRU(capacity int) *lru {
 // get returns the entry under key, inserting a fresh one built by mk
 // on a miss, and reports whether it was already present plus how many
 // entries the insertion evicted. With capacity <= 0 the cache is
-// disabled: every call is a miss that builds throwaway state — the
-// cold-convergence baseline the serving benchmark measures against.
+// disabled: every call is a miss that builds throwaway state.
 func (c *lru) get(key string, mk func() *entry) (en *entry, hit bool, evicted int) {
 	if c.cap <= 0 {
 		return mk(), false, 0

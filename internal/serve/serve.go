@@ -70,19 +70,12 @@ type Config struct {
 	Phase2 spt.Engine
 	// CacheEntries bounds the converged-state LRU, shared across
 	// topologies; <= 0 disables caching entirely (every query rebuilds
-	// converged state — the cold baseline).
+	// converged state).
 	CacheEntries int
 	// Check runs the invariant oracle on every recovery case served; a
 	// violation fails the query with an internal error carrying the
 	// repro string.
 	Check bool
-	// ColdConvergence selects the benchmark baseline mode: converged
-	// state is rebuilt with a full per-destination Dijkstra instead of
-	// the delete-only incremental recompute. Answers are identical;
-	// combined with CacheEntries <= 0 this prices what serving a query
-	// costs when every query pays cold convergence — the baseline the
-	// warm-cache speedup is quoted against.
-	ColdConvergence bool
 	// Worlds, when non-empty, are served as-is under their map keys in
 	// addition to (and instead of, when Topos is empty) the synthesized
 	// Table II set. This is the scale path: load a binary snapshot,
@@ -104,7 +97,6 @@ type Engine struct {
 	names     []string
 	cache     *lru
 	check     bool
-	cold      bool
 	defScheme string
 	st        stats
 }
@@ -120,7 +112,6 @@ func New(cfg Config) (*Engine, error) {
 		worlds:    make(map[string]*sim.World, len(names)+len(cfg.Worlds)),
 		cache:     newLRU(cfg.CacheEntries),
 		check:     cfg.Check,
-		cold:      cfg.ColdConvergence,
 		defScheme: cfg.DefaultScheme,
 	}
 	if e.defScheme != "" && e.defScheme != SchemeAll {
@@ -344,7 +335,7 @@ func (e *Engine) lookupEntry(w *sim.World, topoName, failureDesc string) (*entry
 	// that compose is the dominant per-query cost on a warm entry.
 	if en, ok := e.cache.hit(topoName + "\x00" + failureDesc); ok {
 		e.st.hits.Add(1)
-		en.warm(w, e.cold)
+		en.warm(w)
 		return en, true, nil
 	}
 	sc, err := failure.ParseInstance(w.Topo, failureDesc)
@@ -361,7 +352,7 @@ func (e *Engine) lookupEntry(w *sim.World, topoName, failureDesc string) (*entry
 	if evicted > 0 {
 		e.st.evictions.Add(int64(evicted))
 	}
-	en.warm(w, e.cold)
+	en.warm(w)
 	return en, hit, nil
 }
 
@@ -403,7 +394,7 @@ func (e *Engine) answerPair(w *sim.World, topoName string, en *entry, hit bool, 
 	}
 	resp.Recoverable = c.Recoverable
 
-	truth := en.truthFor(w, src, e.cold)
+	truth := en.truthFor(w, src)
 	out := sim.Outcome{Case: c, Truth: truth}
 	var err, firstErr error
 	if scheme == SchemeAll || scheme == SchemeRTR {

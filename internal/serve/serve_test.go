@@ -493,8 +493,8 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCacheDisabled pins the cold-baseline mode: capacity 0 disables
-// the cache entirely, so identical queries never hit.
+// TestCacheDisabled pins capacity 0: the cache is disabled entirely,
+// so identical queries never hit and each rebuilds the same answer.
 func TestCacheDisabled(t *testing.T) {
 	e := testEngine(t, "AS1239", 0)
 	q := testCaseQuery(t, e, "AS1239")
@@ -510,20 +510,7 @@ func TestCacheDisabled(t *testing.T) {
 		t.Error("disabled cache reported a hit")
 	}
 	if mustJSON(t, a.Case) != mustJSON(t, b.Case) {
-		t.Error("cold rebuilds disagree with each other")
-	}
-	// The cold-convergence baseline mode changes the cost, never the
-	// answer: full Dijkstra rebuilds serve bit-identical responses.
-	cold, err := New(Config{Topos: []string{"AS1239"}, Seed: testSeed, ColdConvergence: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cold.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mustJSON(t, c.Case) != mustJSON(t, a.Case) {
-		t.Error("cold-convergence baseline answer differs from the incremental answer")
+		t.Error("uncached rebuilds disagree with each other")
 	}
 	st := e.Stats()
 	if st.CacheHits != 0 || st.CacheMisses != 2 || st.CacheEntries != 0 {

@@ -55,8 +55,9 @@ func groupCases(cases []*Case) []caseGroup {
 // (scenario, initiator, trigger), each group runs phase-1 collection
 // and the single pruned-view SPT once on a shared core.Session, and
 // the per-destination tail fans out inside the group. Parallelism is
-// per group. The outcome slice is bit-identical to RunAllPerCase for
-// any worker count — the differential tests assert it.
+// per group. The outcome slice is bit-identical to running every case
+// on its own session, for any worker count — the differential tests
+// assert it against the per-case oracle in batch_test.go.
 func RunAllN(w *World, cases []*Case, workers int) []Outcome {
 	out, _ := runAllN(w, cases, workers)
 	return out
@@ -124,41 +125,4 @@ func runGroup(w *World, truths *truthCache, cases []*Case, g caseGroup, out []Ou
 		o.Truth = tt
 		out[i] = o
 	}
-}
-
-// RunAllPerCase is the pre-batching runner, kept as the
-// differential-test oracle: every case opens its own session, runs its
-// own collection walk, and computes its own pruned-view SPT. Batched
-// RunAllN must produce an outcome slice identical to this one for any
-// worker count.
-func RunAllPerCase(w *World, cases []*Case, workers int) []Outcome {
-	out := make([]Outcome, len(cases))
-	truths := newTruthCache(w)
-	par.For(len(cases), workers, func(i int) {
-		out[i] = runCase(w, truths, cases[i])
-	})
-	return out
-}
-
-// runCase executes all three protocols on one case with its own RTR
-// session, sharing the lazily computed truth tree across the runners.
-func runCase(w *World, truths *truthCache, c *Case) Outcome {
-	o := Outcome{Case: c}
-	var tt *spt.Tree
-	truth := func() *spt.Tree {
-		if tt == nil {
-			tt = truths.tree(c)
-		}
-		return tt
-	}
-	var err error
-	if o.RTR, err = runRTR(w, c, truth); err != nil {
-		o.Err = err
-	} else if o.FCP, err = runFCP(w, c, truth); err != nil {
-		o.Err = err
-	} else if o.MRC, err = runMRC(w, c, truth); err != nil {
-		o.Err = err
-	}
-	o.Truth = tt
-	return o
 }

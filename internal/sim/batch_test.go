@@ -9,8 +9,47 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/par"
+	"repro/internal/spt"
 	"repro/internal/topology"
 )
+
+// RunAllPerCase is the pre-batching runner, kept as the
+// differential-test oracle: every case opens its own session, runs its
+// own collection walk, and computes its own pruned-view SPT. Batched
+// RunAllN must produce an outcome slice identical to this one for any
+// worker count.
+func RunAllPerCase(w *World, cases []*Case, workers int) []Outcome {
+	out := make([]Outcome, len(cases))
+	truths := newTruthCache(w)
+	par.For(len(cases), workers, func(i int) {
+		out[i] = runCase(w, truths, cases[i])
+	})
+	return out
+}
+
+// runCase executes all three protocols on one case with its own RTR
+// session, sharing the lazily computed truth tree across the runners.
+func runCase(w *World, truths *truthCache, c *Case) Outcome {
+	o := Outcome{Case: c}
+	var tt *spt.Tree
+	truth := func() *spt.Tree {
+		if tt == nil {
+			tt = truths.tree(c)
+		}
+		return tt
+	}
+	var err error
+	if o.RTR, err = runRTR(w, c, truth); err != nil {
+		o.Err = err
+	} else if o.FCP, err = runFCP(w, c, truth); err != nil {
+		o.Err = err
+	} else if o.MRC, err = runMRC(w, c, truth); err != nil {
+		o.Err = err
+	}
+	o.Truth = tt
+	return o
+}
 
 // outcomesEqual compares two outcome slices the way the batching
 // contract demands: identical protocol results, identical error text,

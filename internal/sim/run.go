@@ -102,8 +102,8 @@ func finishRTR(res *RTRResult, w *World, c *Case, sess *core.Session, col *core.
 		return
 	}
 	res.Recovered = true
-	opt, reachable := truthCost(w, c, truth)
-	if reachable && costEqual(rt.Cost, opt) {
+	opt, reachable := TruthCost(w, c, truth())
+	if reachable && CostEqual(rt.Cost, opt) {
 		res.Optimal = true
 		res.Stretch = 1
 	} else if reachable && opt > 0 {
@@ -124,10 +124,11 @@ func RunRTRSession(w *World, c *Case, sess *core.Session, col *core.CollectResul
 	return res
 }
 
-// costEqual compares path costs with a relative tolerance: two trees
+// CostEqual compares path costs with a relative tolerance: two trees
 // can pick different equal-cost shortest paths whose float sums differ
-// only in summation order.
-func costEqual(a, b float64) bool {
+// only in summation order. It is the one grading tolerance; every
+// scheme's Optimal flag goes through it.
+func CostEqual(a, b float64) bool {
 	d := a - b
 	if d < 0 {
 		d = -d
@@ -175,11 +176,11 @@ func runFCP(w *World, c *Case, truth truthSource) (FCPResult, error) {
 		return res, nil
 	}
 	res.Delivered = true
-	opt, reachable := truthCost(w, c, truth)
+	opt, reachable := TruthCost(w, c, truth())
 	cost := walkCost(w, r.Walk)
 	if reachable && opt > 0 {
 		res.Stretch = cost / opt
-		res.Optimal = costEqual(cost, opt)
+		res.Optimal = CostEqual(cost, opt)
 		if res.Optimal {
 			res.Stretch = 1
 		}
@@ -225,11 +226,11 @@ func runMRC(w *World, c *Case, truth truthSource) (MRCResult, error) {
 		return res, nil
 	}
 	res.Delivered = true
-	opt, reachable := truthCost(w, c, truth)
+	opt, reachable := TruthCost(w, c, truth())
 	cost := walkCost(w, r.Walk)
 	if reachable && opt > 0 {
 		res.Stretch = cost / opt
-		res.Optimal = costEqual(cost, opt)
+		res.Optimal = CostEqual(cost, opt)
 		if res.Optimal {
 			res.Stretch = 1
 		}
@@ -250,13 +251,13 @@ func walkCost(w *World, walk routing.Walk) float64 {
 	return total
 }
 
-// truthCost returns the ground-truth post-failure shortest path cost
+// TruthCost returns the ground-truth post-failure shortest path cost
 // from the case's initiator to its destination, reading it from the
-// source's shared truth tree when it supplies one. A nil tree makes
-// the cost come from a computation into pooled workspace scratch.
-func truthCost(w *World, c *Case, truth truthSource) (float64, bool) {
-	if t := truth(); t != nil {
-		return t.CostTo(c.Dst)
+// shared truth tree when one is supplied. A nil tree makes the cost
+// come from a computation into pooled workspace scratch.
+func TruthCost(w *World, c *Case, truth *spt.Tree) (float64, bool) {
+	if truth != nil {
+		return truth.CostTo(c.Dst)
 	}
 	ws := spt.GetWorkspace()
 	defer ws.Release()

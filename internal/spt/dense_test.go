@@ -14,6 +14,39 @@ type opaqueDenied struct{ m *graph.Mask }
 func (d opaqueDenied) NodeDown(v graph.NodeID) bool  { return d.m.NodeDown(v) }
 func (d opaqueDenied) LinkDown(id graph.LinkID) bool { return d.m.LinkDown(id) }
 
+// settle is the reference interface-dispatch Dijkstra main loop: the
+// generic twin of settleDense, consulting the overlay through
+// graph.Denied on every edge. Production paths go through settleDense;
+// the differential tests below assert the two are bit-identical.
+func settle(g *graph.Graph, t *Tree, d graph.Denied, h *minHeap, scope []bool) {
+	for {
+		v, dv, ok := h.pop()
+		if !ok {
+			return
+		}
+		if dv > t.Dist[v] {
+			continue // stale entry
+		}
+		for _, he := range g.Adj(v) {
+			w := he.Neighbor
+			if scope != nil && !scope[w] {
+				continue
+			}
+			if d.NodeDown(w) || d.LinkDown(he.Link) {
+				continue
+			}
+			l := g.Link(he.Link)
+			nd := dv + edgeCost(l, t.Kind, w)
+			if nd < t.Dist[w] {
+				t.Dist[w] = nd
+				t.Parent[w] = int32(v)
+				t.ParentLink[w] = int32(he.Link)
+				h.push(w, nd)
+			}
+		}
+	}
+}
+
 // computeGeneric is a cold Dijkstra through the reference settle loop —
 // interface dispatch on every edge, no dense compilation. It is the
 // oracle the devirtualized production path must match bit for bit.

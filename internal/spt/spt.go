@@ -200,46 +200,14 @@ func run(g *graph.Graph, root graph.NodeID, d graph.Denied, kind Kind) *Tree {
 	return t
 }
 
-// settle runs the Dijkstra main loop, extending the tree from whatever
-// is already in the heap. If scope is non-nil, only nodes with
+// settleDense runs the Dijkstra main loop, extending the tree from
+// whatever is already in the heap. If scope is non-nil, only nodes with
 // scope[v] == true may be relabeled (used by incremental recompute).
-//
-// This is the reference interface-dispatch loop; production paths go
-// through settleDense, and the differential tests assert the two are
-// bit-identical.
-func settle(g *graph.Graph, t *Tree, d graph.Denied, h *minHeap, scope []bool) {
-	for {
-		v, dv, ok := h.pop()
-		if !ok {
-			return
-		}
-		if dv > t.Dist[v] {
-			continue // stale entry
-		}
-		for _, he := range g.Adj(v) {
-			w := he.Neighbor
-			if scope != nil && !scope[w] {
-				continue
-			}
-			if d.NodeDown(w) || d.LinkDown(he.Link) {
-				continue
-			}
-			l := g.Link(he.Link)
-			nd := dv + edgeCost(l, t.Kind, w)
-			if nd < t.Dist[w] {
-				t.Dist[w] = nd
-				t.Parent[w] = int32(v)
-				t.ParentLink[w] = int32(he.Link)
-				h.push(w, nd)
-			}
-		}
-	}
-}
-
-// settleDense is settle with the failure overlay compiled to flat
-// tables: the per-edge overlay membership tests become two slice loads
-// instead of two interface calls, which dominates the inner loop on
-// dense topologies (~4m dynamic dispatches per tree otherwise).
+// The failure overlay arrives compiled to flat tables: the per-edge
+// membership tests are two slice loads instead of two interface calls,
+// which dominates the inner loop on dense topologies (~4m dynamic
+// dispatches per tree otherwise). The interface-dispatch twin it must
+// match bit for bit is the oracle in dense_test.go.
 func settleDense(g *graph.Graph, t *Tree, nodeDown, linkDown []bool, h *minHeap, scope []bool) {
 	for {
 		v, dv, ok := h.pop()

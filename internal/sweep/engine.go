@@ -12,7 +12,6 @@ import (
 	"repro/internal/failure"
 	"repro/internal/invariant"
 	"repro/internal/par"
-	"repro/internal/perf"
 	"repro/internal/routing"
 	"repro/internal/scheme"
 	"repro/internal/sim"
@@ -46,8 +45,6 @@ type Engine struct {
 	// status every ProgressEvery.
 	Progress      io.Writer
 	ProgressEvery time.Duration
-	// Recorder, when set, receives per-shard timings.
-	Recorder *perf.Recorder
 
 	// gen is the parsed Spec.Failure generator, resolved fail-fast at
 	// the top of Run before any shard executes.
@@ -188,11 +185,7 @@ func (e *Engine) Run(ctx context.Context) (*RunResult, error) {
 			fail(fmt.Errorf("shard %s: %w", sh.Key, err))
 			return
 		}
-		elapsed := time.Since(start)
-		sr.ElapsedNs = elapsed.Nanoseconds()
-		if e.Recorder != nil {
-			e.Recorder.Observe("sweep-shard-"+string(sh.Kind), sh.Topology, elapsed, len(sr.Rec)+len(sr.Irr))
-		}
+		sr.ElapsedNs = time.Since(start).Nanoseconds()
 		if ckpt != nil {
 			if err := ckpt.append(sr); err != nil {
 				fail(err)
