@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/converged"
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/graph"
@@ -620,7 +621,7 @@ func BenchmarkNetsimRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := netsim.New(r, tables, sc, cfg).Run()
+		res := netsim.New(converged.New(topo, tables, r, sc), cfg).Run()
 		if res.Delivered() == 0 {
 			b.Fatal("nothing delivered")
 		}

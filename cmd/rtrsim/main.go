@@ -463,9 +463,10 @@ func printNetsim(worlds []*sim.World, seed int64) {
 				continue
 			}
 			cfg := netsim.Config{Flows: flows, Horizon: 600 * time.Millisecond, Timers: timers}
-			resWith := netsim.New(w.RTR, w.Tables, sc, cfg).Run()
+			st := w.Converged(sc)
+			resWith := netsim.New(st, cfg).Run()
 			cfg.DisableRTR = true
-			resWithout := netsim.New(w.RTR, w.Tables, sc, cfg).Run()
+			resWithout := netsim.New(st, cfg).Run()
 			sent += len(resWith.Fates)
 			delWith += resWith.Delivered()
 			delWithout += resWithout.Delivered()

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -47,6 +48,24 @@ func TestDesignPackageMap(t *testing.T) {
 	for d := range mapped {
 		if !onDisk[d] {
 			t.Errorf("DESIGN.md §5 package map lists %s, which does not exist", d)
+		}
+	}
+}
+
+// TestChangesEntriesStayShort caps CHANGES.md entries from PR 15 on at
+// 800 bytes: the log says what changed and where to look, DESIGN.md
+// and the code say the rest.
+func TestChangesEntriesStayShort(t *testing.T) {
+	doc, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An entry runs from its "- PR N" line to the next one.
+	number := regexp.MustCompile(`^\d+`)
+	for _, e := range strings.Split("\n"+string(doc), "\n- PR ")[1:] {
+		n, _ := strconv.Atoi(number.FindString(e))
+		if size := len("- PR " + strings.TrimRight(e, "\n")); n >= 15 && size > 800 {
+			t.Errorf("CHANGES.md entry for PR %d is %d bytes (cap 800)", n, size)
 		}
 	}
 }

@@ -168,15 +168,14 @@ func (a avoidLinks) LinkDown(id graph.LinkID) bool {
 // writing into rt like RecoveryPathInto. Congestion-aware schemes use
 // it to generate alternative recovery candidates around the primary
 // path. Each call is one full shortest-path computation over the
-// overlaid view and is charged to SPCalcs accordingly — unlike a
-// prepared session's RecoveryPathInto it mutates the session, so
-// callers own the session exclusively (the usual Session contract).
+// overlaid view; the caller charges it to its own SPCalcs count — the
+// session is not touched, so the call is safe on a shared prepared
+// session.
 func (s *Session) RecoveryPathAvoidingInto(rt *Route, dst graph.NodeID, avoid []graph.LinkID) bool {
 	view := graph.Union{X: s.prunedView(), Y: avoidLinks(avoid)}
 	ws := spt.GetWorkspace()
 	defer ws.Release()
 	t := ws.Compute(s.r.topo.G, s.initiator, view)
-	s.spCalcs++
 	rt.Nodes, _ = t.AppendPathNodes(rt.Nodes[:0], dst)
 	rt.Links = rt.Links[:0]
 	rt.Cost = 0

@@ -17,8 +17,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/converged"
 	"repro/internal/core"
-	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/igp"
 	"repro/internal/routing"
@@ -137,15 +137,12 @@ func (q *eventQueue) Pop() interface{} {
 
 // Sim is one simulation instance. Build with New, run with Run.
 type Sim struct {
-	rtr    *core.RTR
-	tables *routing.Tables
-	sc     *failure.Scenario
-	lv     *routing.LocalView
-	conv   *igp.Convergence
-	cfg    Config
-
-	// post-convergence tables (the true post-failure shortest paths).
-	postTables *routing.Tables
+	// state supplies everything about the failure: the stale
+	// pre-failure tables, the local view, the tables routers converge
+	// to, and the initiators' RTR sessions.
+	state *converged.State
+	conv  *igp.Convergence
+	cfg   Config
 
 	now time.Duration
 	pq  eventQueue
@@ -158,13 +155,13 @@ type Sim struct {
 }
 
 type recoveryState struct {
+	// sess is the initiator's prepared session; nil where collection
+	// was impossible.
 	sess *core.Session
 	// doneAt is when the collection walk returns to the initiator.
 	doneAt time.Duration
 	// held packets waiting for the walk, by arrival.
 	held []heldPacket
-	// failed marks an initiator where collection was impossible.
-	failed bool
 }
 
 type heldPacket struct {
@@ -172,29 +169,15 @@ type heldPacket struct {
 	dst graph.NodeID
 }
 
-// New builds a simulator for one failure scenario. The post-failure
-// tables routers converge to are computed on the surviving topology.
-func New(rtr *core.RTR, tables *routing.Tables, sc *failure.Scenario, cfg Config) *Sim {
-	s := &Sim{
-		rtr:      rtr,
-		tables:   tables,
-		sc:       sc,
-		lv:       routing.NewLocalView(sc.Topo, sc),
-		conv:     igp.Converge(sc, cfg.Timers),
+// New builds a simulator for the failure st converged on. Runs that
+// differ only in cfg can share one State.
+func New(st *converged.State, cfg Config) *Sim {
+	return &Sim{
+		state:    st,
+		conv:     igp.Converge(st.Scenario(), cfg.Timers),
 		cfg:      cfg,
 		sessions: make(map[graph.NodeID]*recoveryState),
 	}
-	s.postTables = postFailureTables(tables, sc)
-	return s
-}
-
-// postFailureTables computes the converged tables of the surviving
-// topology, incrementally from the pre-failure tables: failures are
-// delete-only, so each destination's reverse tree only rebuilds the
-// subtree hanging off the failure area instead of paying a cold
-// Dijkstra (the result is bit-identical either way).
-func postFailureTables(pre *routing.Tables, sc *failure.Scenario) *routing.Tables {
-	return routing.RecomputeTablesUnder(sc.Topo, pre, sc)
 }
 
 func (s *Sim) schedule(at time.Duration, fn func()) {
@@ -230,7 +213,7 @@ func (s *Sim) Run() *Result {
 func (s *Sim) inject(flow int, f Flow) {
 	id := len(s.result.Fates)
 	s.result.Fates = append(s.result.Fates, PacketFate{Flow: flow, SentAt: s.now})
-	if s.sc.NodeDown(f.Src) {
+	if s.state.Scenario().NodeDown(f.Src) {
 		s.drop(id)
 		return
 	}
@@ -268,16 +251,16 @@ func (s *Sim) forwardDefault(id int, at, dst graph.NodeID) {
 		s.drop(id) // micro-loop during convergence
 		return
 	}
-	tables := s.tables
+	tables := s.state.Pre()
 	if t := s.conv.RouterTime[at]; t > 0 && s.now >= t {
-		tables = s.postTables
+		tables = s.state.Tables()
 	}
 	nh, link, ok := tables.NextHop(at, dst)
 	if !ok {
 		s.drop(id) // converged and still no route: unreachable
 		return
 	}
-	if !s.lv.NeighborUnreachable(at, link) {
+	if !s.state.LocalView().NeighborUnreachable(at, link) {
 		s.fate(id).Hops++
 		s.schedule(s.now+routing.HopDelay, func() { s.forwardDefault(id, nh, dst) })
 		return
@@ -300,25 +283,17 @@ func (s *Sim) forwardDefault(id int, at, dst graph.NodeID) {
 func (s *Sim) recoverAt(id int, v, dst graph.NodeID, trigger graph.LinkID) {
 	st, ok := s.sessions[v]
 	if !ok {
-		st = &recoveryState{}
+		st = &recoveryState{sess: s.state.Session(v, trigger).Sess}
 		s.sessions[v] = st
-		sess, err := s.rtr.NewSession(s.lv, v)
-		if err != nil {
-			st.failed = true
-		} else {
-			st.sess = sess
-			if col, err := sess.Collect(trigger); err != nil {
-				st.failed = true
-			} else {
-				// The blocked packet rides the collection walk and is
-				// back at v when it completes; later packets wait with
-				// it (delayed, not dropped).
-				st.doneAt = s.now + col.Walk.Duration()
-				s.schedule(st.doneAt, func() { s.releaseHeld(v) })
-			}
+		if st.sess != nil {
+			// The blocked packet rides the collection walk and is back
+			// at v when it completes; later packets wait with it
+			// (delayed, not dropped).
+			st.doneAt = s.now + st.sess.Collected().Walk.Duration()
+			s.schedule(st.doneAt, func() { s.releaseHeld(v) })
 		}
 	}
-	if st.failed {
+	if st.sess == nil {
 		s.drop(id)
 		return
 	}
@@ -355,7 +330,7 @@ func (s *Sim) sourceHop(id int, rt core.Route, i int) {
 		s.deliver(id, true)
 		return
 	}
-	if s.lv.NeighborUnreachable(rt.Nodes[i], rt.Links[i]) {
+	if s.state.LocalView().NeighborUnreachable(rt.Nodes[i], rt.Links[i]) {
 		s.drop(id) // phase 1 missed this failure
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/converged"
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/graph"
@@ -30,7 +31,7 @@ func paperSim(t *testing.T, cfg Config) (*Sim, *topology.Topology) {
 	if cfg.Timers == (igp.Timers{}) {
 		cfg.Timers = igp.TunedTimers()
 	}
-	return New(rtr, tables, sc, cfg), topo
+	return New(converged.New(topo, tables, rtr, sc), cfg), topo
 }
 
 func TestNoFailureAllDelivered(t *testing.T) {
@@ -43,7 +44,7 @@ func TestNoFailureAllDelivered(t *testing.T) {
 		Horizon: time.Second,
 		Timers:  igp.TunedTimers(),
 	}
-	res := New(rtr, tables, sc, cfg).Run()
+	res := New(converged.New(topo, tables, rtr, sc), cfg).Run()
 	if len(res.Fates) != 20 {
 		t.Fatalf("sent %d packets, want 20", len(res.Fates))
 	}
@@ -210,9 +211,9 @@ func TestAgreesWithAnalyticModel(t *testing.T) {
 		}
 		checked++
 		cfg := Config{Flows: flows, Horizon: 800 * time.Millisecond, Timers: timers}
-		withRTR := New(rtr, tables, sc, cfg).Run()
+		withRTR := New(converged.New(topo, tables, rtr, sc), cfg).Run()
 		cfg.DisableRTR = true
-		without := New(rtr, tables, sc, cfg).Run()
+		without := New(converged.New(topo, tables, rtr, sc), cfg).Run()
 		if withRTR.Delivered() < without.Delivered() {
 			t.Fatalf("RTR delivered fewer packets (%d) than no recovery (%d)",
 				withRTR.Delivered(), without.Delivered())

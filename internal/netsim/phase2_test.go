@@ -47,7 +47,7 @@ func TestPhase2EnginesIdenticalFates(t *testing.T) {
 			t.Fatal("no flows drawn")
 		}
 		cfg := Config{Flows: flows, Horizon: 600 * time.Millisecond, Timers: igp.TunedTimers()}
-		res := New(w.RTR, w.Tables, sc, cfg).Run()
+		res := New(w.Converged(sc), cfg).Run()
 		if len(res.Fates) == 0 {
 			t.Fatal("no packets sent")
 		}

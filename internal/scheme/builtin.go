@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/routing"
 	"repro/internal/sim"
-	"repro/internal/spt"
 )
 
 // Builtin scheme names (also their CLI/API spellings).
@@ -43,8 +42,8 @@ func (rtrScheme) Name() string             { return NameRTR }
 func (rtrScheme) Caps() Caps               { return Caps{Phase2: true} }
 func (rtrScheme) Prepare(*sim.World) error { return nil }
 
-func (rtrScheme) Run(w *sim.World, c *sim.Case, truth *spt.Tree) (Result, error) {
-	r, err := sim.RunRTR(w, c, truth)
+func (rtrScheme) Run(w *sim.World, c *sim.Case) (Result, error) {
+	r, err := sim.RunRTR(w, c, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -65,8 +64,8 @@ func (fcpScheme) Name() string             { return NameFCP }
 func (fcpScheme) Caps() Caps               { return Caps{Phase2: true} }
 func (fcpScheme) Prepare(*sim.World) error { return nil }
 
-func (fcpScheme) Run(w *sim.World, c *sim.Case, truth *spt.Tree) (Result, error) {
-	r, err := sim.RunFCP(w, c, truth)
+func (fcpScheme) Run(w *sim.World, c *sim.Case) (Result, error) {
+	r, err := sim.RunFCP(w, c, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -94,8 +93,8 @@ func (mrcScheme) Prepare(w *sim.World) error {
 	return nil
 }
 
-func (mrcScheme) Run(w *sim.World, c *sim.Case, truth *spt.Tree) (Result, error) {
-	r, err := sim.RunMRC(w, c, truth)
+func (mrcScheme) Run(w *sim.World, c *sim.Case) (Result, error) {
+	r, err := sim.RunMRC(w, c, nil)
 	if err != nil {
 		return Result{}, err
 	}

@@ -2,9 +2,11 @@
 // recovery protocol the harness can grade — the paper's RTR, the FCP
 // and MRC baselines, and congestion-aware variants — registers here
 // under a stable name with its capability flags and per-case runner.
-// The sim, sweep, serve, and CLI layers dispatch by name instead of
-// hard-coding protocol triples, so adding a baseline is one Register
-// call plus a runner; nothing downstream changes.
+// Today the registry wraps the typed world rather than replacing it:
+// utilization sweeps (sweep.KindUtil), the congestion experiment and
+// serve's non-builtin queries dispatch through it by name, while
+// sim.Outcome, the case sweeps and serve's rtr/fcp/mrc/all answers
+// still hard-code the protocol triple.
 //
 // The builtin schemes are thin projections over the sim runners and
 // stay bit-identical to them — the differential tests in this package
@@ -18,7 +20,6 @@ import (
 
 	"repro/internal/routing"
 	"repro/internal/sim"
-	"repro/internal/spt"
 )
 
 // Caps are a scheme's capability flags. Dispatch layers honor them
@@ -79,10 +80,10 @@ type Scheme interface {
 	// state. It must be cheap and idempotent — dispatch layers call it
 	// per (scheme, world) without coordination.
 	Prepare(w *sim.World) error
-	// Run executes the scheme on one case. truth is the shared
-	// ground-truth post-failure tree rooted at the case's initiator
-	// (nil to compute on demand, exactly like the sim runners).
-	Run(w *sim.World, c *sim.Case, truth *spt.Tree) (Result, error)
+	// Run executes the scheme on one case. Shared per-failure state —
+	// the RTR session, the ground-truth tree graded against — comes
+	// from the case's State (sim.World.StateOf).
+	Run(w *sim.World, c *sim.Case) (Result, error)
 }
 
 var (

@@ -1,11 +1,13 @@
 package scheme
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/converged"
 	"repro/internal/failure"
 	"repro/internal/sim"
 	"repro/internal/spt"
@@ -113,7 +115,7 @@ func TestConformance(t *testing.T) {
 				t.Fatalf("Prepare on scale world: err=%v, NeedsMRC=%v", err, caps.NeedsMRC)
 			}
 			for _, c := range cases {
-				r, err := s.Run(w, c, nil)
+				r, err := s.Run(w, c)
 				if err != nil {
 					t.Fatalf("Run(%d->%d): %v", c.Initiator, c.Dst, err)
 				}
@@ -128,7 +130,7 @@ func TestConformance(t *testing.T) {
 				}
 				// Determinism: a rerun is identical (schemes may not carry
 				// hidden per-run state).
-				again, err := s.Run(w, c, nil)
+				again, err := s.Run(w, c)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -168,7 +170,7 @@ func TestBuiltinDifferentialAllTopologies(t *testing.T) {
 				}
 
 				s, _ := Get(NameRTR)
-				got, err := s.Run(w, c, truth)
+				got, err := s.Run(w, c)
 				rr, rerr := sim.RunRTR(w, c, truth)
 				if rerr != nil {
 					t.Fatal(rerr)
@@ -182,15 +184,17 @@ func TestBuiltinDifferentialAllTopologies(t *testing.T) {
 
 				// Capped at one candidate, rtr-spread is RTR: the primary
 				// route, the same data walk, and the same grade (both
-				// grade through sim.TruthCost/CostEqual).
-				got, err = NewSpread(SpreadConfig{K: 1}).Run(w, c, truth)
+				// grade through sim.TruthCost/CostEqual — the registry
+				// side against the State's warm tree, the sim side
+				// against the cold one computed above).
+				got, err = NewSpread(SpreadConfig{K: 1}).Run(w, c)
 				if len(got.Walks) == 0 {
 					got.Walks = walks() // spread's early exits leave nil where rtr's projection leaves empty
 				}
 				check(NameSpread+"/k=1", got, rtrWant, err)
 
 				s, _ = Get(NameFCP)
-				got, err = s.Run(w, c, truth)
+				got, err = s.Run(w, c)
 				fr, ferr := sim.RunFCP(w, c, truth)
 				if ferr != nil {
 					t.Fatal(ferr)
@@ -201,7 +205,7 @@ func TestBuiltinDifferentialAllTopologies(t *testing.T) {
 				}, err)
 
 				s, _ = Get(NameMRC)
-				got, err = s.Run(w, c, truth)
+				got, err = s.Run(w, c)
 				mr, merr := sim.RunMRC(w, c, truth)
 				if merr != nil {
 					t.Fatal(merr)
@@ -230,7 +234,7 @@ func TestSpreadBoundedStretch(t *testing.T) {
 	s := NewSpread(SpreadConfig{})
 	slack := s.cfg.slack()
 	for _, c := range testCases(t, w, 24) {
-		r, err := s.Run(w, c, nil)
+		r, err := s.Run(w, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,5 +249,84 @@ func TestSpreadBoundedStretch(t *testing.T) {
 			t.Errorf("case %d->%d: stretch %v exceeds slack %v over RTR's %v",
 				c.Initiator, c.Dst, r.Stretch, slack, rr.Stretch)
 		}
+	}
+}
+
+// TestSpreadSharedSessionMatchesFresh is the property the SPCalcs
+// change exists to preserve: rtr-spread riding a State's shared,
+// read-only session answers exactly as it does on a session nobody
+// else has touched — same walks, same grade, SPCalcs still 1 + detour
+// attempts — sequentially and from 8 goroutines on one State.
+func TestSpreadSharedSessionMatchesFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a world per bundled topology")
+	}
+	s := NewSpread(SpreadConfig{})
+	for _, name := range topology.ASNames() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			w, err := sim.NewWorld(name, testSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, irr := sim.CollectBoth(w, rand.New(rand.NewSource(11)), 24, 24)
+			fresh := append(rec, irr...)
+			// fresh[i] carries no State, so each Run opens a session
+			// nobody else touches; shared[i] is the same case built on
+			// its scenario's one State.
+			states := map[*failure.Scenario]*converged.State{}
+			shared := make([]*sim.Case, len(fresh))
+			want := make([]Result, len(fresh))
+			detoured := 0
+			for i, c := range fresh {
+				if states[c.Scenario] == nil {
+					states[c.Scenario] = w.Converged(c.Scenario)
+				}
+				if shared[i], err = sim.CaseAt(states[c.Scenario], c.Initiator, c.Dst); err != nil {
+					t.Fatal(err)
+				}
+				if want[i], err = s.Run(w, c); err != nil {
+					t.Fatal(err)
+				}
+				if want[i].SPCalcs > 1 {
+					detoured++
+				}
+			}
+			if detoured == 0 {
+				t.Fatal("no case computed a detour; test is vacuous")
+			}
+			check := func(i int) error {
+				got, err := s.Run(w, shared[i])
+				if err != nil {
+					return err
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					return fmt.Errorf("case %d: shared session %+v, fresh session %+v", i, got, want[i])
+				}
+				return nil
+			}
+			for i := range shared {
+				if err := check(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			errs := make(chan error, 8)
+			for g := 0; g < 8; g++ {
+				go func(g int) {
+					for i := range shared {
+						if err := check((i + g*len(shared)/8) % len(shared)); err != nil {
+							errs <- err
+							return
+						}
+					}
+					errs <- nil
+				}(g)
+			}
+			for g := 0; g < 8; g++ {
+				if err := <-errs; err != nil {
+					t.Error(err)
+				}
+			}
+		})
 	}
 }

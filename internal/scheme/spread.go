@@ -1,12 +1,9 @@
 package scheme
 
 import (
-	"errors"
-
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/spt"
 )
 
 // SpreadConfig tunes the congestion-aware scheme.
@@ -35,8 +32,8 @@ func (c SpreadConfig) slack() float64 {
 	return 1.5
 }
 
-// Spread is the congestion-aware recovery scheme: RTR's session
-// machinery (same phase-1 collection, same pruned view) generates a
+// Spread is the congestion-aware recovery scheme: RTR's shared session
+// (same phase-1 collection, same pruned view) generates a
 // small set of near-shortest recovery candidates — the primary path
 // plus alternatives that each detour around one primary link — and the
 // initiator picks one by hashing the flow identity, in the spirit of
@@ -59,26 +56,26 @@ func (s *Spread) Name() string             { return NameSpread }
 func (s *Spread) Caps() Caps               { return Caps{Phase2: true, SpreadsLoad: true} }
 func (s *Spread) Prepare(*sim.World) error { return nil }
 
-func (s *Spread) Run(w *sim.World, c *sim.Case, truth *spt.Tree) (Result, error) {
+func (s *Spread) Run(w *sim.World, c *sim.Case) (Result, error) {
 	var res Result
-	sess, err := w.RTR.NewSession(c.LV, c.Initiator)
-	if err != nil {
-		return res, err
-	}
-	_, err = sess.Collect(c.Trigger)
-	if errors.Is(err, core.ErrNoLiveNeighbor) {
+	st := w.StateOf(c)
+	se := st.Session(c.Initiator, c.Trigger)
+	switch {
+	case se.Err != nil:
+		return res, se.Err
+	case se.NoLive:
 		res.NoLiveNeighbor = true
 		return res, nil
 	}
-	if err != nil {
-		return res, err
-	}
+	// The session is shared and read-only; the detour computations
+	// below are this flow's own and are counted here.
+	sess := se.Sess
+	res.SPCalcs = sess.SPCalcs()
 
 	var primary core.Route
 	if !sess.RecoveryPathInto(&primary, c.Dst) {
 		// Early discard: the pruned view has no path, so only the
 		// collection walk touched the wire.
-		res.SPCalcs = sess.SPCalcs()
 		return res, nil
 	}
 
@@ -86,6 +83,7 @@ func (s *Spread) Run(w *sim.World, c *sim.Case, truth *spt.Tree) (Result, error)
 	budget := s.cfg.slack() * primary.Cost
 	for _, avoid := range spreadAvoidLinks(primary.Links, s.cfg.k()-1) {
 		var alt core.Route
+		res.SPCalcs++
 		if !sess.RecoveryPathAvoidingInto(&alt, c.Dst, []graph.LinkID{avoid}) {
 			continue
 		}
@@ -96,7 +94,6 @@ func (s *Spread) Run(w *sim.World, c *sim.Case, truth *spt.Tree) (Result, error)
 		candidates = append(candidates, alt)
 	}
 	chosen := candidates[flowHash(c.Initiator, c.Dst, c.Trigger)%uint64(len(candidates))]
-	res.SPCalcs = sess.SPCalcs()
 
 	fwd := sess.ForwardSourceRouted(chosen)
 	res.Walks = walks(fwd.Walk)
@@ -104,7 +101,7 @@ func (s *Spread) Run(w *sim.World, c *sim.Case, truth *spt.Tree) (Result, error)
 		return res, nil
 	}
 	res.Delivered = true
-	opt, reachable := sim.TruthCost(w, c, truth)
+	opt, reachable := sim.TruthCost(w, c, st.Truth(c.Initiator))
 	if reachable && sim.CostEqual(chosen.Cost, opt) {
 		res.Optimal = true
 		res.Stretch = 1

@@ -17,7 +17,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/core"
+	"repro/internal/converged"
 	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/invariant"
@@ -323,11 +323,11 @@ func checkPair(w *sim.World, topo string, src, dst int) error {
 	return nil
 }
 
-// lookupEntry canonicalizes the failure descriptor, performs the one
-// converged-state cache lookup, and warms the entry — the unit of work
-// a batch amortizes over all its pairs. Every spelling of the same
-// instance (reordered terms, trailing zeros) maps to one fingerprint
-// and therefore one cache entry.
+// lookupEntry canonicalizes the failure descriptor and performs the
+// one converged-state cache lookup — the unit of work a batch
+// amortizes over all its pairs. Every spelling of the same instance
+// (reordered terms, trailing zeros) maps to one fingerprint and
+// therefore one cache entry.
 func (e *Engine) lookupEntry(w *sim.World, topoName, failureDesc string) (*entry, bool, error) {
 	// Canonical-descriptor fast path: a client replaying a fingerprint
 	// the engine handed back (Response.Failure) hits the cached entry
@@ -335,7 +335,6 @@ func (e *Engine) lookupEntry(w *sim.World, topoName, failureDesc string) (*entry
 	// that compose is the dominant per-query cost on a warm entry.
 	if en, ok := e.cache.hit(topoName + "\x00" + failureDesc); ok {
 		e.st.hits.Add(1)
-		en.warm(w)
 		return en, true, nil
 	}
 	sc, err := failure.ParseInstance(w.Topo, failureDesc)
@@ -343,7 +342,8 @@ func (e *Engine) lookupEntry(w *sim.World, topoName, failureDesc string) (*entry
 		return nil, false, &ClientError{Msg: err.Error()}
 	}
 	fp := sc.Desc()
-	en, hit, evicted := e.cache.get(topoName+"\x00"+fp, func() *entry { return newEntry(topoName+"\x00"+fp, fp, sc) })
+	key := topoName + "\x00" + fp
+	en, hit, evicted := e.cache.get(key, func() *entry { return &entry{key: key, fp: fp, st: w.Converged(sc)} })
 	if hit {
 		e.st.hits.Add(1)
 	} else {
@@ -352,77 +352,60 @@ func (e *Engine) lookupEntry(w *sim.World, topoName, failureDesc string) (*entry
 	if evicted > 0 {
 		e.st.evictions.Add(int64(evicted))
 	}
-	en.warm(w)
 	return en, hit, nil
 }
 
-// answerPair answers one (src, dst) pair on a warmed entry. topoName
+// answerPair answers one (src, dst) pair on a cached entry. topoName
 // is the serving name (the worlds map key, which an injected world may
 // carry independently of its topology's own name).
 func (e *Engine) answerPair(w *sim.World, topoName string, en *entry, hit bool, scheme string, qsrc, qdst int) (*Response, error) {
 	resp := &Response{Topo: topoName, Failure: en.fp, Src: qsrc, Dst: qdst, Scheme: scheme, CacheHit: hit}
+	st := en.st
 	src, dst := graph.NodeID(qsrc), graph.NodeID(qdst)
-	if en.sc.NodeDown(src) {
+	if st.Scenario().NodeDown(src) {
 		resp.Disposition = DispInitiatorDown
 		return resp, nil
 	}
-	nh, link, ok := w.Tables.NextHop(src, dst)
-	if !ok {
+	c, err := sim.CaseAt(st, src, dst)
+	if err == sim.ErrNoRoute {
 		resp.Disposition = DispNoRoute
 		return resp, nil
 	}
-	fillConverged(resp, en, src, dst)
-	if !en.lv.NeighborUnreachable(src, link) {
+	fillConverged(resp, st, src, dst)
+	if err != nil {
 		resp.Disposition = DispForwarded
-		if affected, err := w.Tables.PathFails(src, dst, en.sc); err == nil {
+		if affected, err := w.Tables.PathFails(src, dst, st.Scenario()); err == nil {
 			resp.PathAffected = affected
 		}
 		return resp, nil
 	}
 
-	// A genuine recovery case: identical, field for field, to the one
-	// sim.CasesFromScenario would enumerate for this triple.
+	// A genuine recovery case, the one sim.CasesFromScenario would
+	// enumerate for this triple. RTR rides the State's shared session
+	// and every runner grades against its shared truth tree, so
+	// repeated queries and batch members pay only the per-destination
+	// tail.
 	resp.Disposition = DispRecovery
-	c := &sim.Case{
-		Scenario:    en.sc,
-		LV:          en.lv,
-		Initiator:   src,
-		Dst:         dst,
-		NextHop:     nh,
-		Trigger:     link,
-		Recoverable: en.recoverable(src, dst),
-	}
 	resp.Recoverable = c.Recoverable
-
-	truth := en.truthFor(w, src)
+	truth := st.Truth(src)
 	out := sim.Outcome{Case: c, Truth: truth}
-	var err, firstErr error
-	if scheme == SchemeAll || scheme == SchemeRTR {
-		// RTR rides the entry's memoized session: one phase-1 walk and
-		// one pruned-view shortest-path computation per (initiator,
-		// trigger), shared across every query and batch member asking
-		// about that pair of coordinates. The route buffer is per-call —
-		// the prepared session itself is read-only.
-		se := en.sessionFor(w, src, link)
-		switch {
-		case se.err != nil:
-			firstErr = se.err
-		case se.noLive:
-			out.RTR = sim.RTRResult{NoLiveNeighbor: true}
-		default:
-			var rt core.Route
-			out.RTR = sim.RunRTRSession(w, c, se.sess, se.col, &rt, truth)
+	var firstErr error
+	note := func(err error) {
+		if firstErr == nil {
+			firstErr = err
 		}
+	}
+	if scheme == SchemeAll || scheme == SchemeRTR {
+		out.RTR, err = sim.RunRTR(w, c, truth)
+		note(err)
 	}
 	if scheme == SchemeAll || scheme == SchemeFCP {
-		if out.FCP, err = sim.RunFCP(w, c, truth); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		out.FCP, err = sim.RunFCP(w, c, truth)
+		note(err)
 	}
 	if scheme == SchemeAll || scheme == SchemeMRC {
-		if out.MRC, err = sim.RunMRC(w, c, truth); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		out.MRC, err = sim.RunMRC(w, c, truth)
+		note(err)
 	}
 	var extra *SchemeRecord
 	if !builtinScheme(scheme) {
@@ -430,10 +413,9 @@ func (e *Engine) answerPair(w *sim.World, topoName string, en *entry, hit bool, 
 		if serr != nil {
 			return nil, serr // unreachable: checkScheme already resolved it
 		}
-		r, serr := s.Run(w, c, truth)
-		if serr != nil && firstErr == nil {
-			firstErr = serr
-		} else if serr == nil {
+		r, serr := s.Run(w, c)
+		note(serr)
+		if serr == nil {
 			extra = &SchemeRecord{
 				Delivered:      r.Delivered,
 				Optimal:        r.Optimal,
@@ -448,7 +430,9 @@ func (e *Engine) answerPair(w *sim.World, topoName string, en *entry, hit bool, 
 		e.st.runnerErrors.Add(1)
 	} else if e.check {
 		e.st.checked.Add(1)
-		prof := invariant.Profile{SinglePerimeter: !en.multiCluster}
+		// The single-perimeter checks assume one connected failure
+		// region; the profile follows the mask's perimeter clusters.
+		prof := invariant.Profile{SinglePerimeter: len(st.Clusters()) <= 1}
 		if vs := invariant.New(w).WithProfile(prof).CheckCase(c); len(vs) > 0 {
 			e.st.violations.Add(int64(len(vs)))
 			return nil, fmt.Errorf("serve: %w", vs[0])
@@ -558,13 +542,14 @@ func (e *Engine) queryBatch(b Batch) (*BatchResponse, error) {
 
 // fillConverged attaches the post-convergence route extras when the
 // destination is live and reachable on the surviving topology.
-func fillConverged(resp *Response, en *entry, src, dst graph.NodeID) {
-	if en.sc.NodeDown(dst) {
+func fillConverged(resp *Response, st *converged.State, src, dst graph.NodeID) {
+	if st.Scenario().NodeDown(dst) {
 		return
 	}
-	if cost, ok := en.post.Dist(src, dst); ok {
+	post := st.Tables()
+	if cost, ok := post.Dist(src, dst); ok {
 		resp.ConvergedCost = cost
-		if h, ok := en.post.Hops(src, dst); ok {
+		if h, ok := post.Hops(src, dst); ok {
 			resp.ConvergedHops = h
 		}
 	}

@@ -162,14 +162,11 @@ func AblateConstraints(asName string, seed int64, cases int) (ConstraintAblation
 
 		var conHave, conWant, unHave, unWant, conHops, unHops, n int
 		for _, c := range cs {
-			sess, err := w.RTR.NewSession(c.LV, c.Initiator)
-			if err != nil {
+			se := w.StateOf(c).Session(c.Initiator, c.Trigger)
+			if se.Sess == nil {
 				continue
 			}
-			col, err := sess.Collect(c.Trigger)
-			if err != nil {
-				continue
-			}
+			col := se.Sess.Collected()
 			uncol, err := w.RTR.CollectUnconstrained(c.LV, c.Initiator, c.Trigger)
 			if err != nil {
 				continue

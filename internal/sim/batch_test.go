@@ -1,60 +1,75 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/converged"
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/spt"
 	"repro/internal/topology"
 )
 
-// RunAllPerCase is the pre-batching runner, kept as the
+// RunAllPerCase is the pre-batching, pre-sharing runner, kept as the
 // differential-test oracle: every case opens its own session, runs its
-// own collection walk, and computes its own pruned-view SPT. Batched
-// RunAllN must produce an outcome slice identical to this one for any
-// worker count.
+// own collection walk, computes its own pruned-view SPT, and grades
+// against its own cold ground-truth Dijkstra — nothing comes from a
+// converged.State. Batched RunAllN must produce an outcome slice
+// identical to this one for any worker count.
 func RunAllPerCase(w *World, cases []*Case, workers int) []Outcome {
 	out := make([]Outcome, len(cases))
-	truths := newTruthCache(w)
 	par.For(len(cases), workers, func(i int) {
-		out[i] = runCase(w, truths, cases[i])
+		out[i] = runCaseFresh(w, cases[i])
 	})
 	return out
 }
 
-// runCase executes all three protocols on one case with its own RTR
-// session, sharing the lazily computed truth tree across the runners.
-func runCase(w *World, truths *truthCache, c *Case) Outcome {
+func runCaseFresh(w *World, c *Case) Outcome {
 	o := Outcome{Case: c}
-	var tt *spt.Tree
-	truth := func() *spt.Tree {
-		if tt == nil {
-			tt = truths.tree(c)
-		}
-		return tt
-	}
+	truth := spt.Compute(w.Topo.G, c.Initiator, c.Scenario)
 	var err error
-	if o.RTR, err = runRTR(w, c, truth); err != nil {
+	if o.RTR, err = runRTRFresh(w, c, truth); err != nil {
 		o.Err = err
-	} else if o.FCP, err = runFCP(w, c, truth); err != nil {
+	} else if o.FCP, err = RunFCP(w, c, truth); err != nil {
 		o.Err = err
-	} else if o.MRC, err = runMRC(w, c, truth); err != nil {
+	} else if o.MRC, err = RunMRC(w, c, truth); err != nil {
 		o.Err = err
 	}
-	o.Truth = tt
+	if o.RTR.Recovered || o.FCP.Delivered || o.MRC.Delivered {
+		o.Truth = truth
+	}
 	return o
+}
+
+// runRTRFresh is the per-case RTR reference: a fresh session, its own
+// collection, and the error classification State.Session must match.
+func runRTRFresh(w *World, c *Case, truth *spt.Tree) (RTRResult, error) {
+	sess, err := w.RTR.NewSession(c.LV, c.Initiator)
+	if err != nil {
+		return RTRResult{}, err
+	}
+	col, err := sess.Collect(c.Trigger)
+	if errors.Is(err, core.ErrNoLiveNeighbor) {
+		return RTRResult{NoLiveNeighbor: true}, nil
+	}
+	if err != nil {
+		return RTRResult{}, err
+	}
+	var rt core.Route
+	return RunRTRSession(w, c, sess, col, &rt, truth), nil
 }
 
 // outcomesEqual compares two outcome slices the way the batching
 // contract demands: identical protocol results, identical error text,
-// and content-identical truth trees (the trees are shared pointers
-// inside one run, so pointer equality across runs is not expected).
+// and content-identical truth trees (the oracle's are cold Dijkstras,
+// so this is also the warm-start bit-identity check).
 func outcomesEqual(t *testing.T, label string, want, got []Outcome) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -163,60 +178,75 @@ func TestBatchedMatchesPerCaseOnErrors(t *testing.T) {
 	}
 }
 
-// TestTruthCacheCounts is the laziness regression test: the cache
-// builds at most one tree per (scenario, initiator) pair that actually
-// needed grading, never one per case, and a workload where every case
-// errors early builds nothing at all.
+// TestTruthCacheCounts is the sharing and laziness regression test:
+// within one run there is one truth tree per graded (scenario,
+// initiator) pair — every outcome of a pair holds the same pointer,
+// and cases built on an owner's State hold that State's tree — and a
+// workload where every case errors early attaches no tree at all.
 func TestTruthCacheCounts(t *testing.T) {
 	w, cases := collectTestCases(t)
-	outs, tc := runAllN(w, cases, 4)
-
-	distinct := map[truthKey]bool{}
+	type pair struct {
+		sc   *failure.Scenario
+		root graph.NodeID
+	}
+	trees := map[pair]*spt.Tree{}
 	graded := 0
-	for _, o := range outs {
-		if o.Truth != nil {
-			distinct[truthKey{sc: o.Case.Scenario, root: o.Case.Initiator}] = true
-			graded++
+	for i, o := range RunAllN(w, cases, 4) {
+		if o.Truth == nil {
+			continue
+		}
+		graded++
+		k := pair{o.Case.Scenario, o.Case.Initiator}
+		if prev, ok := trees[k]; ok && prev != o.Truth {
+			t.Fatalf("case %d: second truth tree for one (scenario, initiator)", i)
+		}
+		trees[k] = o.Truth
+	}
+	if len(trees) == 0 {
+		t.Fatal("workload graded nothing; test is vacuous")
+	}
+	if graded <= len(trees) {
+		t.Errorf("no sharing: %d graded outcomes over %d trees", graded, len(trees))
+	}
+
+	// Cases an owner built on its own State ride that State.
+	st := w.Converged(cases[0].Scenario)
+	var owned []*Case
+	for _, c := range cases {
+		if c.Scenario == st.Scenario() {
+			oc, err := CaseAt(st, c.Initiator, c.Dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owned = append(owned, oc)
 		}
 	}
-	builds, requests := tc.builds.Load(), tc.requests.Load()
-	if builds != int64(len(distinct)) {
-		t.Errorf("builds = %d, want one per graded (scenario, initiator) pair = %d", builds, len(distinct))
-	}
-	if builds == 0 {
-		t.Fatal("workload built no truth trees; test is vacuous")
-	}
-	if requests < builds {
-		t.Errorf("requests = %d < builds = %d", requests, builds)
-	}
-	if graded < int(builds) {
-		t.Errorf("graded outcomes %d < builds %d", graded, builds)
+	for i, o := range RunAllN(w, owned, 4) {
+		if o.Truth != nil && o.Truth != st.Truth(o.Case.Initiator) {
+			t.Fatalf("owned case %d: outcome tree is not its State's", i)
+		}
 	}
 
-	// Every case erroring early must leave the cache untouched.
-	bad := erroringCases(t, w, cases[:30])
-	badOuts, badTC := runAllN(w, bad, 4)
-	for i, o := range badOuts {
+	for i, o := range RunAllN(w, erroringCases(t, w, cases[:30]), 4) {
 		if o.Err == nil {
 			t.Fatalf("case %d: expected an error", i)
 		}
-	}
-	if b := badTC.builds.Load(); b != 0 {
-		t.Errorf("erroring workload built %d truth trees, want 0", b)
-	}
-	if r := badTC.requests.Load(); r != 0 {
-		t.Errorf("erroring workload requested %d truth trees, want 0", r)
+		if o.Truth != nil {
+			t.Errorf("case %d: errored before grading but carries a truth tree", i)
+		}
 	}
 }
 
 // TestGroupCases pins the grouping key and order: first-appearance
-// group order, input order within groups, and one group per distinct
-// (view, initiator, trigger).
+// group order, input order within groups, one group per distinct
+// (scenario, initiator, trigger), and one State per scenario for cases
+// that carry none.
 func TestGroupCases(t *testing.T) {
 	w, cases := collectTestCases(t)
-	groups := groupCases(cases)
+	groups := groupCases(w, cases)
 	seen := 0
 	keys := map[groupKey]bool{}
+	states := map[*failure.Scenario]*converged.State{}
 	for gi, g := range groups {
 		if keys[g.key] {
 			t.Fatalf("group %d: duplicate key", gi)
@@ -225,10 +255,15 @@ func TestGroupCases(t *testing.T) {
 		if len(g.cases) == 0 {
 			t.Fatalf("group %d: empty", gi)
 		}
+		sc := g.key.st.Scenario()
+		if prev, ok := states[sc]; ok && prev != g.key.st {
+			t.Fatalf("group %d: second State for one scenario", gi)
+		}
+		states[sc] = g.key.st
 		prev := -1
 		for _, i := range g.cases {
 			c := cases[i]
-			if c.LV != g.key.lv || c.Initiator != g.key.initiator || c.Trigger != g.key.trigger {
+			if c.Scenario != sc || c.Initiator != g.key.initiator || c.Trigger != g.key.trigger {
 				t.Fatalf("group %d: case %d does not match key", gi, i)
 			}
 			if i <= prev {
@@ -244,7 +279,6 @@ func TestGroupCases(t *testing.T) {
 	if len(groups) >= len(cases) {
 		t.Fatalf("no sharing: %d groups for %d cases (workload should have multi-destination groups)", len(groups), len(cases))
 	}
-	_ = w
 }
 
 // TestRecoveryPathIntoReusesBacking checks the buffer-reuse contract

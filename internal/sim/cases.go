@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 
+	"repro/internal/converged"
 	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -15,6 +17,17 @@ import (
 // paths sharing the same initiator and destination under the same area
 // collapse into one case.
 type Case struct {
+	// State is the shared post-failure state the case runs on, set by
+	// CaseAt: the runners take their RTR session and ground-truth tree
+	// from it, so every case an owner builds on one State — a serve
+	// entry's queries, a replay's flows — shares them. The enumerators
+	// hand their cases out with a nil State: a case list is data a
+	// caller may keep for as long as it likes, and must not pin a world
+	// and every session opened on it. RunAllN gives each scenario a
+	// State for the duration of the run; see World.StateOf for a runner
+	// called directly on such a case. Scenario and LV are the State's
+	// scenario and local view.
+	State    *converged.State
 	Scenario *failure.Scenario
 	LV       *routing.LocalView
 	// Initiator is the live router whose default next hop toward Dst
@@ -31,109 +44,72 @@ type Case struct {
 	Recoverable bool
 }
 
+// Why CaseAt refuses a pair.
+var (
+	// ErrNoRoute: the pre-failure tables hold no src -> dst route.
+	ErrNoRoute = errors.New("sim: no converged route")
+	// ErrForwarded: src's converged next hop toward dst is reachable,
+	// so src forwards normally and initiates no recovery.
+	ErrForwarded = errors.New("sim: converged next hop is unaffected; not a recovery case")
+)
+
+// CaseAt returns the test case live router src initiates toward dst
+// under st — the paper's condition: src's converged next hop toward
+// dst is unreachable. It fails with ErrNoRoute or ErrForwarded when
+// the pair is no such case.
+func CaseAt(st *converged.State, src, dst graph.NodeID) (*Case, error) {
+	nh, link, ok := st.Pre().NextHop(src, dst)
+	if !ok {
+		return nil, ErrNoRoute
+	}
+	if !st.LocalView().NeighborUnreachable(src, link) {
+		return nil, ErrForwarded
+	}
+	return &Case{
+		State:       st,
+		Scenario:    st.Scenario(),
+		LV:          st.LocalView(),
+		Initiator:   src,
+		Dst:         dst,
+		NextHop:     nh,
+		Trigger:     link,
+		Recoverable: st.Recoverable(src, dst),
+	}, nil
+}
+
 // CasesFromScenario enumerates every deduplicated test case of one
 // failure scenario: all (initiator, destination) pairs where the live
 // initiator's converged next hop toward the destination is
 // unreachable. Every such pair corresponds to at least one failed
 // routing path with a live source (the initiator itself qualifies).
 func CasesFromScenario(w *World, sc *failure.Scenario) (recoverable, irrecoverable []*Case) {
-	lv := routing.NewLocalView(w.Topo, sc)
-	n := w.Topo.G.NumNodes()
-	// reach[dst] is computed lazily: ground truth reachability from
-	// the initiator equals component membership, so compute per
-	// initiator instead. Components give both directions at once.
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	for ci, c := range w.Topo.G.Components(sc) {
-		for _, v := range c {
-			comp[v] = ci
-		}
-	}
-
-	for i := 0; i < n; i++ {
-		initiator := graph.NodeID(i)
-		if sc.NodeDown(initiator) {
-			continue
-		}
-		for d := 0; d < n; d++ {
-			dst := graph.NodeID(d)
-			if dst == initiator {
-				continue
-			}
-			nh, link, ok := w.Tables.NextHop(initiator, dst)
-			if !ok || !lv.NeighborUnreachable(initiator, link) {
-				continue
-			}
-			c := &Case{
-				Scenario:  sc,
-				LV:        lv,
-				Initiator: initiator,
-				Dst:       dst,
-				NextHop:   nh,
-				Trigger:   link,
-				Recoverable: !sc.NodeDown(dst) &&
-					comp[initiator] >= 0 && comp[initiator] == comp[dst],
-			}
-			if c.Recoverable {
-				recoverable = append(recoverable, c)
-			} else {
-				irrecoverable = append(irrecoverable, c)
-			}
-		}
-	}
-	return recoverable, irrecoverable
+	return ScaleCasesFromScenario(w, sc, nil, 0)
 }
 
-// ScaleCasesFromScenario is the scale-mode case enumerator. The full
-// enumerator scans all n^2 (initiator, destination) pairs — hopeless
-// at 10^5 nodes, where it would also materialize every destination's
-// reverse tree. This one exploits that a qualifying initiator is, by
-// definition, adjacent to a failed element (its trigger link is failed
-// or leads to a failed node), so candidate initiators come straight
-// from the failure's adjacency — that set is exact, not a heuristic.
-// Destinations are the sampled part: dstSample of them drawn uniformly
-// from all nodes via rng (every node when dstSample <= 0 or >= n),
-// which bounds both the pair scan and the number of reverse trees a
-// lazy table world materializes.
-//
-// Initiators and sampled destinations are visited in ascending ID
-// order, so with a full destination sample the output is identical to
-// CasesFromScenario — the equivalence test asserts it.
+// ScaleCasesFromScenario is the case enumerator. A qualifying
+// initiator is, by definition, adjacent to a failed element (its
+// trigger link is failed or leads to a failed node), so candidate
+// initiators come straight from the failure's adjacency — that set is
+// exact, not a heuristic (the n^2 scan it replaced lives on as the
+// reference in cases_test.go). Destinations are the part that can be
+// sampled: dstSample of them drawn uniformly from all nodes via rng
+// (every node, and no draw, when dstSample <= 0 or >= n), which at
+// 10^5 nodes bounds both the pair scan and the number of reverse trees
+// a lazy table world materializes. Initiators and destinations are
+// visited in ascending ID order.
 func ScaleCasesFromScenario(w *World, sc *failure.Scenario, rng *rand.Rand, dstSample int) (recoverable, irrecoverable []*Case) {
-	lv := routing.NewLocalView(w.Topo, sc)
-	n := w.Topo.G.NumNodes()
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	for ci, c := range w.Topo.G.Components(sc) {
-		for _, v := range c {
-			comp[v] = ci
-		}
-	}
-	initiators := candidateInitiators(w, sc)
-	dsts := sampleDsts(n, dstSample, rng)
-	for _, initiator := range initiators {
+	st := w.Converged(sc)
+	dsts := sampleDsts(w.Topo.G.NumNodes(), dstSample, rng)
+	for _, initiator := range candidateInitiators(w, sc) {
 		for _, dst := range dsts {
 			if dst == initiator {
 				continue
 			}
-			nh, link, ok := w.Tables.NextHop(initiator, dst)
-			if !ok || !lv.NeighborUnreachable(initiator, link) {
+			c, err := CaseAt(st, initiator, dst)
+			if err != nil {
 				continue
 			}
-			c := &Case{
-				Scenario:  sc,
-				LV:        lv,
-				Initiator: initiator,
-				Dst:       dst,
-				NextHop:   nh,
-				Trigger:   link,
-				Recoverable: !sc.NodeDown(dst) &&
-					comp[initiator] >= 0 && comp[initiator] == comp[dst],
-			}
+			c.State = nil // a case list is data; see Case.State
 			if c.Recoverable {
 				recoverable = append(recoverable, c)
 			} else {
@@ -199,9 +175,12 @@ func sampleDsts(n, want int, rng *rand.Rand) []graph.NodeID {
 	return out
 }
 
-// CollectBothSampledG is CollectBothG through the scale-mode
-// enumerator: candidate initiators from failure adjacency, dstSample
-// sampled destinations per scenario.
+// CollectBothSampledG draws failure areas from g until both kinds
+// have reached their targets, enumerating each scenario over dstSample
+// sampled destinations (all of them when dstSample <= 0); cases beyond
+// a kind's target are discarded. It gives up after MaxCollectDraws
+// scenarios and returns whatever accumulated. For scheduled generators
+// (cascades, transients) the cases are drawn from the peak scenario.
 func CollectBothSampledG(w *World, g failure.Generator, rng *rand.Rand, wantRec, wantIrr, dstSample int) (rec, irr []*Case) {
 	for draws := 0; (len(rec) < wantRec || len(irr) < wantIrr) && draws < MaxCollectDraws; draws++ {
 		sc := g.Generate(w.Topo, rng)
@@ -269,23 +248,7 @@ func CollectBoth(w *World, rng *rand.Rand, wantRec, wantIrr int) (rec, irr []*Ca
 
 // CollectBothG is CollectBoth under an arbitrary failure generator.
 func CollectBothG(w *World, g failure.Generator, rng *rand.Rand, wantRec, wantIrr int) (rec, irr []*Case) {
-	for draws := 0; (len(rec) < wantRec || len(irr) < wantIrr) && draws < MaxCollectDraws; draws++ {
-		sc := g.Generate(w.Topo, rng)
-		r, i := CasesFromScenario(w, sc)
-		if len(rec) < wantRec {
-			rec = append(rec, r...)
-		}
-		if len(irr) < wantIrr {
-			irr = append(irr, i...)
-		}
-	}
-	if len(rec) > wantRec {
-		rec = rec[:wantRec]
-	}
-	if len(irr) > wantIrr {
-		irr = irr[:wantIrr]
-	}
-	return rec, irr
+	return CollectBothSampledG(w, g, rng, wantRec, wantIrr, 0)
 }
 
 // CountFailedPaths counts, for one scenario, the failed routing paths
@@ -296,15 +259,7 @@ func CollectBothG(w *World, g failure.Generator, rng *rand.Rand, wantRec, wantIr
 // deduplicated cases.
 func CountFailedPaths(w *World, sc *failure.Scenario) (failed, irrecoverable int) {
 	n := w.Topo.G.NumNodes()
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	for ci, c := range w.Topo.G.Components(sc) {
-		for _, v := range c {
-			comp[v] = ci
-		}
-	}
+	st := w.Converged(sc)
 	for s := 0; s < n; s++ {
 		src := graph.NodeID(s)
 		if sc.NodeDown(src) {
@@ -320,7 +275,7 @@ func CountFailedPaths(w *World, sc *failure.Scenario) (failed, irrecoverable int
 				continue
 			}
 			failed++
-			if sc.NodeDown(dst) || comp[src] != comp[dst] {
+			if !st.Recoverable(src, dst) {
 				irrecoverable++
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/igp"
-	"repro/internal/spt"
 )
 
 // LossConfig parameterizes the convergence packet-loss experiment —
@@ -225,13 +224,12 @@ func GoodputSeries(w *World, cfg LossConfig, step time.Duration) []GoodputPoint 
 // pathConvergence estimates when IGP convergence restores a flow: the
 // latest convergence time among the routers on the post-failure
 // shortest path from the initiator to the destination. The outcome's
-// shared truth tree (computed once per scenario and initiator by
-// RunAll) replaces what used to be a redundant full Dijkstra per flow.
+// shared truth tree serves when grading built one.
 func pathConvergence(w *World, conv *igp.Convergence, o Outcome) time.Duration {
 	c := o.Case
 	tree := o.Truth
 	if tree == nil {
-		tree = spt.Recompute(w.Topo.G, w.RTR.CleanTree(c.Initiator), graph.Nothing, c.Scenario)
+		tree = w.StateOf(c).Truth(c.Initiator)
 	}
 	nodes, ok := tree.PathNodes(c.Dst)
 	if !ok {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/core"
@@ -40,87 +39,61 @@ type RTRResult struct {
 	NoLiveNeighbor bool
 }
 
-// truthSource lazily supplies the ground-truth post-failure tree for
-// one case. The runners only invoke it when a delivered packet needs
-// grading, so cases that never deliver (or error out) never pay for a
-// truth tree at all. A source may return nil; the grader then computes
-// the needed cost on the spot into pooled scratch.
-type truthSource func() *spt.Tree
-
-// staticTruth adapts the exported runners' explicit tree parameter
-// (possibly nil) to a truthSource.
-func staticTruth(t *spt.Tree) truthSource { return func() *spt.Tree { return t } }
-
-// RunRTR executes RTR on one case. truth is the shared ground-truth
-// post-failure tree rooted at the case's initiator (nil to compute it
-// on demand); RunAll computes it once per (scenario, initiator) pair
-// and shares it across all three protocol runners.
+// RunRTR executes RTR on one case, riding the session of the case's
+// converged.State (World.StateOf): on a shared State, phase-1
+// collection and the pruned-view shortest-path calculation run once
+// per (scenario, initiator, trigger) and every destination behind them
+// reuses the read-only result. truth is the ground-truth tree rooted
+// at the case's initiator; nil reads it from the State when a delivery
+// needs grading, so cases that never deliver never pay for one.
 func RunRTR(w *World, c *Case, truth *spt.Tree) (RTRResult, error) {
-	return runRTR(w, c, staticTruth(truth))
-}
-
-// runRTR is the per-case RTR runner: it opens a fresh session and runs
-// its own collection. Batched execution instead shares one session per
-// (scenario, initiator, trigger) group and calls finishRTR directly.
-func runRTR(w *World, c *Case, truth truthSource) (RTRResult, error) {
-	var res RTRResult
-	sess, err := w.RTR.NewSession(c.LV, c.Initiator)
-	if err != nil {
-		return res, err
-	}
-	col, err := sess.Collect(c.Trigger)
-	if errors.Is(err, core.ErrNoLiveNeighbor) {
-		res.NoLiveNeighbor = true
-		return res, nil
-	}
-	if err != nil {
-		return res, err
-	}
 	var rt core.Route
-	finishRTR(&res, w, c, sess, col, &rt, truth)
-	return res, nil
+	return runRTR(w, c, &rt, truth)
 }
 
-// finishRTR runs the per-destination tail of RTR — recovery path
+// runRTR is RunRTR with a caller-owned route buffer (batched groups
+// pass one Route across all their destinations).
+func runRTR(w *World, c *Case, rt *core.Route, truth *spt.Tree) (RTRResult, error) {
+	se := w.StateOf(c).Session(c.Initiator, c.Trigger)
+	switch {
+	case se.Err != nil:
+		return RTRResult{}, se.Err
+	case se.NoLive:
+		return RTRResult{NoLiveNeighbor: true}, nil
+	}
+	return RunRTRSession(w, c, se.Sess, se.Sess.Collected(), rt, truth), nil
+}
+
+// RunRTRSession runs the per-destination tail of RTR — recovery path
 // extraction from the session's single pruned-view SPT, phase-2
-// source-routed forwarding, and grading — on an already-collected
-// session. rt is a reusable route buffer: batched groups pass one
-// Route across all their destinations.
-func finishRTR(res *RTRResult, w *World, c *Case, sess *core.Session, col *core.CollectResult, rt *core.Route, truth truthSource) {
+// source-routed forwarding, and grading — on a session whose
+// collection already happened (col is its result). rt is the caller's
+// route buffer: one per caller keeps a prepared session read-only and
+// therefore share-safe. See RunRTR for the truth parameter.
+func RunRTRSession(w *World, c *Case, sess *core.Session, col *core.CollectResult, rt *core.Route, truth *spt.Tree) RTRResult {
+	var res RTRResult
 	res.Phase1 = col.Walk
 	ok := sess.RecoveryPathInto(rt, c.Dst)
 	res.SPCalcs = sess.SPCalcs()
 	if !ok {
 		res.IdentifiedUnreachable = true
-		return
+		return res
 	}
 	res.RouteBytes = 2 * len(rt.Nodes)
 	fwd := sess.ForwardSourceRouted(*rt)
 	res.Phase2 = fwd.Walk
 	if !fwd.Delivered {
 		res.WastedHops = fwd.Walk.Hops()
-		return
+		return res
 	}
 	res.Recovered = true
-	opt, reachable := TruthCost(w, c, truth())
+	opt, reachable := TruthCost(w, c, truth)
 	if reachable && CostEqual(rt.Cost, opt) {
 		res.Optimal = true
 		res.Stretch = 1
 	} else if reachable && opt > 0 {
 		res.Stretch = rt.Cost / opt
 	}
-}
-
-// RunRTRSession runs the per-destination tail of RTR — recovery path,
-// phase-2 forwarding, grading — on a session whose collection already
-// happened (col is its result). The serving layer memoizes one
-// prepared session per (converged entry, initiator, trigger) and
-// shares it across queries; rt is the caller's route buffer — one per
-// query keeps a prepared session read-only and therefore share-safe.
-// truth may be nil (cost computed into pooled scratch).
-func RunRTRSession(w *World, c *Case, sess *core.Session, col *core.CollectResult, rt *core.Route, truth *spt.Tree) RTRResult {
-	var res RTRResult
-	finishRTR(&res, w, c, sess, col, rt, staticTruth(truth))
 	return res
 }
 
@@ -159,10 +132,6 @@ type FCPResult struct {
 
 // RunFCP executes FCP on one case. See RunRTR for the truth parameter.
 func RunFCP(w *World, c *Case, truth *spt.Tree) (FCPResult, error) {
-	return runFCP(w, c, staticTruth(truth))
-}
-
-func runFCP(w *World, c *Case, truth truthSource) (FCPResult, error) {
 	var res FCPResult
 	r, err := w.FCP.Recover(c.LV, c.Initiator, c.Dst)
 	if err != nil {
@@ -176,7 +145,7 @@ func runFCP(w *World, c *Case, truth truthSource) (FCPResult, error) {
 		return res, nil
 	}
 	res.Delivered = true
-	opt, reachable := TruthCost(w, c, truth())
+	opt, reachable := TruthCost(w, c, truth)
 	cost := walkCost(w, r.Walk)
 	if reachable && opt > 0 {
 		res.Stretch = cost / opt
@@ -208,10 +177,6 @@ type MRCResult struct {
 
 // RunMRC executes MRC on one case. See RunRTR for the truth parameter.
 func RunMRC(w *World, c *Case, truth *spt.Tree) (MRCResult, error) {
-	return runMRC(w, c, staticTruth(truth))
-}
-
-func runMRC(w *World, c *Case, truth truthSource) (MRCResult, error) {
 	var res MRCResult
 	if w.MRC == nil {
 		res.Skipped = true
@@ -226,7 +191,7 @@ func runMRC(w *World, c *Case, truth truthSource) (MRCResult, error) {
 		return res, nil
 	}
 	res.Delivered = true
-	opt, reachable := TruthCost(w, c, truth())
+	opt, reachable := TruthCost(w, c, truth)
 	cost := walkCost(w, r.Walk)
 	if reachable && opt > 0 {
 		res.Stretch = cost / opt
@@ -252,16 +217,14 @@ func walkCost(w *World, walk routing.Walk) float64 {
 }
 
 // TruthCost returns the ground-truth post-failure shortest path cost
-// from the case's initiator to its destination, reading it from the
-// shared truth tree when one is supplied. A nil tree makes the cost
-// come from a computation into pooled workspace scratch.
+// from the case's initiator to its destination. A nil tree reads it
+// from the case's State. It is the one truth lookup; every scheme's
+// grading goes through it.
 func TruthCost(w *World, c *Case, truth *spt.Tree) (float64, bool) {
-	if truth != nil {
-		return truth.CostTo(c.Dst)
+	if truth == nil {
+		truth = w.StateOf(c).Truth(c.Initiator)
 	}
-	ws := spt.GetWorkspace()
-	defer ws.Release()
-	return ws.Compute(w.Topo.G, c.Initiator, c.Scenario).CostTo(c.Dst)
+	return truth.CostTo(c.Dst)
 }
 
 // Outcome bundles all three protocols' results on one case.
@@ -274,8 +237,7 @@ type Outcome struct {
 	// at the case's initiator, shared by every case of the same
 	// (scenario, initiator) pair and by all three protocol runners. It
 	// is computed lazily: nil when no runner needed grading (nothing
-	// was delivered, or the case errored). Consumers fall back to a
-	// fresh incremental recompute from the initiator's clean tree.
+	// was delivered, or the case errored).
 	Truth *spt.Tree
 	Err   error
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/failure"
 	"repro/internal/graph"
-	"repro/internal/routing"
 	"repro/internal/spt"
 )
 
@@ -51,10 +50,9 @@ func NewSinglePair(w *World, seed int64) (*SinglePair, error) {
 // differential test or a load generator can replay the exact query mix
 // another process answers. The triple must form a genuine test case in
 // the paper's sense: src is live and its converged next hop toward dst
-// is unreachable under sc. The frozen Case is field-identical to the
-// one CasesFromScenario would enumerate for the same triple (the
-// reachability classification through the ground-truth tree equals
-// component membership on the undirected surviving graph).
+// is unreachable under sc (see CaseAt). The frozen Case is
+// field-identical to the one CasesFromScenario would enumerate for the
+// same triple.
 func NewSinglePairFrom(w *World, sc *failure.Scenario, src, dst graph.NodeID) (*SinglePair, error) {
 	n := w.Topo.G.NumNodes()
 	if int(src) < 0 || int(src) >= n || int(dst) < 0 || int(dst) >= n {
@@ -66,25 +64,12 @@ func NewSinglePairFrom(w *World, sc *failure.Scenario, src, dst graph.NodeID) (*
 	if sc.NodeDown(src) {
 		return nil, fmt.Errorf("sim: initiator %d is inside the failure", src)
 	}
-	nh, link, ok := w.Tables.NextHop(src, dst)
-	if !ok {
-		return nil, fmt.Errorf("sim: no converged route %d -> %d on %s", src, dst, w.Topo.Name)
+	c, err := CaseAt(w.Converged(sc), src, dst)
+	if err != nil {
+		return nil, fmt.Errorf("%w (%d -> %d on %s)", err, src, dst, w.Topo.Name)
 	}
-	lv := routing.NewLocalView(w.Topo, sc)
-	if !lv.NeighborUnreachable(src, link) {
-		return nil, fmt.Errorf("sim: converged next hop %d -> %d is unaffected; not a recovery case", src, nh)
-	}
+	c.State = nil // frozen like an enumerated case: every op pays for its own session
 	truth := spt.Compute(w.Topo.G, src, sc)
-	_, reachable := truth.CostTo(dst)
-	c := &Case{
-		Scenario:    sc,
-		LV:          lv,
-		Initiator:   src,
-		Dst:         dst,
-		NextHop:     nh,
-		Trigger:     link,
-		Recoverable: !sc.NodeDown(dst) && reachable,
-	}
 	return &SinglePair{W: w, C: c, truth: truth}, nil
 }
 

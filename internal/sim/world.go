@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/converged"
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/fcp"
 	"repro/internal/graph"
 	"repro/internal/mrc"
@@ -42,6 +44,24 @@ type World struct {
 // HasMRC reports whether this world carries an MRC engine. Scale-mode
 // worlds drop it; MRCResult.Skipped marks their outcomes.
 func (w *World) HasMRC() bool { return w.MRC != nil }
+
+// Converged returns a fresh shared post-failure state of sc on this
+// world. Whoever wants the sharing owns the State and builds its cases
+// on it (CaseAt): a serve cache entry, a traffic replay, one RunAllN.
+func (w *World) Converged(sc *failure.Scenario) *converged.State {
+	return converged.New(w.Topo, w.Tables, w.RTR, sc)
+}
+
+// StateOf returns the State c runs on: the shared one it was built on
+// or, for an enumerated case (which carries none, see Case.State), a
+// fresh one that shares nothing — the case pays for its own session
+// and truth tree.
+func (w *World) StateOf(c *Case) *converged.State {
+	if c.State != nil {
+		return c.State
+	}
+	return w.Converged(c.Scenario)
+}
 
 // NewWorld synthesizes the named Table II topology with the given seed
 // and builds all engines on it.

@@ -245,12 +245,7 @@ func (e *Engine) runShard(sh Shard) (*ShardResult, error) {
 			sr.Irrecoverable += ir
 		}
 	default:
-		var rec, irr []*sim.Case
-		if ds := e.Spec.DstSample; ds > 0 {
-			rec, irr = sim.CollectBothSampledG(w, e.gen, rng, sh.Rec, sh.Irr, ds)
-		} else {
-			rec, irr = sim.CollectBothG(w, e.gen, rng, sh.Rec, sh.Irr)
-		}
+		rec, irr := sim.CollectBothSampledG(w, e.gen, rng, sh.Rec, sh.Irr, e.Spec.DstSample)
 		if e.Spec.Check {
 			// The checking profile follows the generator: invariants
 			// that assume a single connected failure perimeter are
@@ -295,7 +290,7 @@ func (e *Engine) runUtilShard(sh Shard, w *sim.World, rng *rand.Rand) (*traffic.
 		Pre:      traffic.Summarize(base, capacity, nil, w.Topo.G),
 	}
 	run := func(c *sim.Case) (bool, []routing.Walk, error) {
-		r, err := s.Run(w, c, nil)
+		r, err := s.Run(w, c)
 		if err != nil {
 			return false, nil, err
 		}
@@ -303,7 +298,7 @@ func (e *Engine) runUtilShard(sh Shard, w *sim.World, rng *rand.Rand) (*traffic.
 	}
 	for i := 0; i < e.Spec.utilScenarios(); i++ {
 		sc := e.gen.Generate(w.Topo, rng)
-		load, fl, err := traffic.RunUnder(w, sc, m, run)
+		load, fl, err := traffic.RunUnder(w, w.Converged(sc), m, run)
 		if err != nil {
 			return nil, err
 		}

@@ -82,11 +82,10 @@ type Spec struct {
 	// when 0).
 	BlockAreas int `json:"block_areas,omitempty"`
 
-	// DstSample, when > 0, routes case shards through the scale-mode
-	// enumerator (sim.CollectBothSampledG): initiators come from the
-	// failure's adjacency and only DstSample destinations per scenario
-	// are examined, keeping shard cost independent of n^2 on 10^5-node
-	// graphs. The sample is drawn from the shard RNG, so results stay
+	// DstSample, when > 0, makes case shards examine only DstSample
+	// destinations per scenario (sim.CollectBothSampledG), bounding
+	// shard cost and materialized reverse trees on 10^5-node graphs.
+	// The sample is drawn from the shard RNG, so results stay
 	// a pure function of shard identity — bit-identical merges for any
 	// worker count — but they differ from the full enumeration, so the
 	// knob is part of the checkpoint fingerprint (omitempty: absent

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/converged"
 	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -135,17 +136,19 @@ type Flows struct {
 	Dropped   float64 `json:"dropped"`
 }
 
-// RunUnder replays the matrix under a failure scenario: each demand's
-// packets follow pre-failure forwarding until a node's next hop is
-// unreachable; that node becomes the recovery initiator and the
-// scheme's recovery trajectory (run) carries the flow onward. The
-// returned load vector covers pre-failure hops up to the initiator
-// plus every hop of the scheme's data-plane walks. Demands sourced
-// inside the failure are not offered (the source is dead); demands
-// that reach no initiator and no destination (converged next hop
-// missing) are dropped where they stall.
-func RunUnder(w *sim.World, sc *failure.Scenario, m *Matrix, run Runner) ([]float64, Flows, error) {
-	lv := routing.NewLocalView(w.Topo, sc)
+// RunUnder replays the matrix under the failure st converged on: each
+// demand's packets follow pre-failure forwarding until a node's next
+// hop is unreachable; that node becomes the recovery initiator and the
+// scheme's recovery trajectory (run) carries the flow onward. Every
+// case comes from st, so flows blocked at the same (initiator, trigger)
+// share one phase-1 walk and flows graded at the same initiator share
+// one truth tree. The returned load vector covers pre-failure hops up
+// to the initiator plus every hop of the scheme's data-plane walks.
+// Demands sourced inside the failure are not offered (the source is
+// dead); demands that reach no initiator and no destination (converged
+// next hop missing) are dropped where they stall.
+func RunUnder(w *sim.World, st *converged.State, m *Matrix, run Runner) ([]float64, Flows, error) {
+	sc, lv := st.Scenario(), st.LocalView()
 	load := make([]float64, w.Topo.G.NumLinks())
 	var fl Flows
 	n := w.Topo.G.NumNodes()
@@ -165,30 +168,25 @@ func RunUnder(w *sim.World, sc *failure.Scenario, m *Matrix, run Runner) ([]floa
 			if !ok {
 				break
 			}
-			if lv.NeighborUnreachable(v, link) {
-				c := &sim.Case{
-					Scenario:  sc,
-					LV:        lv,
-					Initiator: v,
-					Dst:       d.Dst,
-					NextHop:   nh,
-					Trigger:   link,
-				}
-				var walks []routing.Walk
-				var err error
-				delivered, walks, err = run(c)
-				if err != nil {
-					return nil, Flows{}, fmt.Errorf("traffic: recovery at %d for %d->%d: %w", v, d.Src, d.Dst, err)
-				}
-				for _, wk := range walks {
-					for _, rec := range wk.Records {
-						load[rec.Link] += d.Rate
-					}
-				}
-				break
+			if !lv.NeighborUnreachable(v, link) {
+				load[link] += d.Rate
+				v = nh
+				continue
 			}
-			load[link] += d.Rate
-			v = nh
+			c, err := sim.CaseAt(st, v, d.Dst)
+			var walks []routing.Walk
+			if err == nil {
+				delivered, walks, err = run(c)
+			}
+			if err != nil {
+				return nil, Flows{}, fmt.Errorf("traffic: recovery at %d for %d->%d: %w", v, d.Src, d.Dst, err)
+			}
+			for _, wk := range walks {
+				for _, rec := range wk.Records {
+					load[rec.Link] += d.Rate
+				}
+			}
+			break
 		}
 		if delivered {
 			fl.Delivered += d.Rate
@@ -219,7 +217,7 @@ func Summarize(load []float64, capacity float64, sc *failure.Scenario, g *graph.
 	}
 	utils := make([]float64, 0, len(load))
 	for id, l := range load {
-		if sc != nil && linkFailed(sc, g, graph.LinkID(id)) {
+		if sc != nil && !graph.Usable(g.Link(graph.LinkID(id)), sc) {
 			continue
 		}
 		utils = append(utils, l/capacity)
@@ -238,20 +236,6 @@ func Summarize(load []float64, capacity float64, sc *failure.Scenario, g *graph.
 	u.P50 = utils[(len(utils)-1)/2]
 	u.Mean = sum / float64(len(utils))
 	return u
-}
-
-func linkFailed(sc *failure.Scenario, g *graph.Graph, id graph.LinkID) bool {
-	l := g.Link(id)
-	return sc.NodeDown(l.A) || sc.NodeDown(l.B) || linkDown(sc, id)
-}
-
-func linkDown(sc *failure.Scenario, id graph.LinkID) bool {
-	for _, f := range sc.FailedLinks() {
-		if f == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Result is one (topology, scheme) utilization measurement: the

@@ -6,10 +6,13 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/converged"
 	"repro/internal/failure"
+	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/scheme"
 	"repro/internal/sim"
+	"repro/internal/spt"
 	"repro/internal/traffic"
 )
 
@@ -29,7 +32,7 @@ func runnerFor(t *testing.T, w *sim.World, name string) traffic.Runner {
 		t.Fatal(err)
 	}
 	return func(c *sim.Case) (bool, []routing.Walk, error) {
-		r, err := s.Run(w, c, nil)
+		r, err := s.Run(w, c)
 		if err != nil {
 			return false, nil, err
 		}
@@ -93,7 +96,7 @@ func TestRunUnderConservation(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		for i := 0; i < 3; i++ {
 			sc := failure.RandomScenario(w.Topo, rng)
-			load, fl, err := traffic.RunUnder(w, sc, m, run)
+			load, fl, err := traffic.RunUnder(w, w.Converged(sc), m, run)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,6 +122,76 @@ func TestRunUnderConservation(t *testing.T) {
 	}
 }
 
+// TestReplaySharesOneWalkAndOneTree: a replay pays one phase-1 walk per
+// (initiator, trigger) and one truth tree per initiator, however many
+// flows block there. Counted on pointers: every blocked flow's case
+// comes from the replay's State, its RTR result carries that State's
+// one collection walk (same backing array, not a re-walk), and the
+// State hands every flow of a key the same session and tree.
+func TestReplaySharesOneWalkAndOneTree(t *testing.T) {
+	w := testWorld(t)
+	m := traffic.Gravity(w.Topo, 600, rand.New(rand.NewSource(5)))
+	type key struct {
+		initiator graph.NodeID
+		trigger   graph.LinkID
+	}
+	var (
+		st       *converged.State
+		sessions map[key]*converged.Session
+		trees    map[graph.NodeID]*spt.Tree
+		flows    int
+	)
+	run := func(c *sim.Case) (bool, []routing.Walk, error) {
+		if c.State != st {
+			t.Fatalf("flow %d->%d: case built on a State of its own", c.Initiator, c.Dst)
+		}
+		flows++
+		k := key{c.Initiator, c.Trigger}
+		se, tree := st.Session(k.initiator, k.trigger), st.Truth(k.initiator)
+		if prev, ok := sessions[k]; ok && prev != se {
+			t.Fatalf("%+v: second session", k)
+		}
+		if prev, ok := trees[k.initiator]; ok && prev != tree {
+			t.Fatalf("initiator %d: second truth tree", k.initiator)
+		}
+		sessions[k], trees[k.initiator] = se, tree
+		r, err := sim.RunRTR(w, c, nil)
+		if err != nil {
+			return false, nil, err
+		}
+		if p1 := r.Phase1.Records; len(p1) > 0 && &p1[0] != &se.Sess.Collected().Walk.Records[0] {
+			t.Fatalf("%+v: RTR walked phase 1 again for %d", k, c.Dst)
+		}
+		return r.Recovered, []routing.Walk{r.Phase2}, nil
+	}
+	// Draw until a failure blocks more flows than it has initiators.
+	rng := rand.New(rand.NewSource(9))
+	for draw := 0; flows <= len(sessions) && draw < 20; draw++ {
+		st = w.Converged(failure.RandomScenario(w.Topo, rng))
+		sessions, trees, flows = map[key]*converged.Session{}, map[graph.NodeID]*spt.Tree{}, 0
+		if _, _, err := traffic.RunUnder(w, st, m, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if flows <= len(sessions) || len(sessions) < len(trees) {
+		t.Fatalf("no sharing exercised: %d blocked flows, %d sessions, %d trees", flows, len(sessions), len(trees))
+	}
+	t.Logf("%d blocked flows rode %d sessions and %d truth trees", flows, len(sessions), len(trees))
+	// The registry schemes ride the same State.
+	for _, name := range []string{scheme.NameRTR, scheme.NameSpread} {
+		inner := runnerFor(t, w, name)
+		_, _, err := traffic.RunUnder(w, st, m, func(c *sim.Case) (bool, []routing.Walk, error) {
+			if c.State != st || st.Session(c.Initiator, c.Trigger) != sessions[key{c.Initiator, c.Trigger}] {
+				t.Fatalf("%s: flow %d->%d left the shared State", name, c.Initiator, c.Dst)
+			}
+			return inner(c)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSpreadPeakVersusRTR compares post-recovery peak load between
 // plain RTR and the load-spreading scheme across scenarios — the
 // experiment the BENCH entries publish. The assertion is lenient
@@ -138,7 +211,7 @@ func TestSpreadPeakVersusRTR(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		for i := 0; i < 5; i++ {
 			sc := failure.RandomScenario(w.Topo, rng)
-			load, fl, err := traffic.RunUnder(w, sc, m, run)
+			load, fl, err := traffic.RunUnder(w, w.Converged(sc), m, run)
 			if err != nil {
 				t.Fatal(err)
 			}
