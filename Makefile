@@ -36,17 +36,21 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 50x -benchmem .
 
 ## bench-run: one short run of the repo benchmark (BENCHMARK.json,
-## bench/run.sh) so the gate's own harness cannot rot: it must exit 0
-## and report every answer checked correct. Timings from a 3 s run are
-## not a measurement; use the full command in bench/README.md for that.
+## bench/run.sh) on the cache-hit and the cache-miss serving workloads
+## so the gate's own harness cannot rot: each must exit 0 and report
+## every answer checked correct. Timings from a 3 s run are not a
+## measurement; use the full command in bench/README.md for that.
 bench-run:
-	out=$$(bash bench/run.sh --workload serve_hot --seed 1 --seconds 3 --trace 0) && \
-	  echo "$$out" | tail -n 1 | grep -q '"correct":true'
+	for w in serve_hot serve_miss; do \
+	  out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0) && \
+	    echo "$$out" | tail -n 1 | grep -q '"correct":true' || exit 1; \
+	done
 
 ## sweep-smoke: end-to-end determinism of the sharded sweep. One
 ## uninterrupted run, then the same workload interrupted after two
 ## shards (-max-shards exits 2, hence the leading -) and resumed from
-## its checkpoint; the two stdouts must be identical.
+## its checkpoint; the two stdouts must be identical. Also proves the
+## -exp flag fails fast (exit 1) on an experiment name it doesn't know.
 SWEEP_ARGS = -exp table3,fig11 -as AS1239 -cases 40 -block 15 -fig11-areas 20 -seed 1
 sweep-smoke:
 	rm -rf .sweep-smoke && mkdir -p .sweep-smoke
@@ -55,6 +59,7 @@ sweep-smoke:
 	$(GO) run ./cmd/rtrsim $(SWEEP_ARGS) -workers 4 -state .sweep-smoke/st -resume > .sweep-smoke/resumed.txt
 	cmp .sweep-smoke/full.txt .sweep-smoke/resumed.txt
 	rm -rf .sweep-smoke
+	! $(GO) run ./cmd/rtrsim -exp nosuch > /dev/null 2>&1
 
 ## sweep-smoke-generators: a small invariant-checked sweep for each
 ## alternative failure-generator family (multi-disk, conduit cut,
@@ -105,9 +110,9 @@ serve-smoke:
 
 ## scale-smoke: the 100k-node pipeline end to end — hierarchical
 ## synthesis, binary snapshot write plus streamed re-read, scale-mode
-## world build (lazy tables, MRC disabled), one invariant-checked
-## sweep shard with destination sampling, a converged-batch
-## recompute, and warm single-pair serving. Gated on total wall clock
+## world build (MRC disabled), one invariant-checked sweep shard with
+## destination sampling, a converged-batch recompute, and warm
+## single-pair serving. Gated on total wall clock
 ## and peak RSS (VmHWM) so large-graph time/memory regressions fail
 ## the pre-merge gate instead of landing silently. The budgets carry
 ## ~5x headroom over a measured single-core run (40s / 453 MiB).

@@ -257,7 +257,9 @@ func BenchmarkDatasetBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.BuildDataset(w, sim.Config{Recoverable: 100, Irrecoverable: 100, Seed: int64(i) + 1})
+		rec, irr := sim.CollectBoth(w, rand.New(rand.NewSource(int64(i)+1)), 100, 100)
+		sim.Records(sim.RunAll(w, rec))
+		sim.Records(sim.RunAll(w, irr))
 	}
 }
 
@@ -432,17 +434,17 @@ func BenchmarkRunAllBatched(b *testing.B) {
 
 // BenchmarkSinglePairRecovery measures one full single-pair recovery
 // per op — fresh session, collection, phase-2 route, forwarding,
-// grading — for each protocol under every phase-2 engine, on the two
+// grading — for each protocol under both phase-2 engines, on the two
 // largest Table II topologies. The frozen (initiator, destination,
 // failure) case is identical across engines (the engines are
 // output-identical, proven by internal/sim's differential tests), so
-// the engine columns time the same work done three ways: full
-// (incremental) Dijkstra versus goal-directed A* with the Euclidean or
-// landmark heuristic. settled/op reports how many nodes the engine's
-// route query settles — the work reduction the goal engines buy.
+// the engine columns time the same work done two ways: full
+// (incremental) Dijkstra versus goal-directed A* with the landmark
+// heuristic. settled/op reports how many nodes the engine's route
+// query settles — the work reduction the goal engine buys.
 func BenchmarkSinglePairRecovery(b *testing.B) {
 	for _, as := range []string{"AS7018", "AS3549"} {
-		for _, eng := range []spt.Engine{spt.EngineDijkstra, spt.EngineAStar, spt.EngineALT} {
+		for _, eng := range []spt.Engine{spt.EngineDijkstra, spt.EngineALT} {
 			w, err := sim.NewWorldPhase2(as, 1, eng)
 			if err != nil {
 				b.Fatal(err)
@@ -508,16 +510,24 @@ func BenchmarkPostFailureTables(b *testing.B) {
 				scs = append(scs, sc)
 			}
 		}
+		// Tables build a destination on first use; the full table is
+		// what is priced here, so ask for every destination.
+		all := func(t *routing.Tables) {
+			for dst := 0; dst < topo.G.NumNodes(); dst++ {
+				t.DestTree(graph.NodeID(dst))
+			}
+		}
+		all(pre)
 		b.Run(as+"/cold", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				routing.ComputeTablesUnder(topo, scs[i%len(scs)])
+				all(routing.ComputeTablesLazy(topo, scs[i%len(scs)]))
 			}
 		})
 		b.Run(as+"/incremental", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				routing.RecomputeTablesUnder(topo, pre, scs[i%len(scs)])
+				all(routing.RecomputeTablesUnder(topo, pre, scs[i%len(scs)]))
 			}
 		})
 	}
@@ -540,7 +550,7 @@ func BenchmarkMRCBuildTrees(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := mrc.NewWarm(topo, 0, tables); err != nil {
+			if _, err := mrc.NewWarmPhase2(topo, 0, tables, spt.EngineDijkstra, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

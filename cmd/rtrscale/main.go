@@ -3,10 +3,10 @@
 // hierarchical PoP topology (10^5 nodes by default), stream it through
 // the binary snapshot codec — write then read, both chunked, never a
 // full-file buffer — build a scale-mode world on the re-read copy
-// (lazy converged tables, no MRC; every concession logged), run one
-// invariant-checked sweep shard with destination sampling, time a
-// converged-batch recompute, and serve warm single-pair recovery
-// queries through the serving engine.
+// (no MRC; the concession is logged), run one invariant-checked sweep
+// shard with destination sampling, time a converged-batch recompute,
+// and serve warm single-pair recovery queries through the serving
+// engine.
 //
 //	rtrscale -nodes 100000                          # full pipeline, report timings
 //	rtrscale -nodes 100000 -budget 10m -max-rss-mb 6144   # CI smoke gate
@@ -121,7 +121,7 @@ func main() {
 	}
 	report("scale-snapshot-read", dSnapshotRead, "round trip verified")
 
-	// 3. Scale-mode world. Concessions (lazy tables, no MRC) print so a
+	// 3. Scale-mode world. The concession (no MRC) prints so a
 	// budget run states what it skipped.
 	var w *sim.World
 	dWorldBuild := timed(func() {
@@ -133,10 +133,10 @@ func main() {
 			die(err)
 		}
 	})
-	if !w.Tables.Lazy() || w.HasMRC() {
+	if w.HasMRC() {
 		die(fmt.Errorf("scale world did not engage scale mode at %d nodes", *nodes))
 	}
-	report("scale-world-build", dWorldBuild, "lazy tables, MRC disabled")
+	report("scale-world-build", dWorldBuild, "MRC disabled")
 
 	// 4. One invariant-checked sweep shard with destination sampling.
 	// The oracle gate skips the O(n^2) optimality cross-checks (logged

@@ -65,6 +65,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -86,9 +87,17 @@ import (
 	"repro/internal/traffic"
 )
 
+// experiments is every name -exp accepts besides "all": the flag's
+// help text and its validation both read this slice, and a test holds
+// the package comment's list to it.
+var experiments = []string{
+	"table2", "table3", "table4", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
+	"loss", "ablation", "netsim", "multiarea", "congestion",
+}
+
 func main() {
 	var (
-		expFlag    = flag.String("exp", "all", "comma-separated experiments: table2,table3,table4,fig7..fig13,all")
+		expFlag    = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experiments, ", ")+", or all")
 		asFlag     = flag.String("as", "all", "comma-separated Table II topologies (e.g. AS209,AS7018) or 'all'")
 		cases      = flag.Int("cases", 2000, "recoverable and irrecoverable test cases per topology")
 		seed       = flag.Int64("seed", 1, "base random seed (topology synthesis and workloads)")
@@ -103,14 +112,27 @@ func main() {
 		resume     = flag.Bool("resume", false, "skip shards already recorded in -state and merge their results")
 		check      = flag.Bool("check", false, "run the invariant oracle on every sweep case and loss result; fail fast with a repro string")
 		maxShards  = flag.Int("max-shards", 0, "stop after executing N shards, exit 2 (exercises the interrupt path deterministically)")
-		phase2     = flag.String("phase2", "dijkstra", "phase-2 route engine: dijkstra (full trees), astar (goal-directed, Euclidean heuristic), or alt (goal-directed, landmark heuristic); all engines print identical results")
+		phase2     = flag.String("phase2", "dijkstra", "phase-2 route engine: dijkstra (full trees) or alt (goal-directed, landmark heuristic); both engines print identical results")
 		failSpec   = flag.String("failure", "", "failure-generator spec for sweep cases and fig11 (disk, disks:k=3,disjoint, cut:w=200, srlg:g=16,n=2, cascade, transient, link); empty = the paper's single disk")
 		schemeFlag = flag.String("scheme", "rtr,rtr-spread", "comma-separated recovery schemes for the congestion experiment (registry names: "+strings.Join(scheme.Names(), ", ")+")")
 		utilPairs  = flag.Int("util-pairs", sweep.DefaultUtilPairs, "traffic-matrix size for the congestion experiment")
 		utilScen   = flag.Int("util-scenarios", sweep.DefaultUtilScenarios, "failure scenarios per (topology, scheme) congestion shard")
 	)
 	flag.Parse()
-	// Scheme names fail fast at flag parse, before any world is built.
+	// Experiment and scheme names fail fast at flag parse, before any
+	// world is built.
+	want := map[string]bool{}
+	for _, e := range strings.Split(*expFlag, ",") {
+		e = strings.TrimSpace(e)
+		if e == "" {
+			continue
+		}
+		if e != "all" && !slices.Contains(experiments, e) {
+			fmt.Fprintf(os.Stderr, "rtrsim: -exp: unknown experiment %q (want %s, or all)\n", e, strings.Join(experiments, ", "))
+			os.Exit(1)
+		}
+		want[e] = true
+	}
 	var utilSchemes []string
 	for _, name := range strings.Split(*schemeFlag, ",") {
 		name = strings.TrimSpace(name)
@@ -175,10 +197,6 @@ func main() {
 	names := topology.ASNames()
 	if *asFlag != "all" {
 		names = strings.Split(*asFlag, ",")
-	}
-	want := map[string]bool{}
-	for _, e := range strings.Split(*expFlag, ",") {
-		want[strings.TrimSpace(e)] = true
 	}
 	all := want["all"]
 	has := func(e string) bool { return all || want[e] }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -155,5 +156,37 @@ func TestResumeRequiresState(t *testing.T) {
 	cmd := exec.Command(binary(t), "-resume")
 	if err := cmd.Run(); err == nil {
 		t.Fatal("-resume without -state must fail")
+	}
+}
+
+// TestUnknownExperimentExitsOne: a misspelt -exp name is rejected at
+// flag parse with exit 1 and the list of valid names, instead of
+// printing nothing and exiting 0. The package comment's list is held to
+// the same slice the flag validates against.
+func TestUnknownExperimentExitsOne(t *testing.T) {
+	cmd := exec.Command(binary(t), "-exp", "table3,tabel4", "-as", "AS1239")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("err = %v, want exit 1", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("printed %q before rejecting the name", stdout.String())
+	}
+	list := strings.Join(experiments, ", ")
+	if msg := stderr.String(); !strings.Contains(msg, `unknown experiment "tabel4"`) || !strings.Contains(msg, list) {
+		t.Errorf("stderr %q does not name the typo and the valid experiments", msg)
+	}
+
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	doc = strings.Join(strings.Fields(strings.ReplaceAll(doc, "//", " ")), " ")
+	if want := "Experiments: " + strings.Join(experiments, " ") + ` (and "all").`; !strings.Contains(doc, want) {
+		t.Errorf("package comment does not list the experiments as %q", want)
 	}
 }

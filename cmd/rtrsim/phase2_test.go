@@ -8,11 +8,10 @@ import (
 )
 
 // TestGoldenTable3Phase2Engines pins the engine-invariance contract at
-// the CLI level: -phase2=astar and -phase2=alt must print byte-for-byte
-// the table the default engine prints (the same golden file
-// TestGoldenTable3 checks).
+// the CLI level: -phase2=alt must print byte-for-byte the table the
+// default engine prints (the same golden file TestGoldenTable3 checks).
 func TestGoldenTable3Phase2Engines(t *testing.T) {
-	for _, engine := range []string{"astar", "alt"} {
+	for _, engine := range []string{"alt"} {
 		t.Run(engine, func(t *testing.T) {
 			out, code := run(t, "-exp", "table3", "-as", "AS1239", "-cases", "50", "-seed", "1",
 				"-phase2", engine)

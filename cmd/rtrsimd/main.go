@@ -48,7 +48,7 @@ func main() {
 		addr   = flag.String("addr", "127.0.0.1:8723", "listen address")
 		asFlag = flag.String("as", "all", "comma-separated Table II topologies to serve, or 'all'")
 		seed   = flag.Int64("seed", 1, "topology synthesis seed (clients must use the same seed to talk about the same graphs)")
-		phase2 = flag.String("phase2", "dijkstra", "phase-2 route engine: dijkstra, astar, or alt (identical answers)")
+		phase2 = flag.String("phase2", "dijkstra", "phase-2 route engine: dijkstra or alt (identical answers)")
 		cache  = flag.Int("cache", 64, "converged-state LRU capacity across topologies; 0 disables caching (every query rebuilds converged state)")
 		check  = flag.Bool("check", false, "run the invariant oracle on every recovery case served; violations answer 500 with a repro string")
 		drain  = flag.Duration("drain", 10*time.Second, "maximum time to wait for in-flight requests on shutdown")

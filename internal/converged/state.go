@@ -93,8 +93,8 @@ func (s *State) Pre() *routing.Tables { return s.pre }
 
 // Tables returns the converged tables of the surviving topology,
 // warmed from the pre-failure tables by the delete-only incremental
-// recompute (bit-identical to a cold build, and lazy per destination
-// when the pre-failure tables are).
+// recompute one destination at a time, on first use (bit-identical to
+// a cold build).
 func (s *State) Tables() *routing.Tables {
 	s.postOnce.Do(func() {
 		s.post = routing.RecomputeTablesUnder(s.topo, s.pre, s.sc)

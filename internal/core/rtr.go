@@ -69,9 +69,9 @@ func WithPaperTermination() Option {
 // WithPhase2 selects the phase-2 route engine. The default
 // (spt.EngineDijkstra) computes one incremental shortest path tree per
 // session and serves every destination from it; the goal-directed
-// engines (spt.EngineAStar, spt.EngineALT) answer each destination
-// with an A* query over the pruned view that settles only a corridor
-// of nodes around the shortest path. All engines produce bit-identical
+// engine (spt.EngineALT) answers each destination with an A* query
+// over the pruned view that settles only a corridor of nodes around
+// the shortest path. Both engines produce bit-identical
 // routes (spt.ComputeGoal's canonical-path guarantee); they trade
 // where the work goes — per-session tree builds versus per-destination
 // queries — which is what the single-pair latency benchmarks measure.
@@ -94,10 +94,7 @@ func New(topo *topology.Topology, ci *topology.CrossIndex, opts ...Option) *RTR 
 	for _, o := range opts {
 		o(r)
 	}
-	switch r.phase2 {
-	case spt.EngineAStar:
-		r.heur = spt.NewGeomHeuristic(topo.G, topo.Coords)
-	case spt.EngineALT:
+	if r.phase2 == spt.EngineALT {
 		// Landmark distance vectors reuse the engine's clean-tree
 		// cache: the forward SPTs NewALT pulls are exactly the ones
 		// phase 2 warm-starts from later.

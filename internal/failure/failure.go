@@ -65,20 +65,14 @@ var _ graph.DenseTabler = (*Scenario)(nil)
 // NewScenario computes the ground truth for the given disk-shaped
 // failure areas on topo: every node inside any area fails, and every
 // link that has a failed endpoint or whose segment intersects any area
-// fails. It is the paper's model; NewScenarioAreas accepts any Area
-// mix.
+// fails. It is the paper's model; the generators compose other Area
+// shapes (capsules) and explicit link sets.
 func NewScenario(topo *topology.Topology, areas ...geom.Disk) *Scenario {
 	as := make([]Area, len(areas))
 	for i, a := range areas {
 		as[i] = a
 	}
 	return compose(topo, as, nil)
-}
-
-// NewScenarioAreas computes the ground truth for arbitrary failure
-// areas (disks, capsules, or any other Area implementation).
-func NewScenarioAreas(topo *topology.Topology, areas ...Area) *Scenario {
-	return compose(topo, append([]Area(nil), areas...), nil)
 }
 
 // NewLinkSet returns a scenario in which exactly the given links fail

@@ -4,9 +4,9 @@ package graph
 // boolean tables indexed by NodeID and LinkID. The shortest-path
 // engine's inner relaxation loop consults the overlay twice per edge;
 // a DenseTabler lets it replace those two interface calls with two
-// slice loads. Mask, failure.Scenario, and compiled DenseViews all
-// qualify; algorithmic overlays (unions, per-configuration views)
-// are compiled into a DenseView instead.
+// slice loads. Mask and failure.Scenario qualify; algorithmic overlays
+// (unions, per-configuration views) are compiled into scratch tables
+// by the spt workspace instead.
 type DenseTabler interface {
 	Denied
 	// DenseTables returns the overlay as (nodes, links) tables:
@@ -16,54 +16,6 @@ type DenseTabler interface {
 	// retain them across mutations of the source.
 	DenseTables() (nodes, links []bool)
 }
-
-// DenseView is a Denied compiled to flat tables: Compile evaluates an
-// arbitrary overlay once per node and link (O(n+m) interface calls)
-// so that every later membership query is a slice load. A zero
-// DenseView is empty; reuse one across Compile calls to avoid
-// reallocating the tables.
-type DenseView struct {
-	nodes []bool
-	links []bool
-}
-
-var _ DenseTabler = (*DenseView)(nil)
-
-// CompileDense returns a new DenseView holding src's failure state for
-// g. The view is a snapshot: later mutations of src are not reflected.
-func CompileDense(g *Graph, src Denied) *DenseView {
-	d := &DenseView{}
-	d.Compile(g, src)
-	return d
-}
-
-// Compile fills the view from src, reusing the view's tables when they
-// are large enough.
-func (d *DenseView) Compile(g *Graph, src Denied) {
-	n, m := g.NumNodes(), g.NumLinks()
-	d.nodes = resizeBools(d.nodes, n)
-	d.links = resizeBools(d.links, m)
-	if nodes, links, ok := DenseTablesOf(src); ok {
-		copy(d.nodes, nodes)
-		copy(d.links, links)
-		return
-	}
-	for v := 0; v < n; v++ {
-		d.nodes[v] = src.NodeDown(NodeID(v))
-	}
-	for id := 0; id < m; id++ {
-		d.links[id] = src.LinkDown(LinkID(id))
-	}
-}
-
-// NodeDown implements Denied.
-func (d *DenseView) NodeDown(v NodeID) bool { return d.nodes[v] }
-
-// LinkDown implements Denied.
-func (d *DenseView) LinkDown(id LinkID) bool { return d.links[id] }
-
-// DenseTables implements DenseTabler.
-func (d *DenseView) DenseTables() (nodes, links []bool) { return d.nodes, d.links }
 
 // DenseTablesOf returns d's flat tables when d can expose them without
 // compilation: d is a DenseTabler, or d is Nothing (reported as nil
@@ -77,17 +29,4 @@ func DenseTablesOf(d Denied) (nodes, links []bool, ok bool) {
 		return nodes, links, true
 	}
 	return nil, nil, false
-}
-
-// resizeBools returns s resized to n and cleared, reusing its storage
-// when possible.
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
 }

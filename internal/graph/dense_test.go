@@ -1,12 +1,8 @@
 package graph
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
-// funcDenied is an overlay with no dense tables of its own, forcing
-// Compile down the per-element evaluation path.
+// funcDenied is an overlay with no dense tables of its own.
 type funcDenied struct {
 	node func(NodeID) bool
 	link func(LinkID) bool
@@ -14,110 +10,6 @@ type funcDenied struct {
 
 func (d funcDenied) NodeDown(v NodeID) bool  { return d.node(v) }
 func (d funcDenied) LinkDown(id LinkID) bool { return d.link(id) }
-
-// randGraph returns a connected random graph on n nodes: a spanning
-// path plus `extra` random chords.
-func randGraph(rng *rand.Rand, n, extra int) *Graph {
-	g := New(n)
-	for i := 0; i < n-1; i++ {
-		g.MustAddLink(NodeID(i), NodeID(i+1))
-	}
-	for i := 0; i < extra; i++ {
-		a := NodeID(rng.Intn(n))
-		b := NodeID(rng.Intn(n))
-		if a == b || g.HasLink(a, b) {
-			continue
-		}
-		g.MustAddLink(a, b)
-	}
-	return g
-}
-
-// assertViewMatches checks that the compiled view answers every
-// NodeDown/LinkDown query exactly like its source overlay.
-func assertViewMatches(t *testing.T, g *Graph, src Denied, view *DenseView) {
-	t.Helper()
-	for v := 0; v < g.NumNodes(); v++ {
-		if got, want := view.NodeDown(NodeID(v)), src.NodeDown(NodeID(v)); got != want {
-			t.Fatalf("NodeDown(%d) = %v, source says %v", v, got, want)
-		}
-	}
-	for id := 0; id < g.NumLinks(); id++ {
-		if got, want := view.LinkDown(LinkID(id)), src.LinkDown(LinkID(id)); got != want {
-			t.Fatalf("LinkDown(%d) = %v, source says %v", id, got, want)
-		}
-	}
-}
-
-func TestDenseViewMatchesSource(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		g := randGraph(rng, 2+rng.Intn(40), rng.Intn(60))
-
-		// A Mask source exercises the table-copy path.
-		m := NewMask(g)
-		for v := 0; v < g.NumNodes(); v++ {
-			if rng.Intn(4) == 0 {
-				m.FailNode(NodeID(v))
-			}
-		}
-		for id := 0; id < g.NumLinks(); id++ {
-			if rng.Intn(4) == 0 {
-				m.FailLink(LinkID(id))
-			}
-		}
-		assertViewMatches(t, g, m, CompileDense(g, m))
-
-		// An opaque functional source exercises per-element evaluation.
-		fd := funcDenied{
-			node: func(v NodeID) bool { return int(v)%3 == trial%3 },
-			link: func(id LinkID) bool { return int(id)%2 == trial%2 },
-		}
-		assertViewMatches(t, g, fd, CompileDense(g, fd))
-
-		// A union of the two exercises the composite path.
-		u := Union{X: m, Y: fd}
-		assertViewMatches(t, g, u, CompileDense(g, u))
-
-		// Nothing compiles to the all-up view.
-		assertViewMatches(t, g, Nothing, CompileDense(g, Nothing))
-	}
-}
-
-// TestDenseViewSnapshot verifies Compile takes a snapshot: later
-// mutations of the source must not leak into the view.
-func TestDenseViewSnapshot(t *testing.T) {
-	g := line(4)
-	m := NewMask(g)
-	view := CompileDense(g, m)
-	m.FailNode(1)
-	m.FailLink(0)
-	if view.NodeDown(1) || view.LinkDown(0) {
-		t.Fatal("view must be a snapshot, not a live alias of the mask")
-	}
-}
-
-// TestDenseViewReuse verifies a view can be recompiled across graphs of
-// different sizes without stale state surviving.
-func TestDenseViewReuse(t *testing.T) {
-	big := line(10)
-	m := NewMask(big)
-	for v := 0; v < big.NumNodes(); v++ {
-		m.FailNode(NodeID(v))
-	}
-	for id := 0; id < big.NumLinks(); id++ {
-		m.FailLink(LinkID(id))
-	}
-	var view DenseView
-	view.Compile(big, m)
-
-	small := line(5)
-	view.Compile(small, Nothing)
-	assertViewMatches(t, small, Nothing, &view)
-
-	view.Compile(big, m)
-	assertViewMatches(t, big, m, &view)
-}
 
 func TestDenseTablesOf(t *testing.T) {
 	g := line(6)

@@ -10,9 +10,9 @@ import (
 )
 
 // TestCheckCaseGoalEngines runs the full invariant oracle over worlds
-// built with the goal-directed phase-2 engines: every paper-level
+// built with the goal-directed phase-2 engine: every paper-level
 // guarantee (Theorem 2 optimality, stretch-1, SPCalcs accounting, walk
-// well-formedness) must hold for A* and ALT outputs exactly as it does
+// well-formedness) must hold for ALT outputs exactly as it does
 // for the default full-tree engine — the oracle runs unchanged.
 func TestCheckCaseGoalEngines(t *testing.T) {
 	scenarios := 4
@@ -21,7 +21,7 @@ func TestCheckCaseGoalEngines(t *testing.T) {
 		scenarios, maxCases = 2, 80
 	}
 	names := []string{"AS1239", "AS7018"}
-	for _, eng := range []spt.Engine{spt.EngineAStar, spt.EngineALT} {
+	for _, eng := range []spt.Engine{spt.EngineALT} {
 		for _, name := range names {
 			t.Run(name+"/"+eng.String(), func(t *testing.T) {
 				t.Parallel()

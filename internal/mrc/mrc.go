@@ -34,7 +34,7 @@ type MRC struct {
 	isolCfg []int
 	// clean, when non-nil, holds the pre-failure routing tables of the
 	// same topology; buildTrees warm-starts each configuration tree
-	// from the matching clean reverse tree (see NewWarm).
+	// from the matching clean reverse tree (see NewWarmPhase2).
 	clean *routing.Tables
 	// trees[c][d] is the reverse shortest path tree toward d in
 	// configuration c's usable graph (backbone links plus d's own
@@ -54,39 +54,28 @@ type MRC struct {
 const Unisolated = -1
 
 // New builds MRC state for topo with k configurations (DefaultConfigs
-// if k <= 0). Articulation points are left unisolated.
+// if k <= 0), every configuration tree cold. Articulation points are
+// left unisolated.
 func New(topo *topology.Topology, k int) (*MRC, error) {
-	if k <= 0 {
-		k = DefaultConfigs
-	}
-	if k < 2 {
-		return nil, errors.New("mrc: need at least 2 configurations")
-	}
-	m := &MRC{topo: topo, k: k, isolCfg: assign(topo.G, k)}
-	m.buildTrees()
-	return m, nil
+	return NewWarmPhase2(topo, k, nil, spt.EngineDijkstra, nil)
 }
 
-// NewWarm is New with a warm start: tables must be the pre-failure
-// routing tables of topo (computed under graph.Nothing). Each of the
-// k*n configuration trees is then seeded from the matching clean
-// reverse tree and updated with the delete-only incremental recompute
-// — a configuration's isolation overlay only removes elements relative
-// to the clean graph, so the result is bit-identical to the cold build
-// while skipping the untouched backbone subtrees. If tables is nil,
-// built for a different topology, or computed under failures, the
-// constructor silently falls back to the cold build.
-func NewWarm(topo *topology.Topology, k int, tables *routing.Tables) (*MRC, error) {
-	return NewWarmPhase2(topo, k, tables, spt.EngineDijkstra, nil)
-}
-
-// NewWarmPhase2 is NewWarm with a phase-2 route engine selector. Under
-// the default engine it is exactly NewWarm: the full k*n matrix of
-// per-configuration reverse trees is precomputed (warm-started from
-// tables when compatible). Under a goal-directed engine the matrix is
-// never built — the dominant cost of MRC construction disappears — and
-// Route answers each (config, src, dst) query with a reverse A* search
-// over the configuration's isolation overlay, using heur as the
+// NewWarmPhase2 is New with a warm start and a phase-2 route engine
+// selector. tables must be the pre-failure routing tables of topo
+// (computed under graph.Nothing): each of the k*n configuration trees
+// is then seeded from the matching clean reverse tree and updated with
+// the delete-only incremental recompute — a configuration's isolation
+// overlay only removes elements relative to the clean graph, so the
+// result is bit-identical to the cold build while skipping the
+// untouched backbone subtrees. If tables is nil, built for a different
+// topology, or computed under failures, the constructor silently falls
+// back to the cold build.
+//
+// Under the default engine the full k*n matrix of per-configuration
+// reverse trees is precomputed. Under a goal-directed engine the matrix
+// is never built — the dominant cost of MRC construction disappears —
+// and Route answers each (config, src, dst) query with a reverse A*
+// search over the configuration's isolation overlay, using heur as the
 // admissible heuristic (clean-graph lower bounds stay valid because an
 // isolation overlay only deletes elements). Routes are bit-identical
 // to the precomputed-tree engine.

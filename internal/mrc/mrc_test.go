@@ -7,6 +7,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/routing"
+	"repro/internal/spt"
 	"repro/internal/topology"
 )
 
@@ -285,12 +286,12 @@ func TestNewWarmMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := NewWarm(topo, 0, routing.ComputeTables(topo))
+			warm, err := NewWarmPhase2(topo, 0, routing.ComputeTables(topo), spt.EngineDijkstra, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if warm.clean == nil {
-				t.Fatal("NewWarm with matching clean tables must take the warm path")
+				t.Fatal("NewWarmPhase2 with matching clean tables must take the warm path")
 			}
 			requireSameTrees(t, as, warm, cold)
 		})
@@ -310,7 +311,7 @@ func TestNewWarmFallsBackCold(t *testing.T) {
 	for !sc.HasFailures() {
 		sc = failure.RandomScenario(topo, rng)
 	}
-	failedTables := routing.ComputeTablesUnder(topo, sc)
+	failedTables := routing.ComputeTablesLazy(topo, sc)
 
 	for _, tc := range []struct {
 		label  string
@@ -320,7 +321,7 @@ func TestNewWarmFallsBackCold(t *testing.T) {
 		{"foreign", routing.ComputeTables(other)},
 		{"under-failures", failedTables},
 	} {
-		m, err := NewWarm(topo, 0, tc.tables)
+		m, err := NewWarmPhase2(topo, 0, tc.tables, spt.EngineDijkstra, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}

@@ -21,64 +21,57 @@ func TestRouteGoalMatchesTrees(t *testing.T) {
 			t.Parallel()
 			topo := topology.GenerateAS(as, 3)
 			tables := routing.ComputeTables(topo)
-			trees, err := NewWarm(topo, 0, tables)
+			trees, err := NewWarmPhase2(topo, 0, tables, spt.EngineDijkstra, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, eng := range []spt.Engine{spt.EngineAStar, spt.EngineALT} {
-				var heur spt.Heuristic
-				switch eng {
-				case spt.EngineAStar:
-					heur = spt.NewGeomHeuristic(topo.G, topo.Coords)
-				case spt.EngineALT:
-					heur = spt.NewALT(topo.G, 0, nil)
-				}
-				goal, err := NewWarmPhase2(topo, 0, tables, eng, heur)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if goal.Phase2() != eng {
-					t.Fatalf("Phase2() = %v, want %v", goal.Phase2(), eng)
-				}
-				if trees.Configs() != goal.Configs() {
-					t.Fatalf("config counts differ: %d vs %d", trees.Configs(), goal.Configs())
-				}
-				n := topo.G.NumNodes()
-				compared := 0
-				for c := 0; c < trees.Configs(); c++ {
-					for s := 0; s < n; s++ {
-						src := graph.NodeID(s)
-						// Stride destinations to keep the full sweep fast
-						// while still hitting backbone and isolated sources
-						// in every configuration.
-						for d := s % 3; d < n; d += 3 {
-							dst := graph.NodeID(d)
-							wantN, wantL, wantOK := trees.Route(c, src, dst, 0, false)
-							gotN, gotL, gotOK := goal.Route(c, src, dst, 0, false)
+			const eng = spt.EngineALT
+			heur := spt.NewALT(topo.G, 0, nil)
+			goal, err := NewWarmPhase2(topo, 0, tables, eng, heur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if goal.Phase2() != eng {
+				t.Fatalf("Phase2() = %v, want %v", goal.Phase2(), eng)
+			}
+			if trees.Configs() != goal.Configs() {
+				t.Fatalf("config counts differ: %d vs %d", trees.Configs(), goal.Configs())
+			}
+			n := topo.G.NumNodes()
+			compared := 0
+			for c := 0; c < trees.Configs(); c++ {
+				for s := 0; s < n; s++ {
+					src := graph.NodeID(s)
+					// Stride destinations to keep the full sweep fast
+					// while still hitting backbone and isolated sources
+					// in every configuration.
+					for d := s % 3; d < n; d += 3 {
+						dst := graph.NodeID(d)
+						wantN, wantL, wantOK := trees.Route(c, src, dst, 0, false)
+						gotN, gotL, gotOK := goal.Route(c, src, dst, 0, false)
+						if wantOK != gotOK || !equalNodes(wantN, gotN) || !equalLinks(wantL, gotL) {
+							t.Fatalf("%s Route(c=%d, %d->%d) differs:\ntrees: %v %v %v\ngoal:  %v %v %v",
+								eng, c, src, dst, wantN, wantL, wantOK, gotN, gotL, gotOK)
+						}
+						compared++
+						if wantOK && len(wantL) > 0 {
+							// Exclude the canonical first hop: both
+							// implementations must agree on the outcome.
+							ex := wantL[0]
+							wantN, wantL, wantOK = trees.Route(c, src, dst, ex, true)
+							gotN, gotL, gotOK = goal.Route(c, src, dst, ex, true)
 							if wantOK != gotOK || !equalNodes(wantN, gotN) || !equalLinks(wantL, gotL) {
-								t.Fatalf("%s Route(c=%d, %d->%d) differs:\ntrees: %v %v %v\ngoal:  %v %v %v",
-									eng, c, src, dst, wantN, wantL, wantOK, gotN, gotL, gotOK)
-							}
-							compared++
-							if wantOK && len(wantL) > 0 {
-								// Exclude the canonical first hop: both
-								// implementations must agree on the outcome.
-								ex := wantL[0]
-								wantN, wantL, wantOK = trees.Route(c, src, dst, ex, true)
-								gotN, gotL, gotOK = goal.Route(c, src, dst, ex, true)
-								if wantOK != gotOK || !equalNodes(wantN, gotN) || !equalLinks(wantL, gotL) {
-									t.Fatalf("%s Route(c=%d, %d->%d, exclude=%d) differs:\ntrees: %v %v %v\ngoal:  %v %v %v",
-										eng, c, src, dst, ex, wantN, wantL, wantOK, gotN, gotL, gotOK)
-								}
+								t.Fatalf("%s Route(c=%d, %d->%d, exclude=%d) differs:\ntrees: %v %v %v\ngoal:  %v %v %v",
+									eng, c, src, dst, ex, wantN, wantL, wantOK, gotN, gotL, gotOK)
 							}
 						}
 					}
 				}
-				if compared == 0 {
-					t.Fatal("no routes compared")
-				}
-				t.Logf("%s: %d (config, src, dst) routes identical under %s", as, compared, eng)
 			}
+			if compared == 0 {
+				t.Fatal("no routes compared")
+			}
+			t.Logf("%s: %d (config, src, dst) routes identical under %s", as, compared, eng)
 		})
 	}
 }

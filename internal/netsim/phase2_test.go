@@ -23,7 +23,7 @@ func TestPhase2EnginesIdenticalFates(t *testing.T) {
 	const as = "AS1239"
 	var base *Result
 	var baseEng spt.Engine
-	for _, eng := range []spt.Engine{spt.EngineDijkstra, spt.EngineAStar, spt.EngineALT} {
+	for _, eng := range []spt.Engine{spt.EngineDijkstra, spt.EngineALT} {
 		w, err := sim.NewWorldPhase2(as, 1, eng)
 		if err != nil {
 			t.Fatal(err)

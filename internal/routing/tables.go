@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/spt"
 	"repro/internal/topology"
 )
@@ -19,71 +18,48 @@ import (
 // routers keep forwarding with these tables, which is exactly the
 // window RTR operates in.
 //
-// Tables come in two construction modes. The eager constructors build
-// every destination's reverse tree up front (right for sweeps over
-// Rocketfuel-scale maps, where all destinations get touched anyway).
-// The lazy constructors defer each destination's tree until first use:
-// on a 10^5-node graph the full table is ~10^5 trees x ~10^5 entries
-// (tens of GB), while a serving workload touches a handful of
-// destinations — lazy tables bound memory by destinations actually
-// queried. Both modes produce bit-identical trees; laziness is purely
-// a materialization strategy, and every accessor works on either.
+// A destination's reverse tree is built the first time that
+// destination is asked for, and kept. The full table is n trees of n
+// entries (tens of GB on a 10^5-node graph, and n incremental updates
+// per failure on any graph), while a query, a case list or a packet
+// trace reads a handful of destinations; building on first use bounds
+// both time and memory by the destinations actually read. Which
+// destinations were read, and in what order, never changes a tree.
 type Tables struct {
 	topo  *topology.Topology
 	under graph.Denied // the failure overlay the tables converged on
-	byDst []*spt.Tree  // reverse tree per destination; nil slots lazy
+	byDst []*spt.Tree  // reverse tree per destination; nil until first use
+	once  []sync.Once  // guards byDst slot by slot
 
-	// Lazy mode (lazyOnce non-nil): tree(dst) materializes byDst[dst]
-	// on first use — from seed's tree via the delete-only incremental
-	// recompute when seed is set, via a cold build otherwise.
-	lazyOnce []sync.Once
-	seed     *Tables      // tables to warm-start from, or nil
-	delta    graph.Denied // failures new relative to seed.under
+	// A recomputed table builds byDst[dst] from seed's tree via the
+	// delete-only incremental update; with no seed the build is cold.
+	seed  *Tables      // tables to warm-start from, or nil
+	delta graph.Denied // failures new relative to seed.under
 }
 
-// ComputeTables computes converged routing tables for topo.
+// ComputeTables returns the converged routing tables for topo.
 func ComputeTables(topo *topology.Topology) *Tables {
-	return ComputeTablesUnder(topo, graph.Nothing)
+	return ComputeTablesLazy(topo, graph.Nothing)
 }
 
-// ComputeTablesUnder computes the routing tables the domain converges
-// to once every router has learned the failures in d — i.e. the
-// post-convergence state on the surviving topology.
-func ComputeTablesUnder(topo *topology.Topology, d graph.Denied) *Tables {
-	n := topo.G.NumNodes()
-	t := &Tables{topo: topo, under: d, byDst: make([]*spt.Tree, n)}
-	// One reverse tree per destination, fully independent: fan out
-	// across CPUs (scratch state comes from the spt workspace pool).
-	par.For(n, 0, func(dst int) {
-		t.byDst[dst] = spt.ComputeReverse(topo.G, graph.NodeID(dst), d)
-	})
-	return t
-}
-
-// ComputeTablesLazy returns tables over topo under d whose per-
-// destination trees are built on first use (safe for concurrent use).
-// Results are bit-identical to ComputeTablesUnder; memory is bounded
-// by the number of distinct destinations queried.
+// ComputeTablesLazy returns the routing tables the domain converges to
+// once every router has learned the failures in d — i.e. the
+// post-convergence state on the surviving topology. Safe for
+// concurrent use.
 func ComputeTablesLazy(topo *topology.Topology, d graph.Denied) *Tables {
 	n := topo.G.NumNodes()
 	return &Tables{
 		topo: topo, under: d,
-		byDst:    make([]*spt.Tree, n),
-		lazyOnce: make([]sync.Once, n),
+		byDst: make([]*spt.Tree, n),
+		once:  make([]sync.Once, n),
 	}
 }
 
-// Lazy reports whether t materializes destination trees on demand.
-func (t *Tables) Lazy() bool { return t.lazyOnce != nil }
-
-// tree returns dst's reverse tree, materializing it first in lazy
-// mode. Concurrent callers block on the same sync.Once, so each tree
-// is built exactly once.
+// tree returns dst's reverse tree, building it on first use.
+// Concurrent callers block on the same sync.Once, so each tree is
+// built exactly once.
 func (t *Tables) tree(dst graph.NodeID) *spt.Tree {
-	if t.lazyOnce == nil {
-		return t.byDst[dst]
-	}
-	t.lazyOnce[dst].Do(func() {
+	t.once[dst].Do(func() {
 		if t.seed != nil {
 			t.byDst[dst] = spt.Recompute(t.topo.G, t.seed.tree(dst), t.seed.under, t.delta)
 		} else {
@@ -93,43 +69,26 @@ func (t *Tables) tree(dst graph.NodeID) *spt.Tree {
 	return t.byDst[dst]
 }
 
-// RecomputeTablesUnder computes the converged tables under the
-// combined failures of pre's overlay and d, seeding every
-// destination's reverse tree from pre and applying the delete-only
-// incremental update instead of a cold Dijkstra per destination. d
-// must only remove elements relative to pre's overlay (the
-// convergence case: routers learn of failures, never of repairs). The
-// result is bit-identical to ComputeTablesUnder on the combined
-// overlay; only the subtrees hanging off failed elements are rebuilt.
+// RecomputeTablesUnder returns the converged tables under the combined
+// failures of pre's overlay and d. A destination's tree is seeded from
+// pre's tree for it (itself built on demand) and gets the delete-only
+// incremental update instead of a cold Dijkstra: only the subtrees
+// hanging off failed elements are rebuilt. d must only remove elements
+// relative to pre's overlay (the convergence case: routers learn of
+// failures, never of repairs). Every tree is bit-identical to a cold
+// ComputeTablesLazy build on the combined overlay.
 //
-// With a nil pre, or pre built for a different topology, it falls
-// back to the cold build.
+// With a nil pre, or pre built for a different topology, the trees
+// are built cold.
 func RecomputeTablesUnder(topo *topology.Topology, pre *Tables, d graph.Denied) *Tables {
+	t := ComputeTablesLazy(topo, d)
 	if pre == nil || pre.topo != topo {
-		return ComputeTablesUnder(topo, d)
+		return t
 	}
-	under := d
 	if pre.under != graph.Nothing {
-		under = graph.Union{X: pre.under, Y: d}
+		t.under = graph.Union{X: pre.under, Y: d}
 	}
-	n := topo.G.NumNodes()
-	if pre.Lazy() {
-		// A lazy pre means the caller is bounding memory by queried
-		// destinations; the recomputed tables inherit that, deferring
-		// each destination's incremental update until first use (and
-		// materializing the seed tree it updates from on demand).
-		return &Tables{
-			topo: topo, under: under,
-			byDst:    make([]*spt.Tree, n),
-			lazyOnce: make([]sync.Once, n),
-			seed:     pre,
-			delta:    d,
-		}
-	}
-	t := &Tables{topo: topo, under: under, byDst: make([]*spt.Tree, n)}
-	par.For(n, 0, func(dst int) {
-		t.byDst[dst] = spt.Recompute(topo.G, pre.tree(graph.NodeID(dst)), pre.under, d)
-	})
+	t.seed, t.delta = pre, d
 	return t
 }
 

@@ -199,6 +199,16 @@ func TestLocalViewObservations(t *testing.T) {
 	}
 }
 
+// failingScenario draws random failure disks until one fails
+// something.
+func failingScenario(topo *topology.Topology, rng *rand.Rand) *failure.Scenario {
+	for {
+		if sc := failure.RandomScenario(topo, rng); sc.HasFailures() {
+			return sc
+		}
+	}
+}
+
 // requireTablesIdentical asserts two table sets carry bit-identical
 // per-destination trees: same Dist, Parent, and ParentLink arrays.
 func requireTablesIdentical(t *testing.T, as, label string, got, want *Tables) {
@@ -221,10 +231,12 @@ func requireTablesIdentical(t *testing.T, as, label string, got, want *Tables) {
 }
 
 // TestRecomputeTablesMatchesColdProperty is the tables-layer version of
-// the spt differential test: on every bundled topology, incremental
-// table recomputation under random failure scenarios must be
-// bit-identical to the cold build — including when chained, where the
-// second recompute starts from already-failed tables.
+// the spt differential test: on every bundled topology, under random
+// failure disks, every destination tree of a recomputed table must be
+// node-for-node identical to a cold spt.ComputeReverse under the same
+// overlay (which is all an unseeded ComputeTablesLazy does) — including
+// when chained, where the second recompute seeds from tables that
+// already carry a failure and have not built a single tree yet.
 func TestRecomputeTablesMatchesColdProperty(t *testing.T) {
 	for _, as := range topology.ASNames() {
 		as := as
@@ -241,18 +253,18 @@ func TestRecomputeTablesMatchesColdProperty(t *testing.T) {
 				}
 				scenarios++
 				inc := RecomputeTablesUnder(topo, clean, sc)
-				cold := ComputeTablesUnder(topo, sc)
+				cold := ComputeTablesLazy(topo, sc)
 				requireTablesIdentical(t, as, "single", inc, cold)
 
-				// Chain a second, disjointly drawn scenario on top: the
-				// recompute now seeds from tables that already carry a
-				// failure overlay.
+				// Chain a second, independently drawn scenario on top of
+				// an untouched recompute: each destination pulls its seed
+				// tree through two levels on demand.
 				sc2 := failure.RandomScenario(topo, rng)
 				if !sc2.HasFailures() {
 					continue
 				}
-				inc2 := RecomputeTablesUnder(topo, inc, sc2)
-				cold2 := ComputeTablesUnder(topo, graph.Union{X: sc, Y: sc2})
+				inc2 := RecomputeTablesUnder(topo, RecomputeTablesUnder(topo, clean, sc), sc2)
+				cold2 := ComputeTablesLazy(topo, graph.Union{X: sc, Y: sc2})
 				requireTablesIdentical(t, as, "chained", inc2, cold2)
 			}
 		})
@@ -266,13 +278,15 @@ func TestRecomputeTablesFallsBackCold(t *testing.T) {
 	other := topology.GenerateAS("AS209", 1)
 	otherTables := ComputeTables(other)
 	rng := rand.New(rand.NewSource(5))
-	sc := failure.RandomScenario(topo, rng)
-	for !sc.HasFailures() {
-		sc = failure.RandomScenario(topo, rng)
+	sc := failingScenario(topo, rng)
+	cold := ComputeTablesLazy(topo, sc)
+	for label, pre := range map[string]*Tables{"nil-pre": nil, "foreign-pre": otherTables} {
+		got := RecomputeTablesUnder(topo, pre, sc)
+		if got.seed != nil {
+			t.Fatalf("%s: tables must not seed from it", label)
+		}
+		requireTablesIdentical(t, "AS1239", label, got, cold)
 	}
-	cold := ComputeTablesUnder(topo, sc)
-	requireTablesIdentical(t, "AS1239", "nil-pre", RecomputeTablesUnder(topo, nil, sc), cold)
-	requireTablesIdentical(t, "AS1239", "foreign-pre", RecomputeTablesUnder(topo, otherTables, sc), cold)
 }
 
 // TestTablesUnder pins the overlay bookkeeping RecomputeTablesUnder
@@ -284,10 +298,7 @@ func TestTablesUnder(t *testing.T) {
 		t.Fatal("pre-failure tables must report the Nothing overlay")
 	}
 	rng := rand.New(rand.NewSource(5))
-	sc := failure.RandomScenario(topo, rng)
-	for !sc.HasFailures() {
-		sc = failure.RandomScenario(topo, rng)
-	}
+	sc := failingScenario(topo, rng)
 	inc := RecomputeTablesUnder(topo, clean, sc)
 	if inc.Under() != graph.Denied(sc) {
 		t.Fatal("recomputed tables from clean pre must report the scenario itself")
@@ -295,87 +306,131 @@ func TestTablesUnder(t *testing.T) {
 	var _ *spt.Tree = inc.DestTree(0) // DestTree stays usable on recomputed tables
 }
 
-// TestLazyTablesMatchEager: lazily materialized tables must be
-// bit-identical to the eager build — cold, recomputed from an eager
-// pre, recomputed from a lazy pre, and chained lazy-on-lazy.
-func TestLazyTablesMatchEager(t *testing.T) {
-	topo := topology.GenerateAS("AS1239", 1)
-	rng := rand.New(rand.NewSource(7))
-	sc := failure.RandomScenario(topo, rng)
-	for !sc.HasFailures() {
-		sc = failure.RandomScenario(topo, rng)
+// Built counts the destination trees t has materialized (exported for
+// the external test on converged.State's tables).
+func (t *Tables) Built() int {
+	n := 0
+	for _, tr := range t.byDst {
+		if tr != nil {
+			n++
+		}
 	}
-
-	lazyClean := ComputeTablesLazy(topo, graph.Nothing)
-	if !lazyClean.Lazy() {
-		t.Fatal("ComputeTablesLazy must report Lazy")
-	}
-	eagerClean := ComputeTables(topo)
-	requireTablesIdentical(t, "AS1239", "lazy-clean", lazyClean, eagerClean)
-
-	lazyPost := RecomputeTablesUnder(topo, lazyClean, sc)
-	if !lazyPost.Lazy() {
-		t.Fatal("recompute from a lazy pre must stay lazy")
-	}
-	eagerPost := ComputeTablesUnder(topo, sc)
-	requireTablesIdentical(t, "AS1239", "lazy-post", lazyPost, eagerPost)
-
-	sc2 := failure.RandomScenario(topo, rng)
-	for !sc2.HasFailures() {
-		sc2 = failure.RandomScenario(topo, rng)
-	}
-	lazyChained := RecomputeTablesUnder(topo, lazyPost, sc2)
-	eagerChained := ComputeTablesUnder(topo, graph.Union{X: sc, Y: sc2})
-	requireTablesIdentical(t, "AS1239", "lazy-chained", lazyChained, eagerChained)
+	return n
 }
 
-// TestLazyTablesConcurrent hammers one lazy table set from many
-// goroutines; materialization must be race-free and every answer must
-// match the eager build. Run under -race this is the real check.
+// TestLazyTablesBounded: tables only ever hold the destinations that
+// were asked for. Constructing or recomputing builds nothing, and one
+// question about dst builds exactly dst — in the recomputed tables and
+// in the seed they update from.
+func TestLazyTablesBounded(t *testing.T) {
+	for _, as := range topology.ASNames() {
+		topo := topology.GenerateAS(as, 1)
+		n := topo.G.NumNodes()
+		rng := rand.New(rand.NewSource(int64(len(as)) + 3))
+		sc := failingScenario(topo, rng)
+		clean := ComputeTables(topo)
+		post := RecomputeTablesUnder(topo, clean, sc)
+		if clean.Built() != 0 || post.Built() != 0 {
+			t.Fatalf("%s: %d clean and %d recomputed trees exist before any question", as, clean.Built(), post.Built())
+		}
+		src, dst := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		post.Dist(src, dst)
+		for label, tb := range map[string]*Tables{"recomputed": post, "seed": clean} {
+			if tb.Built() != 1 || tb.byDst[dst] == nil {
+				t.Fatalf("%s: %s tables hold %d trees after one Dist(%d, %d), want exactly tree %d",
+					as, label, tb.Built(), src, dst, dst)
+			}
+		}
+	}
+
+	topo := topology.GenerateAS("AS7018", 1)
+	lazy := ComputeTables(topo)
+	lazy.Dist(3, 9)
+	lazy.Dist(4, 9)
+	lazy.NextHop(1, 12)
+	if lazy.Built() != 2 {
+		t.Fatalf("built %d trees, want 2 (dsts 9 and 12)", lazy.Built())
+	}
+}
+
+// TestLazyTablesMatchEager: which destinations are asked for, and in
+// what order, never changes a tree. One chain (clean, recomputed,
+// recomputed again) is pulled eagerly — every destination of every
+// level, seeds first — and an identical chain lazily: only the last
+// level is asked, in random order, so every seed tree is built on
+// demand from inside its dependant's sync.Once. All three levels must
+// come out node-for-node identical.
+func TestLazyTablesMatchEager(t *testing.T) {
+	topo := topology.GenerateAS("AS1239", 1)
+	n := topo.G.NumNodes()
+	rng := rand.New(rand.NewSource(7))
+	var scs [2]*failure.Scenario
+	for i := range scs {
+		scs[i] = failingScenario(topo, rng)
+	}
+	chain := func() [3]*Tables {
+		clean := ComputeTables(topo)
+		post := RecomputeTablesUnder(topo, clean, scs[0])
+		return [3]*Tables{clean, post, RecomputeTablesUnder(topo, post, scs[1])}
+	}
+
+	eager := chain()
+	for _, tb := range eager {
+		for dst := 0; dst < n; dst++ {
+			tb.DestTree(graph.NodeID(dst))
+		}
+	}
+	lazy := chain()
+	for _, dst := range rng.Perm(n) {
+		lazy[2].DestTree(graph.NodeID(dst))
+	}
+	for i, label := range []string{"clean", "post", "chained"} {
+		if lazy[i].Built() != n {
+			t.Fatalf("%s: %d trees built through the chain, want %d", label, lazy[i].Built(), n)
+		}
+		requireTablesIdentical(t, "AS1239", label, lazy[i], eager[i])
+	}
+}
+
+// TestLazyTablesConcurrent has 8 goroutines ask one recomputed table
+// set for every destination, each in its own order: every goroutine
+// must be handed the same tree for a destination (built once, shared
+// by pointer), in the seed as well. Run under -race this is the real
+// check of first-use materialization.
 func TestLazyTablesConcurrent(t *testing.T) {
 	topo := topology.GenerateAS("AS701", 1)
-	lazy := ComputeTablesLazy(topo, graph.Nothing)
-	eager := ComputeTables(topo)
 	n := topo.G.NumNodes()
+	rng := rand.New(rand.NewSource(7))
+	sc := failingScenario(topo, rng)
+	clean := ComputeTables(topo)
+	post := RecomputeTablesUnder(topo, clean, sc)
+
+	const workers = 8
+	got := make([][]*spt.Tree, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		w := w
+		got[w] = make([]*spt.Tree, n)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 200; i++ {
-				v := graph.NodeID(rng.Intn(n))
-				dst := graph.NodeID(rng.Intn(n))
-				gd, gok := lazy.Dist(v, dst)
-				wd, wok := eager.Dist(v, dst)
-				if gd != wd || gok != wok {
-					t.Errorf("Dist(%d,%d) = (%v,%v), want (%v,%v)", v, dst, gd, gok, wd, wok)
-					return
-				}
+			for _, dst := range rand.New(rand.NewSource(int64(w))).Perm(n) {
+				got[w][dst] = post.DestTree(graph.NodeID(dst))
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// TestLazyTablesBounded: a lazy table set must only materialize the
-// destinations that were actually queried.
-func TestLazyTablesBounded(t *testing.T) {
-	topo := topology.GenerateAS("AS7018", 1)
-	lazy := ComputeTablesLazy(topo, graph.Nothing)
-	lazy.Dist(3, 9)
-	lazy.Dist(4, 9)
-	lazy.NextHop(1, 12)
-	built := 0
-	for _, tr := range lazy.byDst {
-		if tr != nil {
-			built++
+	for dst := 0; dst < n; dst++ {
+		for w := 0; w < workers; w++ {
+			if got[w][dst] == nil || got[w][dst] != post.byDst[dst] {
+				t.Fatalf("dst %d: goroutine %d got tree %p, tables hold %p", dst, w, got[w][dst], post.byDst[dst])
+			}
 		}
 	}
-	if built != 2 {
-		t.Fatalf("built %d trees, want 2 (dsts 9 and 12)", built)
+	if clean.Built() != n {
+		t.Fatalf("seed built %d trees, want %d", clean.Built(), n)
 	}
+	requireTablesIdentical(t, "AS701", "concurrent", post, ComputeTablesLazy(topo, sc))
 }
 
 func TestWalkAccounting(t *testing.T) {

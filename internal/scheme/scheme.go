@@ -31,7 +31,7 @@ type Caps struct {
 	// (absent on scale-mode worlds).
 	NeedsMRC bool
 	// Phase2: the scheme honors the world's phase-2 route-engine
-	// selection (dijkstra/astar/alt) with engine-invariant outputs.
+	// selection (dijkstra/alt) with engine-invariant outputs.
 	Phase2 bool
 	// SpreadsLoad: the scheme trades path optimality for lower
 	// post-recovery link load (congestion-aware recovery). Utilization

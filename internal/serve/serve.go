@@ -66,7 +66,7 @@ type Config struct {
 	// Seed is the synthesis seed shared by every topology.
 	Seed int64
 	// Phase2 selects the route engine the protocol engines are built
-	// with (dijkstra, astar, alt — identical outputs).
+	// with (dijkstra, alt — identical outputs).
 	Phase2 spt.Engine
 	// CacheEntries bounds the converged-state LRU, shared across
 	// topologies; <= 0 disables caching entirely (every query rebuilds

@@ -8,20 +8,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Config sizes an experiment run. The paper's full workload is 10,000
-// recoverable and 10,000 irrecoverable cases per topology; tests and
-// benches use smaller counts.
-type Config struct {
-	Recoverable   int
-	Irrecoverable int
-	Seed          int64
-}
-
-// DefaultConfig is the paper-scale workload.
-func DefaultConfig() Config {
-	return Config{Recoverable: 10000, Irrecoverable: 10000, Seed: 1}
-}
-
 // Dataset is the shared raw material of Tables III/IV and Figs. 7-10,
 // 12-13 for one topology: case records on recoverable and
 // irrecoverable cases. Records — not live Outcomes — are the canonical
@@ -31,16 +17,6 @@ type Dataset struct {
 	World *World
 	Rec   []CaseRecord
 	Irr   []CaseRecord
-}
-
-// BuildDataset collects cases and runs all protocols in one
-// monolithic pass. The sweep engine (internal/sweep) builds the same
-// dataset from deterministic shards; this path remains for tests,
-// benchmarks, and library callers that want a one-shot build.
-func BuildDataset(w *World, cfg Config) *Dataset {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	rec, irr := CollectBoth(w, rng, cfg.Recoverable, cfg.Irrecoverable)
-	return &Dataset{World: w, Rec: Records(RunAll(w, rec)), Irr: Records(RunAll(w, irr))}
 }
 
 // Fig7 returns the CDF of first-phase durations in milliseconds over

@@ -9,7 +9,7 @@ import (
 )
 
 // phase2Engines is every selectable phase-2 route engine.
-var phase2Engines = []spt.Engine{spt.EngineDijkstra, spt.EngineAStar, spt.EngineALT}
+var phase2Engines = []spt.Engine{spt.EngineDijkstra, spt.EngineALT}
 
 // TestPhase2EnginesIdenticalOutcomes is the harness-level differential
 // test: the same workload run through worlds built under every phase-2
@@ -69,9 +69,9 @@ func TestPhase2EnginesIdenticalOutcomes(t *testing.T) {
 }
 
 // TestPhase2SettledReduction pins the acceptance bar of the
-// goal-directed engines: on AS7018 single-pair queries, ALT must settle
-// at most half the nodes the full-tree engine settles (averaged over
-// frozen pairs), and plain geometric A* must never settle more.
+// goal-directed engine: on AS7018 single-pair queries, ALT must never
+// settle more nodes than the full-tree engine, and at most half as
+// many averaged over frozen pairs.
 func TestPhase2SettledReduction(t *testing.T) {
 	const as = "AS7018"
 	worlds := map[spt.Engine]*World{}
@@ -82,7 +82,7 @@ func TestPhase2SettledReduction(t *testing.T) {
 		}
 		worlds[eng] = w
 	}
-	var dijTotal, astarTotal, altTotal int
+	var dijTotal, altTotal int
 	const pairs = 10
 	for s := int64(0); s < pairs; s++ {
 		settled := map[spt.Engine]int{}
@@ -99,20 +99,15 @@ func TestPhase2SettledReduction(t *testing.T) {
 			}
 			settled[eng] = p.SettledNodes()
 		}
-		if settled[spt.EngineAStar] > settled[spt.EngineDijkstra] {
-			t.Errorf("pair %d: astar settled %d > dijkstra %d",
-				s, settled[spt.EngineAStar], settled[spt.EngineDijkstra])
-		}
 		if settled[spt.EngineALT] > settled[spt.EngineDijkstra] {
 			t.Errorf("pair %d: alt settled %d > dijkstra %d",
 				s, settled[spt.EngineALT], settled[spt.EngineDijkstra])
 		}
 		dijTotal += settled[spt.EngineDijkstra]
-		astarTotal += settled[spt.EngineAStar]
 		altTotal += settled[spt.EngineALT]
 	}
-	t.Logf("%s mean settled over %d pairs: dijkstra %.1f, astar %.1f, alt %.1f",
-		as, pairs, float64(dijTotal)/pairs, float64(astarTotal)/pairs, float64(altTotal)/pairs)
+	t.Logf("%s mean settled over %d pairs: dijkstra %.1f, alt %.1f",
+		as, pairs, float64(dijTotal)/pairs, float64(altTotal)/pairs)
 	if 2*altTotal > dijTotal {
 		t.Errorf("ALT settled %d nodes total vs dijkstra %d — want >= 2x reduction", altTotal, dijTotal)
 	}

@@ -128,10 +128,10 @@ func walkBytes(w routing.Walk) []int {
 	return out
 }
 
-// RecordBytesAt is BytesAt over a recorded per-hop byte trace: the
-// header bytes in flight at time t for a packet whose hop h carried
-// perHop[h] recording bytes, settling at `steady` once the trajectory
-// completes.
+// RecordBytesAt returns the header recording bytes in flight at time
+// t for a packet whose hop h (1.8 ms per hop) carried perHop[h]
+// recording bytes, settling at `steady` — the cached source route used
+// by all subsequent packets — once the trajectory completes.
 func RecordBytesAt(perHop []int, steady int, t time.Duration) int {
 	if t < 0 {
 		return 0

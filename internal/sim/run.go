@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/routing"
 	"repro/internal/spt"
@@ -247,21 +245,6 @@ type Outcome struct {
 // batched by (scenario, initiator, trigger) group — see RunAllN.
 func RunAll(w *World, cases []*Case) []Outcome {
 	return RunAllN(w, cases, 0)
-}
-
-// BytesAt returns the header recording bytes in flight at time t for a
-// packet whose trajectory is walk (1.8 ms per hop) and whose
-// steady-state recording size after the trajectory completes is
-// `steady` (the cached source route used by all subsequent packets).
-func BytesAt(walk routing.Walk, steady int, t time.Duration) int {
-	if t < 0 {
-		return 0
-	}
-	hop := int(t / routing.HopDelay)
-	if hop < len(walk.Records) {
-		return walk.Records[hop].HeaderBytes
-	}
-	return steady
 }
 
 // wastedTransmission applies the paper's Section IV-D metric: the

@@ -78,9 +78,9 @@ func TestScaleCasesSampledSubset(t *testing.T) {
 	}
 }
 
-// TestScaleWorldConfig: a scale-mode world carries lazy tables and no
-// MRC, reports both concessions through the log hook, and its RTR and
-// FCP outcomes are identical to the full world's.
+// TestScaleWorldConfig: a scale-mode world carries no MRC, reports
+// that one concession through the log hook, and its RTR and FCP
+// outcomes are identical to the full world's.
 func TestScaleWorldConfig(t *testing.T) {
 	topo := topology.PaperExample()
 	var logs []string
@@ -91,15 +91,11 @@ func TestScaleWorldConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ws.Tables.Lazy() {
-		t.Error("scale world must use lazy tables")
-	}
 	if ws.HasMRC() {
 		t.Error("scale world must not carry an MRC engine")
 	}
-	joined := strings.Join(logs, "\n")
-	if len(logs) != 2 || !strings.Contains(joined, "lazy") || !strings.Contains(joined, "MRC disabled") {
-		t.Errorf("scale concessions not logged, got %q", logs)
+	if len(logs) != 1 || !strings.Contains(logs[0], "MRC disabled") {
+		t.Errorf("scale concession not logged, got %q", logs)
 	}
 
 	wf, err := NewWorldFrom(topo)

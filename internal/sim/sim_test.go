@@ -16,7 +16,8 @@ func smallDataset(t *testing.T, as string) *Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return BuildDataset(w, Config{Recoverable: 500, Irrecoverable: 500, Seed: 42})
+	rec, irr := CollectBoth(w, rand.New(rand.NewSource(42)), 500, 500)
+	return &Dataset{World: w, Rec: Records(RunAll(w, rec)), Irr: Records(RunAll(w, irr))}
 }
 
 func TestNewWorldUnknown(t *testing.T) {
@@ -304,40 +305,10 @@ func TestBytesAt(t *testing.T) {
 	}
 }
 
-// TestBytesAtAgreesWithRecordBytesAt pins the walk-based and
-// record-based overhead samplers to each other on live outcomes.
-func TestBytesAtAgreesWithRecordBytesAt(t *testing.T) {
-	w, err := NewWorld("AS1239", 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	cases := CollectCases(w, rng, 40, true)
-	outs := RunAll(w, cases)
-	for i := range outs {
-		o := &outs[i]
-		rec := o.Record()
-		for _, at := range []time.Duration{0, 10 * time.Millisecond, 100 * time.Millisecond, time.Hour} {
-			walkGot := BytesAt(o.RTR.Phase1, o.RTR.RouteBytes, at)
-			recGot := RecordBytesAt(rec.RTR.Phase1Bytes, rec.RTR.RouteBytes, at)
-			if walkGot != recGot {
-				t.Fatalf("case %d at %v: BytesAt = %d, RecordBytesAt = %d", i, at, walkGot, recGot)
-			}
-		}
-	}
-}
-
 func TestDefaultRadii(t *testing.T) {
 	r := DefaultRadii()
 	if len(r) != 15 || r[0] != 20 || r[len(r)-1] != 300 {
 		t.Errorf("radii = %v", r)
-	}
-}
-
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.Recoverable != 10000 || cfg.Irrecoverable != 10000 {
-		t.Errorf("default config = %+v, want the paper's 10k/10k", cfg)
 	}
 }
 

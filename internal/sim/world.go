@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/fcp"
-	"repro/internal/graph"
 	"repro/internal/mrc"
 	"repro/internal/routing"
 	"repro/internal/spt"
@@ -101,9 +100,9 @@ func NewWorldFromPhase2(topo *topology.Topology, e spt.Engine, opts ...core.Opti
 }
 
 // ScaleWorldNodes is the node count at which NewWorldFromConfig
-// switches to scale mode on its own: above it the eager table build
-// (n reverse trees of n entries each) and MRC's backup-configuration
-// matrix stop fitting in time and memory budgets.
+// switches to scale mode on its own: above it MRC's backup-
+// configuration matrix (k*n trees of n entries each) stops fitting in
+// time and memory budgets.
 const ScaleWorldNodes = 1 << 14
 
 // WorldConfig selects how a World is constructed.
@@ -112,56 +111,40 @@ type WorldConfig struct {
 	Phase2 spt.Engine
 	// Opts are extra RTR options (WithPhase2 is appended internally).
 	Opts []core.Option
-	// Scale forces the memory-bounded scale construction: lazy
-	// converged tables (per-destination trees materialized on first
-	// use) and no MRC engine. When false, scale mode still engages
-	// automatically for graphs of at least ScaleWorldNodes nodes.
+	// Scale forces the memory-bounded scale construction: no MRC
+	// engine. When false, scale mode still engages automatically for
+	// graphs of at least ScaleWorldNodes nodes.
 	Scale bool
 	// Log, when non-nil, receives one line per scale-mode concession
-	// (what was skipped or deferred, and why).
+	// (what was skipped, and why).
 	Log func(msg string)
 }
 
 // NewWorldFromConfig builds a World for an existing topology under an
-// explicit configuration. The full (non-scale) construction is
-// identical to NewWorldFromPhase2's historical behavior; scale mode
-// trades per-protocol completeness for feasibility at 10^5 nodes:
+// explicit configuration. Scale mode makes one concession to
+// feasibility at 10^5 nodes: MRC is dropped — its precomputation
+// assigns every node to one of k backup configurations with an
+// O(n(n+m)) scan and then carries k*n configuration trees, both
+// hopeless at this size. RTR and FCP (the paper's subjects) run in
+// full.
 //
-//   - converged tables are lazy — on a 10^5-node graph the eager table
-//     is ~10^5 trees x 10^5 entries (tens of GB), while sweeps over
-//     sampled destinations and serving workloads touch a few,
-//   - MRC is dropped — its precomputation assigns every node to one of
-//     k backup configurations with an O(n(n+m)) scan and then carries
-//     k*n configuration trees, both hopeless at this size. RTR and FCP
-//     (the paper's subjects) run in full.
-//
-// Every concession is reported through cfg.Log so a sweep's output
+// The concession is reported through cfg.Log so a sweep's output
 // states what was skipped rather than silently narrowing.
 func NewWorldFromConfig(topo *topology.Topology, cfg WorldConfig) (*World, error) {
 	e := cfg.Phase2
 	scale := cfg.Scale || topo.G.NumNodes() >= ScaleWorldNodes
-	logf := func(format string, args ...any) {
-		if cfg.Log != nil {
-			cfg.Log(fmt.Sprintf(format, args...))
-		}
-	}
 	ci := topology.BuildCrossIndex(topo)
-	var tables *routing.Tables
-	if scale {
-		logf("sim: %s (%d nodes): scale mode: converged tables are lazy (materialized per destination on first use)",
-			topo.Name, topo.G.NumNodes())
-		tables = routing.ComputeTablesLazy(topo, graph.Nothing)
-	} else {
-		tables = routing.ComputeTables(topo)
-	}
+	tables := routing.ComputeTables(topo)
 	// Full-slice append: never scribble on a caller-owned opts backing.
 	opts := cfg.Opts
 	opts = append(opts[:len(opts):len(opts)], core.WithPhase2(e))
 	r := core.New(topo, ci, opts...)
 	var m *mrc.MRC
 	if scale {
-		logf("sim: %s (%d nodes): scale mode: MRC disabled (k*n backup-configuration precomputation infeasible at this size)",
-			topo.Name, topo.G.NumNodes())
+		if cfg.Log != nil {
+			cfg.Log(fmt.Sprintf("sim: %s (%d nodes): scale mode: MRC disabled (k*n backup-configuration precomputation infeasible at this size)",
+				topo.Name, topo.G.NumNodes()))
+		}
 	} else {
 		var err error
 		m, err = mrc.NewWarmPhase2(topo, 0, tables, e, r.Heuristic())

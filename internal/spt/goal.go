@@ -214,9 +214,11 @@ func settleGoalDense(g *graph.Graph, t *Tree, nodeDown, linkDown []bool, pq *min
 }
 
 // settleGoal is settleGoalDense on interface dispatch, for overlays
-// that cannot lend dense tables (MRC's configuration views): a
-// single-pair query touches far fewer edges than the O(n+m) overlay
-// compilation the dense path would require.
+// that cannot lend dense tables: a single-pair query touches far fewer
+// edges than the O(n+m) overlay compilation the dense path would
+// require. Its production caller is mrc.Route under -phase2=alt, whose
+// per-(configuration, destination) cfgDenied view is computed, not
+// stored.
 func settleGoal(g *graph.Graph, t *Tree, d graph.Denied, pq *minHeap, settled []bool, goal graph.NodeID, heur Heuristic) int {
 	count := 0
 	goalF := Inf

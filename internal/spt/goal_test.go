@@ -75,8 +75,8 @@ func requireGoalMatchesTrees(t *testing.T, label string, g *graph.Graph, d graph
 
 // Differential property over the bundled topologies: on every Table II
 // topology, under random failure circles, goal-directed search with
-// every heuristic (and without one) is bit-identical to the full-tree
-// engine — the tentpole's non-negotiable.
+// the landmark heuristic (and without one) is bit-identical to the
+// full-tree engine — the tentpole's non-negotiable.
 func TestComputeGoalMatchesTreeAllTopologies(t *testing.T) {
 	for _, name := range topology.ASNames() {
 		t.Run(name, func(t *testing.T) {
@@ -87,7 +87,6 @@ func TestComputeGoalMatchesTreeAllTopologies(t *testing.T) {
 				h     Heuristic
 			}{
 				{"none", nil},
-				{"geom", NewGeomHeuristic(g, topo.Coords)},
 				{"alt", NewALT(g, 0, nil)},
 			}
 			rng := rand.New(rand.NewSource(7))
@@ -154,10 +153,10 @@ func TestComputeGoalMatchesTreeRandomGraphs(t *testing.T) {
 	}
 }
 
-// Property pinned by the issue: h(v) <= true distance for both
-// heuristics, on every bundled topology, under random denied overlays.
+// Property pinned by the issue: h(v) <= true distance for the landmark
+// heuristic, on every bundled topology, under random denied overlays.
 // The comparison is exact (no epsilon): that is precisely the contract
-// the search relies on, and the heuristics' built-in slack is what
+// the search relies on, and the heuristic's built-in slack is what
 // absorbs float rounding.
 func TestHeuristicAdmissibility(t *testing.T) {
 	for _, name := range topology.ASNames() {
@@ -169,7 +168,6 @@ func TestHeuristicAdmissibility(t *testing.T) {
 				label string
 				h     Heuristic
 			}{
-				{"geom", NewGeomHeuristic(g, topo.Coords)},
 				{"alt", NewALT(g, 0, nil)},
 			}
 			rng := rand.New(rand.NewSource(11))

@@ -4,24 +4,20 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/geom"
 	"repro/internal/graph"
 )
 
 // Engine selects the phase-2 route engine: the full-tree Dijkstra
 // path (the default) or a goal-directed single-destination A* search
-// with one of the pluggable admissible heuristics. All engines produce
-// bit-identical routes and costs (see ComputeGoal); they differ only
-// in how much of the graph a single-pair query has to settle.
+// under the landmark heuristic. Both engines produce bit-identical
+// routes and costs (see ComputeGoal); they differ only in how much of
+// the graph a single-pair query has to settle.
 type Engine uint8
 
 const (
 	// EngineDijkstra is the full shortest-path-tree engine: one
 	// (incremental) Dijkstra serves every destination.
 	EngineDijkstra Engine = iota
-	// EngineAStar is goal-directed A* with the Euclidean distance
-	// heuristic (NewGeomHeuristic).
-	EngineAStar
 	// EngineALT is goal-directed A* with landmark triangle-inequality
 	// bounds (NewALT), per Goldberg-Harrelson.
 	EngineALT
@@ -32,8 +28,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineDijkstra:
 		return "dijkstra"
-	case EngineAStar:
-		return "astar"
 	case EngineALT:
 		return "alt"
 	}
@@ -45,12 +39,10 @@ func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "dijkstra", "":
 		return EngineDijkstra, nil
-	case "astar":
-		return EngineAStar, nil
 	case "alt":
 		return EngineALT, nil
 	}
-	return EngineDijkstra, fmt.Errorf("unknown -phase2 engine %q (want dijkstra, astar, or alt)", s)
+	return EngineDijkstra, fmt.Errorf("unknown -phase2 engine %q (want dijkstra or alt)", s)
 }
 
 // Heuristic supplies admissible, consistent lower bounds on
@@ -64,7 +56,7 @@ type Heuristic interface {
 	// in the clean graph. It must be consistent: for every link (u, w)
 	// with cost c, Lower(u, b) <= c + Lower(w, b) and
 	// Lower(a, u) + c >= Lower(a, w) - both follow from the triangle
-	// inequality for the two constructions in this package.
+	// inequality for the landmark construction in this package.
 	Lower(a, b graph.NodeID) float64
 }
 
@@ -75,46 +67,6 @@ type Heuristic interface {
 // rounding error. Scaling a consistent heuristic by a constant in
 // (0, 1] keeps it consistent.
 const heuristicSlack = 1 - 1e-9
-
-// GeomHeuristic is the Euclidean-distance heuristic: every router
-// knows the static coordinates of all nodes (the paper's own
-// assumption, which phase 1's geometric forwarding already relies on),
-// so dist(a,b) * min over links of cost/length is a free lower bound
-// on any a→b path cost - each link's cost is at least ratio times its
-// drawn length, and the drawn lengths of a path dominate the straight
-// Euclidean distance.
-type GeomHeuristic struct {
-	coords []geom.Point
-	ratio  float64
-}
-
-// NewGeomHeuristic computes the graph's minimum cost-per-unit-distance
-// ratio once. Links shorter than geom.Eps impose no constraint (any
-// ratio satisfies cost >= ratio*0); a graph with no constraining link
-// degenerates to the zero heuristic.
-func NewGeomHeuristic(g *graph.Graph, coords []geom.Point) *GeomHeuristic {
-	ratio := math.Inf(1)
-	for _, l := range g.Links() {
-		length := coords[l.A].Dist(coords[l.B])
-		if length <= geom.Eps {
-			continue
-		}
-		for _, cost := range [2]float64{l.CostFrom(l.A), l.CostFrom(l.B)} {
-			if r := cost / length; r < ratio {
-				ratio = r
-			}
-		}
-	}
-	if math.IsInf(ratio, 1) {
-		ratio = 0
-	}
-	return &GeomHeuristic{coords: coords, ratio: ratio * heuristicSlack}
-}
-
-// Lower implements Heuristic.
-func (h *GeomHeuristic) Lower(a, b graph.NodeID) float64 {
-	return h.coords[a].Dist(h.coords[b]) * h.ratio
-}
 
 // DefaultLandmarks is the landmark count NewALT uses when k <= 0,
 // inside the ~8-16 range where ALT bounds saturate on Table II-sized
