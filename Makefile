@@ -36,12 +36,13 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 50x -benchmem .
 
 ## bench-run: one short run of the repo benchmark (BENCHMARK.json,
-## bench/run.sh) on the cache-hit and the cache-miss serving workloads
-## so the gate's own harness cannot rot: each must exit 0 and report
-## every answer checked correct. Timings from a 3 s run are not a
-## measurement; use the full command in bench/README.md for that.
+## bench/run.sh) on the cache-hit, the cache-miss and the 16k-node
+## scale serving workloads so the gate's own harness cannot rot: each
+## must exit 0 and report every answer checked correct. Timings from a
+## 3 s run are not a measurement; use the full command in
+## bench/README.md for that.
 bench-run:
-	for w in serve_hot serve_miss; do \
+	for w in serve_hot serve_miss scale_serve; do \
 	  out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0) && \
 	    echo "$$out" | tail -n 1 | grep -q '"correct":true' || exit 1; \
 	done
@@ -123,15 +124,16 @@ scale-smoke:
 	$(GO) run ./cmd/rtrscale -nodes $(SCALE_NODES) -budget $(SCALE_BUDGET) -max-rss-mb $(SCALE_RSS_MB)
 
 ## fuzz-smoke: a short native-fuzzing pass over the wire decoder, the
-## topology parser, the failure-generator spec parser, and the capsule
-## geometry predicates (CI runs this; use go test -fuzz directly for
-## long sessions).
+## topology parser, the failure-generator spec parser, the
+## failure-instance grammar, and the capsule geometry predicates (CI
+## runs this; use go test -fuzz directly for long sessions).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeHeader -fuzztime $(FUZZTIME) ./internal/routing
 	$(GO) test -run xxx -fuzz 'FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/topology
 	$(GO) test -run xxx -fuzz FuzzReadBinary -fuzztime $(FUZZTIME) ./internal/topology
 	$(GO) test -run xxx -fuzz FuzzGeneratorSpec -fuzztime $(FUZZTIME) ./internal/failure
+	$(GO) test -run xxx -fuzz FuzzParseInstance -fuzztime $(FUZZTIME) ./internal/failure
 	$(GO) test -run xxx -fuzz FuzzCapsuleIntersect -fuzztime $(FUZZTIME) ./internal/geom
 
 clean:

@@ -16,7 +16,7 @@ package failure
 import (
 	"fmt"
 	"math/rand"
-	"strings"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -50,6 +50,10 @@ var (
 type Scenario struct {
 	Topo  *topology.Topology
 	areas []Area
+	// links are the explicitly failed links, ascending and
+	// duplicate-free. The mask cannot give them back: it also holds
+	// every link an area took down.
+	links []graph.LinkID
 	mask  *graph.Mask
 	// gen is the generator spec that produced the scenario ("" for
 	// hand-built scenarios); it rides into invariant repro strings.
@@ -89,6 +93,7 @@ func compose(topo *topology.Topology, areas []Area, extra []graph.LinkID) *Scena
 	s := &Scenario{
 		Topo:  topo,
 		areas: areas,
+		links: normLinks(slices.Clone(extra)),
 		mask:  graph.NewMask(topo.G),
 	}
 	for v := 0; v < topo.G.NumNodes(); v++ {
@@ -99,7 +104,7 @@ func compose(topo *topology.Topology, areas []Area, extra []graph.LinkID) *Scena
 			}
 		}
 	}
-	for _, id := range extra {
+	for _, id := range s.links {
 		s.mask.FailLink(id)
 	}
 	for i := 0; i < topo.G.NumLinks(); i++ {
@@ -240,38 +245,20 @@ func RandomScenario(topo *topology.Topology, rng *rand.Rand) *Scenario {
 	return NewScenario(topo, RandomArea(rng, MinRadius, MaxRadius))
 }
 
-// Desc returns a parseable instance descriptor of the scenario's
+// Desc returns the canonical instance descriptor of the scenario's
 // failure cause: the exact areas ("disk(x,y,r)", "cut(ax,ay,bx,by,r)")
-// and/or explicitly failed links ("links(3,17)"), ';'-joined, or
-// "none". ParseInstance rebuilds an identical scenario from it, which
-// is what makes invariant repro strings actionable for every
-// generator.
+// in order, then the explicitly failed links ("links(3,17)"),
+// ';'-joined, or "none". ParseInstance rebuilds an identical scenario
+// from it, which is what makes invariant repro strings actionable for
+// every generator; see instance.go for the grammar.
 func (s *Scenario) Desc() string {
-	var parts []string
+	var b []byte
 	for _, a := range s.areas {
-		switch v := a.(type) {
-		case geom.Disk:
-			parts = append(parts, fmt.Sprintf("disk(%g,%g,%g)", v.Center.X, v.Center.Y, v.Radius))
-		case geom.Capsule:
-			parts = append(parts, fmt.Sprintf("cut(%g,%g,%g,%g,%g)",
-				v.Seg.A.X, v.Seg.A.Y, v.Seg.B.X, v.Seg.B.Y, v.Radius))
-		default:
-			parts = append(parts, v.String()) // non-standard area: best effort
+		if t, ok := termOf(a); ok {
+			b = appendArea(b, t)
+		} else {
+			b = append(append(b, a.String()...), ';') // no grammar kind: best effort
 		}
 	}
-	// Link-set scenarios (SRLG groups, single-link flaps) have no
-	// areas; the failed links themselves are the instance.
-	if len(s.areas) == 0 {
-		if down := s.mask.DownLinks(); len(down) > 0 {
-			ids := make([]string, 0, len(down))
-			for _, id := range down {
-				ids = append(ids, fmt.Sprintf("%d", id))
-			}
-			parts = append(parts, "links("+strings.Join(ids, ",")+")")
-		}
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ";")
+	return string(finishDesc(appendLinks(b, s.links), 0))
 }

@@ -47,3 +47,50 @@ func FuzzGeneratorSpec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseInstance hammers the instance grammar: neither stage ever
+// panics, both accept exactly the same descriptors, the text-only
+// fingerprint is the Desc() of the scenario built from the text and a
+// fixed point, and a descriptor and its fingerprint fail the same
+// nodes and links.
+func FuzzParseInstance(f *testing.F) {
+	f.Add("none")
+	f.Add("disk(100,100,50)")
+	f.Add("disk( 1000.0 , 1e3,\t150.50 )")
+	f.Add("cut(200,300,1500,900,60)")
+	f.Add("links(17,3,17)")
+	f.Add("disk(100,100,50);links(5)")
+	f.Add("links(5);disk(1000,1000,150);links(4)")
+	f.Add("disk(1000,1000,100);disk(900,1000,100)")
+	f.Add("disk(NaN,1,1)")
+	f.Add("disk(1,1,-5)")
+	f.Add("disk(0x1p4,-0,1e400)")
+	f.Add("links(999999)")
+	f.Add("garbage(1")
+	f.Add(strings.Repeat("disk(1,2,3);", MaxInstanceTerms+1))
+	topo := testTopo(f)
+	f.Fuzz(func(t *testing.T, desc string) {
+		fp, cerr := Canonical(desc, topo.G.NumLinks())
+		sc, perr := ParseInstance(topo, desc)
+		if (cerr == nil) != (perr == nil) {
+			t.Fatalf("%q: Canonical says %v, ParseInstance says %v", desc, cerr, perr)
+		}
+		if cerr != nil {
+			return
+		}
+		if got := sc.Desc(); got != fp {
+			t.Fatalf("%q: Desc %q != Canonical %q", desc, got, fp)
+		}
+		again, err := Canonical(fp, topo.G.NumLinks())
+		if err != nil || again != fp {
+			t.Fatalf("%q: fingerprint %q is not a fixed point: %q, %v", desc, fp, again, err)
+		}
+		re, err := ParseInstance(topo, fp)
+		if err != nil {
+			t.Fatalf("%q: fingerprint %q does not parse: %v", desc, fp, err)
+		}
+		if !sameMask(sc, re) {
+			t.Fatalf("%q and its fingerprint %q fail different nodes or links", desc, fp)
+		}
+	})
+}

@@ -5,6 +5,8 @@ import (
 	"sync"
 
 	"repro/internal/converged"
+	"repro/internal/failure"
+	"repro/internal/sim"
 )
 
 // entry is one cached failure instance. The content — everything about
@@ -15,17 +17,39 @@ import (
 // the keying and the eviction.
 type entry struct {
 	// key is the topology-qualified cache key; fp is the canonical
-	// instance fingerprint (Scenario.Desc() of the ParseInstance round
-	// trip) it embeds.
+	// instance fingerprint (failure.AppendCanonical) it ends with.
 	key string
 	fp  string
-	st  *converged.State
+
+	once sync.Once
+	st   *converged.State
+}
+
+func newEntry(key []byte, fpAt int) *entry {
+	k := string(key)
+	return &entry{key: k, fp: k[fpAt:]}
+}
+
+// state returns the entry's converged state. The first caller builds
+// the failure's ground truth from the fingerprint — a test of every
+// node and link against every area — and any number of concurrent
+// first callers wait for that one build. The LRU never calls it, so
+// that O(n+E) work never runs under the cache lock.
+func (en *entry) state(w *sim.World) *converged.State {
+	en.once.Do(func() {
+		sc, err := failure.ParseInstance(w.Topo, en.fp)
+		if err != nil {
+			panic("serve: cached fingerprint does not parse: " + err.Error())
+		}
+		en.st = w.Converged(sc)
+	})
+	return en.st
 }
 
 // lru is the bounded converged-state cache, shared across topologies
 // (keys carry the topology name). Plain list+map+mutex: lookups touch
-// only pointers; all heavy work happens outside the lock, inside the
-// State.
+// only pointers; all heavy work happens outside the lock, in
+// entry.state and inside the State.
 type lru struct {
 	cap int
 	mu  sync.Mutex
@@ -37,22 +61,23 @@ func newLRU(capacity int) *lru {
 	return &lru{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
 }
 
-// get returns the entry under key, inserting a fresh one built by mk
-// on a miss, and reports whether it was already present plus how many
-// entries the insertion evicted. With capacity <= 0 the cache is
-// disabled: every call is a miss that builds throwaway state.
-func (c *lru) get(key string, mk func() *entry) (en *entry, hit bool, evicted int) {
+// get returns the entry under key, inserting an empty one on a miss,
+// and reports whether it was already present plus how many entries the
+// insertion evicted. key[fpAt:] is the instance fingerprint. With
+// capacity <= 0 the cache is disabled: every call is a miss whose
+// entry is thrown away.
+func (c *lru) get(key []byte, fpAt int) (en *entry, hit bool, evicted int) {
 	if c.cap <= 0 {
-		return mk(), false, 0
+		return newEntry(key, fpAt), false, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
+	if el, ok := c.m[string(key)]; ok {
 		c.ll.MoveToFront(el)
 		return el.Value.(*entry), true, 0
 	}
-	en = mk()
-	c.m[key] = c.ll.PushFront(en)
+	en = newEntry(key, fpAt)
+	c.m[en.key] = c.ll.PushFront(en)
 	for c.ll.Len() > c.cap {
 		back := c.ll.Back()
 		c.ll.Remove(back)
@@ -63,17 +88,16 @@ func (c *lru) get(key string, mk func() *entry) (en *entry, hit bool, evicted in
 }
 
 // hit returns the entry already cached under key without inserting
-// anything on a miss. This is the canonical-descriptor fast path: only
-// canonical fingerprints are ever inserted as keys, so a hit proves
-// the caller's descriptor is already canonical and the per-query
-// parse/compose of the failure instance can be skipped entirely.
-func (c *lru) hit(key string) (*entry, bool) {
+// anything on a miss. Only canonical fingerprints are ever inserted,
+// so a hit on a client's own spelling proves it was canonical already
+// (a fingerprint replayed from a response) and saves canonicalising it.
+func (c *lru) hit(key []byte) (*entry, bool) {
 	if c.cap <= 0 {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
+	if el, ok := c.m[string(key)]; ok {
 		c.ll.MoveToFront(el)
 		return el.Value.(*entry), true
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/converged"
 	"repro/internal/failure"
 	"repro/internal/sim"
 	"repro/internal/spt"
@@ -119,4 +120,55 @@ func mixQueries(e *Engine, name string, failures, pairs int, scheme string) []Qu
 		scenarios++
 	}
 	return queries
+}
+
+// TestConcurrentFirstQueriesComposeOnce: the lookup of a new instance
+// inserts an empty entry — nothing topology-sized is built in
+// lru.get, hence nothing under the cache lock — and N concurrent first
+// queries for one new instance share one entry whose ground truth is
+// built once, by whichever gets there first (run under -race: a second
+// build would be a second write of entry.st).
+func TestConcurrentFirstQueriesComposeOnce(t *testing.T) {
+	e := testEngine(t, "AS1239", 4)
+	w := e.World("AS1239")
+	q := testCaseQuery(t, e, "AS1239")
+
+	en, hit, err := e.lookupEntry(w, q.Topo, clientSpelling(q.Failure))
+	if err != nil || hit {
+		t.Fatalf("first lookup: hit %v, err %v", hit, err)
+	}
+	if en.fp != q.Failure || en.st != nil {
+		t.Fatalf("lookup left fingerprint %q, state %p; want %q and nothing built", en.fp, en.st, q.Failure)
+	}
+
+	const workers = 8
+	fresh := clientSpelling(q.Failure + ";links(0)")
+	entries := make([]*entry, workers)
+	states := make([]*converged.State, workers)
+	var wg sync.WaitGroup
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func(wk int) {
+			defer wg.Done()
+			en, _, err := e.lookupEntry(w, q.Topo, fresh)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			entries[wk], states[wk] = en, en.state(w)
+		}(wk)
+	}
+	wg.Wait()
+	for wk := 1; wk < workers; wk++ {
+		if entries[wk] != entries[0] || states[wk] != states[0] {
+			t.Fatalf("worker %d got entry %p state %p, worker 0 entry %p state %p",
+				wk, entries[wk], states[wk], entries[0], states[0])
+		}
+	}
+	if states[0] == nil || !states[0].Scenario().LinkDown(0) {
+		t.Error("the shared state is not the queried instance")
+	}
+	if st := e.Stats(); st.CacheMisses != 2 || st.CacheHits != workers-1 {
+		t.Errorf("stats: %d misses / %d hits, want 2 / %d", st.CacheMisses, st.CacheHits, workers-1)
+	}
 }

@@ -168,9 +168,9 @@ func (e *Engine) World(name string) *sim.World { return e.worlds[name] }
 // Query is one recovery question.
 type Query struct {
 	// Topo names the topology; Failure is a failure-instance
-	// descriptor in failure.ParseInstance's grammar (any equivalent
-	// spelling of the same instance hits the same cache entry — the
-	// key is the canonical round-trip fingerprint, not the input).
+	// descriptor in failure.ParseInstance's grammar (the cache key is
+	// its canonical fingerprint, not the input — see lookupEntry for
+	// which spellings share one).
 	Topo    string `json:"topo"`
 	Failure string `json:"failure"`
 	// Src and Dst are the pair, as node indices.
@@ -323,27 +323,30 @@ func checkPair(w *sim.World, topo string, src, dst int) error {
 	return nil
 }
 
-// lookupEntry canonicalizes the failure descriptor and performs the
-// one converged-state cache lookup — the unit of work a batch
-// amortizes over all its pairs. Every spelling of the same instance
-// (reordered terms, trailing zeros) maps to one fingerprint and
-// therefore one cache entry.
+// lookupEntry fingerprints the failure descriptor from its text and
+// performs the one converged-state cache lookup — the unit of work a
+// batch amortizes over all its pairs. Spellings that differ in blanks,
+// in how a number is written, or in the order and repetition of link
+// IDs map to one fingerprint and therefore one cache entry; the order
+// of the areas is part of the fingerprint. Nothing here reads the
+// topology beyond its link count: the failure's ground truth is built
+// by entry.state, once per entry.
 func (e *Engine) lookupEntry(w *sim.World, topoName, failureDesc string) (*entry, bool, error) {
-	// Canonical-descriptor fast path: a client replaying a fingerprint
-	// the engine handed back (Response.Failure) hits the cached entry
-	// without re-parsing and re-composing the instance — at 10^5 nodes
-	// that compose is the dominant per-query cost on a warm entry.
-	if en, ok := e.cache.hit(topoName + "\x00" + failureDesc); ok {
+	var few [128]byte
+	key := append(append(few[:0], topoName...), 0)
+	fpAt := len(key)
+	// A client replaying a fingerprint the engine handed back
+	// (Response.Failure) is found under its own bytes, which saves the
+	// scan that would respell them unchanged.
+	if en, ok := e.cache.hit(append(key, failureDesc...)); ok {
 		e.st.hits.Add(1)
 		return en, true, nil
 	}
-	sc, err := failure.ParseInstance(w.Topo, failureDesc)
+	key, err := failure.AppendCanonical(key, failureDesc, w.Topo.G.NumLinks())
 	if err != nil {
 		return nil, false, &ClientError{Msg: err.Error()}
 	}
-	fp := sc.Desc()
-	key := topoName + "\x00" + fp
-	en, hit, evicted := e.cache.get(key, func() *entry { return &entry{key: key, fp: fp, st: w.Converged(sc)} })
+	en, hit, evicted := e.cache.get(key, fpAt)
 	if hit {
 		e.st.hits.Add(1)
 	} else {
@@ -360,7 +363,7 @@ func (e *Engine) lookupEntry(w *sim.World, topoName, failureDesc string) (*entry
 // carry independently of its topology's own name).
 func (e *Engine) answerPair(w *sim.World, topoName string, en *entry, hit bool, scheme string, qsrc, qdst int) (*Response, error) {
 	resp := &Response{Topo: topoName, Failure: en.fp, Src: qsrc, Dst: qdst, Scheme: scheme, CacheHit: hit}
-	st := en.st
+	st := en.state(w)
 	src, dst := graph.NodeID(qsrc), graph.NodeID(qdst)
 	if st.Scenario().NodeDown(src) {
 		resp.Disposition = DispInitiatorDown

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/failure"
@@ -256,10 +257,14 @@ func TestDispositionsAndErrors(t *testing.T) {
 		break
 	}
 
-	// Client mistakes: all four rejection classes are ClientErrors.
+	// Client mistakes: every rejection class is a ClientError.
 	bad := []Query{
 		{Topo: "AS9999", Failure: "none", Src: 0, Dst: 1},
 		{Topo: "AS1239", Failure: "garbage(", Src: 0, Dst: 1},
+		// Descriptors that parse but are not failures.
+		{Topo: "AS1239", Failure: "disk(NaN,1,1)", Src: 0, Dst: 1},
+		{Topo: "AS1239", Failure: "disk(1,1,-5)", Src: 0, Dst: 1},
+		{Topo: "AS1239", Failure: strings.Repeat("disk(1,1,5);", failure.MaxInstanceTerms) + "disk(1,1,5)", Src: 0, Dst: 1},
 		{Topo: "AS1239", Failure: "none", Src: 0, Dst: n},
 		{Topo: "AS1239", Failure: "none", Src: 2, Dst: 2},
 		{Topo: "AS1239", Failure: "none", Src: 0, Dst: 1, Scheme: "ospf"},
@@ -276,33 +281,96 @@ func TestDispositionsAndErrors(t *testing.T) {
 	}
 }
 
-// TestCacheKeyCanonicalization proves equivalent spellings of one
-// instance share a cache entry: the second query is a hit even though
-// its descriptor string differs.
+// TestCacheKeyCanonicalization pins what the cache key canonicalises:
+// blanks, the spelling of a number, and the order, repetition and
+// position of explicit links all land on one entry, so the second
+// query is a hit even though its descriptor string differs. The order
+// of the areas is part of the fingerprint: swapping two is another
+// entry.
 func TestCacheKeyCanonicalization(t *testing.T) {
-	e := testEngine(t, "AS1239", 4)
+	e := testEngine(t, "AS1239", 8)
 	q := testCaseQuery(t, e, "AS1239")
-	first, err := e.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.CacheHit {
-		t.Fatal("first query reported a cache hit")
-	}
-	// Respell: the canonical fingerprint itself must round-trip to the
-	// same key, and so must a whitespace-padded variant.
-	for _, desc := range []string{first.Failure, " " + first.Failure} {
+	ask := func(desc string) *Response {
+		t.Helper()
 		resp, err := e.Query(Query{Topo: q.Topo, Failure: desc, Src: q.Src, Dst: q.Dst})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !resp.CacheHit {
-			t.Errorf("respelled descriptor %q missed the cache", desc)
+		return resp
+	}
+	first := ask(q.Failure)
+	if first.CacheHit {
+		t.Fatal("first query reported a cache hit")
+	}
+	sc, err := failure.ParseInstance(e.World(q.Topo).Topo, first.Failure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := sc.Areas()[0]
+	for _, desc := range []string{
+		first.Failure, // the fingerprint itself round-trips to the same key
+		" " + first.Failure,
+		strings.ReplaceAll(first.Failure, ",", " ,\t"),
+		fmt.Sprintf("disk(%.20e,+%v,%g)", d.Center.X, d.Center.Y, d.Radius),
+	} {
+		if resp := ask(desc); !resp.CacheHit || resp.Failure != first.Failure {
+			t.Errorf("respelled descriptor %q: hit %v, fingerprint %q", desc, resp.CacheHit, resp.Failure)
 		}
 	}
-	st := e.Stats()
-	if st.CacheMisses != 1 || st.CacheHits != 2 {
-		t.Errorf("stats: %d misses / %d hits, want 1 / 2", st.CacheMisses, st.CacheHits)
+	if st := e.Stats(); st.CacheMisses != 1 || st.CacheHits != 4 {
+		t.Errorf("stats: %d misses / %d hits, want 1 / 4", st.CacheMisses, st.CacheHits)
+	}
+
+	withLinks := ask(first.Failure + ";links(3,5)")
+	if withLinks.CacheHit || withLinks.Failure != first.Failure+";links(3,5)" {
+		t.Fatalf("links variant: hit %v, fingerprint %q", withLinks.CacheHit, withLinks.Failure)
+	}
+	for _, desc := range []string{
+		first.Failure + ";links(5, 3,5)",
+		"links(5);" + first.Failure + ";links(+3)",
+	} {
+		if resp := ask(desc); !resp.CacheHit || resp.Failure != withLinks.Failure {
+			t.Errorf("respelled links %q: hit %v, fingerprint %q", desc, resp.CacheHit, resp.Failure)
+		}
+	}
+
+	ab := ask(first.Failure + ";disk(0,0,1)")
+	ba := ask("disk(0,0,1);" + first.Failure)
+	if ab.CacheHit || ba.CacheHit || ab.Failure == ba.Failure {
+		t.Errorf("swapped areas share an entry: hits %v/%v, fingerprints %q / %q",
+			ab.CacheHit, ba.CacheHit, ab.Failure, ba.Failure)
+	}
+}
+
+// TestExplicitLinksKeyTheCache: "disk;links(k)" used to fingerprint as
+// the disk alone, so it was answered from the disk's cached state. It
+// must be its own entry, and failing a link the recovery depends on
+// must change the answer.
+func TestExplicitLinksKeyTheCache(t *testing.T) {
+	e := testEngine(t, "AS1239", 4)
+	q := testCaseQuery(t, e, "AS1239")
+	q.Scheme = SchemeRTR
+	a, err := e.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.CacheHit = false
+	differs := false
+	for k := 0; k < e.World(q.Topo).Topo.G.NumLinks() && !differs; k++ {
+		qb := q
+		qb.Failure = fmt.Sprintf("%s;links(%d)", a.Failure, k)
+		b, err := e.Query(qb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.CacheHit || b.Failure != qb.Failure {
+			t.Fatalf("%q after %q: hit %v, fingerprint %q", qb.Failure, a.Failure, b.CacheHit, b.Failure)
+		}
+		b.Failure = a.Failure
+		differs = mustJSON(t, a) != mustJSON(t, b)
+	}
+	if !differs {
+		t.Error("no explicitly failed link changed the answer")
 	}
 }
 
