@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke bench bench-run sweep-smoke sweep-smoke-generators check-invariants congestion-smoke serve-smoke scale-smoke fuzz-smoke clean
+.PHONY: check vet build test race examples bench-smoke bench bench-run sweep-smoke sweep-smoke-generators check-invariants congestion-smoke serve-smoke scale-smoke fuzz-smoke clean
 
-## check: the full pre-merge gate — vet, build, race-enabled tests, a
-## one-iteration pass over every benchmark so bench code can't rot, a
+## check: the full pre-merge gate — vet, build, race-enabled tests,
+## every example program run to completion, a one-iteration pass over
+## every benchmark so bench code can't rot, a
 ## short run of the repo benchmark's own harness, an interrupt/resume
 ## sweep that must reproduce the uninterrupted run byte for byte, an
 ## invariant-checked sweep, a checked smoke sweep per alternative
 ## failure generator, a live daemon/load-generator round trip, and the
 ## 100k-node scale pipeline under wall-clock/RSS budgets.
-check: vet build race bench-smoke bench-run sweep-smoke sweep-smoke-generators check-invariants congestion-smoke serve-smoke scale-smoke
+check: vet build race examples bench-smoke bench-run sweep-smoke sweep-smoke-generators check-invariants congestion-smoke serve-smoke scale-smoke
 
 vet:
 	$(GO) vet ./...
@@ -22,6 +23,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## examples: run every examples/* program; each must exit 0 (they are
+## the library's documented entry points, so a broken one is a broken
+## API).
+examples:
+	for d in examples/*/; do \
+	  $(GO) run ./$$d > /dev/null || { echo "examples: $$d failed"; exit 1; }; \
+	done
 
 ## bench-smoke: compile-and-run every benchmark once (correctness of
 ## the bench harness, not timing).

@@ -434,44 +434,33 @@ func BenchmarkRunAllBatched(b *testing.B) {
 
 // BenchmarkSinglePairRecovery measures one full single-pair recovery
 // per op — fresh session, collection, phase-2 route, forwarding,
-// grading — for each protocol under both phase-2 engines, on the two
-// largest Table II topologies. The frozen (initiator, destination,
-// failure) case is identical across engines (the engines are
-// output-identical, proven by internal/sim's differential tests), so
-// the engine columns time the same work done two ways: full
-// (incremental) Dijkstra versus goal-directed A* with the landmark
-// heuristic. settled/op reports how many nodes the engine's route
-// query settles — the work reduction the goal engine buys.
+// grading — for each protocol on the two largest Table II topologies.
 func BenchmarkSinglePairRecovery(b *testing.B) {
 	for _, as := range []string{"AS7018", "AS3549"} {
-		for _, eng := range []spt.Engine{spt.EngineDijkstra, spt.EngineALT} {
-			w, err := sim.NewWorldPhase2(as, 1, eng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, err := sim.NewSinglePair(w, 13)
-			if err != nil {
-				b.Fatal(err)
-			}
-			settled := float64(p.SettledNodes())
-			for _, proto := range []struct {
-				name string
-				run  func() error
-			}{
-				{"rtr", func() error { _, err := p.RTR(); return err }},
-				{"fcp", func() error { _, err := p.FCP(); return err }},
-				{"mrc", func() error { _, err := p.MRC(); return err }},
-			} {
-				b.Run(as+"/"+proto.name+"/"+eng.String(), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if err := proto.run(); err != nil {
-							b.Fatal(err)
-						}
+		w, err := sim.NewWorld(as, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := sim.NewSinglePair(w, 13)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, proto := range []struct {
+			name string
+			run  func() error
+		}{
+			{"rtr", func() error { _, err := p.RTR(); return err }},
+			{"fcp", func() error { _, err := p.FCP(); return err }},
+			{"mrc", func() error { _, err := p.MRC(); return err }},
+		} {
+			b.Run(as+"/"+proto.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := proto.run(); err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(settled, "settled/op")
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -550,7 +539,7 @@ func BenchmarkMRCBuildTrees(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := mrc.NewWarmPhase2(topo, 0, tables, spt.EngineDijkstra, nil); err != nil {
+			if _, err := mrc.NewWarm(topo, 0, tables); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -80,7 +80,6 @@ import (
 	"repro/internal/scheme"
 	seedpkg "repro/internal/seed"
 	"repro/internal/sim"
-	"repro/internal/spt"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/topology"
@@ -112,15 +111,14 @@ func main() {
 		resume     = flag.Bool("resume", false, "skip shards already recorded in -state and merge their results")
 		check      = flag.Bool("check", false, "run the invariant oracle on every sweep case and loss result; fail fast with a repro string")
 		maxShards  = flag.Int("max-shards", 0, "stop after executing N shards, exit 2 (exercises the interrupt path deterministically)")
-		phase2     = flag.String("phase2", "dijkstra", "phase-2 route engine: dijkstra (full trees) or alt (goal-directed, landmark heuristic); both engines print identical results")
 		failSpec   = flag.String("failure", "", "failure-generator spec for sweep cases and fig11 (disk, disks:k=3,disjoint, cut:w=200, srlg:g=16,n=2, cascade, transient, link); empty = the paper's single disk")
 		schemeFlag = flag.String("scheme", "rtr,rtr-spread", "comma-separated recovery schemes for the congestion experiment (registry names: "+strings.Join(scheme.Names(), ", ")+")")
 		utilPairs  = flag.Int("util-pairs", sweep.DefaultUtilPairs, "traffic-matrix size for the congestion experiment")
 		utilScen   = flag.Int("util-scenarios", sweep.DefaultUtilScenarios, "failure scenarios per (topology, scheme) congestion shard")
 	)
 	flag.Parse()
-	// Experiment and scheme names fail fast at flag parse, before any
-	// world is built.
+	// Experiment, topology and scheme names fail fast at flag parse,
+	// before any world is built.
 	want := map[string]bool{}
 	for _, e := range strings.Split(*expFlag, ",") {
 		e = strings.TrimSpace(e)
@@ -132,6 +130,19 @@ func main() {
 			os.Exit(1)
 		}
 		want[e] = true
+	}
+	names := topology.ASNames()
+	if *asFlag != "all" {
+		known := names
+		names = nil
+		for _, name := range strings.Split(*asFlag, ",") {
+			name = strings.TrimSpace(name)
+			if !slices.Contains(known, name) {
+				fmt.Fprintf(os.Stderr, "rtrsim: -as: unknown topology %q (want %s, or all)\n", name, strings.Join(known, ", "))
+				os.Exit(1)
+			}
+			names = append(names, name)
+		}
 	}
 	var utilSchemes []string
 	for _, name := range strings.Split(*schemeFlag, ",") {
@@ -147,11 +158,6 @@ func main() {
 	}
 	if *resume && *stateDir == "" {
 		fmt.Fprintln(os.Stderr, "rtrsim: -resume requires -state")
-		os.Exit(1)
-	}
-	engine, err := spt.ParseEngine(*phase2)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rtrsim: %v\n", err)
 		os.Exit(1)
 	}
 	// Validate the failure spec fail-fast, before worlds are built.
@@ -194,10 +200,6 @@ func main() {
 			}
 		}()
 	}
-	names := topology.ASNames()
-	if *asFlag != "all" {
-		names = strings.Split(*asFlag, ",")
-	}
 	all := want["all"]
 	has := func(e string) bool { return all || want[e] }
 
@@ -222,7 +224,7 @@ func main() {
 	var worlds []*sim.World
 	worldsByName := map[string]*sim.World{}
 	for _, name := range names {
-		w, err := sim.NewWorldPhase2(name, *seed, engine)
+		w, err := sim.NewWorld(name, *seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rtrsim: %v\n", err)
 			os.Exit(1)
@@ -239,7 +241,7 @@ func main() {
 	var fig11Series map[string][]sim.Fig11Point
 	var utilResults []*traffic.Result
 	if needData || has("fig11") || has("congestion") {
-		spec := sweep.Spec{BaseSeed: *seed, Topologies: names, BlockCases: *blockSize, Check: *check, Phase2: *phase2, Failure: *failSpec}
+		spec := sweep.Spec{BaseSeed: *seed, Topologies: names, BlockCases: *blockSize, Check: *check, Failure: *failSpec}
 		if needData {
 			spec.Recoverable, spec.Irrecoverable = *cases, *cases
 		}

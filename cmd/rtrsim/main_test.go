@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/topology"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -188,5 +190,37 @@ func TestUnknownExperimentExitsOne(t *testing.T) {
 	doc = strings.Join(strings.Fields(strings.ReplaceAll(doc, "//", " ")), " ")
 	if want := "Experiments: " + strings.Join(experiments, " ") + ` (and "all").`; !strings.Contains(doc, want) {
 		t.Errorf("package comment does not list the experiments as %q", want)
+	}
+}
+
+// TestUnknownTopologyExitsOne: a topology name -as does not know fails
+// at flag parse with exit 1 and the list of known names, before any
+// table is printed, and names are trimmed like -exp and -scheme names
+// ("AS1239, AS7018" is two known topologies).
+func TestUnknownTopologyExitsOne(t *testing.T) {
+	cmd := exec.Command(binary(t), "-exp", "table2", "-as", "AS1239,AS9999")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("err = %v, want exit 1", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("printed %q before rejecting the name", stdout.String())
+	}
+	list := strings.Join(topology.ASNames(), ", ")
+	if msg := stderr.String(); !strings.Contains(msg, `unknown topology "AS9999"`) || !strings.Contains(msg, list) {
+		t.Errorf("stderr %q does not name the unknown topology and the known ones", msg)
+	}
+
+	out, code := run(t, "-exp", "table2", "-as", "AS1239, AS7018")
+	if code != 0 {
+		t.Fatalf("spaced -as list: exit %d", code)
+	}
+	for _, name := range []string{"AS1239", "AS7018"} {
+		if !strings.Contains(out, name+" ") {
+			t.Errorf("table2 for a spaced -as list is missing %s:\n%s", name, out)
+		}
 	}
 }

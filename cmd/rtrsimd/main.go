@@ -8,7 +8,7 @@
 //
 //	rtrsimd                                  # serve every topology on 127.0.0.1:8723
 //	rtrsimd -as AS7018 -cache 128            # one topology, bigger cache
-//	rtrsimd -phase2 alt -check               # goal-directed engine + invariant oracle
+//	rtrsimd -check                           # invariant oracle on every case served
 //
 // Endpoints (see internal/serve):
 //
@@ -40,7 +40,6 @@ import (
 
 	"repro/internal/scheme"
 	"repro/internal/serve"
-	"repro/internal/spt"
 )
 
 func main() {
@@ -48,17 +47,12 @@ func main() {
 		addr   = flag.String("addr", "127.0.0.1:8723", "listen address")
 		asFlag = flag.String("as", "all", "comma-separated Table II topologies to serve, or 'all'")
 		seed   = flag.Int64("seed", 1, "topology synthesis seed (clients must use the same seed to talk about the same graphs)")
-		phase2 = flag.String("phase2", "dijkstra", "phase-2 route engine: dijkstra or alt (identical answers)")
 		cache  = flag.Int("cache", 64, "converged-state LRU capacity across topologies; 0 disables caching (every query rebuilds converged state)")
 		check  = flag.Bool("check", false, "run the invariant oracle on every recovery case served; violations answer 500 with a repro string")
 		drain  = flag.Duration("drain", 10*time.Second, "maximum time to wait for in-flight requests on shutdown")
 		schm   = flag.String("scheme", "", "default recovery scheme for queries that omit one: a registry name ("+strings.Join(scheme.Names(), ", ")+") or 'all' (the default); an explicit query scheme always wins")
 	)
 	flag.Parse()
-	engine, err := spt.ParseEngine(*phase2)
-	if err != nil {
-		die(err)
-	}
 	// An unknown -scheme never starts the daemon: fail at flag parse,
 	// not on the first query that trips over it.
 	if *schm != "" && *schm != serve.SchemeAll {
@@ -76,7 +70,6 @@ func main() {
 	e, err := serve.New(serve.Config{
 		Topos:         topos,
 		Seed:          *seed,
-		Phase2:        engine,
 		CacheEntries:  *cache,
 		Check:         *check,
 		DefaultScheme: *schm,
@@ -88,8 +81,8 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	fmt.Fprintf(os.Stderr, "rtrsimd: serving %s on http://%s (phase2 %s, cache %d, check %v, startup %v)\n",
-		strings.Join(e.Topologies(), ","), ln.Addr(), engine, *cache, *check,
+	fmt.Fprintf(os.Stderr, "rtrsimd: serving %s on http://%s (cache %d, check %v, startup %v)\n",
+		strings.Join(e.Topologies(), ","), ln.Addr(), *cache, *check,
 		time.Since(start).Round(time.Millisecond))
 
 	srv := newServer(e.Handler())

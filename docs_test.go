@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -67,5 +68,47 @@ func TestChangesEntriesStayShort(t *testing.T) {
 		if size := len("- PR " + strings.TrimRight(e, "\n")); n >= 15 && size > 800 {
 			t.Errorf("CHANGES.md entry for PR %d is %d bytes (cap 800)", n, size)
 		}
+	}
+}
+
+// TestDocumentedFlagsExist keeps the command lines in README.md and
+// DESIGN.md runnable: every -name written after a cmd/ binary (spelled
+// rtrsim, go run ./cmd/rtrsim, cmd/rtrsim, ...) must be declared by a
+// flag.*("name", ...) call in that binary's main.go. A flag's segment
+// runs to the end of its line (or its backslash continuation), an
+// inline-code backtick, a shell comment or a pipe.
+func TestDocumentedFlagsExist(t *testing.T) {
+	declare := regexp.MustCompile(`flag\.[A-Za-z0-9]+\((?:&[\w.]+,\s*)?"([a-z0-9-]+)"`)
+	declared := map[string]map[string]bool{}
+	for _, bin := range []string{"rtrsim", "rtrsimd", "rtrload", "rtrscale", "rtrtrace", "topogen"} {
+		src, err := os.ReadFile(filepath.Join("cmd", bin, "main.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		declared[bin] = map[string]bool{}
+		for _, m := range declare.FindAllStringSubmatch(string(src), -1) {
+			declared[bin][m[1]] = true
+		}
+	}
+	use := regexp.MustCompile(`\b(rtrsimd|rtrsim|rtrload|rtrscale|rtrtrace|topogen)[ \t]([^` + "`" + `#|\n]*)`)
+	name := regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined := strings.ReplaceAll(string(text), "\\\n", " ")
+		for _, m := range use.FindAllStringSubmatch(joined, -1) {
+			for _, f := range name.FindAllStringSubmatch(m[2], -1) {
+				checked++
+				if !declared[m[1]][f[1]] {
+					t.Errorf("%s documents %s -%s, which cmd/%s/main.go does not declare", doc, m[1], f[1], m[1])
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no documented flags found; the pattern is broken")
 	}
 }

@@ -61,24 +61,14 @@ func (s *Session) recoveryTree() *spt.Tree {
 }
 
 // Prepare finishes every lazily built piece of the session after
-// collection: the pruned view, and — engine-dependent — the recovery
-// tree (default engine) or the shortest-path-calculation charge (goal
-// engines, which count their first query as the session's one
-// calculation). After Prepare returns, RecoveryPathInto and
-// ForwardSourceRouted perform no further session mutation, so a warmed
-// session may serve any number of goroutines concurrently — the
-// serving layer memoizes one prepared session per (failure entry,
-// initiator, trigger) and shares it across queries. SPCalcs reports
-// the same value as an unprepared session would after its first
-// destination, so outcomes stay bit-identical.
+// collection: the pruned view and the recovery tree. After Prepare
+// returns, RecoveryPathInto and ForwardSourceRouted perform no further
+// session mutation, so a warmed session may serve any number of
+// goroutines concurrently — the serving layer memoizes one prepared
+// session per (failure entry, initiator, trigger) and shares it across
+// queries. SPCalcs reports the same value as an unprepared session
+// would after its first destination, so outcomes stay bit-identical.
 func (s *Session) Prepare() {
-	if s.r.phase2 != spt.EngineDijkstra {
-		if s.spCalcs == 0 {
-			s.spCalcs = 1
-		}
-		s.prunedView()
-		return
-	}
 	s.recoveryTree()
 }
 
@@ -101,9 +91,6 @@ func (s *Session) RecoveryPath(dst graph.NodeID) (Route, bool) {
 // unreachable in the pruned view) rt is reset to an empty route but
 // keeps its capacity.
 func (s *Session) RecoveryPathInto(rt *Route, dst graph.NodeID) bool {
-	if s.r.phase2 != spt.EngineDijkstra {
-		return s.recoveryPathGoal(rt, dst)
-	}
 	t := s.recoveryTree()
 	nodes, ok := t.AppendPathNodes(rt.Nodes[:0], dst)
 	rt.Nodes = nodes
@@ -114,36 +101,6 @@ func (s *Session) RecoveryPathInto(rt *Route, dst graph.NodeID) bool {
 	}
 	rt.Links, _ = t.AppendPathLinks(rt.Links, dst)
 	rt.Cost, _ = t.CostTo(dst)
-	return true
-}
-
-// recoveryPathGoal serves one destination with a goal-directed A*
-// query over the pruned view instead of the session tree. The route is
-// bit-identical to the tree extraction (spt.ComputeGoal reproduces the
-// canonical forward-tree tie-break), so every downstream output —
-// forwarding walks, costs, invariant checks — is engine-invariant.
-//
-// SPCalcs stays the paper's metric: the paper counts one shortest-path
-// calculation per session ("the recovery initiator needs to calculate
-// the shortest path only once"), and the goal engines do strictly less
-// work than that one calculation, so the first query charges 1 and
-// further queries charge nothing. Outputs therefore match the default
-// engine exactly.
-func (s *Session) recoveryPathGoal(rt *Route, dst graph.NodeID) bool {
-	if s.spCalcs == 0 {
-		s.spCalcs = 1
-	}
-	view := s.prunedView()
-	ws := spt.GetWorkspace()
-	defer ws.Release()
-	res := spt.GoalResult{Nodes: rt.Nodes[:0], Links: rt.Links[:0]}
-	ok := ws.ComputeGoal(&res, s.r.topo.G, s.initiator, dst, view, s.r.heur)
-	rt.Nodes, rt.Links = res.Nodes, res.Links
-	rt.Cost = 0
-	if !ok {
-		return false
-	}
-	rt.Cost = res.Cost
 	return true
 }
 

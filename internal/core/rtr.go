@@ -40,11 +40,6 @@ type RTR struct {
 	// specifies (initiator re-selects the first hop), without the
 	// enclosure verification; see WithPaperTermination.
 	paperTermination bool
-	// phase2 selects the route engine behind RecoveryPath; heur is the
-	// admissible heuristic backing the goal-directed engines (nil for
-	// the default full-tree engine). See WithPhase2.
-	phase2 spt.Engine
-	heur   spt.Heuristic
 
 	// Lazily cached pre-failure forward SPT per node. Each entry is
 	// guarded by its own sync.Once so concurrent sessions warm up
@@ -66,19 +61,6 @@ func WithPaperTermination() Option {
 	return func(r *RTR) { r.paperTermination = true }
 }
 
-// WithPhase2 selects the phase-2 route engine. The default
-// (spt.EngineDijkstra) computes one incremental shortest path tree per
-// session and serves every destination from it; the goal-directed
-// engine (spt.EngineALT) answers each destination with an A* query
-// over the pruned view that settles only a corridor of nodes around
-// the shortest path. Both engines produce bit-identical
-// routes (spt.ComputeGoal's canonical-path guarantee); they trade
-// where the work goes — per-session tree builds versus per-destination
-// queries — which is what the single-pair latency benchmarks measure.
-func WithPhase2(e spt.Engine) Option {
-	return func(r *RTR) { r.phase2 = e }
-}
-
 // New creates an RTR engine for topo. The cross-link index may be
 // shared with other consumers; if nil it is built here.
 func New(topo *topology.Topology, ci *topology.CrossIndex, opts ...Option) *RTR {
@@ -94,22 +76,13 @@ func New(topo *topology.Topology, ci *topology.CrossIndex, opts ...Option) *RTR 
 	for _, o := range opts {
 		o(r)
 	}
-	if r.phase2 == spt.EngineALT {
-		// Landmark distance vectors reuse the engine's clean-tree
-		// cache: the forward SPTs NewALT pulls are exactly the ones
-		// phase 2 warm-starts from later.
-		r.heur = spt.NewALT(topo.G, 0, r.cleanTree)
-	}
 	return r
 }
 
-// Phase2 returns the configured phase-2 route engine.
-func (r *RTR) Phase2() spt.Engine { return r.phase2 }
-
-// Heuristic returns the admissible heuristic backing the goal-directed
-// engines, or nil for the default engine. It is shared read-only state
-// (FCP and MRC reuse it when running under the same engine selector).
-func (r *RTR) Heuristic() spt.Heuristic { return r.heur }
+// Heuristic returns nil: phase 2 has one engine, the incremental
+// shortest path tree, and no search heuristic. It is kept only because
+// the benchmark harness passes it to mrc.NewWarmPhase2.
+func (r *RTR) Heuristic() spt.Heuristic { return nil }
 
 // Topology returns the engine's topology.
 func (r *RTR) Topology() *topology.Topology { return r.topo }

@@ -30,10 +30,6 @@ type FCP struct {
 	// cold full-graph Dijkstra. Bit-identical either way (the
 	// incremental engine's canonical tie-break guarantee).
 	clean func(graph.NodeID) *spt.Tree
-	// phase2 selects the per-iteration route engine; heur backs the
-	// goal-directed engines. See UsePhase2.
-	phase2 spt.Engine
-	heur   spt.Heuristic
 }
 
 // New creates an FCP engine for topo.
@@ -48,19 +44,6 @@ func New(topo *topology.Topology) *FCP {
 // treated as read-only; World wires RTR's per-node sync.Once cache
 // here so both protocols share one set of clean trees.
 func (f *FCP) UseCleanTrees(clean func(graph.NodeID) *spt.Tree) { f.clean = clean }
-
-// UsePhase2 selects the route engine for the per-hop recomputations:
-// the default full-tree engine, or a goal-directed one that answers
-// each (cur, dst) query with an A* search over the carried-failure
-// view, settling only a corridor instead of the whole graph. heur is
-// the admissible heuristic for the goal engines (typically shared with
-// the RTR engine on the same world; nil degrades to plain Dijkstra
-// with early exit). Routes are bit-identical across engines, so
-// delivered walks, header evolution, and SPCalcs do not change.
-func (f *FCP) UsePhase2(e spt.Engine, heur spt.Heuristic) {
-	f.phase2 = e
-	f.heur = heur
-}
 
 // Topology returns the engine's topology.
 func (f *FCP) Topology() *topology.Topology { return f.topo }
@@ -163,31 +146,16 @@ func (f *FCP) Recover(lv *routing.LocalView, initiator, dst graph.NodeID) (Resul
 		}
 		applied = len(res.Header.FailedLinks)
 
-		// Compute a shortest path in the pruned view. Goal-directed
-		// engines answer the (cur, dst) query directly; the full-tree
-		// engine builds the tree (delete-only from the router's clean
-		// tree when a provider is installed, cold otherwise) and
-		// extracts. Either way it is one shortest-path calculation,
-		// and the route is identical.
-		var nodes []graph.NodeID
-		var links []graph.LinkID
-		var ok bool
-		if f.phase2 != spt.EngineDijkstra {
-			gr := spt.GoalResult{Nodes: sc.nodes[:0], Links: sc.links[:0]}
-			ok = ws.ComputeGoal(&gr, g, cur, dst, m, f.heur)
-			nodes, links = gr.Nodes, gr.Links
+		// Compute a shortest path in the pruned view: one shortest-path
+		// calculation, delete-only from the router's clean tree when a
+		// provider is installed, cold otherwise, with the same route.
+		var tree *spt.Tree
+		if f.clean != nil {
+			tree = ws.Recompute(g, f.clean(cur), graph.Nothing, m)
 		} else {
-			var tree *spt.Tree
-			if f.clean != nil {
-				tree = ws.Recompute(g, f.clean(cur), graph.Nothing, m)
-			} else {
-				tree = ws.Compute(g, cur, m)
-			}
-			nodes, ok = tree.AppendPathNodes(sc.nodes[:0], dst)
-			if ok {
-				links, _ = tree.AppendPathLinks(sc.links[:0], dst)
-			}
+			tree = ws.Compute(g, cur, m)
 		}
+		nodes, ok := tree.AppendPathNodes(sc.nodes[:0], dst)
 		res.SPCalcs++
 		sc.nodes = nodes
 		if !ok {
@@ -195,6 +163,7 @@ func (f *FCP) Recover(lv *routing.LocalView, initiator, dst graph.NodeID) (Resul
 			sealHeader(&res.Header)
 			return res, nil
 		}
+		links, _ := tree.AppendPathLinks(sc.links[:0], dst)
 		sc.links = links
 		// The source route needs backing distinct from sc.nodes: on a
 		// blocked hop the header keeps this iteration's route while the

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/failure"
 	"repro/internal/sim"
+	"repro/internal/spt"
 	"repro/internal/topology"
 )
 
@@ -45,6 +46,49 @@ func TestCheckCaseAllTopologies(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			w := worldFor(t, name)
+			k := New(w)
+			rng := rand.New(rand.NewSource(7))
+			checked := 0
+			for s := 0; s < scenarios && checked < maxCases; s++ {
+				sc := failure.RandomScenario(w.Topo, rng)
+				rec, irr := sim.CasesFromScenario(w, sc)
+				for _, c := range append(rec, irr...) {
+					if checked >= maxCases {
+						break
+					}
+					checked++
+					if vs := k.CheckCase(c); len(vs) > 0 {
+						t.Fatalf("%v (first of %d violations)", vs[0], len(vs))
+					}
+				}
+			}
+			if checked == 0 {
+				t.Fatal("no cases generated")
+			}
+			t.Logf("%d cases clean", checked)
+		})
+	}
+}
+
+// TestCheckCaseGoalEngines runs the full invariant oracle over worlds
+// built through sim.NewWorldPhase2, the engine-selecting constructor
+// the benchmark harness calls. Phase 2 has one engine, EngineDijkstra,
+// so every paper-level guarantee (Theorem 2 optimality, stretch-1,
+// SPCalcs accounting, walk well-formedness) must hold for those worlds
+// exactly as for NewWorld's.
+func TestCheckCaseGoalEngines(t *testing.T) {
+	scenarios := 4
+	maxCases := 250
+	if testing.Short() {
+		scenarios, maxCases = 2, 80
+	}
+	for _, name := range []string{"AS1239", "AS7018"} {
+		t.Run(name+"/dijkstra", func(t *testing.T) {
+			t.Parallel()
+			w, err := sim.NewWorldPhase2(name, 1, spt.EngineDijkstra)
+			if err != nil {
+				t.Fatal(err)
+			}
 			k := New(w)
 			rng := rand.New(rand.NewSource(7))
 			checked := 0

@@ -34,17 +34,12 @@ type MRC struct {
 	isolCfg []int
 	// clean, when non-nil, holds the pre-failure routing tables of the
 	// same topology; buildTrees warm-starts each configuration tree
-	// from the matching clean reverse tree (see NewWarmPhase2).
+	// from the matching clean reverse tree (see NewWarm).
 	clean *routing.Tables
 	// trees[c][d] is the reverse shortest path tree toward d in
 	// configuration c's usable graph (backbone links plus d's own
-	// restricted links). nil (never built) under a goal-directed
-	// phase-2 engine: Route then answers each query on demand.
+	// restricted links).
 	trees [][]*spt.Tree
-	// phase2 selects the route engine; heur backs the goal-directed
-	// engines. See NewWarmPhase2.
-	phase2 spt.Engine
-	heur   spt.Heuristic
 }
 
 // Unisolated marks a node no configuration can isolate: an
@@ -57,47 +52,43 @@ const Unisolated = -1
 // if k <= 0), every configuration tree cold. Articulation points are
 // left unisolated.
 func New(topo *topology.Topology, k int) (*MRC, error) {
-	return NewWarmPhase2(topo, k, nil, spt.EngineDijkstra, nil)
+	return NewWarm(topo, k, nil)
 }
 
-// NewWarmPhase2 is New with a warm start and a phase-2 route engine
-// selector. tables must be the pre-failure routing tables of topo
-// (computed under graph.Nothing): each of the k*n configuration trees
-// is then seeded from the matching clean reverse tree and updated with
-// the delete-only incremental recompute — a configuration's isolation
-// overlay only removes elements relative to the clean graph, so the
-// result is bit-identical to the cold build while skipping the
-// untouched backbone subtrees. If tables is nil, built for a different
-// topology, or computed under failures, the constructor silently falls
-// back to the cold build.
-//
-// Under the default engine the full k*n matrix of per-configuration
-// reverse trees is precomputed. Under a goal-directed engine the matrix
-// is never built — the dominant cost of MRC construction disappears —
-// and Route answers each (config, src, dst) query with a reverse A*
-// search over the configuration's isolation overlay, using heur as the
-// admissible heuristic (clean-graph lower bounds stay valid because an
-// isolation overlay only deletes elements). Routes are bit-identical
-// to the precomputed-tree engine.
-func NewWarmPhase2(topo *topology.Topology, k int, tables *routing.Tables, e spt.Engine, heur spt.Heuristic) (*MRC, error) {
+// NewWarm is New with a warm start. tables must be the pre-failure
+// routing tables of topo (computed under graph.Nothing): each of the
+// k*n configuration trees is then seeded from the matching clean
+// reverse tree and updated with the delete-only incremental recompute
+// — a configuration's isolation overlay only removes elements relative
+// to the clean graph, so the result is bit-identical to the cold build
+// while skipping the untouched backbone subtrees. If tables is nil,
+// built for a different topology, or computed under failures, the
+// constructor silently falls back to the cold build.
+func NewWarm(topo *topology.Topology, k int, tables *routing.Tables) (*MRC, error) {
 	if k <= 0 {
 		k = DefaultConfigs
 	}
 	if k < 2 {
 		return nil, errors.New("mrc: need at least 2 configurations")
 	}
-	m := &MRC{topo: topo, k: k, isolCfg: assign(topo.G, k), phase2: e, heur: heur}
+	m := &MRC{topo: topo, k: k, isolCfg: assign(topo.G, k)}
 	if tables != nil && tables.Topology() == topo && tables.Under() == graph.Nothing {
 		m.clean = tables
 	}
-	if e == spt.EngineDijkstra {
-		m.buildTrees()
-	}
+	m.buildTrees()
 	return m, nil
 }
 
-// Phase2 returns the configured phase-2 route engine.
-func (m *MRC) Phase2() spt.Engine { return m.phase2 }
+// NewWarmPhase2 is NewWarm behind the former phase-2 engine selector,
+// kept with its signature for the benchmark harness. Phase 2 has one
+// engine: any e other than spt.EngineDijkstra is an error, and heur is
+// unused.
+func NewWarmPhase2(topo *topology.Topology, k int, tables *routing.Tables, e spt.Engine, heur spt.Heuristic) (*MRC, error) {
+	if e != spt.EngineDijkstra {
+		return nil, fmt.Errorf("mrc: unknown phase-2 engine %d", e)
+	}
+	return NewWarm(topo, k, tables)
+}
 
 // Configs returns the number of configurations in use.
 func (m *MRC) Configs() int { return m.k }
@@ -275,9 +266,6 @@ func (m *MRC) Route(c int, src, dst graph.NodeID, exclude graph.LinkID, haveExcl
 	if src == dst {
 		return []graph.NodeID{src}, nil, true
 	}
-	if m.phase2 != spt.EngineDijkstra {
-		return m.routeGoal(c, src, dst, exclude, haveExclude)
-	}
 	tree := m.trees[c][dst]
 	if m.isolCfg[src] != c {
 		nodes, ok := tree.PathNodes(src)
@@ -325,63 +313,6 @@ func (m *MRC) Route(c int, src, dst graph.NodeID, exclude graph.LinkID, haveExcl
 	links, _ := tree.PathLinks(bestHe.Neighbor)
 	outNodes := append([]graph.NodeID{src}, nodes...)
 	outLinks := append([]graph.LinkID{bestHe.Link}, links...)
-	return outNodes, outLinks, true
-}
-
-// routeGoal is Route on the goal-directed engines: every path and cost
-// the tree engine would read from trees[c][dst] is answered by a
-// reverse A* query over the same configuration overlay.
-// spt.ComputeGoalReverse reproduces the canonical reverse-tree
-// tie-break, so paths, the exclude rejection, and the isolated-source
-// selection (strict < over per-neighbor costs in adjacency order) all
-// match the precomputed-tree engine bit for bit.
-func (m *MRC) routeGoal(c int, src, dst graph.NodeID, exclude graph.LinkID, haveExclude bool) ([]graph.NodeID, []graph.LinkID, bool) {
-	g := m.topo.G
-	den := cfgDenied{m: m, c: c, dst: dst}
-	ws := spt.GetWorkspace()
-	defer ws.Release()
-	var res spt.GoalResult
-	if m.isolCfg[src] != c {
-		if !ws.ComputeGoalReverse(&res, g, src, dst, den, m.heur) {
-			return nil, nil, false
-		}
-		if haveExclude && len(res.Links) > 0 && res.Links[0] == exclude {
-			return nil, nil, false
-		}
-		return res.Nodes, res.Links, true
-	}
-	// Isolated source: find the best restricted link into the backbone,
-	// mirroring the tree engine's selection loop exactly.
-	bestCost := spt.Inf
-	var bestHe graph.Halfedge
-	found := false
-	for _, he := range g.Adj(src) {
-		if haveExclude && he.Link == exclude {
-			continue
-		}
-		if m.isolCfg[he.Neighbor] == c {
-			// Isolated link (see Route): unusable even toward dst.
-			continue
-		}
-		res.Nodes, res.Links = res.Nodes[:0], res.Links[:0]
-		if !ws.ComputeGoalReverse(&res, g, he.Neighbor, dst, den, m.heur) {
-			continue
-		}
-		if res.Cost+he.Cost < bestCost {
-			bestCost = res.Cost + he.Cost
-			bestHe = he
-			found = true
-		}
-	}
-	if !found {
-		return nil, nil, false
-	}
-	res.Nodes, res.Links = res.Nodes[:0], res.Links[:0]
-	if !ws.ComputeGoalReverse(&res, g, bestHe.Neighbor, dst, den, m.heur) {
-		return nil, nil, false
-	}
-	outNodes := append([]graph.NodeID{src}, res.Nodes...)
-	outLinks := append([]graph.LinkID{bestHe.Link}, res.Links...)
 	return outNodes, outLinks, true
 }
 

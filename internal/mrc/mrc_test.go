@@ -286,12 +286,12 @@ func TestNewWarmMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := NewWarmPhase2(topo, 0, routing.ComputeTables(topo), spt.EngineDijkstra, nil)
+			warm, err := NewWarm(topo, 0, routing.ComputeTables(topo))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if warm.clean == nil {
-				t.Fatal("NewWarmPhase2 with matching clean tables must take the warm path")
+				t.Fatal("NewWarm with matching clean tables must take the warm path")
 			}
 			requireSameTrees(t, as, warm, cold)
 		})
@@ -321,7 +321,7 @@ func TestNewWarmFallsBackCold(t *testing.T) {
 		{"foreign", routing.ComputeTables(other)},
 		{"under-failures", failedTables},
 	} {
-		m, err := NewWarmPhase2(topo, 0, tc.tables, spt.EngineDijkstra, nil)
+		m, err := NewWarm(topo, 0, tc.tables)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}
@@ -329,5 +329,19 @@ func TestNewWarmFallsBackCold(t *testing.T) {
 			t.Fatalf("%s: warm path taken with unusable tables", tc.label)
 		}
 		requireSameTrees(t, "AS1239/"+tc.label, m, cold)
+	}
+}
+
+// TestNewWarmPhase2OnlyDijkstra pins the single-engine form kept for
+// the benchmark harness: EngineDijkstra builds the warm MRC, any other
+// engine value is an error.
+func TestNewWarmPhase2OnlyDijkstra(t *testing.T) {
+	topo := topology.PaperExample()
+	m, err := NewWarmPhase2(topo, 0, routing.ComputeTables(topo), spt.EngineDijkstra, nil)
+	if err != nil || m.clean == nil {
+		t.Fatalf("EngineDijkstra: warm=%v err=%v", m != nil && m.clean != nil, err)
+	}
+	if _, err := NewWarmPhase2(topo, 0, nil, spt.EngineDijkstra+1, nil); err == nil {
+		t.Fatal("a second engine must be rejected")
 	}
 }

@@ -1,6 +1,7 @@
 package mrc
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -159,4 +160,56 @@ func TestRouteExcludeContract(t *testing.T) {
 			t.Skip("no link with both endpoints isolated in one configuration")
 		}
 	})
+}
+
+// TestRouteExcludeEveryFirstHop sweeps the exclude contract over every
+// configuration and source (destinations strided to keep it fast):
+// excluding a route's canonical first hop rejects a backbone source's
+// route and makes an isolated source leave over another restricted
+// link, and haveExclude=false ignores the same link entirely.
+func TestRouteExcludeEveryFirstHop(t *testing.T) {
+	for _, as := range []string{"AS1239", "AS3320"} {
+		t.Run(as, func(t *testing.T) {
+			t.Parallel()
+			topo := topology.GenerateAS(as, 3)
+			m := build(t, topo)
+			n := topo.G.NumNodes()
+			checked := 0
+			for c := 0; c < m.Configs(); c++ {
+				for s := 0; s < n; s++ {
+					src := graph.NodeID(s)
+					for d := s % 3; d < n; d += 3 {
+						dst := graph.NodeID(d)
+						nodes, links, ok := m.Route(c, src, dst, 0, false)
+						if !ok || len(links) == 0 {
+							continue
+						}
+						ex := links[0]
+						ignN, ignL, ignOK := m.Route(c, src, dst, ex, false)
+						if !ignOK || !slices.Equal(ignN, nodes) || !slices.Equal(ignL, links) {
+							t.Fatalf("Route(c=%d, %d->%d, exclude=%d, false) = %v %v %v, want %v %v",
+								c, src, dst, ex, ignN, ignL, ignOK, nodes, links)
+						}
+						exN, exL, exOK := m.Route(c, src, dst, ex, true)
+						checked++
+						if m.ConfigOf(src) != c {
+							if exOK {
+								t.Fatalf("Route(c=%d, %d->%d) kept excluded first hop %d: %v", c, src, dst, ex, exN)
+							}
+							continue
+						}
+						if !exOK {
+							continue // no other restricted link reaches dst
+						}
+						if exL[0] == ex || exN[0] != src || exN[len(exN)-1] != dst || len(exL) != len(exN)-1 {
+							t.Fatalf("Route(c=%d, %d->%d, exclude=%d) = %v %v", c, src, dst, ex, exN, exL)
+						}
+					}
+				}
+			}
+			if checked == 0 {
+				t.Fatal("no routes checked")
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/igp"
 	"repro/internal/routing"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -239,4 +241,50 @@ func TestBadFlowPanics(t *testing.T) {
 		}
 	}()
 	sim.Run()
+}
+
+// TestWorldFatesReproducible runs the discrete-event simulator over a
+// Rocketfuel-sized sim.World (the *core.RTR handle, converged tables
+// and post-failure state the harness builds) under a random failure:
+// packets are sent, and a second run on a freshly
+// built world yields the identical per-packet fate list (delivery,
+// hops, timestamps, recovery marks).
+func TestWorldFatesReproducible(t *testing.T) {
+	var base *Result
+	for run := 0; run < 2; run++ {
+		w, err := sim.NewWorld("AS1239", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(21))
+		sc := failure.RandomScenario(w.Topo, rng)
+		for !sc.HasFailures() {
+			sc = failure.RandomScenario(w.Topo, rng)
+		}
+		n := w.Topo.G.NumNodes()
+		var flows []Flow
+		for i := 0; i < 8; i++ {
+			src := graph.NodeID(rng.Intn(n))
+			dst := graph.NodeID(rng.Intn(n))
+			if src == dst || sc.NodeDown(src) {
+				continue
+			}
+			flows = append(flows, Flow{Src: src, Dst: dst, Interval: 25 * time.Millisecond})
+		}
+		if len(flows) == 0 {
+			t.Fatal("no flows drawn")
+		}
+		cfg := Config{Flows: flows, Horizon: 600 * time.Millisecond, Timers: igp.TunedTimers()}
+		res := New(w.Converged(sc), cfg).Run()
+		if len(res.Fates) == 0 {
+			t.Fatal("no packets sent")
+		}
+		if base == nil {
+			base = res
+			continue
+		}
+		if !reflect.DeepEqual(res.Fates, base.Fates) {
+			t.Error("packet fates differ between two runs on rebuilt worlds")
+		}
+	}
 }

@@ -19,7 +19,7 @@ func init() {
 	Register(rtrScheme{})
 	Register(fcpScheme{})
 	Register(mrcScheme{})
-	Register(NewSpread(SpreadConfig{}))
+	Register(spreadScheme{k: spreadK})
 }
 
 // walks wraps the non-empty trajectories (a zero-hop walk carries no
@@ -39,7 +39,6 @@ func walks(ws ...routing.Walk) []routing.Walk {
 type rtrScheme struct{}
 
 func (rtrScheme) Name() string             { return NameRTR }
-func (rtrScheme) Caps() Caps               { return Caps{Phase2: true} }
 func (rtrScheme) Prepare(*sim.World) error { return nil }
 
 func (rtrScheme) Run(w *sim.World, c *sim.Case) (Result, error) {
@@ -61,7 +60,6 @@ func (rtrScheme) Run(w *sim.World, c *sim.Case) (Result, error) {
 type fcpScheme struct{}
 
 func (fcpScheme) Name() string             { return NameFCP }
-func (fcpScheme) Caps() Caps               { return Caps{Phase2: true} }
 func (fcpScheme) Prepare(*sim.World) error { return nil }
 
 func (fcpScheme) Run(w *sim.World, c *sim.Case) (Result, error) {
@@ -79,12 +77,11 @@ func (fcpScheme) Run(w *sim.World, c *sim.Case) (Result, error) {
 }
 
 // mrcScheme is the multiple-routing-configurations baseline. Its
-// NeedsMRC capability is what scale-mode dispatch honors: Prepare
-// fails on a world without the engine instead of silently skipping.
+// Prepare fails on a scale-mode world, which carries no MRC engine,
+// instead of silently skipping.
 type mrcScheme struct{}
 
 func (mrcScheme) Name() string { return NameMRC }
-func (mrcScheme) Caps() Caps   { return Caps{NeedsMRC: true, Phase2: true} }
 
 func (mrcScheme) Prepare(w *sim.World) error {
 	if !w.HasMRC() {

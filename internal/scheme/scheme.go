@@ -1,12 +1,11 @@
-// Package scheme is the pluggable recovery-scheme registry: every
-// recovery protocol the harness can grade — the paper's RTR, the FCP
-// and MRC baselines, and congestion-aware variants — registers here
-// under a stable name with its capability flags and per-case runner.
-// Today the registry wraps the typed world rather than replacing it:
-// utilization sweeps (sweep.KindUtil), the congestion experiment and
-// serve's non-builtin queries dispatch through it by name, while
-// sim.Outcome, the case sweeps and serve's rtr/fcp/mrc/all answers
-// still hard-code the protocol triple.
+// Package scheme is the recovery-scheme registry: every recovery
+// protocol the harness can grade — the paper's RTR, the FCP and MRC
+// baselines, and the congestion-aware rtr-spread — registers here
+// under a stable name with a Prepare hook that vets a world and a
+// per-case runner. Utilization sweeps (sweep.KindUtil), the congestion
+// experiment and serve's queries for any registered scheme dispatch
+// through it by name; serve's rtr/fcp/mrc/all answers, the case sweeps
+// and sim.Outcome call the sim runners directly.
 //
 // The builtin schemes are thin projections over the sim runners and
 // stay bit-identical to them — the differential tests in this package
@@ -21,23 +20,6 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 )
-
-// Caps are a scheme's capability flags. Dispatch layers honor them
-// instead of hard-coding per-name knowledge: serve rejects a
-// NeedsMRC scheme on a scale-mode world, the sweep engine skips
-// incompatible (world, scheme) pairs, and so on.
-type Caps struct {
-	// NeedsMRC: the scheme requires the world to carry an MRC engine
-	// (absent on scale-mode worlds).
-	NeedsMRC bool
-	// Phase2: the scheme honors the world's phase-2 route-engine
-	// selection (dijkstra/alt) with engine-invariant outputs.
-	Phase2 bool
-	// SpreadsLoad: the scheme trades path optimality for lower
-	// post-recovery link load (congestion-aware recovery). Utilization
-	// sweeps surface these schemes alongside the paper's baselines.
-	SpreadsLoad bool
-}
 
 // Result is the scheme-independent projection of one case outcome:
 // what every registered scheme can report about a recovery attempt,
@@ -72,11 +54,9 @@ type Result struct {
 type Scheme interface {
 	// Name is the registry key (also the CLI/API spelling).
 	Name() string
-	// Caps are the scheme's capability flags.
-	Caps() Caps
 	// Prepare is the world-build hook: called before the scheme's
-	// first Run on a world, it validates requirements (capability
-	// flags against what the world carries) and may build per-world
+	// first Run on a world, it validates requirements against what the
+	// world carries (mrc needs an MRC engine) and may build per-world
 	// state. It must be cheap and idempotent — dispatch layers call it
 	// per (scheme, world) without coordination.
 	Prepare(w *sim.World) error

@@ -86,9 +86,9 @@ func testCases(t *testing.T, w *sim.World, n int) []*sim.Case {
 }
 
 // TestConformance is the suite every registered scheme must pass:
-// capability flags consistent with Prepare's verdict on full and
-// scale-mode worlds, and Run producing internally consistent results
-// on real cases.
+// Prepare accepts a full world, a scheme that accepts a scale-mode
+// world runs on it (mrc, which needs the MRC engine, must refuse it),
+// and Run produces internally consistent results on real cases.
 func TestConformance(t *testing.T) {
 	w, err := sim.NewWorldFrom(topology.PaperExample())
 	if err != nil {
@@ -99,20 +99,24 @@ func TestConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := testCases(t, w, 16)
+	scaleCases := testCases(t, ws, 4)
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			s, err := Get(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			caps := s.Caps()
 			if err := s.Prepare(w); err != nil {
 				t.Fatalf("Prepare on a full world: %v", err)
 			}
-			// The capability flag and the hook must agree: a NeedsMRC
-			// scheme rejects a scale-mode world, everything else serves it.
-			if err := s.Prepare(ws); (err != nil) != caps.NeedsMRC {
-				t.Fatalf("Prepare on scale world: err=%v, NeedsMRC=%v", err, caps.NeedsMRC)
+			if err := s.Prepare(ws); (err != nil) != (name == NameMRC) {
+				t.Fatalf("Prepare on scale world: err=%v", err)
+			} else if err == nil {
+				for _, c := range scaleCases {
+					if _, err := s.Run(ws, c); err != nil {
+						t.Fatalf("Run on scale world (%d->%d): %v", c.Initiator, c.Dst, err)
+					}
+				}
 			}
 			for _, c := range cases {
 				r, err := s.Run(w, c)
@@ -187,7 +191,7 @@ func TestBuiltinDifferentialAllTopologies(t *testing.T) {
 				// grade through sim.TruthCost/CostEqual — the registry
 				// side against the State's warm tree, the sim side
 				// against the cold one computed above).
-				got, err = NewSpread(SpreadConfig{K: 1}).Run(w, c)
+				got, err = spreadScheme{k: 1}.Run(w, c)
 				if len(got.Walks) == 0 {
 					got.Walks = walks() // spread's early exits leave nil where rtr's projection leaves empty
 				}
@@ -231,8 +235,7 @@ func TestSpreadBoundedStretch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSpread(SpreadConfig{})
-	slack := s.cfg.slack()
+	s := spreadScheme{k: spreadK}
 	for _, c := range testCases(t, w, 24) {
 		r, err := s.Run(w, c)
 		if err != nil {
@@ -245,9 +248,9 @@ func TestSpreadBoundedStretch(t *testing.T) {
 		if r.NoLiveNeighbor != rr.NoLiveNeighbor {
 			t.Errorf("case %d->%d: NoLiveNeighbor %v vs RTR %v", c.Initiator, c.Dst, r.NoLiveNeighbor, rr.NoLiveNeighbor)
 		}
-		if r.Delivered && rr.Optimal && r.Stretch > slack*rr.Stretch+1e-9 {
+		if r.Delivered && rr.Optimal && r.Stretch > spreadSlack*rr.Stretch+1e-9 {
 			t.Errorf("case %d->%d: stretch %v exceeds slack %v over RTR's %v",
-				c.Initiator, c.Dst, r.Stretch, slack, rr.Stretch)
+				c.Initiator, c.Dst, r.Stretch, spreadSlack, rr.Stretch)
 		}
 	}
 }
@@ -261,7 +264,7 @@ func TestSpreadSharedSessionMatchesFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a world per bundled topology")
 	}
-	s := NewSpread(SpreadConfig{})
+	s := spreadScheme{k: spreadK}
 	for _, name := range topology.ASNames() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

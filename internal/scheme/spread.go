@@ -6,33 +6,17 @@ import (
 	"repro/internal/sim"
 )
 
-// SpreadConfig tunes the congestion-aware scheme.
-type SpreadConfig struct {
-	// K caps the candidate recovery paths per destination: the primary
-	// (RTR's optimal path in the pruned view) plus up to K-1
-	// alternatives that each avoid one primary link. 4 when zero.
-	K int
-	// Slack is the admissible cost inflation for an alternative:
-	// candidates costing more than Slack times the primary are
-	// discarded. 1.5 when zero.
-	Slack float64
-}
+// The congestion-aware scheme's tuning: spreadK caps the candidate
+// recovery paths per destination — the primary (RTR's optimal path in
+// the pruned view) plus up to spreadK-1 alternatives that each avoid
+// one primary link — and candidates costing more than spreadSlack
+// times the primary are discarded.
+const (
+	spreadK     = 4
+	spreadSlack = 1.5
+)
 
-func (c SpreadConfig) k() int {
-	if c.K > 0 {
-		return c.K
-	}
-	return 4
-}
-
-func (c SpreadConfig) slack() float64 {
-	if c.Slack > 0 {
-		return c.Slack
-	}
-	return 1.5
-}
-
-// Spread is the congestion-aware recovery scheme: RTR's shared session
+// spreadScheme is the congestion-aware recovery scheme: RTR's shared session
 // (same phase-1 collection, same pruned view) generates a
 // small set of near-shortest recovery candidates — the primary path
 // plus alternatives that each detour around one primary link — and the
@@ -40,23 +24,18 @@ func (c SpreadConfig) slack() float64 {
 // the randomized low-congestion next-hop selection of arXiv:2009.01497.
 // Different destinations behind the same failure thus fan out across
 // distinct candidates instead of all funneling onto the single
-// shortest path, trading bounded stretch (the Slack factor) for a
+// shortest path, trading bounded stretch (spreadSlack) for a
 // lower post-recovery peak link load. The hash makes the choice a pure
 // function of (initiator, destination, trigger), so sweeps and the
 // serving layer stay deterministic.
-type Spread struct {
-	cfg SpreadConfig
+type spreadScheme struct {
+	k int // candidate cap: spreadK when registered
 }
 
-// NewSpread returns the scheme with zero-valued config fields
-// defaulted.
-func NewSpread(cfg SpreadConfig) *Spread { return &Spread{cfg: cfg} }
+func (spreadScheme) Name() string             { return NameSpread }
+func (spreadScheme) Prepare(*sim.World) error { return nil }
 
-func (s *Spread) Name() string             { return NameSpread }
-func (s *Spread) Caps() Caps               { return Caps{Phase2: true, SpreadsLoad: true} }
-func (s *Spread) Prepare(*sim.World) error { return nil }
-
-func (s *Spread) Run(w *sim.World, c *sim.Case) (Result, error) {
+func (s spreadScheme) Run(w *sim.World, c *sim.Case) (Result, error) {
 	var res Result
 	st := w.StateOf(c)
 	se := st.Session(c.Initiator, c.Trigger)
@@ -80,8 +59,8 @@ func (s *Spread) Run(w *sim.World, c *sim.Case) (Result, error) {
 	}
 
 	candidates := []core.Route{primary}
-	budget := s.cfg.slack() * primary.Cost
-	for _, avoid := range spreadAvoidLinks(primary.Links, s.cfg.k()-1) {
+	budget := spreadSlack * primary.Cost
+	for _, avoid := range spreadAvoidLinks(primary.Links, s.k-1) {
 		var alt core.Route
 		res.SPCalcs++
 		if !sess.RecoveryPathAvoidingInto(&alt, c.Dst, []graph.LinkID{avoid}) {

@@ -9,73 +9,71 @@ import (
 	"repro/internal/converged"
 	"repro/internal/failure"
 	"repro/internal/sim"
-	"repro/internal/spt"
 )
 
 // TestHammerBitIdentical is the concurrency proof for the serving
 // layer (run under -race in CI): N goroutines fire the same query mix
 // — every scheme, repeated instances, enough distinct instances to
 // force LRU evictions mid-flight — against one shared engine, and
-// every response must be byte-identical to the serial pass. It runs
-// once per phase-2 route engine, so the goal-directed workspaces are
-// hammered too.
+// every response must be byte-identical to the serial pass. The
+// subtest is named for the one phase-2 route engine the engine runs.
 func TestHammerBitIdentical(t *testing.T) {
-	for _, p2 := range []spt.Engine{spt.EngineDijkstra, spt.EngineALT} {
-		t.Run(p2.String(), func(t *testing.T) {
-			e, err := New(Config{Topos: []string{"AS1239"}, Seed: testSeed, Phase2: p2, CacheEntries: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			queries := hammerQueries(t, e, "AS1239")
+	t.Run("dijkstra", hammerBitIdentical)
+}
 
-			// Serial reference pass.
-			want := make([]string, len(queries))
-			for i, q := range queries {
-				resp, err := e.Query(q)
+func hammerBitIdentical(t *testing.T) {
+	e, err := New(Config{Topos: []string{"AS1239"}, Seed: testSeed, CacheEntries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := hammerQueries(t, e, "AS1239")
+
+	// Serial reference pass.
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		resp, err := e.Query(q)
+		if err != nil {
+			t.Fatalf("serial query %d: %v", i, err)
+		}
+		resp.CacheHit = false // hit/miss depends on interleaving, not the answer
+		want[i] = mustJSON(t, resp)
+	}
+
+	const workers = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func(wk int) {
+			defer wg.Done()
+			// Each worker walks the list at its own offset so the same
+			// instant mixes schemes and instances.
+			for i := range queries {
+				j := (i + wk*3) % len(queries)
+				resp, err := e.Query(queries[j])
 				if err != nil {
-					t.Fatalf("serial query %d: %v", i, err)
+					errs <- fmt.Errorf("worker %d query %d: %v", wk, j, err)
+					return
 				}
-				resp.CacheHit = false // hit/miss depends on interleaving, not the answer
-				want[i] = mustJSON(t, resp)
+				resp.CacheHit = false
+				if got := mustJSON(t, resp); got != want[j] {
+					errs <- fmt.Errorf("worker %d query %d diverged:\n got  %s\n want %s", wk, j, got, want[j])
+					return
+				}
 			}
-
-			const workers = 8
-			var wg sync.WaitGroup
-			errs := make(chan error, workers)
-			for wk := 0; wk < workers; wk++ {
-				wg.Add(1)
-				go func(wk int) {
-					defer wg.Done()
-					// Each worker walks the list at its own offset so
-					// the same instant mixes schemes and instances.
-					for i := range queries {
-						j := (i + wk*3) % len(queries)
-						resp, err := e.Query(queries[j])
-						if err != nil {
-							errs <- fmt.Errorf("worker %d query %d: %v", wk, j, err)
-							return
-						}
-						resp.CacheHit = false
-						if got := mustJSON(t, resp); got != want[j] {
-							errs <- fmt.Errorf("worker %d query %d diverged:\n got  %s\n want %s", wk, j, got, want[j])
-							return
-						}
-					}
-				}(wk)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-			st := e.Stats()
-			if st.Evictions == 0 {
-				t.Error("hammer never evicted; cache pressure too low to prove eviction safety")
-			}
-			if st.RunnerErrors > 0 {
-				t.Errorf("%d runner errors under load", st.RunnerErrors)
-			}
-		})
+		}(wk)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	st := e.Stats()
+	if st.Evictions == 0 {
+		t.Error("hammer never evicted; cache pressure too low to prove eviction safety")
+	}
+	if st.RunnerErrors > 0 {
+		t.Errorf("%d runner errors under load", st.RunnerErrors)
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"repro/internal/invariant"
 	schemes "repro/internal/scheme"
 	"repro/internal/sim"
-	"repro/internal/spt"
 	"repro/internal/topology"
 )
 
@@ -65,9 +64,6 @@ type Config struct {
 	Topos []string
 	// Seed is the synthesis seed shared by every topology.
 	Seed int64
-	// Phase2 selects the route engine the protocol engines are built
-	// with (dijkstra, alt — identical outputs).
-	Phase2 spt.Engine
 	// CacheEntries bounds the converged-state LRU, shared across
 	// topologies; <= 0 disables caching entirely (every query rebuilds
 	// converged state).
@@ -134,7 +130,7 @@ func New(cfg Config) (*Engine, error) {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			w, err := sim.NewWorldPhase2(name, cfg.Seed, cfg.Phase2)
+			w, err := sim.NewWorld(name, cfg.Seed)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -281,9 +277,9 @@ func (e *Engine) orDefault(scheme string) string {
 
 // checkScheme validates and defaults a query's scheme against the
 // world it will run on, resolving any non-"all" name through the
-// scheme registry. Capability flags are honored here: a scheme whose
-// Prepare rejects the world (mrc on a scale-mode world without an MRC
-// engine) is a client error, not a server failure.
+// scheme registry. A scheme whose Prepare rejects the world (mrc on a
+// scale-mode world without an MRC engine) is a client error, not a
+// server failure.
 func checkScheme(w *sim.World, scheme string) (string, error) {
 	if scheme == "" {
 		scheme = SchemeAll

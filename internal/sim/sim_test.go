@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/failure"
+	"repro/internal/spt"
 	"repro/internal/topology"
 )
 
@@ -23,6 +24,11 @@ func smallDataset(t *testing.T, as string) *Dataset {
 func TestNewWorldUnknown(t *testing.T) {
 	if _, err := NewWorld("ASnope", 1); err == nil {
 		t.Error("unknown topology must error")
+	}
+	// The single-engine form kept for the benchmark harness refuses any
+	// engine but EngineDijkstra.
+	if _, err := NewWorldPhase2("AS1239", 1, spt.EngineDijkstra+1); err == nil {
+		t.Error("a second phase-2 engine must error")
 	}
 }
 

@@ -33,11 +33,6 @@ type World struct {
 	// k*n backup-configuration precomputation is quadratic-plus and
 	// infeasible past Rocketfuel sizes. Runners skip it via HasMRC.
 	MRC *mrc.MRC
-	// Phase2 is the route engine every recovery engine above was built
-	// with. All engines produce identical outputs; they differ in the
-	// shape of the work (precomputed trees vs per-query goal-directed
-	// search), which is what the single-pair benchmarks compare.
-	Phase2 spt.Engine
 }
 
 // HasMRC reports whether this world carries an MRC engine. Scale-mode
@@ -65,11 +60,6 @@ func (w *World) StateOf(c *Case) *converged.State {
 // NewWorld synthesizes the named Table II topology with the given seed
 // and builds all engines on it.
 func NewWorld(asName string, seed int64, opts ...core.Option) (*World, error) {
-	return NewWorldPhase2(asName, seed, spt.EngineDijkstra, opts...)
-}
-
-// NewWorldPhase2 is NewWorld with a phase-2 route engine selector.
-func NewWorldPhase2(asName string, seed int64, e spt.Engine, opts ...core.Option) (*World, error) {
 	p, ok := topology.ParamsFor(asName)
 	if !ok {
 		return nil, fmt.Errorf("sim: unknown topology %q", asName)
@@ -78,25 +68,25 @@ func NewWorldPhase2(asName string, seed int64, e spt.Engine, opts ...core.Option
 	if err != nil {
 		return nil, err
 	}
-	return NewWorldFromPhase2(topo, e, opts...)
+	return NewWorldFrom(topo, opts...)
 }
 
-// NewWorldFrom builds a World for an existing topology.
+// NewWorldPhase2 is NewWorld behind the former phase-2 engine
+// selector, kept with its signature for the benchmark harness. Phase 2
+// has one engine: any e other than spt.EngineDijkstra is an error.
+func NewWorldPhase2(asName string, seed int64, e spt.Engine, opts ...core.Option) (*World, error) {
+	if e != spt.EngineDijkstra {
+		return nil, fmt.Errorf("sim: unknown phase-2 engine %d", e)
+	}
+	return NewWorld(asName, seed, opts...)
+}
+
+// NewWorldFrom builds a World for an existing topology. The converged
+// routing tables are built first, then RTR, whose clean-tree cache
+// feeds FCP's incremental warm starts; MRC warm-starts its k*n
+// configuration trees from the clean reverse tables.
 func NewWorldFrom(topo *topology.Topology, opts ...core.Option) (*World, error) {
-	return NewWorldFromPhase2(topo, spt.EngineDijkstra, opts...)
-}
-
-// NewWorldFromPhase2 builds a World for an existing topology under the
-// given phase-2 engine. The converged routing tables are built first,
-// then RTR: its clean-tree cache seeds the ALT landmark vectors (when
-// that engine is selected) and FCP's incremental warm starts, and its
-// heuristic is shared read-only with FCP and MRC so each world carries
-// exactly one heuristic precomputation. Under the default engine MRC
-// warm-starts its k*n configuration trees from the clean reverse
-// tables; under a goal-directed engine that matrix is skipped entirely
-// and MRC routes are answered on demand.
-func NewWorldFromPhase2(topo *topology.Topology, e spt.Engine, opts ...core.Option) (*World, error) {
-	return NewWorldFromConfig(topo, WorldConfig{Phase2: e, Opts: opts})
+	return NewWorldFromConfig(topo, WorldConfig{Opts: opts})
 }
 
 // ScaleWorldNodes is the node count at which NewWorldFromConfig
@@ -107,9 +97,7 @@ const ScaleWorldNodes = 1 << 14
 
 // WorldConfig selects how a World is constructed.
 type WorldConfig struct {
-	// Phase2 is the phase-2 route engine (EngineDijkstra when zero).
-	Phase2 spt.Engine
-	// Opts are extra RTR options (WithPhase2 is appended internally).
+	// Opts are extra RTR options.
 	Opts []core.Option
 	// Scale forces the memory-bounded scale construction: no MRC
 	// engine. When false, scale mode still engages automatically for
@@ -131,14 +119,10 @@ type WorldConfig struct {
 // The concession is reported through cfg.Log so a sweep's output
 // states what was skipped rather than silently narrowing.
 func NewWorldFromConfig(topo *topology.Topology, cfg WorldConfig) (*World, error) {
-	e := cfg.Phase2
 	scale := cfg.Scale || topo.G.NumNodes() >= ScaleWorldNodes
 	ci := topology.BuildCrossIndex(topo)
 	tables := routing.ComputeTables(topo)
-	// Full-slice append: never scribble on a caller-owned opts backing.
-	opts := cfg.Opts
-	opts = append(opts[:len(opts):len(opts)], core.WithPhase2(e))
-	r := core.New(topo, ci, opts...)
+	r := core.New(topo, ci, cfg.Opts...)
 	var m *mrc.MRC
 	if scale {
 		if cfg.Log != nil {
@@ -147,14 +131,13 @@ func NewWorldFromConfig(topo *topology.Topology, cfg WorldConfig) (*World, error
 		}
 	} else {
 		var err error
-		m, err = mrc.NewWarmPhase2(topo, 0, tables, e, r.Heuristic())
+		m, err = mrc.NewWarm(topo, 0, tables)
 		if err != nil {
 			return nil, fmt.Errorf("sim: building MRC for %s: %w", topo.Name, err)
 		}
 	}
 	f := fcp.New(topo)
 	f.UseCleanTrees(r.CleanTree)
-	f.UsePhase2(e, r.Heuristic())
 	return &World{
 		Topo:   topo,
 		CI:     ci,
@@ -162,6 +145,5 @@ func NewWorldFromConfig(topo *topology.Topology, cfg WorldConfig) (*World, error
 		RTR:    r,
 		FCP:    f,
 		MRC:    m,
-		Phase2: e,
 	}, nil
 }

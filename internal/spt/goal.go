@@ -6,10 +6,29 @@ import (
 	"repro/internal/graph"
 )
 
-// GoalResult is the output of a goal-directed single-pair query. The
-// Nodes/Links slices are appended to in place, so callers can pass
-// retained buffers (sliced to length zero) and run queries without
-// steady-state allocations.
+// Engine names a phase-2 route engine. Phase 2 has one engine, the
+// (incremental) shortest path tree, so EngineDijkstra is the only
+// value; the type is kept only because the benchmark harness passes it
+// to sim.NewWorldPhase2 and mrc.NewWarmPhase2.
+type Engine uint8
+
+// EngineDijkstra is the full shortest-path-tree engine: one
+// (incremental) Dijkstra serves every destination.
+const EngineDijkstra Engine = 0
+
+// Heuristic supplies admissible, consistent lower bounds on
+// shortest-path costs for Workspace.ComputeGoal's A* search.
+type Heuristic interface {
+	// Lower returns a lower bound on the cost of the cheapest a→b path
+	// in the searched graph. It must be consistent: for every link
+	// (u, w) with cost c, Lower(u, b) <= c + Lower(w, b).
+	Lower(a, b graph.NodeID) float64
+}
+
+// GoalResult is the output of a single-pair query. The Nodes/Links
+// slices are appended to in place, so callers can pass retained
+// buffers (sliced to length zero) and run queries without steady-state
+// allocations.
 type GoalResult struct {
 	// Nodes is the path src..dst inclusive; Links the corresponding
 	// link sequence (len(Nodes)-1 entries).
@@ -17,28 +36,14 @@ type GoalResult struct {
 	Links []graph.LinkID
 	// Cost is the path cost, Inf when dst is unreachable.
 	Cost float64
-	// Settled counts the nodes the search settled — the work metric
-	// goal direction exists to shrink (a full Dijkstra settles every
-	// reachable node).
-	Settled int
-}
-
-// ComputeGoal is the package-level convenience wrapper: it runs a
-// goal-directed query with pooled scratch and returns an owned result.
-// Hot paths should use Workspace.ComputeGoal with retained buffers.
-func ComputeGoal(g *graph.Graph, src, dst graph.NodeID, d graph.Denied, heur Heuristic) (GoalResult, bool) {
-	ws := GetWorkspace()
-	defer ws.Release()
-	var res GoalResult
-	ok := ws.ComputeGoal(&res, g, src, dst, d, heur)
-	return res, ok
 }
 
 // ComputeGoal computes the shortest src→dst path over the live
-// subgraph under d using goal-directed A* search with the admissible
-// heuristic heur (nil means the zero heuristic: plain Dijkstra with
-// early exit). It settles only the nodes whose f = g + h bound does
-// not exceed the path cost, instead of the whole graph.
+// subgraph under d: Dijkstra with early exit when heur is nil (how the
+// benchmark's spt.goal_us row calls it), A* search under a consistent
+// heuristic otherwise. It settles only the nodes whose
+// f = g + h bound does not exceed the path cost, instead of the whole
+// graph.
 //
 // The result is bit-identical to extracting the path from
 // Compute(g, src, d): same cost and, under the engine's canonical
@@ -52,84 +57,39 @@ func ComputeGoal(g *graph.Graph, src, dst graph.NodeID, d graph.Denied, heur Heu
 // It reports false, with res.Nodes/res.Links truncated to their input
 // lengths and res.Cost = Inf, when dst is unreachable from src.
 func (ws *Workspace) ComputeGoal(res *GoalResult, g *graph.Graph, src, dst graph.NodeID, d graph.Denied, heur Heuristic) bool {
-	return ws.computeGoal(res, g, src, dst, d, heur, Forward)
-}
-
-// ComputeGoalReverse is ComputeGoal run as a Reverse search rooted at
-// dst with src as the search goal: the same src..dst path, but with
-// equal-cost ties broken exactly as ComputeReverse(g, dst, d) breaks
-// them. Use it to reproduce routes served from per-destination
-// (reverse) tables; ComputeGoal reproduces routes served from
-// per-source (forward) trees. The two canonical tie-breaks can pick
-// different equal-cost paths, which is why both orientations exist.
-func (ws *Workspace) ComputeGoalReverse(res *GoalResult, g *graph.Graph, src, dst graph.NodeID, d graph.Denied, heur Heuristic) bool {
-	return ws.computeGoal(res, g, dst, src, d, heur, Reverse)
-}
-
-// computeGoal runs the search from root toward goal. For Forward,
-// root = src and goal = dst; for Reverse, root = dst and goal = src
-// (reverse Dijkstra grows from its root exactly like forward Dijkstra
-// with flipped edge costs, so "goal" is always the node the search
-// hunts for). The emitted path is src..dst for both kinds.
-func (ws *Workspace) computeGoal(res *GoalResult, g *graph.Graph, root, goal graph.NodeID, d graph.Denied, heur Heuristic, kind Kind) bool {
 	n := g.NumNodes()
 	nodesBase, linksBase := len(res.Nodes), len(res.Links)
 	res.Cost = Inf
-	res.Settled = 0
 
-	// Compile the overlay exactly like runInto does: borrow dense
-	// tables when the overlay lends them, zero scratch for Nothing, and
-	// otherwise stay on interface dispatch — a single-pair query must
-	// not pay an O(n+m) overlay compilation (that would forfeit the
-	// sublinear win; MRC's configuration overlays hit this arm).
-	var dn, dl []bool
-	dense := false
-	if d == graph.Nothing {
-		dn, dl = ws.ensureDense(n, g.NumLinks())
-		dense = true
-	} else if nodes, links, ok := graph.DenseTablesOf(d); ok {
-		dn, dl = nodes, links
-		dense = true
-	}
-	if dense {
-		if dn[root] || dn[goal] {
-			return false
-		}
-	} else if d.NodeDown(root) || d.NodeDown(goal) {
+	dn, dl := ws.dense(g, d)
+	if dn[src] || dn[dst] {
 		return false
 	}
-	if root == goal {
-		res.Nodes = append(res.Nodes, root)
+	if src == dst {
+		res.Nodes = append(res.Nodes, src)
 		res.Cost = 0
-		res.Settled = 1
 		return true
 	}
 
 	ws.ensureScratch(n)
 	t := &ws.scratch
-	t.Kind, t.Root = kind, root
+	t.Kind, t.Root = Forward, src
 	for i := 0; i < n; i++ {
 		t.Dist[i] = Inf
 	}
-	t.Dist[root] = 0
+	t.Dist[src] = 0
 	settled := ws.ensureSettled(n)
 	ws.h.reset(n)
-	ws.h.push(root, 0)
-	if dense {
-		res.Settled = settleGoalDense(g, t, dn, dl, &ws.h, settled, goal, heur)
-	} else {
-		res.Settled = settleGoal(g, t, d, &ws.h, settled, goal, heur)
-	}
-	if !settled[goal] {
+	ws.h.push(src, 0)
+	settleGoal(g, t, dn, dl, &ws.h, settled, dst, heur)
+	if !settled[dst] {
 		return false
 	}
-	res.Cost = t.Dist[goal]
+	res.Cost = t.Dist[dst]
 
-	if reconstructGoal(res, g, t, dn, dl, d, settled, root, goal) {
-		if kind == Forward {
-			reverse(res.Nodes[nodesBase:])
-			reverseLinks(res.Links[linksBase:])
-		}
+	if reconstructGoal(res, g, t, dl, settled, src, dst) {
+		reverse(res.Nodes[nodesBase:])
+		reverseLinks(res.Links[linksBase:])
 		return true
 	}
 
@@ -139,35 +99,28 @@ func (ws *Workspace) computeGoal(res *GoalResult, g *graph.Graph, root, goal gra
 	// Recompute the full canonical tree and extract — always correct.
 	res.Nodes = res.Nodes[:nodesBase]
 	res.Links = res.Links[:linksBase]
-	ws.runInto(t, g, root, d, kind)
-	res.Nodes, _ = t.AppendPathNodes(res.Nodes, goal)
-	res.Links, _ = t.AppendPathLinks(res.Links, goal)
-	res.Cost = t.Dist[goal]
+	ws.runInto(t, g, src, d, Forward)
+	res.Nodes, _ = t.AppendPathNodes(res.Nodes, dst)
+	res.Links, _ = t.AppendPathLinks(res.Links, dst)
+	res.Cost = t.Dist[dst]
 	return true
 }
 
 // goalLower evaluates the heuristic for frontier node v against the
-// fixed search goal, oriented by tree kind: a Forward search from src
-// bounds the remaining v→dst cost, a Reverse search rooted at dst
-// bounds the remaining src→v cost. Out-of-contract values (negative,
-// NaN, +Inf) degrade to the always-admissible 0.
-func goalLower(heur Heuristic, kind Kind, v, goal graph.NodeID) float64 {
+// search goal. Out-of-contract values (negative, NaN, +Inf) degrade to
+// the always-admissible 0.
+func goalLower(heur Heuristic, v, goal graph.NodeID) float64 {
 	if heur == nil {
 		return 0
 	}
-	var b float64
-	if kind == Forward {
-		b = heur.Lower(v, goal)
-	} else {
-		b = heur.Lower(goal, v)
-	}
+	b := heur.Lower(v, goal)
 	if math.IsInf(b, 1) || !(b > 0) {
 		return 0
 	}
 	return b
 }
 
-// settleGoalDense runs the A* main loop with the overlay as flat down
+// settleGoal runs the A* main loop with the overlay as flat down
 // tables, mirroring settleDense. The heap carries f = g + h
 // priorities while t.Dist holds g; a node's newest (lowest-f) entry
 // always pops first, so the settled table doubles as the stale-entry
@@ -175,9 +128,8 @@ func goalLower(heur Heuristic, kind Kind, v, goal graph.NodeID) float64 {
 // f exceeds the goal's distance: with a consistent heuristic every
 // node whose label the canonical reconstruction may consult has
 // f <= dist(goal) and is therefore settled, with its exact label, by
-// the time the loop exits. Returns the number of nodes settled.
-func settleGoalDense(g *graph.Graph, t *Tree, nodeDown, linkDown []bool, pq *minHeap, settled []bool, goal graph.NodeID, heur Heuristic) int {
-	count := 0
+// the time the loop exits.
+func settleGoal(g *graph.Graph, t *Tree, nodeDown, linkDown []bool, pq *minHeap, settled []bool, goal graph.NodeID, heur Heuristic) {
 	goalF := Inf
 	for pq.len() > 0 {
 		if pq.dists[0] > goalF {
@@ -188,7 +140,6 @@ func settleGoalDense(g *graph.Graph, t *Tree, nodeDown, linkDown []bool, pq *min
 			continue // stale entry
 		}
 		settled[v] = true
-		count++
 		if v == goal {
 			// Paths through the goal cost more than dist(goal), so
 			// nodes reached via its edges can never be consulted by the
@@ -206,51 +157,10 @@ func settleGoalDense(g *graph.Graph, t *Tree, nodeDown, linkDown []bool, pq *min
 			nd := dv + edgeCost(l, t.Kind, w)
 			if nd < t.Dist[w] {
 				t.Dist[w] = nd
-				pq.push(w, nd+goalLower(heur, t.Kind, w, goal))
+				pq.push(w, nd+goalLower(heur, w, goal))
 			}
 		}
 	}
-	return count
-}
-
-// settleGoal is settleGoalDense on interface dispatch, for overlays
-// that cannot lend dense tables: a single-pair query touches far fewer
-// edges than the O(n+m) overlay compilation the dense path would
-// require. Its production caller is mrc.Route under -phase2=alt, whose
-// per-(configuration, destination) cfgDenied view is computed, not
-// stored.
-func settleGoal(g *graph.Graph, t *Tree, d graph.Denied, pq *minHeap, settled []bool, goal graph.NodeID, heur Heuristic) int {
-	count := 0
-	goalF := Inf
-	for pq.len() > 0 {
-		if pq.dists[0] > goalF {
-			break
-		}
-		v, _, _ := pq.pop()
-		if settled[v] {
-			continue // stale entry
-		}
-		settled[v] = true
-		count++
-		if v == goal {
-			goalF = t.Dist[v]
-			continue
-		}
-		dv := t.Dist[v]
-		for _, he := range g.Adj(v) {
-			w := he.Neighbor
-			if settled[w] || d.NodeDown(w) || d.LinkDown(he.Link) {
-				continue
-			}
-			l := g.Link(he.Link)
-			nd := dv + edgeCost(l, t.Kind, w)
-			if nd < t.Dist[w] {
-				t.Dist[w] = nd
-				pq.push(w, nd+goalLower(heur, t.Kind, w, goal))
-			}
-		}
-	}
-	return count
 }
 
 // reconstructGoal derives the canonical shortest path from the A*
@@ -265,10 +175,10 @@ func settleGoal(g *graph.Graph, t *Tree, d graph.Denied, pq *minHeap, settled []
 // link-creation order, so the first matching halfedge is the one
 // Dijkstra kept. Every consulted predecessor is settled with its
 // exact label because its f bound cannot exceed dist(goal) (see
-// settleGoalDense). Nodes are appended goal-first; the caller
-// reverses for Forward searches. Returns false if some node has no
-// exact-equality predecessor (float pathology; caller falls back).
-func reconstructGoal(res *GoalResult, g *graph.Graph, t *Tree, dn, dl []bool, d graph.Denied, settled []bool, root, goal graph.NodeID) bool {
+// settleGoal). Nodes are appended goal-first; the caller reverses.
+// Returns false if some node has no exact-equality predecessor (float
+// pathology; caller falls back).
+func reconstructGoal(res *GoalResult, g *graph.Graph, t *Tree, linkDown []bool, settled []bool, root, goal graph.NodeID) bool {
 	res.Nodes = append(res.Nodes, goal)
 	for cur := goal; cur != root; {
 		dcur := t.Dist[cur]
@@ -279,14 +189,7 @@ func reconstructGoal(res *GoalResult, g *graph.Graph, t *Tree, dn, dl []bool, d 
 			u := he.Neighbor
 			// A settled node is necessarily alive, but the connecting
 			// link can be down with both endpoints alive.
-			if !settled[u] {
-				continue
-			}
-			if dn != nil {
-				if dl[he.Link] {
-					continue
-				}
-			} else if d.LinkDown(he.Link) {
+			if !settled[u] || linkDown[he.Link] {
 				continue
 			}
 			du := t.Dist[u]

@@ -15,7 +15,6 @@ import (
 	"repro/internal/routing"
 	"repro/internal/scheme"
 	"repro/internal/sim"
-	"repro/internal/spt"
 	"repro/internal/traffic"
 )
 
@@ -75,10 +74,7 @@ func (r *RunResult) Complete() bool { return len(r.Results) == len(r.Plan) }
 // and are checkpointed, so every shard is either fully recorded or
 // untouched — the invariant resume depends on.
 func (e *Engine) Run(ctx context.Context) (*RunResult, error) {
-	eng, err := spt.ParseEngine(e.Spec.Phase2)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
-	}
+	var err error
 	e.gen, err = failure.ParseSpecOrDefault(e.Spec.Failure)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
@@ -94,10 +90,6 @@ func (e *Engine) Run(ctx context.Context) (*RunResult, error) {
 		w := e.Worlds[sh.Topology]
 		if w == nil {
 			return nil, fmt.Errorf("sweep: no world for topology %q", sh.Topology)
-		}
-		if w.Phase2 != eng {
-			return nil, fmt.Errorf("sweep: world %q built with phase-2 engine %s, spec wants %s",
-				sh.Topology, w.Phase2, eng)
 		}
 		// Congestion shards resolve their scheme fail-fast, and the
 		// scheme's Prepare hook vets the world (e.g. mrc on a scale-mode

@@ -124,15 +124,6 @@ type Spec struct {
 	// and is deliberately excluded from the checkpoint fingerprint —
 	// a checked resume of an unchecked run (and vice versa) is valid.
 	Check bool `json:"-"`
-
-	// Phase2 names the phase-2 route engine the worlds were built with
-	// (spt.ParseEngine spellings; empty means the default). Engines are
-	// proven output-identical (the goal engines reproduce the canonical
-	// route bit for bit), so Phase2, like Check, changes no results and
-	// is deliberately excluded from the checkpoint fingerprint: a
-	// checkpoint written under one engine resumes cleanly under another.
-	// Engine.Run validates that the supplied worlds match.
-	Phase2 string `json:"-"`
 }
 
 func (s Spec) blockCases() int {
