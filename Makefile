@@ -59,15 +59,21 @@ bench-run:
 ## sweep-smoke: end-to-end determinism of the sharded sweep. One
 ## uninterrupted run, then the same workload interrupted after two
 ## shards (-max-shards exits 2, hence the leading -) and resumed from
-## its checkpoint; the two stdouts must be identical. Also proves the
-## -exp flag fails fast (exit 1) on an experiment name it doesn't know.
+## its checkpoint; the two stdouts must be identical. Then every
+## experiment's -csv files (the cmd/rtrsim TestGoldenAll workload) at
+## -workers 1 and 4 must match file for file. Also proves the -exp flag
+## fails fast (exit 1) on an experiment name it doesn't know.
 SWEEP_ARGS = -exp table3,fig11 -as AS1239 -cases 40 -block 15 -fig11-areas 20 -seed 1
+CSV_ARGS = -exp all -as AS1239,AS4323 -cases 30 -fig11-areas 5 -loss-scenarios 3 -util-pairs 100 -util-scenarios 2 -seed 1
 sweep-smoke:
 	rm -rf .sweep-smoke && mkdir -p .sweep-smoke
 	$(GO) run ./cmd/rtrsim $(SWEEP_ARGS) -workers 2 > .sweep-smoke/full.txt
 	-$(GO) run ./cmd/rtrsim $(SWEEP_ARGS) -workers 1 -state .sweep-smoke/st -max-shards 2 > .sweep-smoke/interrupted.txt 2>/dev/null
 	$(GO) run ./cmd/rtrsim $(SWEEP_ARGS) -workers 4 -state .sweep-smoke/st -resume > .sweep-smoke/resumed.txt
 	cmp .sweep-smoke/full.txt .sweep-smoke/resumed.txt
+	$(GO) run ./cmd/rtrsim $(CSV_ARGS) -workers 1 -csv .sweep-smoke/csv1 > /dev/null
+	$(GO) run ./cmd/rtrsim $(CSV_ARGS) -workers 4 -csv .sweep-smoke/csv4 > /dev/null
+	diff -r .sweep-smoke/csv1 .sweep-smoke/csv4
 	rm -rf .sweep-smoke
 	! $(GO) run ./cmd/rtrsim -exp nosuch > /dev/null 2>&1
 

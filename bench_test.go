@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/spt"
+	"repro/internal/sweep"
 	"repro/internal/topology"
 )
 
@@ -186,16 +188,32 @@ func BenchmarkFig10TransmissionOverTime(b *testing.B) {
 }
 
 // BenchmarkFig11IrrecoverableVsRadius regenerates a compressed Fig. 11
-// sweep (three radii, fewer areas than the paper's 1000 per radius).
+// sweep (three radii, fewer areas than the paper's 1000 per radius)
+// through the sweep engine's Fig. 11 shards, as rtrsim runs it.
 func BenchmarkFig11IrrecoverableVsRadius(b *testing.B) {
 	w, err := sim.NewWorld("AS1239", 11)
 	if err != nil {
 		b.Fatal(err)
 	}
+	worlds := map[string]*sim.World{"AS1239": w}
 	b.ResetTimer()
 	var atMin, atMax float64
 	for i := 0; i < b.N; i++ {
-		pts := sim.Fig11(w, int64(i)+7, []float64{20, 160, 300}, 20)
+		eng := &sweep.Engine{Spec: sweep.Spec{
+			BaseSeed:   int64(i) + 7,
+			Topologies: []string{"AS1239"},
+			Fig11Radii: []float64{20, 160, 300},
+			Fig11Areas: 20,
+		}, Worlds: worlds, Workers: 1}
+		res, err := eng.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		series, err := res.Fig11()
+		if err != nil {
+			b.Fatal(err)
+		}
+		pts := series["AS1239"]
 		atMin, atMax = pts[0].Percent, pts[2].Percent
 	}
 	b.ReportMetric(atMin, "irrec-%-r20")
@@ -267,14 +285,8 @@ func BenchmarkDatasetBuild(b *testing.B) {
 // termination against the paper's literal rule (DESIGN.md §6): same
 // workload, two engines, reported as optimal recovery rates.
 func BenchmarkAblationTermination(b *testing.B) {
-	topoSeed := int64(11)
 	build := func(opts ...core.Option) (*sim.World, []*sim.Case) {
-		p, _ := topology.ParamsFor("AS1239")
-		topo, err := topology.Generate(p, rand.New(rand.NewSource(topoSeed)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		w, err := sim.NewWorldFrom(topo, opts...)
+		w, err := sim.NewWorld("AS1239", 11, opts...)
 		if err != nil {
 			b.Fatal(err)
 		}

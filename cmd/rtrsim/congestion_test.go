@@ -13,7 +13,7 @@ import (
 // utilization table is a pure function of (topology, seed, pairs,
 // scenarios, schemes), like every other experiment.
 func TestGoldenCongestion(t *testing.T) {
-	out, code := run(t, "-exp", "congestion", "-as", "AS1239", "-seed", "1",
+	out, code := runCLI(t, "-exp", "congestion", "-as", "AS1239", "-seed", "1",
 		"-util-pairs", "200", "-util-scenarios", "3", "-check")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
@@ -26,7 +26,7 @@ func TestGoldenCongestion(t *testing.T) {
 // post-recovery peak-link utilization than plain RTR on the bundled
 // Rocketfuel topology the experiment runs on.
 func TestSpreadBeatsRTRPeak(t *testing.T) {
-	out, code := run(t, "-exp", "congestion", "-as", "AS1239", "-seed", "1",
+	out, code := runCLI(t, "-exp", "congestion", "-as", "AS1239", "-seed", "1",
 		"-util-pairs", "400", "-util-scenarios", "4")
 	if code != 0 {
 		t.Fatalf("exit %d", code)

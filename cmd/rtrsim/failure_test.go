@@ -31,11 +31,11 @@ func TestFailureFlagValidation(t *testing.T) {
 // refactoring contract that keeps the golden files valid.
 func TestFailureDefaultSpecMatchesUnset(t *testing.T) {
 	base := []string{"-exp", "table3", "-as", "AS1239", "-cases", "40", "-seed", "1"}
-	want, code := run(t, base...)
+	want, code := runCLI(t, base...)
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	got, code := run(t, append(base, "-failure", "disk")...)
+	got, code := runCLI(t, append(base, "-failure", "disk")...)
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
@@ -62,14 +62,14 @@ func TestFailureGeneratorSweeps(t *testing.T) {
 					"-fig11-areas", "10", "-seed", "2", "-check",
 					"-failure", spec, "-workers", workers}
 			}
-			want, code := run(t, args("1")...)
+			want, code := runCLI(t, args("1")...)
 			if code != 0 {
 				t.Fatalf("exit %d", code)
 			}
 			if !strings.Contains(want, "Table III") {
 				t.Fatalf("sweep produced no Table III output:\n%s", want)
 			}
-			got, code := run(t, args("4")...)
+			got, code := runCLI(t, args("4")...)
 			if code != 0 {
 				t.Fatalf("exit %d", code)
 			}

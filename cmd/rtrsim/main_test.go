@@ -43,9 +43,9 @@ func binary(t *testing.T) string {
 	return binPath
 }
 
-// run executes the binary and returns its stdout and exit code; only
+// runCLI executes the binary and returns its stdout and exit code; only
 // stdout is asserted on — stderr carries progress and timings.
-func run(t *testing.T, args ...string) (string, int) {
+func runCLI(t *testing.T, args ...string) (string, int) {
 	t.Helper()
 	cmd := exec.Command(binary(t), args...)
 	var stdout, stderr bytes.Buffer
@@ -69,7 +69,7 @@ func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -87,7 +87,7 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 func TestGoldenTable3(t *testing.T) {
-	out, code := run(t, "-exp", "table3", "-as", "AS1239", "-cases", "50", "-seed", "1")
+	out, code := runCLI(t, "-exp", "table3", "-as", "AS1239", "-cases", "50", "-seed", "1")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
@@ -95,11 +95,75 @@ func TestGoldenTable3(t *testing.T) {
 }
 
 func TestGoldenFig11(t *testing.T) {
-	out, code := run(t, "-exp", "fig11", "-as", "AS1239", "-fig11-areas", "20", "-seed", "1")
+	out, code := runCLI(t, "-exp", "fig11", "-as", "AS1239", "-fig11-areas", "20", "-seed", "1")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
 	checkGolden(t, "fig11_as1239.golden", out)
+}
+
+// goldenAllArgs is a small run of every experiment on two topologies:
+// two, so Tables III and IV print their "Overall" rows.
+var goldenAllArgs = []string{"-exp", "all", "-as", "AS1239,AS4323", "-cases", "30",
+	"-fig11-areas", "5", "-loss-scenarios", "3", "-util-pairs", "100", "-util-scenarios", "2", "-seed", "1"}
+
+// TestGoldenAll pins the stdout of every experiment and every CSV file
+// -csv writes (testdata/csv), byte for byte.
+func TestGoldenAll(t *testing.T) {
+	dir := t.TempDir()
+	out, code := runCLI(t, append(goldenAllArgs, "-csv", dir)...)
+	if code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	checkGolden(t, "all.golden", out)
+
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := map[string]bool{}
+	for _, f := range files {
+		written[f.Name()] = true
+		got, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, filepath.Join("csv", f.Name()), string(got))
+	}
+	if *update {
+		return
+	}
+	goldens, err := os.ReadDir(filepath.Join("testdata", "csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range goldens {
+		if !written[f.Name()] {
+			t.Errorf("-csv did not write %s", f.Name())
+		}
+	}
+}
+
+// TestProfilesSurviveInterrupt: a sweep stopped with exit 2 still
+// flushes the CPU profile (a gzip stream) and writes the heap profile.
+func TestProfilesSurviveInterrupt(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	_, code := runCLI(t, "-exp", "table3", "-as", "AS1239", "-cases", "200", "-block", "15",
+		"-max-shards", "1", "-cpuprofile", cpu, "-memprofile", mem)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	b, err := os.ReadFile(cpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Errorf("cpu profile is not a gzip stream (%d bytes)", len(b))
+	}
+	if _, err := os.Stat(mem); err != nil {
+		t.Errorf("heap profile not written: %v", err)
+	}
 }
 
 // TestOutputIdenticalAcrossWorkers: the sharded sweep must make the
@@ -110,12 +174,12 @@ func TestOutputIdenticalAcrossWorkers(t *testing.T) {
 			"-cases", "40", "-block", "15", "-fig11-areas", "20", "-seed", "3",
 			"-workers", workers}
 	}
-	want, code := run(t, args("1")...)
+	want, code := runCLI(t, args("1")...)
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
 	for _, workers := range []string{"4", "16"} {
-		got, code := run(t, args(workers)...)
+		got, code := runCLI(t, args(workers)...)
 		if code != 0 {
 			t.Fatalf("workers=%s: exit %d", workers, code)
 		}
@@ -131,13 +195,13 @@ func TestOutputIdenticalAcrossWorkers(t *testing.T) {
 func TestInterruptAndResume(t *testing.T) {
 	base := []string{"-exp", "table3,fig11", "-as", "AS1239",
 		"-cases", "40", "-block", "15", "-fig11-areas", "20", "-seed", "5"}
-	want, code := run(t, append(base, "-workers", "2")...)
+	want, code := runCLI(t, append(base, "-workers", "2")...)
 	if code != 0 {
 		t.Fatalf("uninterrupted run: exit %d", code)
 	}
 
 	state := filepath.Join(t.TempDir(), "st")
-	out, code := run(t, append(base, "-workers", "1", "-state", state, "-max-shards", "2")...)
+	out, code := runCLI(t, append(base, "-workers", "1", "-state", state, "-max-shards", "2")...)
 	if code != 2 {
 		t.Fatalf("interrupted run: exit %d, want 2", code)
 	}
@@ -145,7 +209,7 @@ func TestInterruptAndResume(t *testing.T) {
 		t.Errorf("interrupted run printed results:\n%s", out)
 	}
 
-	got, code := run(t, append(base, "-workers", "4", "-state", state, "-resume")...)
+	got, code := runCLI(t, append(base, "-workers", "4", "-state", state, "-resume")...)
 	if code != 0 {
 		t.Fatalf("resumed run: exit %d", code)
 	}
@@ -177,7 +241,7 @@ func TestUnknownExperimentExitsOne(t *testing.T) {
 	if stdout.Len() != 0 {
 		t.Errorf("printed %q before rejecting the name", stdout.String())
 	}
-	list := strings.Join(experiments, ", ")
+	list := strings.Join(experimentNames(), ", ")
 	if msg := stderr.String(); !strings.Contains(msg, `unknown experiment "tabel4"`) || !strings.Contains(msg, list) {
 		t.Errorf("stderr %q does not name the typo and the valid experiments", msg)
 	}
@@ -188,7 +252,7 @@ func TestUnknownExperimentExitsOne(t *testing.T) {
 	}
 	doc, _, _ := strings.Cut(string(src), "\npackage main")
 	doc = strings.Join(strings.Fields(strings.ReplaceAll(doc, "//", " ")), " ")
-	if want := "Experiments: " + strings.Join(experiments, " ") + ` (and "all").`; !strings.Contains(doc, want) {
+	if want := "Experiments: " + strings.Join(experimentNames(), " ") + ` (and "all").`; !strings.Contains(doc, want) {
 		t.Errorf("package comment does not list the experiments as %q", want)
 	}
 }
@@ -214,7 +278,7 @@ func TestUnknownTopologyExitsOne(t *testing.T) {
 		t.Errorf("stderr %q does not name the unknown topology and the known ones", msg)
 	}
 
-	out, code := run(t, "-exp", "table2", "-as", "AS1239, AS7018")
+	out, code := runCLI(t, "-exp", "table2", "-as", "AS1239, AS7018")
 	if code != 0 {
 		t.Fatalf("spaced -as list: exit %d", code)
 	}

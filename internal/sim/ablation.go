@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/mrc"
@@ -39,28 +38,12 @@ type TerminationAblation struct {
 	VerifiedP90Ms, PaperP90Ms float64
 }
 
-// AblateTermination builds two engines on the same topology — default
-// (enclosure-verified) and WithPaperTermination — and runs the same
-// recoverable workload through both.
-func AblateTermination(asName string, seed int64, cases int) (TerminationAblation, error) {
-	res := TerminationAblation{AS: asName}
-	build := func(opts ...core.Option) (*World, []*Case, error) {
-		p, ok := topology.ParamsFor(asName)
-		if !ok {
-			return nil, nil, fmt.Errorf("sim: unknown topology %q", asName)
-		}
-		topo, err := topology.Generate(p, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return nil, nil, err
-		}
-		w, err := NewWorldFrom(topo, opts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		return w, CollectCases(w, ablationCaseRNG(seed), cases, true), nil
-	}
-	measure := func(w *World, cs []*Case) (optPct, p90 float64) {
-		outs := RunAll(w, cs)
+// AblateTermination runs the same recoverable workload through the
+// default (enclosure-verified) world w and paper, a world of the same
+// topology built WithPaperTermination.
+func AblateTermination(w, paper *World, seed int64, cases int) TerminationAblation {
+	measure := func(w *World) (optPct, p90 float64) {
+		outs := RunAll(w, CollectCases(w, ablationCaseRNG(seed), cases, true))
 		n, opt := 0, 0
 		var durations []float64
 		for _, o := range outs {
@@ -79,19 +62,10 @@ func AblateTermination(asName string, seed int64, cases int) (TerminationAblatio
 		c := stats.NewCDF(durations)
 		return 100 * float64(opt) / float64(n), c.Quantile(0.9)
 	}
-
-	w, cs, err := build()
-	if err != nil {
-		return res, err
-	}
-	res.VerifiedOptimal, res.VerifiedP90Ms = measure(w, cs)
-
-	wp, csp, err := build(core.WithPaperTermination())
-	if err != nil {
-		return res, err
-	}
-	res.PaperOptimal, res.PaperP90Ms = measure(wp, csp)
-	return res, nil
+	res := TerminationAblation{AS: w.Topo.Name}
+	res.VerifiedOptimal, res.VerifiedP90Ms = measure(w)
+	res.PaperOptimal, res.PaperP90Ms = measure(paper)
+	return res
 }
 
 // ConstraintCell is one cell of the 2x2 constraint/termination
@@ -117,23 +91,10 @@ type ConstraintAblation struct {
 	PaperConstrained, PaperUnconstrained ConstraintCell
 }
 
-// AblateConstraints measures the 2x2 of constraints x termination.
-func AblateConstraints(asName string, seed int64, cases int) (ConstraintAblation, error) {
-	res := ConstraintAblation{AS: asName}
-	p, ok := topology.ParamsFor(asName)
-	if !ok {
-		return res, fmt.Errorf("sim: unknown topology %q", asName)
-	}
-
-	run := func(opts ...core.Option) (con, unc ConstraintCell, err error) {
-		topo, err := topology.Generate(p, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return con, unc, err
-		}
-		w, err := NewWorldFrom(topo, opts...)
-		if err != nil {
-			return con, unc, err
-		}
+// AblateConstraints measures the 2x2 of constraints x termination on
+// the default world w and the paper-termination world paper.
+func AblateConstraints(w, paper *World, seed int64, cases int) ConstraintAblation {
+	run := func(w *World) (con, unc ConstraintCell) {
 		cs := CollectCases(w, ablationCaseRNG(seed), cases, true)
 
 		coverage := func(c *Case, collected []graph.LinkID) (have, want int) {
@@ -191,16 +152,13 @@ func AblateConstraints(asName string, seed int64, cases int) (ConstraintAblation
 			con.AvgWalkHops = float64(conHops) / float64(n)
 			unc.AvgWalkHops = float64(unHops) / float64(n)
 		}
-		return con, unc, nil
+		return con, unc
 	}
 
-	var err error
-	res.VerifiedConstrained, res.VerifiedUnconstrained, err = run()
-	if err != nil {
-		return res, err
-	}
-	res.PaperConstrained, res.PaperUnconstrained, err = run(core.WithPaperTermination())
-	return res, err
+	res := ConstraintAblation{AS: w.Topo.Name}
+	res.VerifiedConstrained, res.VerifiedUnconstrained = run(w)
+	res.PaperConstrained, res.PaperUnconstrained = run(paper)
+	return res
 }
 
 // MRCConfigPoint is one point of the configuration-count sweep.
@@ -212,11 +170,7 @@ type MRCConfigPoint struct {
 // AblateMRCConfigs sweeps MRC's configuration count on a fixed
 // workload: more configurations isolate fewer elements each, changing
 // how often a route survives an area failure.
-func AblateMRCConfigs(asName string, seed int64, cases int, ks []int) ([]MRCConfigPoint, error) {
-	w, err := NewWorld(asName, seed)
-	if err != nil {
-		return nil, err
-	}
+func AblateMRCConfigs(w *World, seed int64, cases int, ks []int) ([]MRCConfigPoint, error) {
 	cs := CollectCases(w, ablationCaseRNG(seed), cases, true)
 
 	out := make([]MRCConfigPoint, 0, len(ks))
@@ -255,13 +209,15 @@ type WeightedCostAblation struct {
 	FCPRecovery       float64
 }
 
-// AblateWeightedCosts rebuilds the topology with random per-direction
-// link costs in [1, 10) and reruns the recoverable workload.
-func AblateWeightedCosts(asName string, seed int64, cases int) (WeightedCostAblation, error) {
-	res := WeightedCostAblation{AS: asName}
-	p, ok := topology.ParamsFor(asName)
+// AblateWeightedCosts rebuilds w's Table II topology with random
+// per-direction link costs in [1, 10) and reruns the recoverable
+// workload. It synthesizes the topology again rather than copying
+// w.Topo because the weights continue the synthesis RNG stream.
+func AblateWeightedCosts(w *World, seed int64, cases int) (WeightedCostAblation, error) {
+	res := WeightedCostAblation{AS: w.Topo.Name}
+	p, ok := topology.ParamsFor(w.Topo.Name)
 	if !ok {
-		return res, fmt.Errorf("sim: unknown topology %q", asName)
+		return res, fmt.Errorf("sim: unknown topology %q", w.Topo.Name)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	base, err := topology.Generate(p, rng)
@@ -272,12 +228,12 @@ func AblateWeightedCosts(asName string, seed int64, cases int) (WeightedCostAbla
 	if err != nil {
 		return res, err
 	}
-	w, err := NewWorldFrom(weighted)
+	ww, err := NewWorldFrom(weighted)
 	if err != nil {
 		return res, err
 	}
-	cs := CollectCases(w, ablationCaseRNG(seed), cases, true)
-	outs := RunAll(w, cs)
+	cs := CollectCases(ww, ablationCaseRNG(seed), cases, true)
+	outs := RunAll(ww, cs)
 	var rec, opt, fcpRec, n int
 	for _, o := range outs {
 		if o.Err != nil {

@@ -1,12 +1,29 @@
 package sim
 
-import "testing"
+import (
+	"testing"
 
-func TestAblateTermination(t *testing.T) {
-	res, err := AblateTermination("AS1239", 11, 300)
+	"repro/internal/core"
+)
+
+// ablationWorlds builds the default and the paper-termination world of
+// one topology, the pair the termination and constraint ablations
+// compare.
+func ablationWorlds(t *testing.T, as string, seed int64) (w, paper *World) {
+	t.Helper()
+	w, err := NewWorld(as, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if paper, err = NewWorld(as, seed, core.WithPaperTermination()); err != nil {
+		t.Fatal(err)
+	}
+	return w, paper
+}
+
+func TestAblateTermination(t *testing.T) {
+	w, paper := ablationWorlds(t, "AS1239", 11)
+	res := AblateTermination(w, paper, 11, 300)
 	if res.VerifiedOptimal <= 0 || res.PaperOptimal <= 0 {
 		t.Fatalf("degenerate rates: %+v", res)
 	}
@@ -23,9 +40,14 @@ func TestAblateTermination(t *testing.T) {
 		res.VerifiedOptimal, res.VerifiedP90Ms, res.PaperOptimal, res.PaperP90Ms)
 }
 
+// An unknown topology fails where the termination ablation's worlds are
+// built: the paper-termination world as well as the default one.
 func TestAblateTerminationUnknownAS(t *testing.T) {
-	if _, err := AblateTermination("ASnope", 1, 10); err == nil {
-		t.Error("unknown topology must error")
+	if _, err := NewWorld("ASnope", 1, core.WithPaperTermination()); err == nil {
+		t.Error("unknown topology must error for the paper-termination world")
+	}
+	if _, err := NewWorld("ASnope", 1); err == nil {
+		t.Error("unknown topology must error for the default world")
 	}
 }
 
@@ -34,10 +56,8 @@ func TestAblateConstraints(t *testing.T) {
 	// is real but modest, and smaller workloads leave it inside the
 	// noise of which equal-cost converged paths the case generator
 	// happens to draw.
-	res, err := AblateConstraints("AS1239", 11, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, paper := ablationWorlds(t, "AS1239", 11)
+	res := AblateConstraints(w, paper, 11, 600)
 	// With the exploration machinery (directed-edge freshness +
 	// escapes), the constraints' measurable benefit is walk length:
 	// the unconstrained walk wanders far longer for comparable
@@ -67,7 +87,11 @@ func TestAblateConstraints(t *testing.T) {
 }
 
 func TestAblateMRCConfigs(t *testing.T) {
-	pts, err := AblateMRCConfigs("AS1239", 11, 300, []int{3, 5, 8})
+	w, err := NewWorld("AS1239", 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := AblateMRCConfigs(w, 11, 300, []int{3, 5, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +107,11 @@ func TestAblateMRCConfigs(t *testing.T) {
 }
 
 func TestAblateWeightedCosts(t *testing.T) {
-	res, err := AblateWeightedCosts("AS1239", 11, 300)
+	w, err := NewWorld("AS1239", 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := AblateWeightedCosts(w, 11, 300)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"math/rand"
 	"time"
 
-	"repro/internal/failure"
 	"repro/internal/stats"
 )
 
@@ -114,10 +112,14 @@ func (d *Dataset) Fig8() (rtr, fcp *stats.CDF) {
 
 // Fig9 returns the CDFs of shortest-path calculation counts on
 // recoverable cases for RTR and FCP.
-func (d *Dataset) Fig9() (rtr, fcp *stats.CDF) {
+func (d *Dataset) Fig9() (rtr, fcp *stats.CDF) { return spCalcs(d.Rec) }
+
+// spCalcs returns RTR's and FCP's shortest-path calculation counts
+// over the records in which RTR ran.
+func spCalcs(set []CaseRecord) (rtr, fcp *stats.CDF) {
 	rtr, fcp = &stats.CDF{}, &stats.CDF{}
-	for i := range d.Rec {
-		r := &d.Rec[i]
+	for i := range set {
+		r := &set[i]
 		if r.Err != "" || r.RTR.NoLiveNeighbor {
 			continue
 		}
@@ -168,28 +170,10 @@ type Fig11Point struct {
 	Failed  int
 }
 
-// Fig11 sweeps the failure radius (the paper: 20 to 300 in steps of
-// 20, 1000 areas per radius) and reports the fraction of failed
-// routing paths that are irrecoverable.
-func Fig11(w *World, seed int64, radii []float64, areasPerRadius int) []Fig11Point {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Fig11Point, 0, len(radii))
-	for _, radius := range radii {
-		failed, irr := 0, 0
-		for i := 0; i < areasPerRadius; i++ {
-			area := failure.RandomArea(rng, radius, radius)
-			sc := failure.NewScenario(w.Topo, area)
-			f, ir := CountFailedPaths(w, sc)
-			failed += f
-			irr += ir
-		}
-		out = append(out, NewFig11Point(radius, failed, irr))
-	}
-	return out
-}
-
 // NewFig11Point assembles one Fig. 11 sample from raw failed-path
-// counts (the sweep engine merges per-shard counts through this).
+// counts: the sweep engine's KindFig11 shards count them with
+// CountFailedPaths over random areas of one radius (the paper: 20 to
+// 300 in steps of 20, 1000 areas per radius).
 func NewFig11Point(radius float64, failed, irrecoverable int) Fig11Point {
 	p := Fig11Point{Radius: radius, Failed: failed}
 	if failed > 0 {
@@ -209,18 +193,7 @@ func DefaultRadii() []float64 {
 
 // Fig12 returns the CDFs of wasted computation (shortest path
 // calculations) on irrecoverable cases.
-func (d *Dataset) Fig12() (rtr, fcp *stats.CDF) {
-	rtr, fcp = &stats.CDF{}, &stats.CDF{}
-	for i := range d.Irr {
-		r := &d.Irr[i]
-		if r.Err != "" || r.RTR.NoLiveNeighbor {
-			continue
-		}
-		rtr.Add(float64(r.RTR.SPCalcs))
-		fcp.Add(float64(r.FCP.SPCalcs))
-	}
-	return rtr, fcp
-}
+func (d *Dataset) Fig12() (rtr, fcp *stats.CDF) { return spCalcs(d.Irr) }
 
 // Fig13 returns the CDFs of wasted transmission (packet size times
 // hops from the initiator to the discarding node) on irrecoverable

@@ -213,9 +213,18 @@ func TestFig11Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := Fig11(w, 7, []float64{20, 160, 300}, 60)
-	if len(pts) != 3 {
-		t.Fatalf("got %d points", len(pts))
+	// 60 random areas per radius, counted as a KindFig11 sweep shard
+	// counts them.
+	rng := rand.New(rand.NewSource(7))
+	var pts []Fig11Point
+	for _, radius := range []float64{20, 160, 300} {
+		failed, irr := 0, 0
+		for i := 0; i < 60; i++ {
+			f, ir := CountFailedPaths(w, failure.NewScenario(w.Topo, failure.RandomArea(rng, radius, radius)))
+			failed += f
+			irr += ir
+		}
+		pts = append(pts, NewFig11Point(radius, failed, irr))
 	}
 	// Even tiny areas strand >20%% of failed paths; big areas more
 	// (the paper's Fig. 11 headline).
