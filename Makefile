@@ -45,13 +45,14 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 50x -benchmem .
 
 ## bench-run: one short run of the repo benchmark (BENCHMARK.json,
-## bench/run.sh) on the cache-hit, the cache-miss and the 16k-node
-## scale serving workloads so the gate's own harness cannot rot: each
-## must exit 0 and report every answer checked correct. Timings from a
-## 3 s run are not a measurement; use the full command in
-## bench/README.md for that.
+## bench/run.sh) on every workload — the sharded sweep (whose priming
+## pass checks each shard record against a checkpointed run), the
+## cache-hit, the cache-miss and the 16k-node scale serving workloads —
+## so the gate's own harness cannot rot: each must exit 0 and report
+## every answer checked correct. Timings from a 3 s run are not a
+## measurement; use the full command in bench/README.md for that.
 bench-run:
-	for w in serve_hot serve_miss scale_serve; do \
+	for w in sweep_cases serve_hot serve_miss scale_serve; do \
 	  out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0) && \
 	    echo "$$out" | tail -n 1 | grep -q '"correct":true' || exit 1; \
 	done

@@ -4,11 +4,14 @@
 // all destinations"; State is that unit of sharing for one (world,
 // failure scenario) pair: the local view, the post-failure tables, the
 // ground-truth component labelling, one ground-truth tree per
-// initiator, and one prepared RTR session per (initiator, trigger).
-// Everything is built on first use, exactly once, and is read-only
-// afterwards, so any number of goroutines — sweep workers, served
-// queries, traffic replays — share one State. The invariant oracle is
-// deliberately not a client: it opens its own sessions so it stays
+// initiator, one prepared RTR session per (initiator, trigger), and
+// one FCP pruned-view tree per (router, carried failed links).
+// Everything is built on first use, once, and is read-only afterwards
+// (two FCP recoveries racing on one tree may both compute it; the
+// first insert wins and the two are identical), so any number of
+// goroutines — sweep workers, served queries, traffic replays — share
+// one State. The invariant oracle is deliberately not a client: it
+// opens its own sessions and runs FCP without the memo, so it stays
 // independent of what it checks.
 package converged
 
@@ -18,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/failure"
+	"repro/internal/fcp"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/spt"
@@ -45,6 +49,8 @@ type State struct {
 	mu       sync.Mutex
 	truth    map[graph.NodeID]*truthEntry
 	sessions map[sessKey]*Session
+
+	fcpTrees fcp.Memo
 }
 
 type truthEntry struct {
@@ -152,6 +158,14 @@ func (s *State) Truth(initiator graph.NodeID) *spt.Tree {
 	})
 	return e.tree
 }
+
+// FCPTrees returns the memo of FCP's pruned-view trees that recoveries
+// under this state share (fcp.FCP.RecoverWith on the world's engine):
+// the first recovery to reach a (router, carried failed links) pair
+// computes its tree, later ones extract routes from it, and each still
+// counts one shortest-path calculation. It grows with the distinct
+// pairs the state's cases reach, and lives as long as the state.
+func (s *State) FCPTrees() *fcp.Memo { return &s.fcpTrees }
 
 // Session returns the shared RTR session for (initiator, trigger),
 // opening, collecting, classifying and preparing it on first use: one

@@ -2,6 +2,7 @@ package converged
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/failure"
+	"repro/internal/fcp"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/spt"
@@ -154,6 +156,93 @@ func TestSessionMatchesFresh(t *testing.T) {
 	}
 	if prepared == 0 || noLive == 0 || failed == 0 {
 		t.Fatalf("classes not all exercised: prepared %d, cut off %d, errors %d", prepared, noLive, failed)
+	}
+}
+
+// fcpCases lists every recovery of the scenario: a perimeter initiator
+// and a destination its converged next hop toward is unreachable.
+func fcpCases(w world, sc *failure.Scenario) (cases [][2]graph.NodeID) {
+	lv := routing.NewLocalView(w.topo, sc)
+	keys := perimeter(w, sc)
+	for i, k := range keys {
+		if i > 0 && k.initiator == keys[i-1].initiator {
+			continue
+		}
+		for d := 0; d < w.topo.G.NumNodes(); d++ {
+			dst := graph.NodeID(d)
+			if _, link, ok := w.pre.NextHop(k.initiator, dst); ok && dst != k.initiator && lv.NeighborUnreachable(k.initiator, link) {
+				cases = append(cases, [2]graph.NodeID{k.initiator, dst})
+			}
+		}
+	}
+	return cases
+}
+
+// TestFCPTreesMatchMemoLess: on every bundled topology, every FCP
+// recovery of seeded scenarios run through one State's tree memo —
+// cold, then warm, then from eight goroutines on a second State —
+// returns exactly the memo-less Recover's Result (walk, header,
+// SPCalcs, drop site, error), and the warm pass adds no tree.
+func TestFCPTreesMatchMemoLess(t *testing.T) {
+	for _, as := range topology.ASNames() {
+		t.Run(as, func(t *testing.T) {
+			t.Parallel()
+			w := newWorld(as)
+			f := fcp.New(w.topo)
+			f.UseCleanTrees(w.rtr.CleanTree)
+			rng := rand.New(rand.NewSource(6))
+			for draw := 0; draw < 2; draw++ {
+				sc := failure.RandomScenario(w.topo, rng)
+				cases := fcpCases(w, sc)
+				if len(cases) == 0 {
+					t.Fatalf("draw %d: no recovery case", draw)
+				}
+				want := make([]fcp.Result, len(cases))
+				wantErr := make([]error, len(cases))
+				for i, c := range cases {
+					want[i], wantErr[i] = f.Recover(routing.NewLocalView(w.topo, sc), c[0], c[1])
+				}
+				same := func(st *State, i int) bool {
+					got, err := f.RecoverWith(st.FCPTrees(), st.LocalView(), cases[i][0], cases[i][1])
+					return reflect.DeepEqual(got, want[i]) && fmt.Sprint(err) == fmt.Sprint(wantErr[i])
+				}
+
+				st := w.state(sc)
+				var trees [2]int
+				for pass := range trees {
+					for i := range cases {
+						if !same(st, i) {
+							t.Fatalf("draw %d pass %d: %v diverges from the memo-less recovery", draw, pass, cases[i])
+						}
+					}
+					trees[pass] = st.FCPTrees().Len()
+				}
+				if trees[0] == 0 || trees[1] != trees[0] {
+					t.Fatalf("draw %d: the memo holds %d trees cold and %d warm", draw, trees[0], trees[1])
+				}
+
+				st = w.state(sc)
+				const workers = 8
+				var wg sync.WaitGroup
+				for g := 0; g < workers; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for j := range cases {
+							// Each worker starts somewhere else so first computations collide.
+							if i := (j + g*len(cases)/workers) % len(cases); !same(st, i) {
+								t.Errorf("draw %d worker %d: %v diverges from the memo-less recovery", draw, g, cases[i])
+								return
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
+				if n := st.FCPTrees().Len(); n != trees[0] {
+					t.Fatalf("draw %d: concurrent recoveries left %d trees, a serial pass %d", draw, n, trees[0])
+				}
+			}
+		})
 	}
 }
 

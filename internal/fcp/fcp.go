@@ -6,10 +6,15 @@
 // to the destination in the pre-failure topology minus all carried
 // failures, and re-source-routes the packet. The packet is discarded
 // only when the current router's pruned view has no path left.
+//
+// That pruned view depends only on the router and the carried set, so
+// recoveries may share its tree through a Memo (RecoverWith).
 package fcp
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -72,62 +77,197 @@ type Result struct {
 // number of failed links.
 func (f *FCP) maxRecomputes() int { return f.topo.G.NumLinks() + 2 }
 
-// recoverScratch pools the per-recovery working slices: path
-// extraction buffers and the working header's failed-link and
-// source-route backing. sealHeader clones the header fields into
-// exact-size owned slices on every return path, so the scratch never
-// escapes a Recover call.
+// Memo shares FCP's pruned-view trees between recoveries. The tree a
+// router computes depends only on the router and the carried failed
+// links — not on the destination, the packet or the scenario — so the
+// first recovery that reaches a (router, carried set) pair computes it
+// and every later one only extracts a route. Trees are stored as their
+// differences from the router's clean tree, so a Memo serves the one
+// engine that filled it; its owner bounds its growth by its own
+// lifetime (converged.State keeps one per failure scenario).
+//
+// The zero value is empty and ready. A Memo is safe for concurrent use
+// and never holds its lock across a computation: recoveries racing on
+// one key may both compute the tree, the first insert wins, and the
+// engine's canonical tie-break makes the two identical.
+type Memo struct {
+	mu    sync.Mutex
+	trees map[string]prunedTree
+}
+
+// Len returns the number of trees held.
+func (m *Memo) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.trees)
+}
+
+func (m *Memo) get(key []byte) (prunedTree, bool) {
+	m.mu.Lock()
+	t, ok := m.trees[string(key)]
+	m.mu.Unlock()
+	return t, ok
+}
+
+func (m *Memo) put(key []byte, t prunedTree) {
+	m.mu.Lock()
+	if m.trees == nil {
+		m.trees = make(map[string]prunedTree)
+	}
+	if _, ok := m.trees[string(key)]; !ok {
+		m.trees[string(key)] = t
+	}
+	m.mu.Unlock()
+}
+
+// prunedTree is a pruned-view tree kept as the (node, parent link)
+// pairs where it differs from the router's clean tree, by ascending
+// node; every other node keeps its clean parent link. spt.None marks a
+// node the pruned view cut off. A few deleted links leave most of a
+// tree in place, so this is a fraction of even a parent-link column.
+type prunedTree []divergence
+
+type divergence struct {
+	node graph.NodeID
+	link int32
+}
+
+// appendDiff appends the nodes whose parent link in t differs from
+// clean's, in ascending order.
+func appendDiff(buf prunedTree, t, clean *spt.Tree) prunedTree {
+	for v, l := range t.ParentLink {
+		if l != clean.ParentLink[v] {
+			buf = append(buf, divergence{graph.NodeID(v), l})
+		}
+	}
+	return buf
+}
+
+func (t prunedTree) parentLink(clean *spt.Tree, v graph.NodeID) int32 {
+	i, found := slices.BinarySearchFunc(t, v, func(d divergence, v graph.NodeID) int { return int(d.node) - int(v) })
+	if found {
+		return t[i].link
+	}
+	return clean.ParentLink[v]
+}
+
+// appendPath is spt.Tree's AppendPathNodes and AppendPathLinks for the
+// stored tree, in one walk. In a tree a node with a parent link has a
+// chain of them to the root, so reachability is decided at dst.
+func (t prunedTree) appendPath(g *graph.Graph, clean *spt.Tree, nodes []graph.NodeID, links []graph.LinkID, dst graph.NodeID) ([]graph.NodeID, []graph.LinkID, bool) {
+	if dst != clean.Root && t.parentLink(clean, dst) == spt.None {
+		return nodes, links, false
+	}
+	u := dst
+	for u != clean.Root {
+		l := graph.LinkID(t.parentLink(clean, u))
+		nodes = append(nodes, u)
+		links = append(links, l)
+		u = g.Link(l).Other(u)
+	}
+	nodes = append(nodes, u)
+	slices.Reverse(nodes)
+	slices.Reverse(links)
+	return nodes, links, true
+}
+
+// recoverScratch pools the per-recovery working state: path extraction
+// buffers, the working header's failed-link and source-route backing,
+// the walk's hop records, the pruned-view mask (all up between
+// recoveries; applied counts the carried links failed into it) and the
+// memo key with its sorted carried set. seal copies everything a
+// Result keeps into exact-size owned slices on every return path, so
+// the scratch never escapes a Recover call.
 type recoverScratch struct {
-	nodes  []graph.NodeID
-	links  []graph.LinkID
-	failed []graph.LinkID
-	route  []graph.NodeID
+	nodes   []graph.NodeID
+	links   []graph.LinkID
+	failed  []graph.LinkID
+	route   []graph.NodeID
+	hops    []routing.HopRecord
+	mask    *graph.Mask
+	applied int
+	sorted  []graph.LinkID
+	key     []byte
+	diff    prunedTree
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(recoverScratch) }}
 
-// sealHeader replaces the header's pooled backing with owned
-// exact-size copies (nil when empty, matching the semantics of the
-// append-to-nil construction this replaces).
-func sealHeader(h *routing.Header) {
-	if len(h.FailedLinks) == 0 {
-		h.FailedLinks = nil
-	} else {
-		h.FailedLinks = append(make([]graph.LinkID, 0, len(h.FailedLinks)), h.FailedLinks...)
+// getScratch takes a scratch from the pool with an all-up mask sized
+// for g (the pool serves every topology in the process).
+func getScratch(g *graph.Graph) *recoverScratch {
+	sc := scratchPool.Get().(*recoverScratch)
+	if sc.mask == nil {
+		sc.mask = graph.NewMask(g)
+	} else if nodes, links := sc.mask.DenseTables(); len(nodes) != g.NumNodes() || len(links) != g.NumLinks() {
+		sc.mask = graph.NewMask(g)
 	}
-	if len(h.SourceRoute) == 0 {
-		h.SourceRoute = nil
-	} else {
-		h.SourceRoute = append(make([]graph.NodeID, 0, len(h.SourceRoute)), h.SourceRoute...)
+	sc.hops = sc.hops[:0]
+	return sc
+}
+
+// release restores the links failed into the mask and returns sc to
+// the pool.
+func (sc *recoverScratch) release() {
+	for _, id := range sc.failed[:sc.applied] {
+		sc.mask.RestoreLink(id)
 	}
+	sc.applied = 0
+	scratchPool.Put(sc)
+}
+
+// seal gives res owned copies of the header fields and the walk, which
+// still point into the scratch (nil when empty, matching an
+// append-to-nil construction).
+func seal(res *Result, hops []routing.HopRecord) {
+	res.Header.FailedLinks = owned(res.Header.FailedLinks)
+	res.Header.SourceRoute = owned(res.Header.SourceRoute)
+	res.Walk.Records = owned(hops)
+}
+
+func owned[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // Recover attempts delivery from the recovery initiator to dst under
-// the local view lv. The initiator already observes its own
+// the local view lv, computing every tree itself (RecoverWith without
+// a memo).
+func (f *FCP) Recover(lv *routing.LocalView, initiator, dst graph.NodeID) (Result, error) {
+	return f.RecoverWith(nil, lv, initiator, dst)
+}
+
+// RecoverWith attempts delivery from the recovery initiator to dst
+// under the local view lv, reading and filling memo's pruned-view
+// trees when memo is non-nil and clean trees are installed (the memo
+// stores trees against them). The Result is identical to Recover's,
+// SPCalcs included: a tree read from memo is still one calculation
+// the protocol makes. The initiator already observes its own
 // unreachable neighbors and records them in the header before the
 // first computation (FCP packets carry failures the moment they are
 // known).
-func (f *FCP) Recover(lv *routing.LocalView, initiator, dst graph.NodeID) (Result, error) {
+func (f *FCP) RecoverWith(memo *Memo, lv *routing.LocalView, initiator, dst graph.NodeID) (Result, error) {
 	var res Result
 	if !lv.NodeAlive(initiator) {
 		return res, fmt.Errorf("fcp: initiator %d is down", initiator)
+	}
+	if f.clean == nil {
+		memo = nil
 	}
 	g := f.topo.G
 	res.Header.Mode = routing.ModeSource
 	res.Header.RecInit = initiator
 
 	cur := initiator
-	// The pruned view only accumulates failures across iterations, so
-	// one mask serves the whole recovery; likewise one pooled Dijkstra
-	// workspace serves every recomputation (the tree is consumed before
-	// the next iteration overwrites the scratch buffers).
-	m := graph.NewMask(g)
+	// One pooled Dijkstra workspace serves every recomputation (the
+	// tree is consumed before the next iteration overwrites it).
 	ws := spt.GetWorkspace()
 	defer ws.Release()
-	sc := scratchPool.Get().(*recoverScratch)
-	defer scratchPool.Put(sc)
+	sc := getScratch(g)
+	defer sc.release()
 	res.Header.FailedLinks = sc.failed[:0]
-	applied := 0 // prefix of Header.FailedLinks already failed into m
 	for iter := 0; iter < f.maxRecomputes(); iter++ {
 		// Record everything the current router can observe (adjacency
 		// scan, same order as lv.UnreachableLinks, without the slice).
@@ -138,33 +278,14 @@ func (f *FCP) Recover(lv *routing.LocalView, initiator, dst graph.NodeID) (Resul
 		}
 		sc.failed = res.Header.FailedLinks
 
-		// Fail only the links recorded since the last iteration into
-		// the pruned view — the carried set is append-only, so the mask
-		// already holds the earlier prefix.
-		for _, id := range res.Header.FailedLinks[applied:] {
-			m.FailLink(id)
-		}
-		applied = len(res.Header.FailedLinks)
-
-		// Compute a shortest path in the pruned view: one shortest-path
-		// calculation, delete-only from the router's clean tree when a
-		// provider is installed, cold otherwise, with the same route.
-		var tree *spt.Tree
-		if f.clean != nil {
-			tree = ws.Recompute(g, f.clean(cur), graph.Nothing, m)
-		} else {
-			tree = ws.Compute(g, cur, m)
-		}
-		nodes, ok := tree.AppendPathNodes(sc.nodes[:0], dst)
+		ok := f.route(memo, sc, ws, cur, dst)
 		res.SPCalcs++
-		sc.nodes = nodes
 		if !ok {
 			res.DropAt = cur
-			sealHeader(&res.Header)
+			seal(&res, sc.hops)
 			return res, nil
 		}
-		links, _ := tree.AppendPathLinks(sc.links[:0], dst)
-		sc.links = links
+		nodes, links := sc.nodes, sc.links
 		// The source route needs backing distinct from sc.nodes: on a
 		// blocked hop the header keeps this iteration's route while the
 		// next iteration's path extraction reuses sc.nodes.
@@ -174,7 +295,6 @@ func (f *FCP) Recover(lv *routing.LocalView, initiator, dst graph.NodeID) (Resul
 		bytes := res.Header.RecordingBytes()
 
 		// Source-route until delivered or blocked.
-		res.Walk.Reserve(len(links))
 		blocked := false
 		for i := 0; i+1 < len(nodes); i++ {
 			if lv.NeighborUnreachable(nodes[i], links[i]) {
@@ -183,15 +303,61 @@ func (f *FCP) Recover(lv *routing.LocalView, initiator, dst graph.NodeID) (Resul
 				break
 			}
 			res.Header.SourceIdx = i + 1
-			res.Walk.Append(routing.HopRecord{From: nodes[i], To: nodes[i+1], Link: links[i], HeaderBytes: bytes})
+			sc.hops = append(sc.hops, routing.HopRecord{From: nodes[i], To: nodes[i+1], Link: links[i], HeaderBytes: bytes})
 		}
 		if !blocked {
 			res.Delivered = true
-			sealHeader(&res.Header)
+			seal(&res, sc.hops)
 			return res, nil
 		}
 	}
 	res.DropAt = cur
-	sealHeader(&res.Header)
+	seal(&res, sc.hops)
 	return res, fmt.Errorf("fcp: recompute bound exceeded at node %d", cur)
+}
+
+// route performs one shortest-path calculation at cur in its pruned
+// view (the clean graph minus the carried links sc.failed) and
+// extracts the path to dst into sc.nodes and sc.links, reporting
+// whether there is one. The tree comes from memo when it holds it;
+// otherwise it is computed — delete-only from the router's clean tree
+// when a provider is installed, cold otherwise, with the same route —
+// and then offered to memo.
+func (f *FCP) route(memo *Memo, sc *recoverScratch, ws *spt.Workspace, cur, dst graph.NodeID) (ok bool) {
+	g := f.topo.G
+	if memo != nil {
+		// The tree depends on the carried set, not on the order its
+		// links were discovered in.
+		sc.sorted = append(sc.sorted[:0], sc.failed...)
+		slices.Sort(sc.sorted)
+		sc.key = binary.LittleEndian.AppendUint32(sc.key[:0], uint32(cur))
+		for _, id := range sc.sorted {
+			sc.key = binary.LittleEndian.AppendUint32(sc.key, uint32(id))
+		}
+		if t, hit := memo.get(sc.key); hit {
+			sc.nodes, sc.links, ok = t.appendPath(g, f.clean(cur), sc.nodes[:0], sc.links[:0], dst)
+			return ok
+		}
+	}
+	// The carried set is append-only, so the mask already holds the
+	// prefix failed into it by earlier computations.
+	for _, id := range sc.failed[sc.applied:] {
+		sc.mask.FailLink(id)
+	}
+	sc.applied = len(sc.failed)
+	var tree *spt.Tree
+	if f.clean != nil {
+		tree = ws.Recompute(g, f.clean(cur), graph.Nothing, sc.mask)
+	} else {
+		tree = ws.Compute(g, cur, sc.mask)
+	}
+	if memo != nil {
+		sc.diff = appendDiff(sc.diff[:0], tree, f.clean(cur))
+		memo.put(sc.key, owned(sc.diff))
+	}
+	sc.nodes, ok = tree.AppendPathNodes(sc.nodes[:0], dst)
+	if ok {
+		sc.links, _ = tree.AppendPathLinks(sc.links[:0], dst)
+	}
+	return ok
 }

@@ -158,6 +158,47 @@ func TestRecoverWarmMatchesCold(t *testing.T) {
 	}
 }
 
+// TestMemoKeysOnCarriedSet: one router recovering under two carried
+// sets must get two trees. v6 first carries {l1} under one failure and
+// {l2} under the other; a memo keyed by the router alone would hand the
+// second failure a tree that routes over its dead link.
+func TestMemoKeysOnCarriedSet(t *testing.T) {
+	topo := topology.PaperExample()
+	f := New(topo)
+	clean := map[graph.NodeID]*spt.Tree{}
+	f.UseCleanTrees(func(v graph.NodeID) *spt.Tree {
+		if clean[v] == nil {
+			clean[v] = spt.Compute(topo.G, v, graph.Nothing)
+		}
+		return clean[v]
+	})
+	v := topology.PaperNode(6)
+	adj := topo.G.Adj(v)
+	views := []*routing.LocalView{
+		routing.NewLocalView(topo, failure.NewLinkSet(topo, adj[0].Link)),
+		routing.NewLocalView(topo, failure.NewLinkSet(topo, adj[1].Link)),
+	}
+	var shared Memo
+	own := make([]Memo, len(views))
+	for i, lv := range views {
+		for d := 0; d < topo.G.NumNodes(); d++ {
+			dst := graph.NodeID(d)
+			if dst == v {
+				continue
+			}
+			want, wantErr := f.Recover(lv, v, dst)
+			got, err := f.RecoverWith(&shared, lv, v, dst)
+			if !reflect.DeepEqual(got, want) || (err == nil) != (wantErr == nil) {
+				t.Fatalf("failure %d, dst %d: shared memo gives %+v (%v), want %+v (%v)", i, dst, got, err, want, wantErr)
+			}
+			f.RecoverWith(&own[i], lv, v, dst)
+		}
+	}
+	if own[0].Len() == 0 || shared.Len() != own[0].Len()+own[1].Len() {
+		t.Fatalf("shared memo holds %d trees, want %d + %d", shared.Len(), own[0].Len(), own[1].Len())
+	}
+}
+
 func TestHeaderBytesGrow(t *testing.T) {
 	// Header bytes on later hops reflect accumulated failures and the
 	// current source route.

@@ -40,6 +40,9 @@ func (m *Mask) FailNode(v NodeID) { m.nodes[v] = true }
 // FailLink marks link id as failed.
 func (m *Mask) FailLink(id LinkID) { m.links[id] = true }
 
+// RestoreLink marks link id as up again, undoing FailLink.
+func (m *Mask) RestoreLink(id LinkID) { m.links[id] = false }
+
 // NodeDown implements Denied.
 func (m *Mask) NodeDown(v NodeID) bool { return m.nodes[v] }
 

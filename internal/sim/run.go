@@ -2,6 +2,7 @@ package sim
 
 import (
 	"repro/internal/core"
+	"repro/internal/fcp"
 	"repro/internal/routing"
 	"repro/internal/spt"
 )
@@ -128,10 +129,19 @@ type FCPResult struct {
 	WastedHops int
 }
 
-// RunFCP executes FCP on one case. See RunRTR for the truth parameter.
+// RunFCP executes FCP on one case, sharing pruned-view trees through
+// the case's converged.State (FCPTrees): every case on one State reads
+// a (router, carried set) tree that another already computed. A case
+// without a State (see Case.State) runs without the memo, since a
+// fresh State's would share nothing. See RunRTR for the truth
+// parameter.
 func RunFCP(w *World, c *Case, truth *spt.Tree) (FCPResult, error) {
 	var res FCPResult
-	r, err := w.FCP.Recover(c.LV, c.Initiator, c.Dst)
+	var memo *fcp.Memo
+	if c.State != nil {
+		memo = c.State.FCPTrees()
+	}
+	r, err := w.FCP.RecoverWith(memo, c.LV, c.Initiator, c.Dst)
 	if err != nil {
 		return res, err
 	}
