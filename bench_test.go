@@ -104,6 +104,7 @@ func BenchmarkTable1WalkTrace(b *testing.B) {
 // BenchmarkTable2TopologySynthesis regenerates Table II: all eight
 // ISP-like topologies with their node/link counts.
 func BenchmarkTable2TopologySynthesis(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, p := range topology.TableII() {
 			topo, err := topology.Generate(p, rand.New(rand.NewSource(int64(i)+1)))
@@ -559,12 +560,28 @@ func BenchmarkMRCBuildTrees(b *testing.B) {
 }
 
 // BenchmarkCrossIndexBuild measures the per-topology cross-link
-// precomputation on the densest Table II topology.
+// precomputation on the three Table II maps with the most long links
+// (the densest, AS3549, among them) and on the 16,384-node tiered
+// world the scale workload serves, whose links are short.
 func BenchmarkCrossIndexBuild(b *testing.B) {
-	topo := topology.GenerateAS("AS3549", 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		topology.BuildCrossIndex(topo)
+	tiered, err := topology.Generate(topology.GenParams{Name: "tiered16k", Nodes: 1 << 14, Links: 3 << 14, Tiers: true},
+		rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	topos := []*topology.Topology{
+		topology.GenerateAS("AS3320", 1),
+		topology.GenerateAS("AS3549", 1),
+		topology.GenerateAS("AS3561", 1),
+		tiered,
+	}
+	for _, topo := range topos {
+		b.Run(topo.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				topology.BuildCrossIndex(topo)
+			}
+		})
 	}
 }
 

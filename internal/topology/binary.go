@@ -268,7 +268,8 @@ func (br *binReader) section(wantTag byte) error {
 // ReadBinary parses a binary snapshot, building the topology
 // incrementally from a bufio.Reader: no full-file (or full-section)
 // intermediate buffer is ever allocated, so arbitrarily large
-// snapshots load in O(result) memory. progress may be nil.
+// snapshots load in O(result) memory. The result is validated like
+// the text reader's. progress may be nil.
 func ReadBinary(r io.Reader, progress Progress) (*Topology, error) {
 	br := &binReader{r: bufio.NewReaderSize(r, 1<<16)}
 
@@ -409,5 +410,9 @@ func ReadBinary(r io.Reader, progress Progress) (*Topology, error) {
 	if _, err := br.r.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("%w: trailing data after end section", ErrBadSnapshot)
 	}
-	return &Topology{Name: name, G: g, Coords: coords}, nil
+	t := &Topology{Name: name, G: g, Coords: coords}
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return t, nil
 }

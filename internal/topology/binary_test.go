@@ -2,7 +2,10 @@ package topology
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -159,6 +162,41 @@ func TestBinaryProgress(t *testing.T) {
 		if stages[i] != want[i] {
 			t.Fatalf("stages = %v, want %v", stages, want)
 		}
+	}
+}
+
+// patchSnapshotCoord returns a copy of enc with node v's x coordinate
+// replaced by x and the trailing checksum recomputed, so only the value
+// is wrong: WriteBinary refuses to encode a non-finite coordinate.
+func patchSnapshotCoord(enc []byte, v int, x float64) []byte {
+	out := append([]byte(nil), enc...)
+	var crc uint32
+	for pos := len(snapMagic); ; {
+		tag, n := out[pos], int(binary.BigEndian.Uint32(out[pos+1:pos+5]))
+		payload := out[pos+5 : pos+5+n]
+		switch tag {
+		case secEnd:
+			binary.BigEndian.PutUint32(payload, crc)
+			return out
+		case secNodes:
+			binary.BigEndian.PutUint64(payload[4+16*v:], math.Float64bits(x))
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, payload)
+		pos += 5 + n
+	}
+}
+
+func TestBinaryRejectsNonFiniteCoords(t *testing.T) {
+	enc := encodeBinary(t, PaperExample())
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := ReadBinary(bytes.NewReader(patchSnapshotCoord(enc, 3, x)), nil); err == nil {
+			t.Errorf("snapshot with a node at x = %v accepted", x)
+		}
+	}
+	// The same patch with a finite value reads, so the rejections
+	// above come from the value, not from a broken checksum.
+	if _, err := ReadBinary(bytes.NewReader(patchSnapshotCoord(enc, 3, 1e308)), nil); err != nil {
+		t.Errorf("snapshot with a node at x = 1e308 rejected: %v", err)
 	}
 }
 

@@ -41,7 +41,7 @@ func Write(w io.Writer, t *Topology) error {
 	return bw.Flush()
 }
 
-// Read parses a topology in the text format.
+// Read parses a topology in the text format and validates it.
 func Read(r io.Reader) (*Topology, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -132,5 +132,9 @@ func Read(r io.Reader) (*Topology, error) {
 			return nil, fmt.Errorf("topology %q: link %d-%d: %w", name, l.a, l.b, err)
 		}
 	}
-	return &Topology{Name: name, G: g, Coords: coords}, nil
+	t := &Topology{Name: name, G: g, Coords: coords}
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return t, nil
 }

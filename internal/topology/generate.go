@@ -138,11 +138,23 @@ func Generate(p GenParams, rng *rand.Rand) (*Topology, error) {
 	}
 
 	g := graph.New(p.Nodes)
+	// degW[u] is degWeight of node u's current degree, updated with
+	// the degree; wts is the per-pick weight scratch (local to this
+	// call, since worlds are generated concurrently).
 	deg := make([]float64, p.Nodes)
+	degW := make([]float64, p.Nodes)
+	for u := range degW {
+		degW[u] = degWeight(0, p.PrefAttach)
+	}
+	addDeg := func(u int) {
+		deg[u]++
+		degW[u] = degWeight(deg[u], p.PrefAttach)
+	}
+	wts := make([]float64, p.Nodes)
 	// weight of attaching some new link endpoint to node u, given the
 	// other endpoint sits at point from.
 	attachWeight := func(u int, from geom.Point) float64 {
-		wgt := degWeight(deg[u], p.PrefAttach)
+		wgt := degW[u]
 		if !math.IsInf(scale, 1) {
 			wgt *= math.Exp(-coords[u].Dist(from) / scale)
 		}
@@ -154,14 +166,15 @@ func Generate(p GenParams, rng *rand.Rand) (*Topology, error) {
 	order := rng.Perm(p.Nodes)
 	for i := 1; i < p.Nodes; i++ {
 		v := order[i]
-		u := order[pickWeighted(rng, order[:i], func(cand int) float64 {
-			return attachWeight(cand, coords[v])
-		})]
+		for k, cand := range order[:i] {
+			wts[k] = attachWeight(cand, coords[v])
+		}
+		u := order[pickWeighted(rng, wts[:i])]
 		if _, err := g.AddLink(graph.NodeID(u), graph.NodeID(v)); err != nil {
 			return nil, err
 		}
-		deg[u]++
-		deg[v]++
+		addDeg(u)
+		addDeg(v)
 	}
 
 	// Extra links: first endpoint by degree, second by degree and
@@ -170,21 +183,14 @@ func Generate(p GenParams, rng *rand.Rand) (*Topology, error) {
 	for _, l := range g.Links() {
 		have[linkKey(l.A, l.B)] = true
 	}
-	all := make([]int, p.Nodes)
-	for i := range all {
-		all[i] = i
-	}
 	stall := 0
 	for g.NumLinks() < p.Links {
-		a := all[pickWeighted(rng, all, func(cand int) float64 {
-			return degWeight(deg[cand], p.PrefAttach)
-		})]
-		b := all[pickWeighted(rng, all, func(cand int) float64 {
-			if cand == a {
-				return 0
-			}
-			return attachWeight(cand, coords[a])
-		})]
+		a := pickWeighted(rng, degW)
+		for cand := range wts {
+			wts[cand] = attachWeight(cand, coords[a])
+		}
+		wts[a] = 0
+		b := pickWeighted(rng, wts)
 		if a == b || have[linkKey(graph.NodeID(a), graph.NodeID(b))] {
 			stall++
 			if stall > 50*p.Links {
@@ -204,8 +210,8 @@ func Generate(p GenParams, rng *rand.Rand) (*Topology, error) {
 			return nil, err
 		}
 		have[linkKey(graph.NodeID(a), graph.NodeID(b))] = true
-		deg[a]++
-		deg[b]++
+		addDeg(a)
+		addDeg(b)
 		stall = 0
 	}
 
@@ -219,24 +225,24 @@ func linkKey(a, b graph.NodeID) [2]graph.NodeID {
 	return [2]graph.NodeID{a, b}
 }
 
-// pickWeighted returns an index into ids chosen with probability
-// proportional to weight(ids[i]).
-func pickWeighted(rng *rand.Rand, ids []int, weight func(int) float64) int {
+// pickWeighted returns an index into w chosen with probability
+// proportional to w[i].
+func pickWeighted(rng *rand.Rand, w []float64) int {
 	total := 0.0
-	for _, id := range ids {
-		total += weight(id)
+	for _, v := range w {
+		total += v
 	}
 	if total <= 0 {
-		return rng.Intn(len(ids))
+		return rng.Intn(len(w))
 	}
 	x := rng.Float64() * total
-	for i, id := range ids {
-		x -= weight(id)
+	for i, v := range w {
+		x -= v
 		if x <= 0 {
 			return i
 		}
 	}
-	return len(ids) - 1
+	return len(w) - 1
 }
 
 func degWeight(d, alpha float64) float64 {

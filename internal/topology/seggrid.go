@@ -2,13 +2,9 @@ package topology
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/geom"
-	"repro/internal/graph"
 )
-
-func sortLinkIDs(ids []graph.LinkID) { slices.Sort(ids) }
 
 // segGrid indexes segments by the grid cells their bounding boxes
 // cover, turning all-pairs crossing detection into per-cell candidate
@@ -16,8 +12,12 @@ func sortLinkIDs(ids []graph.LinkID) { slices.Sort(ids) }
 // deduplicated geometrically: a pair is reported only from the
 // top-left cell of the overlap of the two ranges, so no visited-set
 // is needed and every pair is reported exactly once.
+//
+// The cell table is one flat array: cell k holds
+// segs[start[k]:start[k+1]], in ascending segment order.
 type segGrid struct {
-	cells  [][]int32 // segment indices per cell
+	start  []int
+	segs   []int32
 	rngs   []cellRange
 	nx, ny int
 }
@@ -28,118 +28,130 @@ type cellRange struct {
 	x0, x1, y0, y1 int32
 }
 
-// segGridDim bounds the grid resolution; the cell count stays ~dim^2
-// regardless of segment count, and resolution adapts to the bounding
-// box of the data rather than assuming the paper's 2000x2000 area.
-const segGridDim = 256
+// maxGridCells bounds the cell count per axis, so the table stays at
+// most 256x256 cells however short the links are.
+const maxGridCells = 256
 
+// gridAxis maps a coordinate to its cell index along one axis.
+type gridAxis struct {
+	lo, span float64
+	n        int32
+}
+
+// newGridAxis sizes one axis so a cell is about one mean link extent
+// wide: a typical link then covers about two cells per axis, and the
+// per-cell pair count tracks the links near each other instead of the
+// grid's resolution. Long-link maps get a coarse grid, short-link maps
+// a fine one, clamped to [1, maxGridCells]. A span that overflows to
+// +Inf (finite coordinates near ±MaxFloat64) gets one cell, so no cell
+// arithmetic overflows.
+func newGridAxis(lo, hi, meanExtent float64) gridAxis {
+	span := hi - lo
+	n := span / meanExtent
+	if math.IsInf(span, 1) || !(n >= 1) { // also catches 0/0
+		return gridAxis{n: 1}
+	}
+	return gridAxis{lo: lo, span: span, n: int32(math.Min(n, maxGridCells))}
+}
+
+func (a gridAxis) cell(v float64) int32 {
+	if a.n == 1 {
+		return 0
+	}
+	// (v-lo)/span is in [0, 1] for a finite positive span, so the cell
+	// index cannot overflow whatever the magnitudes.
+	return min(int32((v-a.lo)/a.span*float64(a.n)), a.n-1)
+}
+
+// newSegGrid buckets segs; with no segments the sizing falls to one
+// empty cell.
 func newSegGrid(segs []geom.Segment) *segGrid {
-	// Bounding box of all segments (degenerate boxes are fine).
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	var sumW, sumH float64
 	for _, s := range segs {
-		minX = math.Min(minX, math.Min(s.A.X, s.B.X))
-		maxX = math.Max(maxX, math.Max(s.A.X, s.B.X))
-		minY = math.Min(minY, math.Min(s.A.Y, s.B.Y))
-		maxY = math.Max(maxY, math.Max(s.A.Y, s.B.Y))
+		x0, x1 := math.Min(s.A.X, s.B.X), math.Max(s.A.X, s.B.X)
+		y0, y1 := math.Min(s.A.Y, s.B.Y), math.Max(s.A.Y, s.B.Y)
+		minX, maxX = math.Min(minX, x0), math.Max(maxX, x1)
+		minY, maxY = math.Min(minY, y0), math.Max(maxY, y1)
+		sumW += x1 - x0
+		sumH += y1 - y0
 	}
-	if len(segs) == 0 || minX > maxX {
-		return &segGrid{nx: 1, ny: 1, cells: make([][]int32, 1), rngs: nil}
-	}
-	nx, ny := segGridDim, segGridDim
-	// Fewer cells than segments buys nothing on tiny graphs.
-	if len(segs) < segGridDim {
-		nx, ny = 16, 16
-	}
-	w := maxX - minX
-	h := maxY - minY
-	if w <= 0 {
-		w = 1
-	}
-	if h <= 0 {
-		h = 1
-	}
+	e := float64(len(segs))
+	ax := newGridAxis(minX, maxX, sumW/e)
+	ay := newGridAxis(minY, maxY, sumH/e)
+	nx, ny := int(ax.n), int(ay.n)
+	cells := nx * ny
 	g := &segGrid{
-		cells: make([][]int32, nx*ny),
+		start: make([]int, cells+1),
 		rngs:  make([]cellRange, len(segs)),
 		nx:    nx, ny: ny,
 	}
-	cellX := func(x float64) int32 {
-		c := int32((x - minX) / w * float64(nx))
-		if c >= int32(nx) {
-			c = int32(nx) - 1
-		}
-		return c
-	}
-	cellY := func(y float64) int32 {
-		c := int32((y - minY) / h * float64(ny))
-		if c >= int32(ny) {
-			c = int32(ny) - 1
-		}
-		return c
-	}
+	// Count per cell, prefix-sum to cell ends, then fill backwards so
+	// each start[k] steps down to its cell's first slot and every cell
+	// lists its segments in ascending order.
 	for i, s := range segs {
 		r := cellRange{
-			x0: cellX(math.Min(s.A.X, s.B.X)),
-			x1: cellX(math.Max(s.A.X, s.B.X)),
-			y0: cellY(math.Min(s.A.Y, s.B.Y)),
-			y1: cellY(math.Max(s.A.Y, s.B.Y)),
+			x0: ax.cell(math.Min(s.A.X, s.B.X)),
+			x1: ax.cell(math.Max(s.A.X, s.B.X)),
+			y0: ay.cell(math.Min(s.A.Y, s.B.Y)),
+			y1: ay.cell(math.Max(s.A.Y, s.B.Y)),
 		}
 		g.rngs[i] = r
 		for cy := r.y0; cy <= r.y1; cy++ {
 			for cx := r.x0; cx <= r.x1; cx++ {
+				g.start[int(cy)*nx+int(cx)]++
+			}
+		}
+	}
+	for k := 1; k <= cells; k++ {
+		g.start[k] += g.start[k-1]
+	}
+	g.segs = make([]int32, g.start[cells])
+	for i := len(segs) - 1; i >= 0; i-- {
+		r := g.rngs[i]
+		for cy := r.y0; cy <= r.y1; cy++ {
+			for cx := r.x0; cx <= r.x1; cx++ {
 				k := int(cy)*nx + int(cx)
-				g.cells[k] = append(g.cells[k], int32(i))
+				g.start[k]--
+				g.segs[g.start[k]] = int32(i)
 			}
 		}
 	}
 	return g
 }
 
-// forCandidatePairs calls report(i, j) with i < j exactly once for
-// every segment pair whose cell ranges overlap. Crossing segments have
-// overlapping bounding boxes, and overlapping boxes always share at
-// least one cell, so every crossing pair is reported; pairs whose
-// boxes merely share a coarse cell without touching are eliminated by
-// the caller's exact segment test.
-func (g *segGrid) forCandidatePairs(report func(i, j int)) {
-	g.forCandidatePairsIn(0, len(g.cells), report)
-}
+// numCells is the number of grid cells, the index space of
+// forCandidatePairsIn.
+func (g *segGrid) numCells() int { return g.nx * g.ny }
 
-// forCandidatePairsIn is forCandidatePairs restricted to cells
-// [lo, hi) — the unit of parallel distribution. A pair is reported by
+// forCandidatePairsIn calls report(i, j) with i < j exactly once for
+// every segment pair whose cell ranges overlap in a cell of [lo, hi) —
+// the unit of parallel distribution. Crossing segments have
+// overlapping bounding boxes, and overlapping boxes always share at
+// least one cell, so over all cells every crossing pair is reported;
+// pairs whose boxes merely share a coarse cell without touching are
+// eliminated by the caller's exact segment test. A pair is reported by
 // whichever block owns its canonical cell, so blocks never overlap.
 func (g *segGrid) forCandidatePairsIn(lo, hi int, report func(i, j int)) {
 	for k := lo; k < hi; k++ {
-		cell := g.cells[k]
+		cell := g.segs[g.start[k]:g.start[k+1]]
 		if len(cell) < 2 {
 			continue
 		}
 		cx := int32(k % g.nx)
 		cy := int32(k / g.nx)
-		for ai := 0; ai < len(cell); ai++ {
-			a := cell[ai]
+		for ai, a := range cell {
 			ra := g.rngs[a]
-			for bi := ai + 1; bi < len(cell); bi++ {
-				b := cell[bi]
+			for _, b := range cell[ai+1:] {
 				rb := g.rngs[b]
 				// Top-left cell of the range overlap owns the pair.
-				if max32(ra.x0, rb.x0) != cx || max32(ra.y0, rb.y0) != cy {
+				if max(ra.x0, rb.x0) != cx || max(ra.y0, rb.y0) != cy {
 					continue
 				}
-				i, j := int(a), int(b)
-				if i > j {
-					i, j = j, i
-				}
-				report(i, j)
+				// Cells list segments in ascending order, so a < b.
+				report(int(a), int(b))
 			}
 		}
 	}
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -11,7 +11,9 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -31,7 +33,9 @@ type Topology struct {
 	Coords []geom.Point // indexed by graph.NodeID
 }
 
-// Validate checks the internal consistency of the topology.
+// Validate checks the internal consistency of the topology: a graph,
+// one coordinate per node, and every coordinate finite (a link with a
+// NaN or infinite end has no segment to cross-test).
 func (t *Topology) Validate() error {
 	if t.G == nil {
 		return fmt.Errorf("topology %q: nil graph", t.Name)
@@ -39,8 +43,15 @@ func (t *Topology) Validate() error {
 	if len(t.Coords) != t.G.NumNodes() {
 		return fmt.Errorf("topology %q: %d coords for %d nodes", t.Name, len(t.Coords), t.G.NumNodes())
 	}
+	for v, c := range t.Coords {
+		if !finite(c.X) || !finite(c.Y) {
+			return fmt.Errorf("topology %q: node %d at (%g, %g): coordinates must be finite", t.Name, v, c.X, c.Y)
+		}
+	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Coord returns the coordinates of node v.
 func (t *Topology) Coord(v graph.NodeID) geom.Point { return t.Coords[v] }
@@ -51,20 +62,32 @@ func (t *Topology) LinkSegment(id graph.LinkID) geom.Segment {
 	return geom.Segment{A: t.Coords[l.A], B: t.Coords[l.B]}
 }
 
+// linkSegments returns every link's segment, indexed by link ID.
+func linkSegments(t *Topology) []geom.Segment {
+	segs := make([]geom.Segment, t.G.NumLinks())
+	for i := range segs {
+		segs[i] = t.LinkSegment(graph.LinkID(i))
+	}
+	return segs
+}
+
 // CrossIndex is the precomputed "links across each link" table the
 // paper's routers maintain: for every link, the set of links whose
 // segments cross it (always in ascending link-ID order). It is
 // symmetric by construction.
 //
-// For graphs up to bitMatrixMaxLinks links an E x E bit matrix backs
-// O(1) Cross queries; past that the matrix would be gigabytes (E^2/8
-// bytes), so Cross falls back to binary search over the sorted
-// crossing lists — crossing sets are tiny relative to E, so the
-// O(log k) probe stays cheap at scale.
+// The lists share one flat array: link a's list is
+// cross[off[a]:off[a+1]]. For graphs up to bitMatrixMaxLinks links an
+// E x E bit matrix backs O(1) Cross queries, which phase 1 asks at
+// every hop; past that the matrix would be gigabytes (E^2/8 bytes), so
+// Cross falls back to binary search over the sorted crossing lists —
+// crossing sets are tiny relative to E, so the O(log k) probe stays
+// cheap at scale.
 type CrossIndex struct {
-	crossing [][]graph.LinkID
-	bits     []uint64 // flattened E x E bit matrix, nil when e > bitMatrixMaxLinks
-	n        int
+	off   []int // len E+1
+	cross []graph.LinkID
+	bits  []uint64 // flattened E x E bit matrix, nil when e > bitMatrixMaxLinks
+	n     int
 }
 
 // bitMatrixMaxLinks bounds the dense Cross matrix at 32 MB
@@ -73,20 +96,15 @@ const bitMatrixMaxLinks = 1 << 14
 
 // BuildCrossIndex computes the cross-link table for t. Candidate pairs
 // come from a uniform grid over the embedding area (segments indexed
-// by the cells their bounding boxes cover), so the build does
-// near-linear work on geometrically local graphs instead of testing
-// all E^2 pairs; every candidate still goes through the exact segment
-// test, so the result is identical to the exhaustive scan.
+// by the cells their bounding boxes cover, cells about one mean link
+// extent wide), so the build does near-linear work on geometrically
+// local graphs instead of testing all E^2 pairs; every candidate still
+// goes through the exact segment test, so the result is identical to
+// the exhaustive scan.
 func BuildCrossIndex(t *Topology) *CrossIndex {
-	e := t.G.NumLinks()
-	segs := make([]geom.Segment, e)
-	for i := 0; i < e; i++ {
-		segs[i] = t.LinkSegment(graph.LinkID(i))
-	}
-	ci := &CrossIndex{
-		crossing: make([][]graph.LinkID, e),
-		n:        e,
-	}
+	segs := linkSegments(t)
+	e := len(segs)
+	ci := &CrossIndex{off: make([]int, e+1), n: e}
 	if e <= bitMatrixMaxLinks {
 		ci.bits = make([]uint64, (e*e+63)/64)
 	}
@@ -94,27 +112,37 @@ func BuildCrossIndex(t *Topology) *CrossIndex {
 	sg := newSegGrid(segs)
 	// Candidate cells are independent, so the exact tests fan out over
 	// cell blocks; each worker accumulates packed (i,j) pairs locally.
-	blocks := runtime.GOMAXPROCS(0) * 8
-	if blocks > len(sg.cells) {
-		blocks = len(sg.cells)
-	}
+	cells := sg.numCells()
+	blocks := min(runtime.GOMAXPROCS(0)*8, cells)
 	found := make([][]uint64, blocks)
 	par.For(blocks, 0, func(b int) {
-		lo := len(sg.cells) * b / blocks
-		hi := len(sg.cells) * (b + 1) / blocks
 		var local []uint64
-		sg.forCandidatePairsIn(lo, hi, func(i, j int) {
+		sg.forCandidatePairsIn(cells*b/blocks, cells*(b+1)/blocks, func(i, j int) {
 			if segs[i].Crosses(segs[j]) {
 				local = append(local, uint64(i)<<32|uint64(j))
 			}
 		})
 		found[b] = local
 	})
+	// Count per link, prefix-sum to row ends, then fill each row
+	// backwards so off[a] steps down to the row's first slot.
+	for _, local := range found {
+		for _, p := range local {
+			ci.off[p>>32]++
+			ci.off[p&0xFFFFFFFF]++
+		}
+	}
+	for a := 1; a <= e; a++ {
+		ci.off[a] += ci.off[a-1]
+	}
+	ci.cross = make([]graph.LinkID, ci.off[e])
 	for _, local := range found {
 		for _, p := range local {
 			i, j := int(p>>32), int(p&0xFFFFFFFF)
-			ci.crossing[i] = append(ci.crossing[i], graph.LinkID(j))
-			ci.crossing[j] = append(ci.crossing[j], graph.LinkID(i))
+			ci.off[i]--
+			ci.cross[ci.off[i]] = graph.LinkID(j)
+			ci.off[j]--
+			ci.cross[ci.off[j]] = graph.LinkID(i)
 			if ci.bits != nil {
 				ci.setBit(i, j)
 				ci.setBit(j, i)
@@ -124,8 +152,8 @@ func BuildCrossIndex(t *Topology) *CrossIndex {
 	// Candidate enumeration visits cells, not IDs, so restore the
 	// ascending-ID order the exhaustive scan produced (which also
 	// makes the result independent of worker scheduling).
-	par.For(e, 0, func(i int) {
-		sortLinkIDs(ci.crossing[i])
+	par.For(e, 0, func(a int) {
+		slices.Sort(ci.Crossing(graph.LinkID(a)))
 	})
 	return ci
 }
@@ -141,7 +169,7 @@ func (ci *CrossIndex) Cross(a, b graph.LinkID) bool {
 		k := int(a)*ci.n + int(b)
 		return ci.bits[k/64]&(1<<(k%64)) != 0
 	}
-	list := ci.crossing[a]
+	list := ci.Crossing(a)
 	lo, hi := 0, len(list)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -155,9 +183,11 @@ func (ci *CrossIndex) Cross(a, b graph.LinkID) bool {
 }
 
 // Crossing returns the links that cross link a. The returned slice is
-// shared and must not be modified.
+// shared and must not be modified; its capacity ends at its length, so
+// an append copies instead of overwriting the next link's list.
 func (ci *CrossIndex) Crossing(a graph.LinkID) []graph.LinkID {
-	return ci.crossing[a]
+	lo, hi := ci.off[a], ci.off[a+1]
+	return ci.cross[lo:hi:hi]
 }
 
 // CrossesAny reports whether link a crosses any link in set, where set
@@ -172,10 +202,4 @@ func (ci *CrossIndex) CrossesAny(a graph.LinkID, set []graph.LinkID) bool {
 }
 
 // NumCrossings returns the total number of unordered crossing pairs.
-func (ci *CrossIndex) NumCrossings() int {
-	total := 0
-	for _, c := range ci.crossing {
-		total += len(c)
-	}
-	return total / 2
-}
+func (ci *CrossIndex) NumCrossings() int { return len(ci.cross) / 2 }

@@ -2,6 +2,9 @@ package topology
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -54,6 +57,31 @@ func TestGenerateTableIICounts(t *testing.T) {
 				seen[k] = true
 			}
 		})
+	}
+}
+
+// TestGenerateTableIIPinned pins the text encoding of every Table II
+// synthesis at seed 1 byte for byte: every experiment's numbers start
+// from these maps, so a generator change must leave them identical.
+func TestGenerateTableIIPinned(t *testing.T) {
+	want := map[string]string{
+		"AS209":  "90ac6acd0fb30cbf8dd43d406a345ba8b501a6cd059588a82795517497735f3a",
+		"AS701":  "e413119d77794acb1e971d094f64f0a60516c0b0ea4c7f522ddeaa3c7dbd7e70",
+		"AS1239": "67ae7a9d51d39c0bb19380d7c36437d727134430ca0eb2ab1e6b25a7e9485626",
+		"AS3320": "c7fa783df1ff5717dd2a6897537bf453478a2cfc078d9d2098583c43ec29a47b",
+		"AS3549": "a6e9a7e59cfcaacb586c3e28347563349984121b124ec62d4724a2836870889d",
+		"AS3561": "cc05b139f1a21de20593fbaf8b4e91ffa437671de090e02f472ec0949d4c916f",
+		"AS4323": "fb8541add5366a32ea1d00468e0167961caf5e97ce6666f5eb2a2df5fece4006",
+		"AS7018": "6914c6e7f75ae9bfbb7327945e4ee59923cd64bb859a0676baeca238a7e728e4",
+	}
+	for _, name := range ASNames() {
+		var buf bytes.Buffer
+		if err := Write(&buf, GenerateAS(name, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want[name] {
+			t.Errorf("%s at seed 1: text encoding sha256 %s, want %s", name, got, want[name])
+		}
 	}
 }
 
@@ -353,6 +381,8 @@ func TestCodecErrors(t *testing.T) {
 		{"bad directive", "topology t\nfrobnicate 1\n"},
 		{"non-consecutive node", "topology t\nnode 1 0 0\n"},
 		{"bad coordinate", "topology t\nnode 0 x 0\n"},
+		{"NaN coordinate", "topology t\nnode 0 NaN 0\nnode 1 1 1\nlink 0 1\n"},
+		{"infinite coordinate", "topology t\nnode 0 0 -Inf\n"},
 		{"short node", "topology t\nnode 0 0\n"},
 		{"short link", "topology t\nnode 0 0 0\nnode 1 1 1\nlink 0\n"},
 		{"undeclared endpoint", "topology t\nnode 0 0 0\nlink 0 5\n"},
@@ -388,5 +418,15 @@ func TestValidate(t *testing.T) {
 	topo := &Topology{Name: "bad2", G: g, Coords: []geom.Point{{}}}
 	if err := topo.Validate(); err == nil {
 		t.Error("coords/nodes mismatch must fail validation")
+	}
+	for _, bad := range []geom.Point{{X: math.NaN()}, {Y: math.Inf(1)}, {X: math.Inf(-1)}} {
+		topo := &Topology{Name: "bad3", G: g, Coords: []geom.Point{{}, bad}}
+		if err := topo.Validate(); err == nil {
+			t.Errorf("coordinate %v must fail validation", bad)
+		}
+	}
+	huge := &Topology{Name: "huge", G: g, Coords: []geom.Point{{X: -1e308}, {X: 1e308}}}
+	if err := huge.Validate(); err != nil {
+		t.Errorf("finite coordinates must validate: %v", err)
 	}
 }
