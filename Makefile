@@ -131,10 +131,11 @@ serve-smoke:
 ## destination sampling, a converged-batch recompute, and warm
 ## single-pair serving. Gated on total wall clock
 ## and peak RSS (VmHWM) so large-graph time/memory regressions fail
-## the pre-merge gate instead of landing silently. The budgets carry
-## ~5x headroom over a measured single-core run (40s / 453 MiB).
+## the pre-merge gate instead of landing silently. Four runs on a
+## 2-vCPU Xeon took 15-19s and peaked at 390-510 MiB, so the wall
+## budget carries 6-8x headroom and the RSS budget ~3x.
 SCALE_NODES ?= 100000
-SCALE_BUDGET ?= 4m
+SCALE_BUDGET ?= 2m
 SCALE_RSS_MB ?= 1536
 scale-smoke:
 	$(GO) run ./cmd/rtrscale -nodes $(SCALE_NODES) -budget $(SCALE_BUDGET) -max-rss-mb $(SCALE_RSS_MB)

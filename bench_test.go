@@ -564,16 +564,11 @@ func BenchmarkMRCBuildTrees(b *testing.B) {
 // (the densest, AS3549, among them) and on the 16,384-node tiered
 // world the scale workload serves, whose links are short.
 func BenchmarkCrossIndexBuild(b *testing.B) {
-	tiered, err := topology.Generate(topology.GenParams{Name: "tiered16k", Nodes: 1 << 14, Links: 3 << 14, Tiers: true},
-		rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
 	topos := []*topology.Topology{
 		topology.GenerateAS("AS3320", 1),
 		topology.GenerateAS("AS3549", 1),
 		topology.GenerateAS("AS3561", 1),
-		tiered,
+		tiered16k(b),
 	}
 	for _, topo := range topos {
 		b.Run(topo.Name, func(b *testing.B) {
@@ -583,6 +578,18 @@ func BenchmarkCrossIndexBuild(b *testing.B) {
 			}
 		})
 	}
+}
+
+// tiered16k synthesises the 16,384-node tiered world of the scale_serve
+// workload (same generator parameters, seed 1).
+func tiered16k(b *testing.B) *topology.Topology {
+	b.Helper()
+	topo, err := topology.Generate(topology.GenParams{Name: "tiered16k", Nodes: 1 << 14, Links: 3 << 14, Tiers: true},
+		rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return topo
 }
 
 // BenchmarkHeaderCodec measures the packet-header wire codec round
@@ -609,19 +616,40 @@ func BenchmarkHeaderCodec(b *testing.B) {
 }
 
 // BenchmarkPhase1Walk measures one constrained collection walk on a
-// realistic random failure.
+// realistic random failure: on the AS1239 analogue, and on a
+// 16,384-node tiered world (the scale_serve generator parameters, one
+// recoverable case of a radius-50 disk), where Constraints 1-2 are
+// asked against a cross_link field of hundreds of entries.
 func BenchmarkPhase1Walk(b *testing.B) {
-	w, cases := sharedCases(b)
-	var c *sim.Case
-	for _, cand := range cases {
-		if cand.Recoverable {
-			c = cand
-			break
+	b.Run("AS1239", func(b *testing.B) {
+		w, cases := sharedCases(b)
+		for _, c := range cases {
+			if c.Recoverable {
+				benchWalk(b, w, c)
+				return
+			}
 		}
-	}
-	if c == nil {
 		b.Fatal("no usable case")
-	}
+	})
+	b.Run("tiered16k", func(b *testing.B) {
+		topo := tiered16k(b)
+		w, err := sim.NewWorldFrom(topo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(2))
+		for try := 0; try < 50; try++ {
+			sc := failure.NewScenario(topo, failure.RandomArea(rng, 50, 50))
+			if rec, _ := sim.ScaleCasesFromScenario(w, sc, rng, 32); len(rec) > 0 {
+				benchWalk(b, w, rec[0])
+				return
+			}
+		}
+		b.Fatal("no usable case")
+	})
+}
+
+func benchWalk(b *testing.B, w *sim.World, c *sim.Case) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess, err := w.RTR.NewSession(c.LV, c.Initiator)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/routing"
+	"repro/internal/topology"
 )
 
 // CollectResult is the outcome of RTR's first phase.
@@ -121,24 +122,58 @@ type sweepCand struct {
 }
 
 // collectScratch holds the buffers one phase-1 walk reuses across hops:
-// the candidate scoring and sweep-output slices of sweepCandidates and
-// the walked directed-edge set. Pooling them makes the per-hop cost of
-// a walk allocation-free (the sweep runs at every hop, so without this
-// it dominates the simulator's allocation profile).
+// the candidate scoring and sweep-output slices of sweepCandidates, the
+// walked directed-edge set, and the per-link exclusion marks. Pooling
+// them makes the per-hop cost of a walk allocation-free (the sweep runs
+// at every hop, so without this it dominates the simulator's allocation
+// profile).
 type collectScratch struct {
 	cands []sweepCand
 	out   []graph.Halfedge
 	seen  map[dirEdge]bool
+	// excluded[l] reports whether link l crosses some cross_link entry
+	// of the walk in flight. cross_link is append-only, so a mark only
+	// ever goes from false to true: recordCross sets the marks once per
+	// entry, and Constraints 1-2 read one bool per link instead of
+	// re-testing the whole field at every hop. touched lists the set
+	// marks, so a reset costs O(touches) rather than O(E).
+	excluded []bool
+	touched  []graph.LinkID
 }
 
 var collectScratchPool = sync.Pool{
 	New: func() any { return &collectScratch{seen: make(map[dirEdge]bool, 64)} },
 }
 
-func getCollectScratch() *collectScratch {
+// getCollectScratch returns a reset scratch whose marks cover numLinks
+// links. A pooled scratch may last have served a world of another size:
+// the old marks are cleared first, then the buffer grows if too small.
+func getCollectScratch(numLinks int) *collectScratch {
 	cs := collectScratchPool.Get().(*collectScratch)
 	clear(cs.seen)
+	for _, l := range cs.touched {
+		cs.excluded[l] = false
+	}
+	cs.touched = cs.touched[:0]
+	if len(cs.excluded) < numLinks {
+		cs.excluded = make([]bool, numLinks)
+	}
 	return cs
+}
+
+// recordCross appends x to cross_link and marks every link crossing x
+// as excluded. The marks are what any router derives from the
+// cross_link field it receives, so they add nothing to the header.
+func (cs *collectScratch) recordCross(ci *topology.CrossIndex, h *routing.Header, x graph.LinkID) {
+	if !h.RecordCrossLink(x) {
+		return
+	}
+	for _, y := range ci.Crossing(x) {
+		if !cs.excluded[y] {
+			cs.excluded[y] = true
+			cs.touched = append(cs.touched, y)
+		}
+	}
 }
 
 // winding accumulates the signed angle the walk subtends at probe
@@ -206,22 +241,24 @@ func (r *RTR) collect(lv *routing.LocalView, initiator graph.NodeID, trigger gra
 	}
 	wind.sums = make([]float64, len(wind.probes))
 
+	cs := getCollectScratch(g.NumLinks())
+	defer collectScratchPool.Put(cs)
 	if constrained {
 		// Constraint 1: the walk must not cross the links between the
 		// initiator and its unreachable neighbors. The initiator seeds
 		// cross_link with each such link that crosses anything.
 		for _, id := range lv.UnreachableLinks(initiator) {
 			if len(r.ci.Crossing(id)) > 0 {
-				h.RecordCrossLink(id)
+				cs.recordCross(r.ci, h, id)
 			}
 		}
 	}
 
-	cs := getCollectScratch()
-	defer collectScratchPool.Put(cs)
 	seen := cs.seen
 	forward := func(from graph.NodeID, he graph.Halfedge) {
-		r.protect(h, he.Link, constrained)
+		if constrained {
+			r.protect(cs, h, he.Link)
+		}
 		seen[dirEdge{he.Link, he.Neighbor}] = true
 		wind.add(r.topo.Coord(from), r.topo.Coord(he.Neighbor))
 		res.Walk.Append(routing.HopRecord{From: from, To: he.Neighbor, Link: he.Link, HeaderBytes: h.RecordingBytes()})
@@ -348,19 +385,13 @@ func pickFresh(cands []graph.Halfedge, seen map[dirEdge]bool, res *CollectResult
 // link: if some link crossing it is not yet excluded by cross_link,
 // the selected link joins cross_link so the walk cannot cross itself
 // here later.
-func (r *RTR) protect(h *routing.Header, sel graph.LinkID, constrained bool) {
-	if constrained && r.wouldProtect(h, sel) {
-		h.RecordCrossLink(sel)
-	}
-}
-
-func (r *RTR) wouldProtect(h *routing.Header, sel graph.LinkID) bool {
+func (r *RTR) protect(cs *collectScratch, h *routing.Header, sel graph.LinkID) {
 	for _, x := range r.ci.Crossing(sel) {
-		if !r.ci.CrossesAny(x, h.CrossLinks) {
-			return true
+		if !cs.excluded[x] {
+			cs.recordCross(r.ci, h, sel)
+			return
 		}
 	}
-	return false
 }
 
 // sweepCandidates implements the right-hand rule of Section III-B/C:
@@ -387,7 +418,7 @@ func (r *RTR) sweepCandidates(cs *collectScratch, lv *routing.LocalView, v graph
 		if lv.NeighborUnreachable(v, he.Link) {
 			continue
 		}
-		if constrained && r.ci.CrossesAny(he.Link, h.CrossLinks) {
+		if constrained && cs.excluded[he.Link] {
 			homeLink := g.Link(he.Link).HasEndpoint(h.RecInit)
 			if !homeLink && !(allowIncoming && he.Link == ref) {
 				continue

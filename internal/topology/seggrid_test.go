@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -15,18 +16,12 @@ func naiveCrossIndex(t *Topology) *CrossIndex {
 	segs := linkSegments(t)
 	e := len(segs)
 	rows := make([][]graph.LinkID, e)
-	ci := &CrossIndex{
-		off:  make([]int, 1, e+1),
-		bits: make([]uint64, (e*e+63)/64),
-		n:    e,
-	}
+	ci := &CrossIndex{off: make([]int, 1, e+1)}
 	for i := 0; i < e; i++ {
 		for j := i + 1; j < e; j++ {
 			if segs[i].Crosses(segs[j]) {
 				rows[i] = append(rows[i], graph.LinkID(j))
 				rows[j] = append(rows[j], graph.LinkID(i))
-				ci.setBit(i, j)
-				ci.setBit(j, i)
 			}
 		}
 	}
@@ -39,10 +34,10 @@ func naiveCrossIndex(t *Topology) *CrossIndex {
 
 func sameCrossIndex(t *testing.T, want, got *CrossIndex) {
 	t.Helper()
-	if want.n != got.n {
-		t.Fatalf("crossing table size %d != %d", got.n, want.n)
+	if len(want.off) != len(got.off) {
+		t.Fatalf("crossing table size %d != %d", len(got.off)-1, len(want.off)-1)
 	}
-	for i := 0; i < want.n; i++ {
+	for i := 0; i < len(want.off)-1; i++ {
 		w, g := want.Crossing(graph.LinkID(i)), got.Crossing(graph.LinkID(i))
 		if len(w) != len(g) {
 			t.Fatalf("link %d: %d crossings != %d", i, len(g), len(w))
@@ -212,29 +207,42 @@ func TestSegGridWorkBelowExhaustive(t *testing.T) {
 	}
 }
 
-// TestCrossIndexSparseFallback forces the list-backed Cross path (no
-// bit matrix) and checks it against the matrix-backed answers.
-func TestCrossIndexSparseFallback(t *testing.T) {
-	topo := GenerateAS("AS3549", 7) // densest Table II map: 486 links
-	dense := BuildCrossIndex(topo)
-	if dense.bits == nil {
-		t.Fatal("Table II build must carry the bit matrix")
-	}
-	sparse := &CrossIndex{off: dense.off, cross: dense.cross, n: dense.n}
-	e := topo.G.NumLinks()
-	for a := 0; a < e; a++ {
-		for _, b := range dense.Crossing(graph.LinkID(a)) {
-			if !sparse.Cross(graph.LinkID(a), b) {
-				t.Fatalf("sparse Cross(%d,%d) = false, want true", a, b)
-			}
+// TestCrossMatchesNaive pins the pairwise Cross query, a binary search
+// over the built lists, against a linear scan of the exhaustive build's
+// lists: on every ordered pair of the densest Table II map and on
+// sampled pairs of a 2k-node tiered synthesis. The invariant oracle
+// asks Constraints 1-2 through Cross alone.
+func TestCrossMatchesNaive(t *testing.T) {
+	check := func(want, got *CrossIndex, a, b graph.LinkID) {
+		t.Helper()
+		if w := slices.Contains(want.Crossing(a), b); got.Cross(a, b) != w {
+			t.Fatalf("Cross(%d,%d) = %v, want %v", a, b, got.Cross(a, b), w)
 		}
 	}
+	topo := GenerateAS("AS3549", 7) // densest Table II map: 486 links
+	want, got := naiveCrossIndex(topo), BuildCrossIndex(topo)
+	e := topo.G.NumLinks()
+	for a := 0; a < e; a++ {
+		for b := 0; b < e; b++ {
+			check(want, got, graph.LinkID(a), graph.LinkID(b))
+		}
+	}
+
+	tiered, err := Generate(GenParams{Name: "t2k", Nodes: 2000, Links: 5000, Tiers: true},
+		rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got = naiveCrossIndex(tiered), BuildCrossIndex(tiered)
+	e = tiered.G.NumLinks()
 	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 5000; trial++ {
-		a := graph.LinkID(rng.Intn(e))
-		b := graph.LinkID(rng.Intn(e))
-		if sparse.Cross(a, b) != dense.Cross(a, b) {
-			t.Fatalf("sparse Cross(%d,%d) = %v, want %v", a, b, sparse.Cross(a, b), dense.Cross(a, b))
+	for a := 0; a < e; a++ {
+		// Every crossing pair, plus random pairs (mostly non-crossing).
+		for _, b := range want.Crossing(graph.LinkID(a)) {
+			check(want, got, graph.LinkID(a), b)
+		}
+		for k := 0; k < 4; k++ {
+			check(want, got, graph.LinkID(a), graph.LinkID(rng.Intn(e)))
 		}
 	}
 }

@@ -77,22 +77,13 @@ func linkSegments(t *Topology) []geom.Segment {
 // symmetric by construction.
 //
 // The lists share one flat array: link a's list is
-// cross[off[a]:off[a+1]]. For graphs up to bitMatrixMaxLinks links an
-// E x E bit matrix backs O(1) Cross queries, which phase 1 asks at
-// every hop; past that the matrix would be gigabytes (E^2/8 bytes), so
-// Cross falls back to binary search over the sorted crossing lists —
-// crossing sets are tiny relative to E, so the O(log k) probe stays
-// cheap at scale.
+// cross[off[a]:off[a+1]]. Phase 1 reads only the lists (Crossing); the
+// pairwise Cross query, a binary search over a sorted list, serves the
+// invariant oracle.
 type CrossIndex struct {
 	off   []int // len E+1
 	cross []graph.LinkID
-	bits  []uint64 // flattened E x E bit matrix, nil when e > bitMatrixMaxLinks
-	n     int
 }
-
-// bitMatrixMaxLinks bounds the dense Cross matrix at 32 MB
-// (16384^2 bits). Every Table II topology is far below it.
-const bitMatrixMaxLinks = 1 << 14
 
 // BuildCrossIndex computes the cross-link table for t. Candidate pairs
 // come from a uniform grid over the embedding area (segments indexed
@@ -104,10 +95,7 @@ const bitMatrixMaxLinks = 1 << 14
 func BuildCrossIndex(t *Topology) *CrossIndex {
 	segs := linkSegments(t)
 	e := len(segs)
-	ci := &CrossIndex{off: make([]int, e+1), n: e}
-	if e <= bitMatrixMaxLinks {
-		ci.bits = make([]uint64, (e*e+63)/64)
-	}
+	ci := &CrossIndex{off: make([]int, e+1)}
 
 	sg := newSegGrid(segs)
 	// Candidate cells are independent, so the exact tests fan out over
@@ -143,10 +131,6 @@ func BuildCrossIndex(t *Topology) *CrossIndex {
 			ci.cross[ci.off[i]] = graph.LinkID(j)
 			ci.off[j]--
 			ci.cross[ci.off[j]] = graph.LinkID(i)
-			if ci.bits != nil {
-				ci.setBit(i, j)
-				ci.setBit(j, i)
-			}
 		}
 	}
 	// Candidate enumeration visits cells, not IDs, so restore the
@@ -158,17 +142,8 @@ func BuildCrossIndex(t *Topology) *CrossIndex {
 	return ci
 }
 
-func (ci *CrossIndex) setBit(i, j int) {
-	k := i*ci.n + j
-	ci.bits[k/64] |= 1 << (k % 64)
-}
-
 // Cross reports whether links a and b cross each other.
 func (ci *CrossIndex) Cross(a, b graph.LinkID) bool {
-	if ci.bits != nil {
-		k := int(a)*ci.n + int(b)
-		return ci.bits[k/64]&(1<<(k%64)) != 0
-	}
 	list := ci.Crossing(a)
 	lo, hi := 0, len(list)
 	for lo < hi {
