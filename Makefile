@@ -79,15 +79,17 @@ sweep-smoke:
 	! $(GO) run ./cmd/rtrsim -exp nosuch > /dev/null 2>&1
 
 ## sweep-smoke-generators: a small invariant-checked sweep for each
-## alternative failure-generator family (multi-disk, conduit cut,
-## correlated SRLG) — the pluggable models must run the full sharded
-## pipeline end to end under the oracle, with the checking profile
-## derived from the generator.
+## alternative failure-generator family (disjoint and overlapping
+## multi-disk, conduit cut, correlated SRLG, single link) — the
+## pluggable models must run the full sharded pipeline end to end under
+## the oracle, with the checking profile derived from the generator.
 GEN_SWEEP_ARGS = -exp table3 -as AS1239 -cases 30 -block 15 -seed 2 -check
 sweep-smoke-generators:
 	$(GO) run ./cmd/rtrsim $(GEN_SWEEP_ARGS) -failure disks:k=2,disjoint > /dev/null
+	$(GO) run ./cmd/rtrsim $(GEN_SWEEP_ARGS) -failure disks:k=3 > /dev/null
 	$(GO) run ./cmd/rtrsim $(GEN_SWEEP_ARGS) -failure cut:w=150 > /dev/null
 	$(GO) run ./cmd/rtrsim $(GEN_SWEEP_ARGS) -failure srlg:g=9,n=2 > /dev/null
+	$(GO) run ./cmd/rtrsim $(GEN_SWEEP_ARGS) -failure link > /dev/null
 
 ## check-invariants: the sweep-smoke workload with the invariant
 ## oracle attached (-check) under the race detector — every generated

@@ -47,7 +47,7 @@ func buildBenchData(b *testing.B) {
 	benchOnce.Do(func() {
 		if benchWorld, benchErr = sim.NewWorld("AS1239", 11); benchErr == nil {
 			rng := rand.New(rand.NewSource(42))
-			rec, irr := sim.CollectBoth(benchWorld, rng, benchCases, benchCases)
+			rec, irr := sim.CollectBothG(benchWorld, failure.Default(), rng, benchCases, benchCases)
 			benchList = append(append([]*sim.Case(nil), rec...), irr...)
 			benchData = &sim.Dataset{
 				World: benchWorld,
@@ -276,7 +276,7 @@ func BenchmarkDatasetBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, irr := sim.CollectBoth(w, rand.New(rand.NewSource(int64(i)+1)), 100, 100)
+		rec, irr := sim.CollectBothG(w, failure.Default(), rand.New(rand.NewSource(int64(i)+1)), 100, 100)
 		sim.Records(sim.RunAll(w, rec))
 		sim.Records(sim.RunAll(w, irr))
 	}
@@ -291,7 +291,7 @@ func BenchmarkAblationTermination(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cases := sim.CollectCases(w, rand.New(rand.NewSource(5)), benchCases, true)
+		cases, _ := sim.CollectBothG(w, failure.Default(), rand.New(rand.NewSource(5)), benchCases, 0)
 		return w, cases
 	}
 	verified, verCases := build()

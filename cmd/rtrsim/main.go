@@ -181,7 +181,7 @@ func run() int {
 		resume     = flag.Bool("resume", false, "skip shards already recorded in -state and merge their results")
 		check      = flag.Bool("check", false, "run the invariant oracle on every sweep case and loss result; fail fast with a repro string")
 		maxShards  = flag.Int("max-shards", 0, "stop after executing N shards, exit 2 (exercises the interrupt path deterministically)")
-		failSpec   = flag.String("failure", "", "failure-generator spec for sweep cases and fig11 (disk, disks:k=3,disjoint, cut:w=200, srlg:g=16,n=2, cascade, transient, link); empty = the paper's single disk")
+		failSpec   = flag.String("failure", "", "failure-generator spec kind[:params] for sweep cases and fig11 (kinds: "+strings.Join(failure.Kinds(), ", ")+"; e.g. disks:k=3,disjoint, cut:w=200, srlg:g=16,n=2); empty = the paper's single disk")
 		schemeFlag = flag.String("scheme", "rtr,rtr-spread", "comma-separated recovery schemes for the congestion experiment (registry names: "+strings.Join(sim.SchemeNames(), ", ")+")")
 		utilPairs  = flag.Int("util-pairs", sweep.DefaultUtilPairs, "traffic-matrix size for the congestion experiment")
 		utilScen   = flag.Int("util-scenarios", sweep.DefaultUtilScenarios, "failure scenarios per (topology, scheme) congestion shard")

@@ -3,7 +3,7 @@
 // (exactly the rows of the paper's Table I), followed by the phase-2
 // recovery path. By default it replays the paper's worked example
 // (Fig. 6 / Table I); any synthesized topology with a custom failure
-// disk works too.
+// disk works too, given both endpoints as node IDs in [0, n).
 //
 // Usage:
 //
@@ -59,12 +59,21 @@ func main() {
 			fatalf("%v", err)
 		}
 		area = geom.Disk{Center: geom.Point{X: *cx, Y: *cy}, Radius: *radius}
+		if *srcIn < 0 || *dstIn < 0 {
+			fatalf("-as needs both -src and -dst")
+		}
 	}
 	if *srcIn >= 0 {
 		src = graph.NodeID(*srcIn)
 	}
 	if *dstIn >= 0 {
 		dst = graph.NodeID(*dstIn)
+	}
+	if n := topo.G.NumNodes(); int(src) >= n || int(dst) >= n {
+		fatalf("-src %d -dst %d: %s has nodes 0..%d", src, dst, topo.Name, n-1)
+	}
+	if src == dst {
+		fatalf("-src and -dst are both %d; they must differ", src)
 	}
 
 	sc := failure.NewScenario(topo, area)

@@ -92,3 +92,36 @@ func TestGoldenSynthesizedTrace(t *testing.T) {
 	}
 	checkGolden(t, "trace_as1239.golden", stdout.String())
 }
+
+// TestBadEndpointsExitOne: on a synthesized topology both endpoints
+// are required, must be node IDs of the graph and must differ; anything
+// else exits 1 with a message instead of panicking or tracing a
+// default pair.
+func TestBadEndpointsExitOne(t *testing.T) {
+	area := []string{"-as", "AS209", "-cx", "900", "-cy", "1100", "-r", "220"}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"src-out-of-range", []string{"-src", "100000", "-dst", "3"}, "has nodes"},
+		{"dst-out-of-range", []string{"-src", "3", "-dst", "100000"}, "has nodes"},
+		{"no-endpoints", nil, "needs both -src and -dst"},
+		{"no-dst", []string{"-src", "3"}, "needs both -src and -dst"},
+		{"same-endpoint", []string{"-src", "3", "-dst", "3"}, "must differ"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(binary(t), append(append([]string(nil), area...), tc.args...)...)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+				t.Fatalf("want exit 1, got %v\nstderr:\n%s", err, stderr.String())
+			}
+			if !bytes.Contains(stderr.Bytes(), []byte(tc.want)) {
+				t.Errorf("stderr %q does not say %q", stderr.String(), tc.want)
+			}
+		})
+	}
+}

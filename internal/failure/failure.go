@@ -1,11 +1,11 @@
 // Package failure implements large-scale failure models: continuous
 // failure areas placed in the plane (the paper's disks, plus capsule
-// "conduit cut" strips), correlated link groups, and scheduled
-// cascading/transient failures. Routers inside an area fail; links
-// whose segments pass through an area fail even if both endpoints
-// survive. A Scenario is the ground truth of a failure event — only
-// the simulation harness may consult it; protocol code sees failures
-// exclusively through per-node views (see package routing).
+// "conduit cut" strips), correlated link groups, and single link
+// failures. Routers inside an area fail; links whose segments pass
+// through an area fail even if both endpoints survive. A Scenario is
+// the ground truth of a failure event — only the simulation harness
+// may consult it; protocol code sees failures exclusively through
+// per-node views (see package routing).
 //
 // Random scenarios are drawn through the pluggable Generator
 // interface (see generator.go): ParseSpec turns a spec string such as
@@ -58,10 +58,6 @@ type Scenario struct {
 	// gen is the generator spec that produced the scenario ("" for
 	// hand-built scenarios); it rides into invariant repro strings.
 	gen string
-	// steps is the optional failure schedule (cascading/transient
-	// models): steps[i] is the ground truth after step i. Static
-	// scenarios leave it nil.
-	steps []*Scenario
 }
 
 var _ graph.DenseTabler = (*Scenario)(nil)
@@ -81,7 +77,7 @@ func NewScenario(topo *topology.Topology, areas ...geom.Disk) *Scenario {
 
 // NewLinkSet returns a scenario in which exactly the given links fail
 // (no geometric area, no node failures) — the shape of correlated
-// SRLG failures and single-link flaps.
+// SRLG failures and single-link failures.
 func NewLinkSet(topo *topology.Topology, ids ...graph.LinkID) *Scenario {
 	return compose(topo, nil, ids)
 }
@@ -158,34 +154,6 @@ func (s *Scenario) Shapes() []Area {
 // scenario, or "" for hand-built scenarios.
 func (s *Scenario) GenSpec() string { return s.gen }
 
-// Steps returns the number of steps in the scenario's failure
-// schedule; static scenarios have exactly one step (themselves).
-func (s *Scenario) Steps() int {
-	if len(s.steps) == 0 {
-		return 1
-	}
-	return len(s.steps)
-}
-
-// At returns the ground truth after schedule step i (clamped to the
-// schedule bounds). A static scenario returns itself for every i.
-// Cascading models produce monotone schedules (each step's failures
-// contain the previous step's — the delete-only shape incremental
-// recomputation requires); transient models repair, so later steps may
-// shed failures and are only delete-only relative to the clean state.
-func (s *Scenario) At(i int) *Scenario {
-	if len(s.steps) == 0 {
-		return s
-	}
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s.steps) {
-		i = len(s.steps) - 1
-	}
-	return s.steps[i]
-}
-
 // FailedNodes returns the failed nodes in ascending order.
 func (s *Scenario) FailedNodes() []graph.NodeID { return s.mask.DownNodes() }
 
@@ -213,12 +181,8 @@ func (s *Scenario) Unreachable(l graph.Link, v graph.NodeID) bool {
 
 // String implements fmt.Stringer.
 func (s *Scenario) String() string {
-	extra := ""
-	if n := s.Steps(); n > 1 {
-		extra = fmt.Sprintf(", %d steps", n)
-	}
-	return fmt.Sprintf("scenario(%s: %d areas, %d nodes down, %d links down%s)",
-		s.Topo.Name, len(s.areas), s.NumFailedNodes(), s.NumFailedLinks(), extra)
+	return fmt.Sprintf("scenario(%s: %d areas, %d nodes down, %d links down)",
+		s.Topo.Name, len(s.areas), s.NumFailedNodes(), s.NumFailedLinks())
 }
 
 // SingleLink returns a scenario in which exactly the given link fails

@@ -17,6 +17,8 @@ func FuzzGeneratorSpec(f *testing.F) {
 	f.Add("disks:k=3,disjoint")
 	f.Add("cut:w=200,lmin=100,lmax=400")
 	f.Add("srlg:g=25,n=3")
+	f.Add("cascade")
+	f.Add("transient")
 	f.Add("cascade:steps=5,rmin=80,rmax=80")
 	f.Add("transient:steps=2")
 	f.Add("disk:rmin=1e99")

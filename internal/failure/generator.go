@@ -24,6 +24,11 @@ type Generator interface {
 	Name() string
 	// Generate draws one failure scenario.
 	Generate(topo *topology.Topology, rng *rand.Rand) *Scenario
+	// MultiPerimeter reports whether the model can produce
+	// disconnected failure perimeters (multiple failure clusters), the
+	// shape that breaks RTR's single-perimeter phase-1 walk assumption.
+	// The invariant oracle uses it to pick the checking profile.
+	MultiPerimeter() bool
 }
 
 // FixedRadius is implemented by generators whose failure extent can be
@@ -33,15 +38,6 @@ type Generator interface {
 type FixedRadius interface {
 	Generator
 	WithRadius(r float64) Generator
-}
-
-// MultiPerimeter is implemented by every registered generator; it
-// reports whether the model can produce disconnected failure
-// perimeters (multiple failure clusters), the shape that breaks RTR's
-// single-perimeter phase-1 walk assumption. The invariant oracle uses
-// it to pick the checking profile.
-type MultiPerimeter interface {
-	MultiPerimeter() bool
 }
 
 // DefaultSpec is the paper's failure model: one disk, radius uniform
@@ -76,7 +72,7 @@ func (g DiskGen) Generate(topo *topology.Topology, rng *rand.Rand) *Scenario {
 // WithRadius implements FixedRadius.
 func (g DiskGen) WithRadius(r float64) Generator { return DiskGen{Min: r, Max: r} }
 
-// MultiPerimeter implements MultiPerimeter: one disk is one perimeter.
+// MultiPerimeter implements Generator: one disk is one perimeter.
 func (DiskGen) MultiPerimeter() bool { return false }
 
 // ---------------------------------------------------------------------
@@ -138,7 +134,7 @@ func (g MultiDiskGen) WithRadius(r float64) Generator {
 	return MultiDiskGen{K: g.K, Min: r, Max: r, Disjoint: g.Disjoint}
 }
 
-// MultiPerimeter implements MultiPerimeter.
+// MultiPerimeter implements Generator.
 func (g MultiDiskGen) MultiPerimeter() bool { return g.K > 1 }
 
 // ---------------------------------------------------------------------
@@ -186,7 +182,7 @@ func (g CutGen) WithRadius(r float64) Generator {
 	return CutGen{Width: 2 * r, MinLen: g.MinLen, MaxLen: g.MaxLen}
 }
 
-// MultiPerimeter implements MultiPerimeter: one capsule is one
+// MultiPerimeter implements Generator: one capsule is one
 // connected region.
 func (CutGen) MultiPerimeter() bool { return false }
 
@@ -236,7 +232,7 @@ func (g SRLGGen) Generate(topo *topology.Topology, rng *rand.Rand) *Scenario {
 	return s
 }
 
-// MultiPerimeter implements MultiPerimeter: a group's links share a
+// MultiPerimeter implements Generator: a group's links share a
 // grid cell but need not touch, and multiple groups may fail.
 func (SRLGGen) MultiPerimeter() bool { return true }
 
@@ -289,113 +285,9 @@ func SRLGGroups(topo *topology.Topology, target int) []SRLGGroup {
 }
 
 // ---------------------------------------------------------------------
-// cascade — an ordered schedule of growing failures: disks strike one
-// after another and nothing repairs, so every step's failure set
-// contains the previous step's (the delete-only shape incremental
-// recomputation chains across).
-
-// CascadeGen draws a monotone failure schedule of Steps disks.
-type CascadeGen struct {
-	Steps    int
-	Min, Max float64
-}
-
-// Name implements Generator.
-func (g CascadeGen) Name() string {
-	n := "cascade"
-	if g.Steps != 3 {
-		n += joinParam(n, "cascade", fmt.Sprintf("steps=%d", g.Steps))
-	}
-	n += radiusParamsAfter(n, "cascade", g.Min, g.Max)
-	return n
-}
-
-// Generate implements Generator. The returned scenario is the peak
-// (the union of all disks, == At(Steps-1)); At(i) exposes the
-// intermediate steps.
-func (g CascadeGen) Generate(topo *topology.Topology, rng *rand.Rand) *Scenario {
-	disks := make([]geom.Disk, g.Steps)
-	for i := range disks {
-		disks[i] = RandomArea(rng, g.Min, g.Max)
-	}
-	steps := make([]*Scenario, g.Steps)
-	for i := range steps {
-		steps[i] = NewScenario(topo, disks[:i+1]...)
-		steps[i].gen = g.Name()
-	}
-	peak := steps[g.Steps-1]
-	peak.steps = steps
-	return peak
-}
-
-// WithRadius implements FixedRadius.
-func (g CascadeGen) WithRadius(r float64) Generator {
-	return CascadeGen{Steps: g.Steps, Min: r, Max: r}
-}
-
-// MultiPerimeter implements MultiPerimeter: independent disks, so the
-// peak union is usually disconnected.
-func (g CascadeGen) MultiPerimeter() bool { return g.Steps > 1 }
-
-// ---------------------------------------------------------------------
-// transient — short-lived flaps with repair: disks strike one after
-// another, then repair oldest-first until everything is back up (the
-// recovery-schema line's transient-failure model). The schedule is NOT
-// monotone past the peak — repair steps are only delete-only relative
-// to the clean state.
-
-// TransientGen draws a grow-then-repair failure schedule.
-type TransientGen struct {
-	Steps    int // disks striking (the schedule has 2*Steps entries)
-	Min, Max float64
-}
-
-// Name implements Generator.
-func (g TransientGen) Name() string {
-	n := "transient"
-	if g.Steps != 3 {
-		n += joinParam(n, "transient", fmt.Sprintf("steps=%d", g.Steps))
-	}
-	n += radiusParamsAfter(n, "transient", g.Min, g.Max)
-	return n
-}
-
-// Generate implements Generator. The returned scenario is the peak
-// (== At(Steps-1)); the schedule grows for Steps entries and then
-// repairs oldest-first for Steps more, ending all-up.
-func (g TransientGen) Generate(topo *topology.Topology, rng *rand.Rand) *Scenario {
-	disks := make([]geom.Disk, g.Steps)
-	for i := range disks {
-		disks[i] = RandomArea(rng, g.Min, g.Max)
-	}
-	steps := make([]*Scenario, 0, 2*g.Steps)
-	for i := 0; i < g.Steps; i++ { // growth: disks[0..i]
-		sc := NewScenario(topo, disks[:i+1]...)
-		sc.gen = g.Name()
-		steps = append(steps, sc)
-	}
-	for j := 1; j <= g.Steps; j++ { // repair: disks[j..], ending empty
-		sc := NewScenario(topo, disks[j:]...)
-		sc.gen = g.Name()
-		steps = append(steps, sc)
-	}
-	peak := steps[g.Steps-1]
-	peak.steps = steps
-	return peak
-}
-
-// WithRadius implements FixedRadius.
-func (g TransientGen) WithRadius(r float64) Generator {
-	return TransientGen{Steps: g.Steps, Min: r, Max: r}
-}
-
-// MultiPerimeter implements MultiPerimeter.
-func (g TransientGen) MultiPerimeter() bool { return g.Steps > 1 }
-
-// ---------------------------------------------------------------------
-// link — a single uniform random link flap with repair: the smallest
-// transient failure (the OSPF emergency-path papers' model). Two-step
-// schedule: down, then repaired.
+// link — a single uniform random link failure: the smallest transient
+// failure (the OSPF emergency-path papers' model), drawn while it is
+// down.
 
 // LinkFlapGen fails one uniformly random link.
 type LinkFlapGen struct{}
@@ -406,15 +298,12 @@ func (LinkFlapGen) Name() string { return "link" }
 // Generate implements Generator.
 func (g LinkFlapGen) Generate(topo *topology.Topology, rng *rand.Rand) *Scenario {
 	id := graph.LinkID(rng.Intn(topo.G.NumLinks()))
-	down := NewLinkSet(topo, id)
-	down.gen = g.Name()
-	up := compose(topo, nil, nil)
-	up.gen = g.Name()
-	down.steps = []*Scenario{down, up}
-	return down
+	s := NewLinkSet(topo, id)
+	s.gen = g.Name()
+	return s
 }
 
-// MultiPerimeter implements MultiPerimeter.
+// MultiPerimeter implements Generator.
 func (LinkFlapGen) MultiPerimeter() bool { return false }
 
 // ---------------------------------------------------------------------
@@ -422,7 +311,7 @@ func (LinkFlapGen) MultiPerimeter() bool { return false }
 
 // Kinds returns the registered generator kinds in registration order.
 func Kinds() []string {
-	return []string{"disk", "disks", "cut", "srlg", "cascade", "transient", "link"}
+	return []string{"disk", "disks", "cut", "srlg", "link"}
 }
 
 // AllDefaults returns one default-configured generator per registered
@@ -455,9 +344,7 @@ func ParseSpecOrDefault(spec string) (Generator, error) {
 //	disks[:k=N,rmin=R,rmax=R,disjoint]  k simultaneous disks
 //	cut[:w=W,lmin=L,lmax=L]         one conduit cut of width W
 //	srlg[:g=N,n=N]                  n correlated link groups out of ~g
-//	cascade[:steps=N,rmin=R,rmax=R] monotone multi-disk schedule
-//	transient[:steps=N,rmin=R,rmax=R] grow-then-repair schedule
-//	link                            one random link flap
+//	link                            one random link failure
 //
 // Unknown kinds, unknown keys, malformed or out-of-range values are
 // errors; ParseSpec never panics (fuzzed by FuzzGeneratorSpec).
@@ -510,26 +397,6 @@ func ParseSpec(spec string) (Generator, error) {
 			p.err = fmt.Errorf("n=%d exceeds g=%d", s.Fail, s.Groups)
 		} else {
 			g = s
-		}
-	case "cascade":
-		c := CascadeGen{Steps: 3, Min: MinRadius, Max: MaxRadius}
-		c.Steps = p.integer("steps", c.Steps, 1, 16)
-		c.Min = p.float("rmin", c.Min)
-		c.Max = p.float("rmax", c.Max)
-		if err := radiusOK(c.Min, c.Max); err == nil {
-			g = c
-		} else {
-			p.err = err
-		}
-	case "transient":
-		t := TransientGen{Steps: 3, Min: MinRadius, Max: MaxRadius}
-		t.Steps = p.integer("steps", t.Steps, 1, 16)
-		t.Min = p.float("rmin", t.Min)
-		t.Max = p.float("rmax", t.Max)
-		if err := radiusOK(t.Min, t.Max); err == nil {
-			g = t
-		} else {
-			p.err = err
 		}
 	case "link":
 		g = LinkFlapGen{}

@@ -41,12 +41,6 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		{"srlg:g=25", ""},
 		{"srlg:n=2", ""},
 		{"srlg:g=9,n=3", ""},
-		{"cascade", ""},
-		{"cascade:steps=5", ""},
-		{"cascade:steps=3", "cascade"},
-		{"cascade:steps=2,rmin=80,rmax=80", ""},
-		{"transient", ""},
-		{"transient:steps=2", ""},
 		{"link", ""},
 	}
 	for _, c := range cases {
@@ -79,17 +73,17 @@ func TestParseSpecErrors(t *testing.T) {
 		"",
 		"frisbee",
 		"disk:",
-		"disk:rmin",          // flag where value required... rmin unused
-		"disk:rmin=",         // no value
-		"disk:=5",            // no key
-		"disk:rmin=abc",      // not a number
-		"disk:rmin=NaN",      // non-finite
-		"disk:rmin=-5",       // negative
-		"disk:rmin=0",        // zero radius
+		"disk:rmin",              // flag where value required... rmin unused
+		"disk:rmin=",             // no value
+		"disk:=5",                // no key
+		"disk:rmin=abc",          // not a number
+		"disk:rmin=NaN",          // non-finite
+		"disk:rmin=-5",           // negative
+		"disk:rmin=0",            // zero radius
 		"disk:rmin=200,rmax=100", // inverted bounds
-		"disk:rmax=1e99",     // beyond the simulation area
-		"disk:k=3",           // unknown key for kind
-		"disk:rmin=5,rmin=6", // duplicate
+		"disk:rmax=1e99",         // beyond the simulation area
+		"disk:k=3",               // unknown key for kind
+		"disk:rmin=5,rmin=6",     // duplicate
 		"disks:k=0",
 		"disks:k=99",
 		"disks:bogus",
@@ -99,15 +93,24 @@ func TestParseSpecErrors(t *testing.T) {
 		"srlg:g=0",
 		"srlg:n=0",
 		"srlg:g=4,n=9", // more groups failing than exist
-		"cascade:steps=0",
-		"cascade:steps=70",
-		"transient:steps=-1",
 		"link:x=1",
 		"disk:rmin=100,,rmax=200", // empty parameter
 	}
 	for _, spec := range bad {
 		if g, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) = %v (%q), want error", spec, g, g.Name())
+		}
+	}
+}
+
+// TestRetiredKindsUnknown: cascade and transient drew only the peak of
+// a disk schedule, which disks:k=N draws identically; both are unknown
+// kinds now, reported as such.
+func TestRetiredKindsUnknown(t *testing.T) {
+	for _, spec := range []string{"cascade", "transient", "cascade:steps=2,rmin=80,rmax=80"} {
+		_, err := ParseSpec(spec)
+		if err == nil || !strings.Contains(err.Error(), "unknown generator kind") {
+			t.Errorf("ParseSpec(%q) = %v, want the unknown-kind error", spec, err)
 		}
 	}
 }
@@ -168,14 +171,6 @@ func TestGeneratorDeterminism(t *testing.T) {
 				if !sameMask(a, b) {
 					t.Fatalf("trial %d: non-deterministic: %v vs %v", trial, a, b)
 				}
-				if a.Steps() != b.Steps() {
-					t.Fatalf("trial %d: schedule lengths differ", trial)
-				}
-				for i := 0; i < a.Steps(); i++ {
-					if !sameMask(a.At(i), b.At(i)) {
-						t.Fatalf("trial %d: step %d differs", trial, i)
-					}
-				}
 				if a.GenSpec() != g.Name() {
 					t.Fatalf("GenSpec = %q, want %q", a.GenSpec(), g.Name())
 				}
@@ -195,10 +190,7 @@ func TestGeneratorMaskAreaConsistency(t *testing.T) {
 		t.Run(g.Name(), func(t *testing.T) {
 			for trial := 0; trial < 20; trial++ {
 				rng := rand.New(rand.NewSource(seed.Derive(13, "cons", g.Name()) + int64(trial)))
-				sc := g.Generate(topo, rng)
-				for step := 0; step < sc.Steps(); step++ {
-					checkMaskConsistent(t, sc.At(step))
-				}
+				checkMaskConsistent(t, g.Generate(topo, rng))
 			}
 		})
 	}
@@ -238,94 +230,22 @@ func checkMaskConsistent(t *testing.T, s *Scenario) {
 		if geometric && !s.LinkDown(id) {
 			t.Fatalf("link %v: geometry says down, mask says up", l)
 		}
-		if !geometric && s.LinkDown(id) && len(areas) > 0 && s.Steps() == 1 {
-			// Area-driven static scenarios may not fail extra links.
+		if !geometric && s.LinkDown(id) && len(areas) > 0 {
+			// Area-driven scenarios may not fail extra links.
 			t.Fatalf("link %v: mask says down with no geometric cause", l)
 		}
 	}
 }
 
-// TestScheduleShapes pins the schedule semantics of the scheduled
-// generators: cascades grow monotonically; transients grow, then
-// repair oldest-first, ending all-up; link flaps are down-then-up.
-func TestScheduleShapes(t *testing.T) {
+// TestLinkFailsOneLink: a link failure takes down exactly one link and
+// no router.
+func TestLinkFailsOneLink(t *testing.T) {
 	topo := testTopo(t)
-
-	t.Run("cascade", func(t *testing.T) {
-		g := CascadeGen{Steps: 4, Min: 100, Max: 300}
-		for trial := 0; trial < 10; trial++ {
-			rng := rand.New(rand.NewSource(seed.Derive(17, "cascade") + int64(trial)))
-			sc := g.Generate(topo, rng)
-			if sc.Steps() != 4 {
-				t.Fatalf("Steps = %d, want 4", sc.Steps())
-			}
-			if !sameMask(sc, sc.At(3)) {
-				t.Fatal("peak must equal the last step")
-			}
-			for i := 1; i < sc.Steps(); i++ {
-				assertSuperset(t, sc.At(i), sc.At(i-1))
-			}
-			if len(sc.At(0).Shapes()) != 1 || len(sc.At(3).Shapes()) != 4 {
-				t.Fatalf("area counts: %d then %d, want 1 then 4",
-					len(sc.At(0).Shapes()), len(sc.At(3).Shapes()))
-			}
-		}
-	})
-
-	t.Run("transient", func(t *testing.T) {
-		g := TransientGen{Steps: 3, Min: 100, Max: 300}
-		for trial := 0; trial < 10; trial++ {
-			rng := rand.New(rand.NewSource(seed.Derive(17, "transient") + int64(trial)))
-			sc := g.Generate(topo, rng)
-			if sc.Steps() != 6 {
-				t.Fatalf("Steps = %d, want 6", sc.Steps())
-			}
-			if !sameMask(sc, sc.At(2)) {
-				t.Fatal("peak must be the last growth step")
-			}
-			for i := 1; i < 3; i++ {
-				assertSuperset(t, sc.At(i), sc.At(i-1))
-			}
-			if last := sc.At(5); last.HasFailures() {
-				t.Fatalf("schedule must end all-up, got %v", last)
-			}
-		}
-	})
-
-	t.Run("link", func(t *testing.T) {
-		g := LinkFlapGen{}
-		rng := rand.New(rand.NewSource(seed.Derive(17, "link")))
-		sc := g.Generate(topo, rng)
-		if sc.Steps() != 2 {
-			t.Fatalf("Steps = %d, want 2", sc.Steps())
-		}
-		if n := sc.NumFailedLinks(); n != 1 || sc.NumFailedNodes() != 0 {
-			t.Fatalf("flap must fail exactly one link, got %v", sc)
-		}
-		if sc.At(1).HasFailures() {
-			t.Fatal("flap must repair at step 1")
-		}
-	})
-
-	t.Run("static-At", func(t *testing.T) {
-		sc := Default().Generate(topo, rand.New(rand.NewSource(1)))
-		if sc.Steps() != 1 || sc.At(0) != sc || sc.At(99) != sc || sc.At(-1) != sc {
-			t.Fatal("static scenarios must be their own single clamped step")
-		}
-	})
-}
-
-// assertSuperset checks cur's failures contain prev's.
-func assertSuperset(t *testing.T, cur, prev *Scenario) {
-	t.Helper()
-	for _, v := range prev.FailedNodes() {
-		if !cur.NodeDown(v) {
-			t.Fatalf("node %d repaired in a monotone schedule", v)
-		}
-	}
-	for _, l := range prev.FailedLinks() {
-		if !cur.LinkDown(l) {
-			t.Fatalf("link %d repaired in a monotone schedule", l)
+	for trial := 0; trial < 10; trial++ {
+		rng := rand.New(rand.NewSource(seed.Derive(17, "link") + int64(trial)))
+		sc := LinkFlapGen{}.Generate(topo, rng)
+		if sc.NumFailedLinks() != 1 || sc.NumFailedNodes() != 0 {
+			t.Fatalf("trial %d: want exactly one failed link, got %v", trial, sc)
 		}
 	}
 }
@@ -455,16 +375,11 @@ func TestWithRadius(t *testing.T) {
 func TestMultiPerimeterFlags(t *testing.T) {
 	want := map[string]bool{
 		"disk": false, "disks": true, "cut": false, "srlg": true,
-		"cascade": true, "transient": true, "link": false,
+		"link": false,
 	}
 	for _, g := range AllDefaults() {
-		mp, ok := g.(MultiPerimeter)
-		if !ok {
-			t.Errorf("%s must implement MultiPerimeter", g.Name())
-			continue
-		}
-		if mp.MultiPerimeter() != want[g.Name()] {
-			t.Errorf("%s.MultiPerimeter() = %v, want %v", g.Name(), mp.MultiPerimeter(), want[g.Name()])
+		if g.MultiPerimeter() != want[g.Name()] {
+			t.Errorf("%s.MultiPerimeter() = %v, want %v", g.Name(), g.MultiPerimeter(), want[g.Name()])
 		}
 	}
 }
@@ -552,16 +467,13 @@ func TestParseInstanceRoundTrip(t *testing.T) {
 	for _, g := range AllDefaults() {
 		for trial := 0; trial < 10; trial++ {
 			rng := rand.New(rand.NewSource(seed.Derive(43, "inst", g.Name()) + int64(trial)))
-			sc := g.Generate(topo, rng)
-			for step := 0; step < sc.Steps(); step++ {
-				s := sc.At(step)
-				re, err := ParseInstance(topo, s.Desc())
-				if err != nil {
-					t.Fatalf("%s: ParseInstance(%q): %v", g.Name(), s.Desc(), err)
-				}
-				if !sameMask(s, re) {
-					t.Fatalf("%s: round trip of %q changed the mask", g.Name(), s.Desc())
-				}
+			s := g.Generate(topo, rng)
+			re, err := ParseInstance(topo, s.Desc())
+			if err != nil {
+				t.Fatalf("%s: ParseInstance(%q): %v", g.Name(), s.Desc(), err)
+			}
+			if !sameMask(s, re) {
+				t.Fatalf("%s: round trip of %q changed the mask", g.Name(), s.Desc())
 			}
 		}
 	}

@@ -20,8 +20,8 @@ type Profile struct {
 	// failure region, the shape RTR's phase-1 perimeter walk was
 	// designed for (the paper's single disk). When set, a collection
 	// failure on a recoverable case is an invariant breach
-	// (rtr/collect-failed); when unset — multi-disk, SRLG, cascade
-	// models — such failures are legitimate model-induced outcomes and
+	// (rtr/collect-failed); when unset — multi-disk and SRLG models —
+	// such failures are legitimate model-induced outcomes and
 	// are counted by ClassifyPerimeter instead.
 	SinglePerimeter bool
 }
@@ -30,13 +30,9 @@ type Profile struct {
 func DefaultProfile() Profile { return Profile{SinglePerimeter: true} }
 
 // ProfileFor derives the checking profile for a failure generator from
-// its MultiPerimeter declaration; generators that do not declare are
-// checked under the strict single-perimeter profile.
+// its MultiPerimeter declaration.
 func ProfileFor(g failure.Generator) Profile {
-	if mp, ok := g.(failure.MultiPerimeter); ok && mp.MultiPerimeter() {
-		return Profile{SinglePerimeter: false}
-	}
-	return DefaultProfile()
+	return Profile{SinglePerimeter: !g.MultiPerimeter()}
 }
 
 // PerimeterReport counts, per classified case, how RTR's

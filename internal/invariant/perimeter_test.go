@@ -14,7 +14,7 @@ import (
 func TestProfileFor(t *testing.T) {
 	wantSingle := map[string]bool{
 		"disk": true, "cut": true, "link": true,
-		"disks": false, "srlg": false, "cascade": false, "transient": false,
+		"disks": false, "srlg": false,
 	}
 	for _, g := range failure.AllDefaults() {
 		p := ProfileFor(g)

@@ -300,7 +300,7 @@ func TestSpreadSharedSessionMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, irr := sim.CollectBoth(w, rand.New(rand.NewSource(11)), 24, 24)
+			rec, irr := sim.CollectBothG(w, failure.Default(), rand.New(rand.NewSource(11)), 24, 24)
 			fresh := append(rec, irr...)
 			// fresh[i] carries no State, so each Run opens a session
 			// nobody else touches; shared[i] is the same case built on

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/failure"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/mrc"
@@ -43,7 +44,8 @@ type TerminationAblation struct {
 // topology built WithPaperTermination.
 func AblateTermination(w, paper *World, seed int64, cases int) TerminationAblation {
 	measure := func(w *World) (optPct, p90 float64) {
-		outs := RunAll(w, CollectCases(w, ablationCaseRNG(seed), cases, true))
+		cs, _ := CollectBothG(w, failure.Default(), ablationCaseRNG(seed), cases, 0)
+		outs := RunAll(w, cs)
 		n, opt := 0, 0
 		var durations []float64
 		for _, o := range outs {
@@ -95,7 +97,7 @@ type ConstraintAblation struct {
 // the default world w and the paper-termination world paper.
 func AblateConstraints(w, paper *World, seed int64, cases int) ConstraintAblation {
 	run := func(w *World) (con, unc ConstraintCell) {
-		cs := CollectCases(w, ablationCaseRNG(seed), cases, true)
+		cs, _ := CollectBothG(w, failure.Default(), ablationCaseRNG(seed), cases, 0)
 
 		coverage := func(c *Case, collected []graph.LinkID) (have, want int) {
 			known := make(map[graph.LinkID]bool, len(collected))
@@ -171,7 +173,7 @@ type MRCConfigPoint struct {
 // workload: more configurations isolate fewer elements each, changing
 // how often a route survives an area failure.
 func AblateMRCConfigs(w *World, seed int64, cases int, ks []int) ([]MRCConfigPoint, error) {
-	cs := CollectCases(w, ablationCaseRNG(seed), cases, true)
+	cs, _ := CollectBothG(w, failure.Default(), ablationCaseRNG(seed), cases, 0)
 
 	out := make([]MRCConfigPoint, 0, len(ks))
 	for _, k := range ks {
@@ -232,7 +234,7 @@ func AblateWeightedCosts(w *World, seed int64, cases int) (WeightedCostAblation,
 	if err != nil {
 		return res, err
 	}
-	cs := CollectCases(ww, ablationCaseRNG(seed), cases, true)
+	cs, _ := CollectBothG(ww, failure.Default(), ablationCaseRNG(seed), cases, 0)
 	outs := RunAll(ww, cs)
 	var rec, opt, fcpRec, n int
 	for _, o := range outs {

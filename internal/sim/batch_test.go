@@ -120,7 +120,7 @@ func TestBatchedMatchesPerCase(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, irr := CollectBoth(w, rand.New(rand.NewSource(17)), 40, 40)
+			rec, irr := CollectBothG(w, failure.Default(), rand.New(rand.NewSource(17)), 40, 40)
 			cases := append(rec, irr...)
 			if len(cases) == 0 {
 				t.Fatal("no cases drawn")

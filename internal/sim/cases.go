@@ -179,8 +179,7 @@ func sampleDsts(n, want int, rng *rand.Rand) []graph.NodeID {
 // have reached their targets, enumerating each scenario over dstSample
 // sampled destinations (all of them when dstSample <= 0); cases beyond
 // a kind's target are discarded. It gives up after MaxCollectDraws
-// scenarios and returns whatever accumulated. For scheduled generators
-// (cascades, transients) the cases are drawn from the peak scenario.
+// scenarios and returns whatever accumulated.
 func CollectBothSampledG(w *World, g failure.Generator, rng *rand.Rand, wantRec, wantIrr, dstSample int) (rec, irr []*Case) {
 	for draws := 0; (len(rec) < wantRec || len(irr) < wantIrr) && draws < MaxCollectDraws; draws++ {
 		sc := g.Generate(w.Topo, rng)
@@ -210,43 +209,12 @@ func CollectBothSampledG(w *World, g failure.Generator, rng *rand.Rand, wantRec,
 // returns the cases found so far, short of the target.
 const MaxCollectDraws = 100000
 
-// CollectCases draws random failure areas (radius uniform in the
-// paper's [100, 300]) until `want` cases of the requested kind have
-// accumulated, and returns exactly that many — or fewer, if
-// MaxCollectDraws scenarios could not produce enough.
-func CollectCases(w *World, rng *rand.Rand, want int, recoverable bool) []*Case {
-	return CollectCasesG(w, failure.Default(), rng, want, recoverable)
-}
-
-// CollectCasesG is CollectCases under an arbitrary failure generator.
-// For scheduled generators (cascades, transients) the cases are drawn
-// from the peak scenario.
-func CollectCasesG(w *World, g failure.Generator, rng *rand.Rand, want int, recoverable bool) []*Case {
-	var out []*Case
-	for draws := 0; len(out) < want && draws < MaxCollectDraws; draws++ {
-		sc := g.Generate(w.Topo, rng)
-		rec, irr := CasesFromScenario(w, sc)
-		if recoverable {
-			out = append(out, rec...)
-		} else {
-			out = append(out, irr...)
-		}
-	}
-	if len(out) > want {
-		out = out[:want]
-	}
-	return out
-}
-
-// CollectBoth draws random failure areas until both kinds have reached
-// their targets; cases beyond a kind's target are discarded. Like
-// CollectCases it gives up after MaxCollectDraws scenarios and returns
-// whatever accumulated.
-func CollectBoth(w *World, rng *rand.Rand, wantRec, wantIrr int) (rec, irr []*Case) {
-	return CollectBothG(w, failure.Default(), rng, wantRec, wantIrr)
-}
-
-// CollectBothG is CollectBoth under an arbitrary failure generator.
+// CollectBothG is CollectBothSampledG over every destination: it
+// draws failure areas from g until both kinds have reached their
+// targets and returns exactly that many of each — or fewer, if
+// MaxCollectDraws scenarios could not produce enough. A target of 0
+// asks for none of that kind, so CollectBothG(w, g, rng, n, 0) collects
+// n recoverable cases only.
 func CollectBothG(w *World, g failure.Generator, rng *rand.Rand, wantRec, wantIrr int) (rec, irr []*Case) {
 	return CollectBothSampledG(w, g, rng, wantRec, wantIrr, 0)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/failure"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/topology"
@@ -36,10 +37,10 @@ func degenerateWorld(t *testing.T) *World {
 func TestCollectCasesExhaustion(t *testing.T) {
 	w := degenerateWorld(t)
 	rng := rand.New(rand.NewSource(5))
-	if got := CollectCases(w, rng, 3, true); len(got) != 0 {
+	if got, _ := CollectBothG(w, failure.Default(), rng, 3, 0); len(got) != 0 {
 		t.Errorf("impossible recoverable workload returned %d cases", len(got))
 	}
-	if got := CollectCases(w, rng, 3, false); len(got) != 0 {
+	if _, got := CollectBothG(w, failure.Default(), rng, 0, 3); len(got) != 0 {
 		t.Errorf("impossible irrecoverable workload returned %d cases", len(got))
 	}
 }
@@ -47,7 +48,7 @@ func TestCollectCasesExhaustion(t *testing.T) {
 func TestCollectBothExhaustion(t *testing.T) {
 	w := degenerateWorld(t)
 	rng := rand.New(rand.NewSource(6))
-	rec, irr := CollectBoth(w, rng, 2, 2)
+	rec, irr := CollectBothG(w, failure.Default(), rng, 2, 2)
 	if len(rec) != 0 || len(irr) != 0 {
 		t.Errorf("impossible workload returned %d+%d cases", len(rec), len(irr))
 	}
@@ -63,7 +64,7 @@ func TestCollectBothCountsAndClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	rec, irr := CollectBoth(w, rng, 37, 23)
+	rec, irr := CollectBothG(w, failure.Default(), rng, 37, 23)
 	if len(rec) != 37 || len(irr) != 23 {
 		t.Fatalf("got %d+%d cases, want 37+23", len(rec), len(irr))
 	}
@@ -91,7 +92,7 @@ func TestCollectBothCountsAndClassification(t *testing.T) {
 func TestCollectBothZeroTargets(t *testing.T) {
 	w := degenerateWorld(t)
 	rng := rand.New(rand.NewSource(7))
-	rec, irr := CollectBoth(w, rng, 0, 0)
+	rec, irr := CollectBothG(w, failure.Default(), rng, 0, 0)
 	if len(rec) != 0 || len(irr) != 0 {
 		t.Errorf("zero targets returned %d+%d cases", len(rec), len(irr))
 	}
@@ -104,8 +105,8 @@ func TestCollectCasesDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := CollectCases(w, rand.New(rand.NewSource(9)), 25, true)
-	b := CollectCases(w, rand.New(rand.NewSource(9)), 25, true)
+	a, _ := CollectBothG(w, failure.Default(), rand.New(rand.NewSource(9)), 25, 0)
+	b, _ := CollectBothG(w, failure.Default(), rand.New(rand.NewSource(9)), 25, 0)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}

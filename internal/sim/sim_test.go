@@ -17,7 +17,7 @@ func smallDataset(t *testing.T, as string) *Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, irr := CollectBoth(w, rand.New(rand.NewSource(42)), 500, 500)
+	rec, irr := CollectBothG(w, failure.Default(), rand.New(rand.NewSource(42)), 500, 500)
 	return &Dataset{World: w, Rec: Records(RunAll(w, rec)), Irr: Records(RunAll(w, irr))}
 }
 
@@ -81,7 +81,7 @@ func TestCollectCasesCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	rec := CollectCases(w, rng, 120, true)
+	rec, _ := CollectBothG(w, failure.Default(), rng, 120, 0)
 	if len(rec) != 120 {
 		t.Errorf("got %d recoverable cases, want 120", len(rec))
 	}
@@ -90,7 +90,7 @@ func TestCollectCasesCounts(t *testing.T) {
 			t.Fatal("recoverable set contains irrecoverable case")
 		}
 	}
-	irr := CollectCases(w, rng, 80, false)
+	_, irr := CollectBothG(w, failure.Default(), rng, 0, 80)
 	if len(irr) != 80 {
 		t.Errorf("got %d irrecoverable cases, want 80", len(irr))
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/failure"
 	"repro/internal/spt"
 )
 
@@ -15,7 +16,7 @@ func collectTestCases(t *testing.T) (*World, []*Case) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, irr := CollectBoth(w, rand.New(rand.NewSource(42)), 120, 120)
+	rec, irr := CollectBothG(w, failure.Default(), rand.New(rand.NewSource(42)), 120, 120)
 	return w, append(rec, irr...)
 }
 

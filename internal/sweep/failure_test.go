@@ -52,7 +52,7 @@ func TestDefaultFailureSpecIsDefaultPath(t *testing.T) {
 // checkpoint fingerprint.
 func TestFailureSpecFingerprinted(t *testing.T) {
 	seen := map[string]string{}
-	for _, spec := range []string{"", "disk", "disks", "disks:k=3", "cut", "srlg", "cascade", "transient", "link"} {
+	for _, spec := range []string{"", "disk", "disks", "disks:k=3", "cut", "srlg", "link"} {
 		s := testSpec()
 		s.Failure = spec
 		fp := Fingerprint(s)
@@ -100,7 +100,7 @@ func TestFailureSpecFailFast(t *testing.T) {
 // included: merged output is a pure function of the spec.
 func TestGeneratorSweepDeterministicAcrossWorkers(t *testing.T) {
 	worlds := as1239(t)
-	for _, gen := range []string{"disks:k=2,disjoint", "cut", "cascade:steps=2"} {
+	for _, gen := range []string{"disks:k=2,disjoint", "cut", "disks"} {
 		gen := gen
 		t.Run(gen, func(t *testing.T) {
 			var want string
