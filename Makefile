@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet build test race examples bench-smoke bench bench-run sweep-smoke sweep-smoke-generators check-invariants congestion-smoke serve-smoke scale-smoke fuzz-smoke clean
+.PHONY: check fmt vet build test race examples bench-smoke bench bench-run sweep-smoke sweep-smoke-generators check-invariants congestion-smoke serve-smoke scale-smoke fuzz-smoke clean
 
-## check: the full pre-merge gate — vet, build, race-enabled tests,
+## check: the full pre-merge gate — gofmt, vet, build, race-enabled tests,
 ## every example program run to completion, a one-iteration pass over
 ## every benchmark so bench code can't rot, a
 ## short run of the repo benchmark's own harness, an interrupt/resume
@@ -10,7 +10,11 @@ GO ?= go
 ## invariant-checked sweep, a checked smoke sweep per alternative
 ## failure generator, a live daemon/load-generator round trip, and the
 ## 100k-node scale pipeline under wall-clock/RSS budgets.
-check: vet build race examples bench-smoke bench-run sweep-smoke sweep-smoke-generators check-invariants congestion-smoke serve-smoke scale-smoke
+check: fmt vet build race examples bench-smoke bench-run sweep-smoke sweep-smoke-generators check-invariants congestion-smoke serve-smoke scale-smoke
+
+## fmt: every Go file is gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -82,7 +86,8 @@ sweep-smoke:
 ## alternative failure-generator family (disjoint and overlapping
 ## multi-disk, conduit cut, correlated SRLG, single link) — the
 ## pluggable models must run the full sharded pipeline end to end under
-## the oracle, with the checking profile derived from the generator.
+## the oracle, which relaxes rtr/collect-failed only for a case whose
+## failure is more than one cluster.
 GEN_SWEEP_ARGS = -exp table3 -as AS1239 -cases 30 -block 15 -seed 2 -check
 sweep-smoke-generators:
 	$(GO) run ./cmd/rtrsim $(GEN_SWEEP_ARGS) -failure disks:k=2,disjoint > /dev/null

@@ -14,7 +14,9 @@
 // The numbers are the daemon's end-to-end serving qps and client-side
 // tail latency over HTTP; the in-process serving costs (hit, miss,
 // per-stage) are measured by bench/ (see bench/README.md).
-// Exit status: 1 on any request error or qps below -min-qps.
+// Exit status: 1 on a flag that would send no load (-conns < 1,
+// -duration <= 0, open mode with -rate <= 0), any request error, or qps
+// below -min-qps.
 package main
 
 import (
@@ -57,8 +59,15 @@ func main() {
 		minQPS   = flag.Float64("min-qps", 0, "exit 1 when achieved qps is below this")
 	)
 	flag.Parse()
-	if *mode != "closed" && *mode != "open" {
+	switch {
+	case *mode != "closed" && *mode != "open":
 		die(fmt.Errorf("unknown -mode %q (want closed or open)", *mode))
+	case *conns < 1:
+		die(fmt.Errorf("-conns %d: need at least one connection", *conns))
+	case *duration <= 0:
+		die(fmt.Errorf("-duration %v: must be positive", *duration))
+	case *mode == "open" && *rate <= 0:
+		die(fmt.Errorf("-rate %g: open mode needs a positive rate", *rate))
 	}
 
 	w, err := sim.NewWorld(*asFlag, *seed)

@@ -303,14 +303,13 @@ func run() int {
 			spec.UtilScenarios = *utilScen
 		}
 		eng := &sweep.Engine{
-			Spec:          spec,
-			Worlds:        worldsByName,
-			Workers:       *workers,
-			Dir:           *stateDir,
-			Resume:        *resume,
-			MaxShards:     *maxShards,
-			Progress:      os.Stderr,
-			ProgressEvery: 10 * time.Second,
+			Spec:      spec,
+			Worlds:    worldsByName,
+			Workers:   *workers,
+			Dir:       *stateDir,
+			Resume:    *resume,
+			MaxShards: *maxShards,
+			Progress:  os.Stderr,
 		}
 		res, err := eng.Run(ctx)
 		if err != nil {

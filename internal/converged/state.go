@@ -43,9 +43,6 @@ type State struct {
 	compOnce sync.Once
 	comp     []int32 // component label per node, -1 for failed nodes
 
-	clustersOnce sync.Once
-	clusters     [][]graph.LinkID
-
 	mu       sync.Mutex
 	truth    map[graph.NodeID]*truthEntry
 	sessions map[sessKey]*Session
@@ -124,13 +121,6 @@ func (s *State) Recoverable(src, dst graph.NodeID) bool {
 		}
 	})
 	return s.comp[src] >= 0 && s.comp[src] == s.comp[dst]
-}
-
-// Clusters returns the failure's perimeter clusters (the invariant
-// oracle's profile depends on whether there is more than one).
-func (s *State) Clusters() [][]graph.LinkID {
-	s.clustersOnce.Do(func() { s.clusters = s.sc.Clusters() })
-	return s.clusters
 }
 
 // Truth returns the ground-truth post-failure forward tree rooted at

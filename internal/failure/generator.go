@@ -24,11 +24,6 @@ type Generator interface {
 	Name() string
 	// Generate draws one failure scenario.
 	Generate(topo *topology.Topology, rng *rand.Rand) *Scenario
-	// MultiPerimeter reports whether the model can produce
-	// disconnected failure perimeters (multiple failure clusters), the
-	// shape that breaks RTR's single-perimeter phase-1 walk assumption.
-	// The invariant oracle uses it to pick the checking profile.
-	MultiPerimeter() bool
 }
 
 // FixedRadius is implemented by generators whose failure extent can be
@@ -71,9 +66,6 @@ func (g DiskGen) Generate(topo *topology.Topology, rng *rand.Rand) *Scenario {
 
 // WithRadius implements FixedRadius.
 func (g DiskGen) WithRadius(r float64) Generator { return DiskGen{Min: r, Max: r} }
-
-// MultiPerimeter implements Generator: one disk is one perimeter.
-func (DiskGen) MultiPerimeter() bool { return false }
 
 // ---------------------------------------------------------------------
 // disks — k simultaneous disks, optionally pairwise disjoint
@@ -134,9 +126,6 @@ func (g MultiDiskGen) WithRadius(r float64) Generator {
 	return MultiDiskGen{K: g.K, Min: r, Max: r, Disjoint: g.Disjoint}
 }
 
-// MultiPerimeter implements Generator.
-func (g MultiDiskGen) MultiPerimeter() bool { return g.K > 1 }
-
 // ---------------------------------------------------------------------
 // cut — a line/conduit cut: a random strip (capsule) of given width
 // failing every node and link it touches. Models trenching accidents,
@@ -181,10 +170,6 @@ func (g CutGen) Generate(topo *topology.Topology, rng *rand.Rand) *Scenario {
 func (g CutGen) WithRadius(r float64) Generator {
 	return CutGen{Width: 2 * r, MinLen: g.MinLen, MaxLen: g.MaxLen}
 }
-
-// MultiPerimeter implements Generator: one capsule is one
-// connected region.
-func (CutGen) MultiPerimeter() bool { return false }
 
 // ---------------------------------------------------------------------
 // srlg — correlated shared-risk link groups: links are partitioned
@@ -231,10 +216,6 @@ func (g SRLGGen) Generate(topo *topology.Topology, rng *rand.Rand) *Scenario {
 	s.gen = g.Name()
 	return s
 }
-
-// MultiPerimeter implements Generator: a group's links share a
-// grid cell but need not touch, and multiple groups may fail.
-func (SRLGGen) MultiPerimeter() bool { return true }
 
 // SRLGGroup is one named shared-risk group: the links whose midpoints
 // fall into one grid cell.
@@ -302,9 +283,6 @@ func (g LinkFlapGen) Generate(topo *topology.Topology, rng *rand.Rand) *Scenario
 	s.gen = g.Name()
 	return s
 }
-
-// MultiPerimeter implements Generator.
-func (LinkFlapGen) MultiPerimeter() bool { return false }
 
 // ---------------------------------------------------------------------
 // Spec parsing.

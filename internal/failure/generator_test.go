@@ -370,20 +370,6 @@ func TestWithRadius(t *testing.T) {
 	}
 }
 
-// TestMultiPerimeterFlags pins which models may produce disconnected
-// failure perimeters (driving the invariant checking profile).
-func TestMultiPerimeterFlags(t *testing.T) {
-	want := map[string]bool{
-		"disk": false, "disks": true, "cut": false, "srlg": true,
-		"link": false,
-	}
-	for _, g := range AllDefaults() {
-		if g.MultiPerimeter() != want[g.Name()] {
-			t.Errorf("%s.MultiPerimeter() = %v, want %v", g.Name(), g.MultiPerimeter(), want[g.Name()])
-		}
-	}
-}
-
 // TestClustersSingleArea: a single disk or capsule always yields at
 // most one failure cluster — the shape RTR's perimeter walk assumes.
 func TestClustersSingleArea(t *testing.T) {

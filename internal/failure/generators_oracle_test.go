@@ -43,12 +43,14 @@ func worldFor(t testing.TB, name string) *sim.World {
 //   - mask/area consistency: failures are exactly what the scenario's
 //     areas (or explicit link sets) imply;
 //   - the full invariant oracle: every deduplicated case of every
-//     scenario passes CheckCase under the generator's derived checking
-//     profile (multi-perimeter models relax only rtr/collect-failed);
+//     scenario passes CheckCase (a failure of several clusters relaxes
+//     only rtr/collect-failed);
 //   - perimeter accounting: disconnected-perimeter cases are
 //     classified and counted, never silently dropped, and
 //     single-region models never produce them.
 func TestGenerators(t *testing.T) {
+	// The kinds whose every draw is one connected failure region.
+	singleRegion := map[string]bool{"disk": true, "cut": true, "link": true}
 	scenarios := 4
 	maxCases := 250
 	names := topology.ASNames()
@@ -64,7 +66,7 @@ func TestGenerators(t *testing.T) {
 			for _, g := range failure.AllDefaults() {
 				g := g
 				t.Run(g.Name(), func(t *testing.T) {
-					k := invariant.New(w).WithProfile(invariant.ProfileFor(g))
+					k := invariant.New(w)
 					var report invariant.PerimeterReport
 					checked := 0
 					for sIdx := 0; sIdx < scenarios && checked < maxCases; sIdx++ {
@@ -92,7 +94,7 @@ func TestGenerators(t *testing.T) {
 						}
 						report.Add(k.ClassifyPerimeter(cases))
 					}
-					if k.Profile.SinglePerimeter && report.MultiCluster > 0 {
+					if singleRegion[g.Name()] && report.MultiCluster > 0 {
 						t.Fatalf("single-perimeter model produced %d multi-cluster cases", report.MultiCluster)
 					}
 					if got := report.CollectFailed + report.NoLiveNeighbor + report.AllSeen + report.WalkMissed; got != report.MultiCluster {

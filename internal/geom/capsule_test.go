@@ -53,8 +53,8 @@ func TestCapsuleContains(t *testing.T) {
 func TestCapsuleIntersectsSegment(t *testing.T) {
 	c := Capsule{Seg: Segment{Point{100, 100}, Point{300, 100}}, Radius: 50}
 	hits := []Segment{
-		{Point{200, 0}, Point{200, 300}},  // crosses the spine
-		{Point{0, 130}, Point{400, 130}},  // parallel inside the band
+		{Point{200, 0}, Point{200, 300}},   // crosses the spine
+		{Point{0, 130}, Point{400, 130}},   // parallel inside the band
 		{Point{340, 100}, Point{500, 100}}, // enters the end cap
 		{Point{150, 120}, Point{180, 140}}, // fully inside
 	}

@@ -28,37 +28,17 @@ func (k *Checker) checkFCPCase(c *sim.Case) []Violation {
 // so the mutation tests can tamper with a genuine result and prove
 // each check fires.
 func (k *Checker) CheckFCP(c *sim.Case, res fcp.Result) []Violation {
-	var vs []Violation
+	vs, _, _ := k.checkTrajectory(c, "fcp", res.Delivered, res.Walk)
 	g := k.W.Topo.G
-	recs := res.Walk.Records
 
-	visited := make(map[graph.NodeID]bool, len(recs)+1)
+	carried := newLinkSet(res.Header.FailedLinks)
+	visited := make(map[graph.NodeID]bool, len(res.Walk.Records)+1)
 	visited[c.Initiator] = true
 	if !res.Delivered {
 		visited[res.DropAt] = true // the dropping router records too
 	}
-	for i, rec := range recs {
-		if g.Link(rec.Link).Other(rec.From) != rec.To {
-			vs = append(vs, k.violation(c, "fcp/walk-contiguous",
-				"hop %d: link %d does not join %d-%d", i, rec.Link, rec.From, rec.To))
-		}
-		from := c.Initiator
-		if i > 0 {
-			from = recs[i-1].To
-		}
-		if rec.From != from {
-			vs = append(vs, k.violation(c, "fcp/walk-contiguous",
-				"hop %d starts at %d, want %d", i, rec.From, from))
-		}
-		if c.LV.NeighborUnreachable(rec.From, rec.Link) {
-			vs = append(vs, k.violation(c, "fcp/walk-dead-link",
-				"hop %d traverses unreachable link %d from %d", i, rec.Link, rec.From))
-		}
+	for _, rec := range res.Walk.Records {
 		visited[rec.To] = true
-	}
-
-	carried := newLinkSet(res.Header.FailedLinks)
-	for _, rec := range recs {
 		if carried[rec.Link] {
 			vs = append(vs, k.violation(c, "fcp/walk-failed-link",
 				"trajectory traverses link %d, which the packet carries as failed", rec.Link))
@@ -88,28 +68,6 @@ func (k *Checker) CheckFCP(c *sim.Case, res fcp.Result) []Violation {
 	}
 
 	if res.Delivered {
-		if len(recs) == 0 || recs[len(recs)-1].To != c.Dst {
-			vs = append(vs, k.violation(c, "fcp/delivery-wrong-dst",
-				"delivered, but the trajectory does not end at destination %d", c.Dst))
-			return vs
-		}
-		truth, oracle := k.oracle(c.Initiator, c.Scenario)
-		if !oracle {
-			return vs
-		}
-		if truth[c.Dst] == inf {
-			vs = append(vs, k.violation(c, "truth/delivered-irrecoverable",
-				"delivered, but ground truth has no post-failure path"))
-			return vs
-		}
-		cost := 0.0
-		for _, rec := range recs {
-			cost += g.Link(rec.Link).CostFrom(rec.From)
-		}
-		if cost < truth[c.Dst] && !costEqual(cost, truth[c.Dst]) {
-			vs = append(vs, k.violation(c, "truth/delivery-beats-shortest",
-				"delivered over cost %g, below the true post-failure shortest %g", cost, truth[c.Dst]))
-		}
 		return vs
 	}
 

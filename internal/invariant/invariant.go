@@ -63,13 +63,10 @@ func Repro(topoName string, c *sim.Case) string {
 }
 
 // Checker checks simulator outputs for one world. It is stateless
-// beyond the world reference, profile and size gate, and safe for
+// beyond the world reference and size gate, and safe for
 // concurrent use.
 type Checker struct {
 	W *sim.World
-	// Profile selects which model-dependent invariants apply; New
-	// defaults to the paper's single-disk profile.
-	Profile Profile
 	// MaxOracleNodes gates the independent O(n²) Dijkstra oracle: on
 	// graphs with more nodes, every check that needs a full oracle
 	// distance vector is skipped (with a one-time logged reason)
@@ -94,15 +91,8 @@ type Checker struct {
 // the acceptable ceiling for opt-in checking.
 const DefaultMaxOracleNodes = 8192
 
-// New returns a Checker for w with the default (single-perimeter)
-// profile.
-func New(w *sim.World) *Checker { return &Checker{W: w, Profile: DefaultProfile()} }
-
-// WithProfile sets the checking profile and returns the checker.
-func (k *Checker) WithProfile(p Profile) *Checker {
-	k.Profile = p
-	return k
-}
+// New returns a Checker for w.
+func New(w *sim.World) *Checker { return &Checker{W: w} }
 
 // OracleEnabled reports whether the O(n²) oracle checks run on this
 // checker's world.

@@ -5,35 +5,9 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
-
-// Profile selects which model-dependent invariants a Checker enforces.
-// The oracle checks (route optimality, walk well-formedness, Theorem 2
-// grading, packet conservation) hold for every failure model and are
-// always on; the profile only gates checks that encode an assumption a
-// particular generator may violate.
-type Profile struct {
-	// SinglePerimeter asserts the failure model produces one connected
-	// failure region, the shape RTR's phase-1 perimeter walk was
-	// designed for (the paper's single disk). When set, a collection
-	// failure on a recoverable case is an invariant breach
-	// (rtr/collect-failed); when unset — multi-disk and SRLG models —
-	// such failures are legitimate model-induced outcomes and
-	// are counted by ClassifyPerimeter instead.
-	SinglePerimeter bool
-}
-
-// DefaultProfile is the paper's model: one disk, one perimeter.
-func DefaultProfile() Profile { return Profile{SinglePerimeter: true} }
-
-// ProfileFor derives the checking profile for a failure generator from
-// its MultiPerimeter declaration.
-func ProfileFor(g failure.Generator) Profile {
-	return Profile{SinglePerimeter: !g.MultiPerimeter()}
-}
 
 // PerimeterReport counts, per classified case, how RTR's
 // single-perimeter assumption interacts with a failure scenario's

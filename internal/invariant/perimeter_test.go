@@ -1,30 +1,49 @@
 package invariant
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/seed"
 	"repro/internal/sim"
 )
 
-// TestProfileFor pins the generator → checking-profile mapping: only
-// single-region models keep the strict single-perimeter profile.
-func TestProfileFor(t *testing.T) {
-	wantSingle := map[string]bool{
-		"disk": true, "cut": true, "link": true,
-		"disks": false, "srlg": false,
-	}
-	for _, g := range failure.AllDefaults() {
-		p := ProfileFor(g)
-		if p.SinglePerimeter != wantSingle[g.Name()] {
-			t.Errorf("ProfileFor(%s).SinglePerimeter = %v, want %v",
-				g.Name(), p.SinglePerimeter, wantSingle[g.Name()])
+// TestCollectFailedGate pins the rtr/collect-failed rule over its three
+// inputs: it fires only for an error other than ErrNoLiveNeighbor on a
+// recoverable case whose failure is one cluster.
+func TestCollectFailedGate(t *testing.T) {
+	w := worldFor(t, "AS1239")
+	k := New(w)
+	var single, multi *failure.Scenario
+	g := failure.MultiDiskGen{K: 3, Min: 80, Max: 160, Disjoint: true}
+	for trial := int64(0); trial < 200 && (single == nil || multi == nil); trial++ {
+		rng := rand.New(rand.NewSource(seed.Derive(61, "collect-gate") + trial))
+		if sc := failure.Default().Generate(w.Topo, rng); single == nil && len(sc.Clusters()) == 1 {
+			single = sc
+		}
+		if sc := g.Generate(w.Topo, rng); multi == nil && len(sc.Clusters()) > 1 {
+			multi = sc
 		}
 	}
-	if !DefaultProfile().SinglePerimeter {
-		t.Error("the default profile must be the paper's single-perimeter model")
+	if single == nil || multi == nil {
+		t.Fatalf("could not draw both shapes: single=%v multi=%v", single != nil, multi != nil)
+	}
+	other := errors.New("collect: walk did not close")
+	for _, sc := range []*failure.Scenario{single, multi} {
+		for _, recoverable := range []bool{true, false} {
+			for _, err := range []error{core.ErrNoLiveNeighbor, other} {
+				c := &sim.Case{Scenario: sc, Recoverable: recoverable}
+				want := sc == single && recoverable && err == other
+				vs := k.checkCollectErr(c, err)
+				if got := hasCheck(vs, "rtr/collect-failed"); got != want || len(vs) > 1 {
+					t.Errorf("clusters=%d recoverable=%v err=%q: violations %v, want rtr/collect-failed=%v",
+						len(sc.Clusters()), recoverable, err, vs, want)
+				}
+			}
+		}
 	}
 }
 
@@ -53,7 +72,7 @@ func TestClassifyPerimeterSingleDisk(t *testing.T) {
 // scenarios do produce multi-cluster cases to classify.
 func TestClassifyPerimeterMultiDisk(t *testing.T) {
 	w := worldFor(t, "AS1239")
-	k := New(w).WithProfile(Profile{SinglePerimeter: false})
+	k := New(w)
 	g := failure.MultiDiskGen{K: 3, Min: 80, Max: 160, Disjoint: true}
 	var total PerimeterReport
 	for trial := 0; trial < 15; trial++ {
@@ -82,13 +101,13 @@ func TestClassifyPerimeterMultiDisk(t *testing.T) {
 }
 
 // TestMultiPerimeterProfileGatesCollectFailed: the oracle sweep over a
-// multi-perimeter generator must be clean under its derived profile —
-// collect failures on disconnected perimeters are classified, not
-// reported as invariant breaches.
+// multi-perimeter generator must be clean — collect failures on a
+// failure of several clusters are classified, not reported as
+// invariant breaches.
 func TestMultiPerimeterProfileGatesCollectFailed(t *testing.T) {
 	w := worldFor(t, "AS1239")
 	g := failure.MultiDiskGen{K: 3, Min: 80, Max: 160, Disjoint: true}
-	k := New(w).WithProfile(ProfileFor(g))
+	k := New(w)
 	for trial := 0; trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(seed.Derive(59, "perim-gate") + int64(trial)))
 		sc := g.Generate(w.Topo, rng)

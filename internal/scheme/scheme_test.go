@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/converged"
 	"repro/internal/failure"
+	"repro/internal/invariant"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/spt"
@@ -104,7 +105,10 @@ func testCases(t *testing.T, w *sim.World, n int) []*sim.Case {
 // TestConformance is the suite every registered scheme must pass:
 // Prepare accepts a full world, a scheme that accepts a scale-mode
 // world runs on it (mrc, which needs the MRC engine, must refuse it),
-// and Run produces internally consistent results on real cases.
+// and Run's results pass the oracle's contract for any scheme
+// (invariant.CheckResult: trajectory, delivery and grade against the
+// independent ground truth) and are deterministic, on the paper's
+// example and on AS1239 cases.
 func TestConformance(t *testing.T) {
 	w, err := sim.NewWorldFrom(topology.PaperExample())
 	if err != nil {
@@ -114,7 +118,12 @@ func TestConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := testCases(t, w, 16)
+	as, err := sim.NewWorld("AS1239", testSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds := []*sim.World{w, as}
+	cases := [][]*sim.Case{testCases(t, w, 16), testCases(t, as, 64)}
 	scaleCases := testCases(t, ws, 4)
 	for _, name := range sim.SchemeNames() {
 		t.Run(name, func(t *testing.T) {
@@ -134,28 +143,28 @@ func TestConformance(t *testing.T) {
 					}
 				}
 			}
-			for _, c := range cases {
-				r, err := s.Run(w, c)
-				if err != nil {
-					t.Fatalf("Run(%d->%d): %v", c.Initiator, c.Dst, err)
+			for i, w := range worlds {
+				if err := s.Prepare(w); err != nil {
+					t.Fatalf("Prepare on %s: %v", w.Topo.Name, err)
 				}
-				if r.Delivered && len(r.Walks) == 0 {
-					t.Errorf("case %d->%d: delivered with no data walk", c.Initiator, c.Dst)
-				}
-				if r.Delivered && r.Stretch != 0 && r.Stretch < 1-1e-9 {
-					t.Errorf("case %d->%d: stretch %v < 1", c.Initiator, c.Dst, r.Stretch)
-				}
-				if !r.Delivered && (r.Optimal || r.Stretch != 0) {
-					t.Errorf("case %d->%d: undelivered but graded (%+v)", c.Initiator, c.Dst, r)
-				}
-				// Determinism: a rerun is identical (schemes may not carry
-				// hidden per-run state).
-				again, err := s.Run(w, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(r, again) {
-					t.Errorf("case %d->%d: rerun differs:\n%+v\n%+v", c.Initiator, c.Dst, r, again)
+				k := invariant.New(w)
+				for _, c := range cases[i] {
+					r, err := s.Run(w, c)
+					if err != nil {
+						t.Fatalf("%s: Run(%d->%d): %v", w.Topo.Name, c.Initiator, c.Dst, err)
+					}
+					if vs := k.CheckResult(c, name, r); len(vs) > 0 {
+						t.Errorf("%s: %v (first of %d violations)", w.Topo.Name, vs[0], len(vs))
+					}
+					// Determinism: a rerun is identical (schemes may not
+					// carry hidden per-run state).
+					again, err := s.Run(w, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(r, again) {
+						t.Errorf("%s: case %d->%d: rerun differs:\n%+v\n%+v", w.Topo.Name, c.Initiator, c.Dst, r, again)
+					}
 				}
 			}
 		})
@@ -216,9 +225,9 @@ func TestBuiltinDifferentialAllTopologies(t *testing.T) {
 
 				// Capped at one candidate, rtr-spread is RTR: the primary
 				// route, the same data walk, and the same grade (both
-				// grade through sim.TruthCost/CostEqual — the registry
-				// side against the State's warm tree, the sim side
-				// against the cold one computed above).
+				// grade through sim.Grade — the registry side against
+				// the State's warm tree, the sim side against the cold
+				// one computed above).
 				got, err = sim.Spread{K: 1}.Run(w, c)
 				if len(got.Walks) == 0 {
 					got.Walks = walks() // spread's early exits leave nil where rtr's projection leaves empty

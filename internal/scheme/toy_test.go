@@ -62,12 +62,7 @@ func (lfa) Run(w *sim.World, c *sim.Case) (sim.Result, error) {
 		res.Walks = []routing.Walk{walk}
 	}
 	if res.Delivered = v == c.Dst; res.Delivered {
-		if opt, reachable := sim.TruthCost(w, c, nil); reachable && opt > 0 {
-			res.Optimal, res.Stretch = sim.CostEqual(cost, opt), cost/opt
-			if res.Optimal {
-				res.Stretch = 1
-			}
-		}
+		res.Optimal, res.Stretch = sim.Grade(w, c, nil, cost)
 	}
 	return res, nil
 }

@@ -369,10 +369,7 @@ func (e *Engine) answerPair(w *sim.World, topoName string, en *entry, hit bool, 
 		e.st.runnerErrors.Add(1)
 	} else if e.check {
 		e.st.checked.Add(1)
-		// The single-perimeter checks assume one connected failure
-		// region; the profile follows the mask's perimeter clusters.
-		prof := invariant.Profile{SinglePerimeter: len(st.Clusters()) <= 1}
-		if vs := invariant.New(w).WithProfile(prof).CheckSchemes(c, set); len(vs) > 0 {
+		if vs := invariant.New(w).CheckSchemes(c, set); len(vs) > 0 {
 			e.st.violations.Add(int64(len(vs)))
 			return nil, fmt.Errorf("serve: %w", vs[0])
 		}

@@ -86,14 +86,26 @@ func RunRTRSession(w *World, c *Case, sess *core.Session, col *core.CollectResul
 		return res
 	}
 	res.Recovered = true
-	opt, reachable := TruthCost(w, c, truth)
-	if reachable && CostEqual(rt.Cost, opt) {
-		res.Optimal = true
-		res.Stretch = 1
-	} else if reachable && opt > 0 {
-		res.Stretch = rt.Cost / opt
-	}
+	res.Optimal, res.Stretch = Grade(w, c, truth, rt.Cost)
 	return res
+}
+
+// Grade is the one grading rule every scheme's delivery goes through:
+// a delivery over cost is optimal, with stretch 1, when it costs the
+// true post-failure shortest path (CostEqual); otherwise its stretch is
+// cost over that shortest cost. A destination the ground truth cannot
+// reach grades (false, 0). Link costs are at least 1, so the shortest
+// cost of a reachable destination other than the initiator is
+// positive. See RunRTR for the truth parameter.
+func Grade(w *World, c *Case, truth *spt.Tree, cost float64) (optimal bool, stretch float64) {
+	opt, reachable := TruthCost(w, c, truth)
+	switch {
+	case !reachable:
+		return false, 0
+	case CostEqual(cost, opt):
+		return true, 1
+	}
+	return false, cost / opt
 }
 
 // CostEqual compares path costs with a relative tolerance: two trees
@@ -153,18 +165,7 @@ func RunFCP(w *World, c *Case, truth *spt.Tree) (FCPResult, error) {
 		return res, nil
 	}
 	res.Delivered = true
-	opt, reachable := TruthCost(w, c, truth)
-	cost := walkCost(w, r.Walk)
-	if reachable && opt > 0 {
-		res.Stretch = cost / opt
-		res.Optimal = CostEqual(cost, opt)
-		if res.Optimal {
-			res.Stretch = 1
-		}
-	} else if reachable && opt == 0 {
-		res.Stretch = 1
-		res.Optimal = true
-	}
+	res.Optimal, res.Stretch = Grade(w, c, truth, walkCost(w, r.Walk))
 	return res, nil
 }
 
@@ -199,18 +200,7 @@ func RunMRC(w *World, c *Case, truth *spt.Tree) (MRCResult, error) {
 		return res, nil
 	}
 	res.Delivered = true
-	opt, reachable := TruthCost(w, c, truth)
-	cost := walkCost(w, r.Walk)
-	if reachable && opt > 0 {
-		res.Stretch = cost / opt
-		res.Optimal = CostEqual(cost, opt)
-		if res.Optimal {
-			res.Stretch = 1
-		}
-	} else if reachable && opt == 0 {
-		res.Stretch = 1
-		res.Optimal = true
-	}
+	res.Optimal, res.Stretch = Grade(w, c, truth, walkCost(w, r.Walk))
 	return res, nil
 }
 

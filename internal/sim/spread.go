@@ -80,13 +80,7 @@ func (s Spread) Run(w *World, c *Case) (Result, error) {
 		return res, nil
 	}
 	res.Delivered = true
-	opt, reachable := TruthCost(w, c, st.Truth(c.Initiator))
-	if reachable && CostEqual(chosen.Cost, opt) {
-		res.Optimal = true
-		res.Stretch = 1
-	} else if reachable && opt > 0 {
-		res.Stretch = chosen.Cost / opt
-	}
+	res.Optimal, res.Stretch = Grade(w, c, st.Truth(c.Initiator), chosen.Cost)
 	return res, nil
 }
 

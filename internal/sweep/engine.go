@@ -17,6 +17,9 @@ import (
 	"repro/internal/traffic"
 )
 
+// progressEvery is the interval between Engine.Progress status lines.
+const progressEvery = 10 * time.Second
+
 // Engine executes a sweep Spec over a worker pool, checkpointing as it
 // goes. The zero Dir disables checkpointing (everything stays in
 // memory); Resume and interruption tolerance need a Dir.
@@ -39,10 +42,9 @@ type Engine struct {
 	// and smoke targets; a SIGINT-cancelled context behaves the same
 	// way at an arbitrary point.
 	MaxShards int
-	// Progress, when set with ProgressEvery > 0, receives a one-line
-	// status every ProgressEvery.
-	Progress      io.Writer
-	ProgressEvery time.Duration
+	// Progress, when set, receives a one-line status every
+	// progressEvery.
+	Progress io.Writer
 
 	// gen is the parsed Spec.Failure generator, resolved fail-fast at
 	// the top of Run before any shard executes.
@@ -140,11 +142,11 @@ func (e *Engine) Run(ctx context.Context) (*RunResult, error) {
 	}
 
 	var executed atomic.Int64
-	if e.Progress != nil && e.ProgressEvery > 0 {
+	if e.Progress != nil {
 		stop := make(chan struct{})
 		defer close(stop)
 		go func() {
-			tick := time.NewTicker(e.ProgressEvery)
+			tick := time.NewTicker(progressEvery)
 			defer tick.Stop()
 			for {
 				select {
@@ -238,11 +240,7 @@ func (e *Engine) runShard(sh Shard) (*ShardResult, error) {
 	default:
 		rec, irr := sim.CollectBothSampledG(w, e.gen, rng, sh.Rec, sh.Irr, e.Spec.DstSample)
 		if e.Spec.Check {
-			// The checking profile follows the generator: invariants
-			// that assume a single connected failure perimeter are
-			// gated off for multi-perimeter models (their breakdown is
-			// classified by invariant.ClassifyPerimeter instead).
-			k := invariant.New(w).WithProfile(invariant.ProfileFor(e.gen))
+			k := invariant.New(w)
 			if err := k.CheckCases(rec); err != nil {
 				return nil, err
 			}
@@ -283,7 +281,7 @@ func (e *Engine) runUtilShard(sh Shard, w *sim.World, rng *rand.Rand) (*traffic.
 	}
 	var k *invariant.Checker
 	if e.Spec.Check {
-		k = invariant.New(w).WithProfile(invariant.ProfileFor(e.gen))
+		k = invariant.New(w)
 	}
 	run := func(c *sim.Case) (bool, []routing.Walk, error) {
 		r, err := s.Run(w, c)
