@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race examples bench-smoke bench bench-run sweep-smoke sweep-smoke-generators check-invariants congestion-smoke serve-smoke scale-smoke fuzz-smoke clean
+.PHONY: check fmt vet build test race loc examples bench-smoke bench bench-run sweep-smoke sweep-smoke-generators check-invariants congestion-smoke serve-smoke scale-smoke fuzz-smoke clean
 
 ## check: the full pre-merge gate — gofmt, vet, build, race-enabled tests,
 ## every example program run to completion, a one-iteration pass over
@@ -27,6 +27,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## loc: lines of non-test Go in internal/, cmd/ and examples/ — the
+## size ROADMAP.md tracks.
+loc:
+	@find internal cmd examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 ## examples: run every examples/* program; each must exit 0 (they are
 ## the library's documented entry points, so a broken one is a broken
@@ -67,7 +72,8 @@ bench-run:
 ## its checkpoint; the two stdouts must be identical. Then every
 ## experiment's -csv files (the cmd/rtrsim TestGoldenAll workload) at
 ## -workers 1 and 4 must match file for file. Also proves the -exp flag
-## fails fast (exit 1) on an experiment name it doesn't know.
+## fails fast (exit 1) on an experiment name it doesn't know, and on a
+## workload count below 1.
 SWEEP_ARGS = -exp table3,fig11 -as AS1239 -cases 40 -block 15 -fig11-areas 20 -seed 1
 CSV_ARGS = -exp all -as AS1239,AS4323 -cases 30 -fig11-areas 5 -loss-scenarios 3 -util-pairs 100 -util-scenarios 2 -seed 1
 sweep-smoke:
@@ -81,6 +87,7 @@ sweep-smoke:
 	diff -r .sweep-smoke/csv1 .sweep-smoke/csv4
 	rm -rf .sweep-smoke
 	! $(GO) run ./cmd/rtrsim -exp nosuch > /dev/null 2>&1
+	! $(GO) run ./cmd/rtrsim -exp table3 -cases 0 > /dev/null 2>&1
 
 ## sweep-smoke-generators: a small invariant-checked sweep for each
 ## alternative failure-generator family (disjoint and overlapping

@@ -15,13 +15,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/converged"
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/graph"
-	"repro/internal/igp"
 	"repro/internal/mrc"
-	"repro/internal/netsim"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/spt"
@@ -498,7 +495,7 @@ func BenchmarkIncrementalRecompute(b *testing.B) {
 // build — cold (one reverse Dijkstra per destination) versus
 // incremental (delete-only recompute seeded from the pre-failure
 // tables) — on the largest Table II topology by nodes (AS7018) and the
-// densest one (AS3549). netsim, the loss experiment, and the Fig. 11
+// densest one (AS3549). The loss experiment and the Fig. 11
 // truth trees all pay this cost once per failure scenario, and the two
 // variants produce bit-identical tables.
 func BenchmarkPostFailureTables(b *testing.B) {
@@ -658,28 +655,6 @@ func benchWalk(b *testing.B, w *sim.World, c *sim.Case) {
 		}
 		if _, err := sess.Collect(c.Trigger); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNetsimRun measures the discrete-event packet simulator on
-// the worked example: one flow, one second of traffic, full recovery
-// timeline.
-func BenchmarkNetsimRun(b *testing.B) {
-	topo := topology.PaperExample()
-	r := core.New(topo, nil)
-	tables := routing.ComputeTables(topo)
-	sc := failure.NewScenario(topo, topology.PaperFailureArea())
-	cfg := netsim.Config{
-		Flows:   []netsim.Flow{{Src: topology.PaperNode(7), Dst: topology.PaperNode(17), Interval: 5 * time.Millisecond}},
-		Horizon: time.Second,
-		Timers:  igp.TunedTimers(),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := netsim.New(converged.New(topo, tables, r, sc), cfg).Run()
-		if res.Delivered() == 0 {
-			b.Fatal("nothing delivered")
 		}
 	}
 }

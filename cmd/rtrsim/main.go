@@ -9,7 +9,7 @@
 //	rtrsim -exp fig7,fig10 -cases 2000 # figures with a smaller workload
 //
 // Experiments: table2 fig7 table3 fig8 fig9 fig10 fig11 fig12 fig13
-// table4 congestion loss ablation netsim multiarea (and "all"). They
+// table4 congestion loss ablation multiarea (and "all"). They
 // print in that order. Pass -csv <dir> to also write machine-readable
 // CSV files for plotting.
 //
@@ -61,7 +61,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -76,10 +75,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/failure"
-	"repro/internal/graph"
 	"repro/internal/igp"
 	"repro/internal/invariant"
-	"repro/internal/netsim"
 	seedpkg "repro/internal/seed"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -147,7 +144,6 @@ var experiments = []experiment{
 	{"congestion", needUtil, printCongestion, congestionCSV},
 	{"loss", 0, printLoss, nil},
 	{"ablation", 0, printAblation, nil},
-	{"netsim", 0, printNetsim, nil},
 	{"multiarea", 0, printMultiArea, nil},
 }
 
@@ -187,8 +183,8 @@ func run() int {
 		utilScen   = flag.Int("util-scenarios", sweep.DefaultUtilScenarios, "failure scenarios per (topology, scheme) congestion shard")
 	)
 	flag.Parse()
-	// Experiment, topology and scheme names fail fast at flag parse,
-	// before any world is built.
+	// Experiment, topology and scheme names and workload counts fail
+	// fast at flag parse, before any world is built.
 	want := map[string]bool{}
 	for _, e := range strings.Split(*expFlag, ",") {
 		e = strings.TrimSpace(e)
@@ -227,6 +223,16 @@ func run() int {
 			return fail(fmt.Errorf("-scheme: %w", err))
 		}
 		utilSchemes = append(utilSchemes, name)
+	}
+	// A workload count below 1 would print empty rows (or panic in
+	// table3), so it fails here too.
+	for _, c := range []struct {
+		flag string
+		n    int
+	}{{"cases", *cases}, {"fig11-areas", *fig11Area}, {"loss-scenarios", *lossScen}} {
+		if c.n < 1 {
+			return fail(fmt.Errorf("-%s: %d, want at least 1", c.flag, c.n))
+		}
 	}
 	if *resume && *stateDir == "" {
 		return fail(errors.New("-resume requires -state"))
@@ -594,64 +600,6 @@ func printMultiArea(in *inputs) error {
 		res := sim.MultiArea(w, seedpkg.Derive(in.seed, "multiarea"), 200)
 		fmt.Printf("%-10s %10d %11.1f%% %10d %12.2f\n",
 			res.AS, res.Attempts, res.DeliveredPercent(), res.Chained, res.AvgSPCalcs)
-	}
-	fmt.Println()
-	return nil
-}
-
-// printNetsim runs the discrete-event packet simulator on a handful of
-// random failures per topology and reports delivery with and without
-// RTR plus the mean delay of recovered packets.
-func printNetsim(in *inputs) error {
-	fmt.Println("Packet-level simulation (discrete events, tuned IGP timers)")
-	fmt.Printf("%-10s %10s %12s %12s %14s\n", "Topology", "packets", "no-RTR del.", "RTR del.", "rec. delay")
-	timers := igp.TunedTimers()
-	for _, w := range in.worlds {
-		rng := rand.New(rand.NewSource(seedpkg.Derive(in.seed, "netsim")))
-		var sent, delWith, delWithout int
-		var recDelay time.Duration
-		var recRuns int
-		for trial := 0; trial < 12; trial++ {
-			sc := failure.RandomScenario(w.Topo, rng)
-			if !sc.HasFailures() {
-				continue
-			}
-			var flows []netsim.Flow
-			n := w.Topo.G.NumNodes()
-			for i := 0; i < 8; i++ {
-				src := graph.NodeID(rng.Intn(n))
-				dst := graph.NodeID(rng.Intn(n))
-				if src == dst || sc.NodeDown(src) {
-					continue
-				}
-				flows = append(flows, netsim.Flow{Src: src, Dst: dst, Interval: 25 * time.Millisecond})
-			}
-			if len(flows) == 0 {
-				continue
-			}
-			cfg := netsim.Config{Flows: flows, Horizon: 600 * time.Millisecond, Timers: timers}
-			st := w.Converged(sc)
-			resWith := netsim.New(st, cfg).Run()
-			cfg.DisableRTR = true
-			resWithout := netsim.New(st, cfg).Run()
-			sent += len(resWith.Fates)
-			delWith += resWith.Delivered()
-			delWithout += resWithout.Delivered()
-			if d := resWith.MeanDelay(func(f netsim.PacketFate) bool { return f.Recovered }); d > 0 {
-				recDelay += d
-				recRuns++
-			}
-		}
-		if sent == 0 {
-			continue
-		}
-		avgDelay := time.Duration(0)
-		if recRuns > 0 {
-			avgDelay = recDelay / time.Duration(recRuns)
-		}
-		fmt.Printf("%-10s %10d %11.1f%% %11.1f%% %14v\n", w.Topo.Name, sent,
-			100*float64(delWithout)/float64(sent), 100*float64(delWith)/float64(sent),
-			avgDelay.Round(100*time.Microsecond))
 	}
 	fmt.Println()
 	return nil

@@ -257,6 +257,35 @@ func TestUnknownExperimentExitsOne(t *testing.T) {
 	}
 }
 
+// TestNonPositiveCountsExitOne: a workload count below 1 fails at flag
+// parse with exit 1 and a message naming the flag, instead of a nil
+// dereference (-cases in table3) or an empty row (fig11, loss).
+func TestNonPositiveCountsExitOne(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "table3", "-cases", "0"},
+		{"-exp", "table3", "-cases", "-1"},
+		{"-exp", "fig11", "-fig11-areas", "-1"},
+		{"-exp", "loss", "-loss-scenarios", "0"},
+		{"-exp", "loss", "-loss-scenarios", "-3"},
+	} {
+		cmd := exec.Command(binary(t), append(args, "-as", "AS1239")...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+			t.Errorf("%v: err = %v, want exit 1", args, err)
+			continue
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed %q before rejecting the count", args, stdout.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, args[2]+": "+args[3]) {
+			t.Errorf("%v: stderr %q does not name the flag", args, msg)
+		}
+	}
+}
+
 // TestUnknownTopologyExitsOne: a topology name -as does not know fails
 // at flag parse with exit 1 and the list of known names, before any
 // table is printed, and names are trimmed like -exp and -scheme names

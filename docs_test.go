@@ -125,3 +125,46 @@ func TestDocumentedFlagsExist(t *testing.T) {
 		t.Fatal("no documented flags found; the pattern is broken")
 	}
 }
+
+// TestDocumentedExperimentsExist keeps every rtrsim command line in
+// README.md, DESIGN.md and EXPERIMENTS.md to experiments rtrsim runs:
+// each -exp value names only experiments of the package comment's
+// "Experiments:" list (which cmd/rtrsim's tests hold to the table), or
+// all.
+func TestDocumentedExperimentsExist(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("cmd", "rtrsim", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	doc = strings.Join(strings.Fields(strings.ReplaceAll(doc, "//", " ")), " ")
+	_, list, ok := strings.Cut(doc, "Experiments: ")
+	list, _, ok2 := strings.Cut(list, " (and \"all\")")
+	if !ok || !ok2 {
+		t.Fatal("cmd/rtrsim/main.go's package comment has no \"Experiments: ... (and \"all\")\" list")
+	}
+	known := map[string]bool{"all": true}
+	for _, e := range strings.Fields(list) {
+		known[e] = true
+	}
+	use := regexp.MustCompile(`\brtrsim[ \t][^` + "`" + `#|\n]*?-exp[ \t=]([a-z0-9,]+)`)
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined := strings.ReplaceAll(string(text), "\\\n", " ")
+		for _, m := range use.FindAllStringSubmatch(joined, -1) {
+			for _, e := range strings.Split(m[1], ",") {
+				checked++
+				if !known[e] {
+					t.Errorf("%s documents rtrsim -exp %s, which is not an experiment", doc, e)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no documented experiments found; the pattern is broken")
+	}
+}

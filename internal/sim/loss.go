@@ -179,14 +179,10 @@ func GoodputSeries(w *World, cfg LossConfig, step time.Duration) []GoodputPoint 
 			if o.Err != nil {
 				continue
 			}
-			f := flow{noRecAt: pathConvergence(w, conv, o)}
-			if o.RTR.Recovered {
-				f.rtrAt = cfg.Timers.Detection + o.RTR.Phase1.Duration()
-				if f.rtrAt > f.noRecAt {
-					f.rtrAt = f.noRecAt // IGP got there first
-				}
-			} else {
-				f.rtrAt = f.noRecAt
+			var f flow
+			f.noRecAt, f.rtrAt = restoreTimes(w, conv, cfg.Timers, o)
+			if f.rtrAt > f.noRecAt {
+				f.rtrAt = f.noRecAt // IGP got there first
 			}
 			flows = append(flows, f)
 		}
@@ -219,6 +215,19 @@ func GoodputSeries(w *World, cfg LossConfig, step time.Duration) []GoodputPoint 
 		})
 	}
 	return out
+}
+
+// restoreTimes is the model of one recoverable case's flow: noRecAt
+// is when IGP convergence restores it (pathConvergence), rtrAt when
+// RTR does — detection plus the collection walk, after which held
+// packets leave on the recovery path — or noRecAt when RTR did not
+// recover the case. rtrAt is not clamped to noRecAt.
+func restoreTimes(w *World, conv *igp.Convergence, timers igp.Timers, o Outcome) (noRecAt, rtrAt time.Duration) {
+	noRecAt = pathConvergence(w, conv, o)
+	if !o.RTR.Recovered {
+		return noRecAt, noRecAt
+	}
+	return noRecAt, timers.Detection + o.RTR.Phase1.Duration()
 }
 
 // pathConvergence estimates when IGP convergence restores a flow: the
