@@ -157,8 +157,9 @@ scale-smoke:
 
 ## fuzz-smoke: a short native-fuzzing pass over the wire decoder, the
 ## topology parser, the failure-generator spec parser, the
-## failure-instance grammar, and the capsule geometry predicates (CI
-## runs this; use go test -fuzz directly for long sessions).
+## failure-instance grammar, the capsule geometry predicates, and the
+## invariant oracle over fuzzed failure geometry (CI runs this; use
+## go test -fuzz directly for long sessions).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeHeader -fuzztime $(FUZZTIME) ./internal/routing
@@ -167,6 +168,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzGeneratorSpec -fuzztime $(FUZZTIME) ./internal/failure
 	$(GO) test -run xxx -fuzz FuzzParseInstance -fuzztime $(FUZZTIME) ./internal/failure
 	$(GO) test -run xxx -fuzz FuzzCapsuleIntersect -fuzztime $(FUZZTIME) ./internal/geom
+	$(GO) test -run xxx -fuzz FuzzCheckCase -fuzztime $(FUZZTIME) ./internal/invariant
 
 clean:
 	rm -f repro.test

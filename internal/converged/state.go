@@ -10,9 +10,9 @@
 // (two FCP recoveries racing on one tree may both compute it; the
 // first insert wins and the two are identical), so any number of
 // goroutines — sweep workers, served queries, traffic replays — share
-// one State. The invariant oracle is deliberately not a client: it
-// opens its own sessions and runs FCP without the memo, so it stays
-// independent of what it checks.
+// one State. The invariant oracle checks the answers cases built on a
+// State returned — the collection walk and route of the very session
+// they rode — against its own Dijkstra.
 package converged
 
 import (

@@ -43,8 +43,8 @@ func worldFor(t testing.TB, name string) *sim.World {
 //   - mask/area consistency: failures are exactly what the scenario's
 //     areas (or explicit link sets) imply;
 //   - the full invariant oracle: every deduplicated case of every
-//     scenario passes CheckCase (a failure of several clusters relaxes
-//     only rtr/collect-failed);
+//     scenario, run as RunAllN runs it, passes Check (a failure of
+//     several clusters relaxes only rtr/collect-failed);
 //   - perimeter accounting: disconnected-perimeter cases are
 //     classified and counted, never silently dropped, and
 //     single-region models never produce them.
@@ -87,12 +87,13 @@ func TestGenerators(t *testing.T) {
 							cases = cases[:maxCases-checked]
 						}
 						checked += len(cases)
-						for _, c := range cases {
-							if vs := k.CheckCase(c); len(vs) > 0 {
+						outs := sim.RunAllN(w, cases, 1)
+						for _, o := range outs {
+							if vs := k.Check(o); len(vs) > 0 {
 								t.Fatalf("scenario %d: %v (first of %d violations)", sIdx, vs[0], len(vs))
 							}
 						}
-						report.Add(k.ClassifyPerimeter(cases))
+						report.Add(k.ClassifyPerimeter(outs))
 					}
 					if singleRegion[g.Name()] && report.MultiCluster > 0 {
 						t.Fatalf("single-perimeter model produced %d multi-cluster cases", report.MultiCluster)

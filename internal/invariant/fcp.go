@@ -1,33 +1,18 @@
 package invariant
 
 import (
-	"repro/internal/fcp"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
 
-// checkFCPCase runs the FCP baseline on the case and checks its
-// carried-failure contract: the trajectory is contiguous over live
-// links, never traverses a link it (eventually) carries as failed,
-// every carried failure was really observed by a visited router, the
-// final source route is loop-free, a delivery cannot beat the true
-// post-failure shortest path, and a drop happens only when the
-// dropping router's pruned view genuinely has no path left.
-func (k *Checker) checkFCPCase(c *sim.Case) []Violation {
-	res, err := k.W.FCP.Recover(c.LV, c.Initiator, c.Dst)
-	if err != nil {
-		// The only runtime error is the defensive recompute bound —
-		// exceeding it means an iteration recorded no new failure, which
-		// the carried-failure invariant forbids.
-		return []Violation{k.violation(c, "fcp/recompute-bound", "%v", err)}
-	}
-	return k.CheckFCP(c, res)
-}
-
-// CheckFCP checks one FCP recovery result against the case. Exported
-// so the mutation tests can tamper with a genuine result and prove
-// each check fires.
-func (k *Checker) CheckFCP(c *sim.Case, res fcp.Result) []Violation {
+// checkFCP checks FCP's answer to the case against its carried-failure
+// contract: the trajectory is contiguous over live links, never
+// traverses a link it (eventually) carries as failed, every carried
+// failure was really observed by a visited router, the final source
+// route is loop-free, a delivery cannot beat the true post-failure
+// shortest path, and a drop happens only when the dropping router's
+// pruned view genuinely has no path left.
+func (k *Checker) checkFCP(c *sim.Case, res sim.FCPResult) []Violation {
 	vs, _, _ := k.checkTrajectory(c, "fcp", res.Delivered, res.Walk)
 	g := k.W.Topo.G
 

@@ -12,8 +12,8 @@ import (
 
 // FuzzCheckCase drives the whole invariant suite from fuzzed failure
 // geometry: any disk (or pair of disks) placed anywhere on the plane
-// must yield cases on which all three protocols satisfy every
-// invariant. The corpus seeds cover the paper's radius range, border
+// must yield cases on which the answers of all three protocols, run as
+// RunAllN runs them on shared sessions, satisfy every invariant. The corpus seeds cover the paper's radius range, border
 // areas (which cannot be enclosed and exercise walk truncation), and
 // degenerate dots.
 func FuzzCheckCase(f *testing.F) {
@@ -49,14 +49,13 @@ func FuzzCheckCase(f *testing.F) {
 		}
 		sc := failure.NewScenario(w.Topo, areas...)
 		rec, irr := sim.CasesFromScenario(w, sc)
+		cases := append(rec, irr...)
 		const cap = 40 // bound per-input work; the fuzzer varies the geometry
-		for i, c := range append(rec, irr...) {
-			if i >= cap {
-				break
-			}
-			if vs := k.CheckCase(c); len(vs) > 0 {
-				t.Fatalf("%v", vs[0])
-			}
+		if len(cases) > cap {
+			cases = cases[:cap]
+		}
+		if err := checkAll(k, cases); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -5,25 +5,28 @@
 // lean on (FCP and MRC loop-freeness and configuration validity),
 // plus packet-accounting conservation in the loss model.
 //
-// The existing differential tests only compare our fast paths against
-// our slow paths; this package compares both against independent
-// oracles — most checks re-derive the expected answer with a
-// deliberately separate O(n²) Dijkstra (no code shared with
-// internal/spt) and with direct replays of the paper's admissibility
-// rules. It is wired in at three layers: package/property tests (every
-// bundled topology × random failure circles, plus fuzzing), the
-// opt-in `-check` flag of cmd/rtrsim and sweep.Spec.Check (fail fast
-// with a minimized repro string), and the CI checked-sweep smoke.
-// DESIGN.md §9 maps every check to its paper anchor and documents the
-// amendments under which it is intentionally relaxed.
+// The differential tests compare our fast paths against our slow
+// paths; this package compares the answers the runners return against
+// independent oracles. Its one entry point, Checker.Check, reads a
+// sim.Outcome — the walk RTR took and the session it rode, the header
+// FCP carried, the configuration MRC switched to — and re-derives the
+// expected answer with a deliberately separate O(n²) Dijkstra (no code
+// shared with internal/spt) and with direct replays of the paper's
+// admissibility rules; it runs no protocol itself. Callers check the
+// outcome they already hold: package/property tests (every bundled
+// topology × random failures, plus fuzzing), the opt-in `-check` of
+// cmd/rtrsim and cmd/rtrsimd and sweep.Spec.Check (fail fast with a
+// minimized repro string), and the CI checked-sweep smoke. DESIGN.md
+// §9 maps every check to its paper anchor and documents the amendments
+// under which it is intentionally relaxed.
 package invariant
 
 import (
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -46,25 +49,9 @@ func (v Violation) Error() string {
 	return fmt.Sprintf("invariant %s: %s [%s]", v.Check, v.Detail, v.Repro)
 }
 
-// Repro builds the minimized reproduction string for one case: the
-// topology name (synthesis is seed-deterministic), the failure
-// instance in failure.ParseInstance's grammar (any area kind or link
-// set, not just disks), the generator spec when the scenario came from
-// one, and the paper's case triple (initiator, destination, failure
-// area) plus the trigger link.
-func Repro(topoName string, c *sim.Case) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "topo=%s init=%d dst=%d nh=%d trigger=%d failure=%s",
-		topoName, c.Initiator, c.Dst, c.NextHop, c.Trigger, c.Scenario.Desc())
-	if spec := c.Scenario.GenSpec(); spec != "" {
-		fmt.Fprintf(&b, " gen=%s", spec)
-	}
-	return b.String()
-}
-
 // Checker checks simulator outputs for one world. It is stateless
-// beyond the world reference and size gate, and safe for
-// concurrent use.
+// beyond the world reference, the size gate and its one-time notice,
+// and safe for concurrent use.
 type Checker struct {
 	W *sim.World
 	// MaxOracleNodes gates the independent O(n²) Dijkstra oracle: on
@@ -97,11 +84,15 @@ func New(w *sim.World) *Checker { return &Checker{W: w} }
 // OracleEnabled reports whether the O(n²) oracle checks run on this
 // checker's world.
 func (k *Checker) OracleEnabled() bool {
-	limit := k.MaxOracleNodes
-	if limit == 0 {
-		limit = DefaultMaxOracleNodes
+	return k.gate() < 0 || k.W.Topo.G.NumNodes() <= k.gate()
+}
+
+// gate is MaxOracleNodes with the zero value resolved.
+func (k *Checker) gate() int {
+	if k.MaxOracleNodes == 0 {
+		return DefaultMaxOracleNodes
 	}
-	return limit < 0 || k.W.Topo.G.NumNodes() <= limit
+	return k.MaxOracleNodes
 }
 
 // oracle returns oracleDists(root, down) when the graph is within the
@@ -110,15 +101,11 @@ func (k *Checker) OracleEnabled() bool {
 func (k *Checker) oracle(root graph.NodeID, down graph.Denied) ([]float64, bool) {
 	if !k.OracleEnabled() {
 		k.oracleNote.Do(func() {
-			limit := k.MaxOracleNodes
-			if limit == 0 {
-				limit = DefaultMaxOracleNodes
-			}
 			msg := fmt.Sprintf("invariant: %s (%d nodes): O(n²) oracle checks skipped (gate %d nodes): "+
 				"rtr/early-discard-wrong, rtr/route-unreachable, rtr/route-suboptimal, rtr/theorem2, "+
 				"fcp/drop-premature, truth/delivered-irrecoverable, truth/delivery-beats-shortest; "+
 				"structural checks still run",
-				k.W.Topo.Name, k.W.Topo.G.NumNodes(), limit)
+				k.W.Topo.Name, k.W.Topo.G.NumNodes(), k.gate())
 			if k.Log != nil {
 				k.Log(msg)
 			} else {
@@ -130,61 +117,78 @@ func (k *Checker) oracle(root graph.NodeID, down graph.Denied) ([]float64, bool)
 	return oracleDists(k.W.Topo.G, root, down), true
 }
 
+// violation builds a Violation of check on c. Its repro string names
+// the topology (synthesis is seed-deterministic), the paper's case
+// triple (initiator, destination, failure) plus the trigger link, the
+// failure instance in failure.ParseInstance's grammar (any area kind or
+// link set), and the generator spec when the scenario came from one.
 func (k *Checker) violation(c *sim.Case, check, format string, args ...any) Violation {
-	return Violation{
-		Check:  check,
-		Repro:  Repro(k.W.Topo.Name, c),
-		Detail: fmt.Sprintf(format, args...),
+	repro := fmt.Sprintf("topo=%s init=%d dst=%d nh=%d trigger=%d failure=%s",
+		k.W.Topo.Name, c.Initiator, c.Dst, c.NextHop, c.Trigger, c.Scenario.Desc())
+	if spec := c.Scenario.GenSpec(); spec != "" {
+		repro += " gen=" + spec
 	}
+	return Violation{Check: check, Repro: repro, Detail: fmt.Sprintf(format, args...)}
 }
 
-// CheckCase checks the paper's three protocols on one case
-// (CheckSchemes over sim.PaperSchemes).
-func (k *Checker) CheckCase(c *sim.Case) []Violation {
-	return k.CheckSchemes(c, sim.PaperSchemes())
-}
-
-// CheckSchemes re-runs each scheme on one case deterministically (all
-// protocol code is deterministic given the case) and checks every
-// applicable invariant. The paper's three get their dedicated checks
-// (fresh RTR session, fresh FCP and MRC recoveries); every other
-// scheme gets the contract any Result must keep (CheckResult). A
-// scheme whose Prepare rejects the world has nothing to check. It
+// Check checks every scheme answer in o, an outcome sim.RunCase
+// returned: the paper's three get their dedicated checks, which read
+// the answer's mechanics (the collection walk and route of the session
+// RTR rode, FCP's carried failures, MRC's backup configuration), and
+// any other scheme gets checkResult, the contract every sim.Result
+// keeps. Nothing is re-run: the checks compare what the runners
+// returned with the oracle's own Dijkstra and rule replays. The error
+// that stopped an errored case is judged instead of the scheme that
+// raised it; the schemes after it returned nothing to check. It
 // returns all violations found, nil when clean.
-func (k *Checker) CheckSchemes(c *sim.Case, schemes []sim.Scheme) []Violation {
+func (k *Checker) Check(o sim.Outcome) []Violation {
+	c := o.Case
 	var vs []Violation
-	for _, s := range schemes {
-		if s.Prepare(k.W) != nil {
-			continue
+	for i, s := range o.Ran {
+		name := s.Name()
+		if o.Err != nil && i == len(o.Ran)-1 {
+			return append(vs, k.checkErr(c, name, o.Err)...)
 		}
-		if check := paperChecks[s.Name()]; check != nil {
-			vs = append(vs, check(k, c)...)
-		} else if r, err := s.Run(k.W, c); err == nil {
-			vs = append(vs, k.CheckResult(c, s.Name(), r)...)
+		switch name {
+		case sim.SchemeRTR:
+			vs = append(vs, k.checkRTR(c, o.RTR)...)
+		case sim.SchemeFCP:
+			vs = append(vs, k.checkFCP(c, o.FCP)...)
+		case sim.SchemeMRC:
+			vs = append(vs, k.checkMRC(c, o.MRC)...)
+		default:
+			vs = append(vs, k.checkResult(c, name, o.Others[name])...)
 		}
 	}
 	return vs
 }
 
-// paperChecks are the dedicated checks of the paper's three protocols,
-// which look inside their mechanics (the collection walk, the carried
-// failures, the backup configurations).
-var paperChecks = map[string]func(*Checker, *sim.Case) []Violation{
-	sim.SchemeRTR: (*Checker).checkRTRCase,
-	sim.SchemeFCP: (*Checker).checkFCPCase,
-	sim.SchemeMRC: (*Checker).checkMRCCase,
-}
-
-// CheckCases runs CheckCase over every case and returns the first
-// violation as an error — the fail-fast form the sweep engine and the
-// -check flag use. Nil when every case is clean.
-func (k *Checker) CheckCases(cases []*sim.Case) error {
-	for _, c := range cases {
-		if vs := k.CheckCase(c); len(vs) > 0 {
-			return vs[0]
-		}
+// checkErr judges the error a scheme stopped a case with: RTR's failed
+// collection (checkCollectErr); FCP's recompute bound, whose breach
+// means an iteration recorded no new failure; MRC's dead initiator,
+// which no case has. Another scheme's refusal is its own business.
+func (k *Checker) checkErr(c *sim.Case, scheme string, err error) []Violation {
+	switch scheme {
+	case sim.SchemeRTR:
+		return k.checkCollectErr(c, err)
+	case sim.SchemeFCP:
+		return []Violation{k.violation(c, "fcp/recompute-bound", "%v", err)}
+	case sim.SchemeMRC:
+		return []Violation{k.violation(c, "mrc/recover-failed", "%v", err)}
 	}
 	return nil
+}
+
+// CheckCase runs the paper's three protocols on one case, bound to a
+// State as RunAllN binds it (the case's own, or a fresh one of its
+// scenario), and checks the outcome.
+func (k *Checker) CheckCase(c *sim.Case) []Violation {
+	bound := *c
+	bound.State = k.W.StateOf(c)
+	var rt core.Route
+	o := sim.RunCase(k.W, &bound, sim.PaperSchemes(), &rt)
+	o.Case = c
+	return k.Check(o)
 }
 
 // CheckLoss verifies the loss model's packet-accounting conservation:
@@ -210,7 +214,7 @@ func CheckLoss(res sim.LossResult) []Violation {
 	}
 	if res.DroppedNoRecovery > 0 {
 		want := 100 * (1 - res.DroppedWithRTR/res.DroppedNoRecovery)
-		if !costEqual(res.SavedPercent, want) {
+		if !sim.CostEqual(res.SavedPercent, want) {
 			bad("loss/saved-percent", "saved %.6f%%, drop totals imply %.6f%%", res.SavedPercent, want)
 		}
 	}
@@ -218,23 +222,5 @@ func CheckLoss(res sim.LossResult) []Violation {
 }
 
 func conserves(offered, delivered, dropped float64) bool {
-	return costEqual(offered, delivered+dropped)
-}
-
-// costEqual compares accumulated float totals with a relative
-// tolerance (mirrors the harness's grading tolerance: equal-cost sums
-// can differ in summation order).
-func costEqual(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	scale := a
-	if b > scale {
-		scale = b
-	}
-	if scale < 0 {
-		scale = -scale
-	}
-	return d <= 1e-9*(1+scale)
+	return sim.CostEqual(offered, delivered+dropped)
 }

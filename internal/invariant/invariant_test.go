@@ -1,10 +1,13 @@
 package invariant
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/sim"
 	"repro/internal/spt"
@@ -35,7 +38,8 @@ func worldFor(t testing.TB, name string) *sim.World {
 
 // TestCheckCaseAllTopologies is the property harness: every bundled
 // Table II topology, random failure circles, every deduplicated case —
-// recoverable and irrecoverable — must pass every invariant.
+// recoverable and irrecoverable — run as RunAllN runs it, must pass
+// every invariant.
 func TestCheckCaseAllTopologies(t *testing.T) {
 	scenarios := 6
 	maxCases := 400
@@ -52,14 +56,13 @@ func TestCheckCaseAllTopologies(t *testing.T) {
 			for s := 0; s < scenarios && checked < maxCases; s++ {
 				sc := failure.RandomScenario(w.Topo, rng)
 				rec, irr := sim.CasesFromScenario(w, sc)
-				for _, c := range append(rec, irr...) {
-					if checked >= maxCases {
-						break
-					}
-					checked++
-					if vs := k.CheckCase(c); len(vs) > 0 {
-						t.Fatalf("%v (first of %d violations)", vs[0], len(vs))
-					}
+				cases := append(rec, irr...)
+				if len(cases) > maxCases-checked {
+					cases = cases[:maxCases-checked]
+				}
+				checked += len(cases)
+				if err := checkAll(k, cases); err != nil {
+					t.Fatal(err)
 				}
 			}
 			if checked == 0 {
@@ -70,9 +73,22 @@ func TestCheckCaseAllTopologies(t *testing.T) {
 	}
 }
 
-// TestCheckCaseGoalEngines runs the full invariant oracle over worlds
-// built through sim.NewWorldPhase2, the engine-selecting constructor
-// the benchmark harness calls. Phase 2 has one engine, EngineDijkstra,
+// checkAll runs the paper's three protocols on cases as RunAllN does —
+// one shared session per (scenario, initiator, trigger) — and returns
+// the first violation Check finds in their outcomes, nil when clean.
+func checkAll(k *Checker, cases []*sim.Case) error {
+	for _, o := range sim.RunAllN(k.W, cases, 1) {
+		if vs := k.Check(o); len(vs) > 0 {
+			return fmt.Errorf("%w (first of %d violations)", vs[0], len(vs))
+		}
+	}
+	return nil
+}
+
+// TestCheckCaseGoalEngines runs CheckCase (the full invariant oracle
+// over one case on a State of its own) over worlds built through
+// sim.NewWorldPhase2, the engine-selecting constructor the benchmark
+// harness calls. Phase 2 has one engine, EngineDijkstra,
 // so every paper-level guarantee (Theorem 2 optimality, stretch-1,
 // SPCalcs accounting, walk well-formedness) must hold for those worlds
 // exactly as for NewWorld's.
@@ -202,11 +218,13 @@ func contains(s, sub string) bool {
 func TestOracleGate(t *testing.T) {
 	w := worldFor(t, "AS1239")
 	rng := rand.New(rand.NewSource(11))
-	sc := failure.Default().Generate(w.Topo, rng)
-	rec, irr := sim.CasesFromScenario(w, sc)
-	cases := append(rec, irr...)
+	var cases []*sim.Case
+	for draw := 0; draw < 100 && len(cases) == 0; draw++ {
+		rec, irr := sim.CasesFromScenario(w, failure.Default().Generate(w.Topo, rng))
+		cases = append(rec, irr...)
+	}
 	if len(cases) == 0 {
-		t.Skip("scenario produced no cases")
+		t.Fatal("no scenario produced a case")
 	}
 
 	var logs []string
@@ -216,7 +234,7 @@ func TestOracleGate(t *testing.T) {
 	if k.OracleEnabled() {
 		t.Fatal("oracle must be gated off below the node count")
 	}
-	if err := k.CheckCases(cases); err != nil {
+	if err := checkAll(k, cases); err != nil {
 		t.Fatalf("structural checks failed with oracle gated: %v", err)
 	}
 	if len(logs) != 1 {
@@ -233,7 +251,61 @@ func TestOracleGate(t *testing.T) {
 	if !forced.OracleEnabled() {
 		t.Fatal("negative gate must force the oracle on")
 	}
-	if err := forced.CheckCases(cases); err != nil {
+	if err := checkAll(forced, cases); err != nil {
 		t.Fatalf("forced-oracle checks failed: %v", err)
+	}
+}
+
+// TestCheckJudgesTheFailingScheme: the error that stopped a case is
+// judged by the scheme that raised it, the schemes before it are
+// checked as usual, and the ones after it returned nothing to check.
+func TestCheckJudgesTheFailingScheme(t *testing.T) {
+	w := worldFor(t, "AS1239")
+	k := New(w)
+	rng := rand.New(rand.NewSource(11))
+	var c *sim.Case
+	for draw := 0; draw < 100 && c == nil; draw++ {
+		if rec, _ := sim.CasesFromScenario(w, failure.Default().Generate(w.Topo, rng)); len(rec) > 0 {
+			c = rec[0]
+		}
+	}
+	if c == nil {
+		t.Fatal("no scenario produced a recoverable case")
+	}
+	spread, err := sim.LookupScheme(sim.SchemeSpread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper := sim.PaperSchemes()
+	o := sim.RunCase(w, c, paper, new(core.Route))
+	if vs := k.Check(o); len(vs) > 0 {
+		t.Fatalf("clean outcome flagged: %v", vs[0])
+	}
+	o.Err = errors.New("injected")
+	for _, tc := range []struct {
+		ran  []sim.Scheme
+		want string
+	}{
+		{paper[:2], "fcp/recompute-bound"},
+		{paper, "mrc/recover-failed"},
+		{[]sim.Scheme{spread}, ""},
+	} {
+		o.Ran = tc.ran
+		vs := k.Check(o)
+		if tc.want == "" {
+			if len(vs) > 0 {
+				t.Errorf("%s refusing flagged %v", tc.ran[0].Name(), vs)
+			}
+			continue
+		}
+		if len(vs) != 1 || vs[0].Check != tc.want {
+			t.Errorf("error after %d schemes: got %v, want exactly %s", len(tc.ran), vs, tc.want)
+		}
+	}
+	// The schemes before the failing one are still checked.
+	o.Ran = paper[:2]
+	o.RTR.Phase2.Records = append(o.RTR.Phase2.Records, o.RTR.Phase1.Records[0])
+	if vs := k.Check(o); !hasCheck(vs, "rtr/forward-prefix") || !hasCheck(vs, "fcp/recompute-bound") {
+		t.Errorf("RTR's corrupted answer before FCP's error: got %v", vs)
 	}
 }

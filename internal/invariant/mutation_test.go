@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/failure"
-	"repro/internal/fcp"
 	"repro/internal/graph"
 	"repro/internal/mrc"
 	"repro/internal/routing"
@@ -102,7 +101,7 @@ func TestMutationsCollect(t *testing.T) {
 
 	t.Run("clean-passes", func(t *testing.T) {
 		for _, a := range []rtrArtifacts{del, trunc, seeded} {
-			if vs := k.CheckCollect(a.c, a.col); len(vs) > 0 {
+			if vs := k.checkCollect(a.c, a.col); len(vs) > 0 {
 				t.Fatalf("clean artifact flagged: %v", vs[0])
 			}
 		}
@@ -110,22 +109,22 @@ func TestMutationsCollect(t *testing.T) {
 	t.Run("rtr/walk-header", func(t *testing.T) {
 		cp := cloneCollect(del.col)
 		cp.Header.RecInit = del.c.Dst
-		requireCheck(t, k.CheckCollect(del.c, cp), "rtr/walk-header")
+		requireCheck(t, k.checkCollect(del.c, cp), "rtr/walk-header")
 	})
 	t.Run("rtr/walk-empty", func(t *testing.T) {
 		cp := cloneCollect(del.col)
 		cp.Walk.Records, cp.FieldSizes = nil, nil
-		requireCheck(t, k.CheckCollect(del.c, cp), "rtr/walk-empty")
+		requireCheck(t, k.checkCollect(del.c, cp), "rtr/walk-empty")
 	})
 	t.Run("rtr/walk-contiguous", func(t *testing.T) {
 		cp := cloneCollect(del.col)
 		cp.Walk.Records[0], cp.Walk.Records[1] = cp.Walk.Records[1], cp.Walk.Records[0]
-		requireCheck(t, k.CheckCollect(del.c, cp), "rtr/walk-contiguous")
+		requireCheck(t, k.checkCollect(del.c, cp), "rtr/walk-contiguous")
 	})
 	t.Run("rtr/walk-firsthop", func(t *testing.T) {
 		cp := cloneCollect(del.col)
 		cp.FirstHop = del.c.Initiator // first hop is a neighbor, never the initiator
-		requireCheck(t, k.CheckCollect(del.c, cp), "rtr/walk-firsthop")
+		requireCheck(t, k.checkCollect(del.c, cp), "rtr/walk-firsthop")
 	})
 	t.Run("rtr/walk-dead-link", func(t *testing.T) {
 		cp := cloneCollect(del.col)
@@ -134,32 +133,32 @@ func TestMutationsCollect(t *testing.T) {
 			To:   g.Link(del.c.Trigger).Other(del.c.Initiator),
 			Link: del.c.Trigger, // the trigger link is unreachable by construction
 		}
-		requireCheck(t, k.CheckCollect(del.c, cp), "rtr/walk-dead-link")
+		requireCheck(t, k.checkCollect(del.c, cp), "rtr/walk-dead-link")
 	})
 	t.Run("rtr/walk-open", func(t *testing.T) {
 		cp := cloneCollect(del.col)
 		cp.Walk.Records = cp.Walk.Records[:len(cp.Walk.Records)-1]
 		cp.FieldSizes = cp.FieldSizes[:len(cp.FieldSizes)-1]
-		requireCheck(t, k.CheckCollect(del.c, cp), "rtr/walk-open")
+		requireCheck(t, k.checkCollect(del.c, cp), "rtr/walk-open")
 	})
 	t.Run("rtr/fieldsizes", func(t *testing.T) {
 		cp := cloneCollect(del.col)
 		cp.FieldSizes[len(cp.FieldSizes)-1].Failed++
-		requireCheck(t, k.CheckCollect(del.c, cp), "rtr/fieldsizes")
+		requireCheck(t, k.checkCollect(del.c, cp), "rtr/fieldsizes")
 	})
 	t.Run("rtr/failed-not-observed", func(t *testing.T) {
 		cp := cloneCollect(del.col)
 		// The first walked link is live — recording it as failed is a lie.
 		cp.Header.FailedLinks = append(cp.Header.FailedLinks, cp.Walk.Records[0].Link)
 		cp.FieldSizes[len(cp.FieldSizes)-1].Failed = len(cp.Header.FailedLinks)
-		requireCheck(t, k.CheckCollect(del.c, cp), "rtr/failed-not-observed")
+		requireCheck(t, k.checkCollect(del.c, cp), "rtr/failed-not-observed")
 	})
 	t.Run("rtr/cross-seed", func(t *testing.T) {
 		cp := cloneCollect(seeded.col)
 		// Seed slots must hold unreachable crossing links of the
 		// initiator; the first walked link is live.
 		cp.Header.CrossLinks[0] = cp.Walk.Records[0].Link
-		requireCheck(t, k.CheckCollect(seeded.c, cp), "rtr/cross-seed")
+		requireCheck(t, k.checkCollect(seeded.c, cp), "rtr/cross-seed")
 	})
 	t.Run("rtr/cross-untraversed", func(t *testing.T) {
 		cp := cloneCollect(del.col)
@@ -180,13 +179,13 @@ func TestMutationsCollect(t *testing.T) {
 		}
 		cp.Header.CrossLinks = append(cp.Header.CrossLinks, alien)
 		cp.FieldSizes[len(cp.FieldSizes)-1].Cross = len(cp.Header.CrossLinks)
-		requireCheck(t, k.CheckCollect(del.c, cp), "rtr/cross-untraversed")
+		requireCheck(t, k.checkCollect(del.c, cp), "rtr/cross-untraversed")
 	})
 	t.Run("rtr/retrace-invalid", func(t *testing.T) {
 		cp := cloneCollect(trunc.col)
 		n := len(cp.Walk.Records)
 		cp.Walk.Records[n-1], cp.Walk.Records[n-2] = cp.Walk.Records[n-2], cp.Walk.Records[n-1]
-		requireCheck(t, k.CheckCollect(trunc.c, cp), "rtr/retrace-invalid")
+		requireCheck(t, k.checkCollect(trunc.c, cp), "rtr/retrace-invalid")
 	})
 	t.Run("rtr/cross-violation", func(t *testing.T) {
 		// Pretend a link crossing hop i's selected link was already in
@@ -211,7 +210,7 @@ func TestMutationsCollect(t *testing.T) {
 				for j := range cp.FieldSizes {
 					cp.FieldSizes[j].Cross = len(cp.Header.CrossLinks)
 				}
-				requireCheck(t, k.CheckCollect(a.c, cp), "rtr/cross-violation")
+				requireCheck(t, k.checkCollect(a.c, cp), "rtr/cross-violation")
 				return
 			}
 		}
@@ -225,31 +224,31 @@ func TestMutationsRecoveryPath(t *testing.T) {
 	del, _, _ := gatherRTR(t, w)
 
 	t.Run("clean-passes", func(t *testing.T) {
-		if vs := k.CheckRecoveryPath(del.c, del.col, del.rt, true); len(vs) > 0 {
+		if vs := k.checkRecoveryPath(del.c, del.col, del.rt, true); len(vs) > 0 {
 			t.Fatalf("clean route flagged: %v", vs[0])
 		}
 	})
 	t.Run("rtr/early-discard-wrong", func(t *testing.T) {
 		// The destination is provably reachable (the clean run routed to
 		// it); claiming early discard must be caught.
-		requireCheck(t, k.CheckRecoveryPath(del.c, del.col, core.Route{}, false), "rtr/early-discard-wrong")
+		requireCheck(t, k.checkRecoveryPath(del.c, del.col, core.Route{}, false), "rtr/early-discard-wrong")
 	})
 	t.Run("rtr/route-endpoints", func(t *testing.T) {
 		rt := cloneRoute(del.rt)
 		rt.Nodes[0] = del.c.Dst
-		requireCheck(t, k.CheckRecoveryPath(del.c, del.col, rt, true), "rtr/route-endpoints")
+		requireCheck(t, k.checkRecoveryPath(del.c, del.col, rt, true), "rtr/route-endpoints")
 	})
 	t.Run("rtr/route-contiguous", func(t *testing.T) {
 		rt := cloneRoute(del.rt)
 		rt.Links = rt.Links[:len(rt.Links)-1]
-		requireCheck(t, k.CheckRecoveryPath(del.c, del.col, rt, true), "rtr/route-contiguous")
+		requireCheck(t, k.checkRecoveryPath(del.c, del.col, rt, true), "rtr/route-contiguous")
 	})
 	t.Run("rtr/route-uses-collected", func(t *testing.T) {
 		// Falsely collect the route's own first link: the route now
 		// traverses a link its own header says is down.
 		cp := cloneCollect(del.col)
 		cp.Header.FailedLinks = append(cp.Header.FailedLinks, del.rt.Links[0])
-		requireCheck(t, k.CheckRecoveryPath(del.c, cp, del.rt, true), "rtr/route-uses-collected")
+		requireCheck(t, k.checkRecoveryPath(del.c, cp, del.rt, true), "rtr/route-uses-collected")
 	})
 	t.Run("rtr/route-loop", func(t *testing.T) {
 		rt := cloneRoute(del.rt)
@@ -258,12 +257,12 @@ func TestMutationsRecoveryPath(t *testing.T) {
 		n0, n1, l0 := rt.Nodes[0], rt.Nodes[1], rt.Links[0]
 		rt.Nodes = append([]graph.NodeID{n0, n1, n0}, rt.Nodes[1:]...)
 		rt.Links = append([]graph.LinkID{l0, l0}, rt.Links...)
-		requireCheck(t, k.CheckRecoveryPath(del.c, del.col, rt, true), "rtr/route-loop")
+		requireCheck(t, k.checkRecoveryPath(del.c, del.col, rt, true), "rtr/route-loop")
 	})
 	t.Run("rtr/route-cost-and-suboptimal", func(t *testing.T) {
 		rt := cloneRoute(del.rt)
 		rt.Cost++
-		vs := k.CheckRecoveryPath(del.c, del.col, rt, true)
+		vs := k.checkRecoveryPath(del.c, del.col, rt, true)
 		requireCheck(t, vs, "rtr/route-cost")
 		requireCheck(t, vs, "rtr/route-suboptimal")
 	})
@@ -274,7 +273,7 @@ func TestMutationsRecoveryPath(t *testing.T) {
 		for _, he := range w.Topo.G.Adj(del.c.Dst) {
 			cp.Header.FailedLinks = append(cp.Header.FailedLinks, he.Link)
 		}
-		requireCheck(t, k.CheckRecoveryPath(del.c, cp, del.rt, true), "rtr/route-unreachable")
+		requireCheck(t, k.checkRecoveryPath(del.c, cp, del.rt, true), "rtr/route-unreachable")
 	})
 }
 
@@ -290,14 +289,14 @@ func TestMutationsRTRForward(t *testing.T) {
 	}
 
 	t.Run("clean-passes", func(t *testing.T) {
-		if vs := k.CheckRTRForward(del.c, del.rt, del.fwd); len(vs) > 0 {
+		if vs := k.checkRTRForward(del.c, del.rt, del.fwd); len(vs) > 0 {
 			t.Fatalf("clean forward flagged: %v", vs[0])
 		}
 	})
 	t.Run("rtr/forward-prefix", func(t *testing.T) {
 		fwd := cloneFwd(del.fwd)
 		fwd.Walk.Records[0].From = del.c.Dst
-		requireCheck(t, k.CheckRTRForward(del.c, del.rt, fwd), "rtr/forward-prefix")
+		requireCheck(t, k.checkRTRForward(del.c, del.rt, fwd), "rtr/forward-prefix")
 	})
 	t.Run("rtr/drop-site", func(t *testing.T) {
 		fwd := cloneFwd(del.fwd)
@@ -305,7 +304,7 @@ func TestMutationsRTRForward(t *testing.T) {
 		fwd.Delivered = false
 		fwd.DropAt = del.rt.Nodes[0] // trajectory actually stops later
 		fwd.DropLink = del.rt.Links[0]
-		requireCheck(t, k.CheckRTRForward(del.c, del.rt, fwd), "rtr/drop-site")
+		requireCheck(t, k.checkRTRForward(del.c, del.rt, fwd), "rtr/drop-site")
 	})
 	t.Run("rtr/drop-live-link", func(t *testing.T) {
 		fwd := cloneFwd(del.fwd)
@@ -314,12 +313,12 @@ func TestMutationsRTRForward(t *testing.T) {
 		fwd.Delivered = false
 		fwd.DropAt = del.rt.Nodes[hops] // consistent drop site...
 		fwd.DropLink = del.rt.Links[hops]
-		requireCheck(t, k.CheckRTRForward(del.c, del.rt, fwd), "rtr/drop-live-link") // ...but the link is live
+		requireCheck(t, k.checkRTRForward(del.c, del.rt, fwd), "rtr/drop-live-link") // ...but the link is live
 	})
 	t.Run("rtr/theorem2", func(t *testing.T) {
 		rt := cloneRoute(del.rt)
 		rt.Cost++
-		requireCheck(t, k.CheckRTRForward(del.c, rt, del.fwd), "rtr/theorem2")
+		requireCheck(t, k.checkRTRForward(del.c, rt, del.fwd), "rtr/theorem2")
 	})
 	t.Run("truth/delivery-dead-link", func(t *testing.T) {
 		// Fabricate a "delivery" straight over the failed trigger link.
@@ -332,7 +331,7 @@ func TestMutationsRTRForward(t *testing.T) {
 		}
 		fwd := core.ForwardResult{Delivered: true}
 		fwd.Walk.Append(routing.HopRecord{From: c.Initiator, To: nh, Link: c.Trigger})
-		requireCheck(t, k.CheckRTRForward(c, rt, fwd), "truth/delivery-dead-link")
+		requireCheck(t, k.checkRTRForward(c, rt, fwd), "truth/delivery-dead-link")
 	})
 	t.Run("truth/delivered-irrecoverable", func(t *testing.T) {
 		// Find an irrecoverable case and fabricate a delivery claim.
@@ -349,7 +348,7 @@ func TestMutationsRTRForward(t *testing.T) {
 				}
 				fwd := core.ForwardResult{Delivered: true}
 				fwd.Walk.Append(routing.HopRecord{From: c.Initiator, To: nh, Link: c.Trigger})
-				requireCheck(t, k.CheckRTRForward(c, rt, fwd), "truth/delivered-irrecoverable")
+				requireCheck(t, k.checkRTRForward(c, rt, fwd), "truth/delivered-irrecoverable")
 				return
 			}
 		}
@@ -364,13 +363,13 @@ func TestMutationsFCP(t *testing.T) {
 
 	// Gather one delivered (>= 3 hops) and one dropped clean FCP result.
 	var delC, dropC *sim.Case
-	var delR, dropR fcp.Result
+	var delR, dropR sim.FCPResult
 	rng := rand.New(rand.NewSource(5))
 	for s := 0; s < 400 && (delC == nil || dropC == nil); s++ {
 		sc := failure.RandomScenario(w.Topo, rng)
 		rec, irr := sim.CasesFromScenario(w, sc)
 		for _, c := range append(rec, irr...) {
-			res, err := w.FCP.Recover(c.LV, c.Initiator, c.Dst)
+			res, err := sim.RunFCP(w, c, nil)
 			if err != nil {
 				continue
 			}
@@ -385,7 +384,7 @@ func TestMutationsFCP(t *testing.T) {
 	if delC == nil || dropC == nil {
 		t.Fatalf("could not gather FCP artifacts: delivered=%v dropped=%v", delC != nil, dropC != nil)
 	}
-	clone := func(r fcp.Result) fcp.Result {
+	clone := func(r sim.FCPResult) sim.FCPResult {
 		r.Walk.Records = append([]routing.HopRecord(nil), r.Walk.Records...)
 		r.Header.FailedLinks = append([]graph.LinkID(nil), r.Header.FailedLinks...)
 		r.Header.SourceRoute = append([]graph.NodeID(nil), r.Header.SourceRoute...)
@@ -393,17 +392,17 @@ func TestMutationsFCP(t *testing.T) {
 	}
 
 	t.Run("clean-passes", func(t *testing.T) {
-		if vs := k.CheckFCP(delC, delR); len(vs) > 0 {
+		if vs := k.checkFCP(delC, delR); len(vs) > 0 {
 			t.Fatalf("clean delivered result flagged: %v", vs[0])
 		}
-		if vs := k.CheckFCP(dropC, dropR); len(vs) > 0 {
+		if vs := k.checkFCP(dropC, dropR); len(vs) > 0 {
 			t.Fatalf("clean dropped result flagged: %v", vs[0])
 		}
 	})
 	t.Run("fcp/walk-contiguous", func(t *testing.T) {
 		r := clone(delR)
 		r.Walk.Records[0], r.Walk.Records[1] = r.Walk.Records[1], r.Walk.Records[0]
-		requireCheck(t, k.CheckFCP(delC, r), "fcp/walk-contiguous")
+		requireCheck(t, k.checkFCP(delC, r), "fcp/walk-contiguous")
 	})
 	t.Run("fcp/walk-dead-link", func(t *testing.T) {
 		r := clone(delR)
@@ -412,12 +411,12 @@ func TestMutationsFCP(t *testing.T) {
 			To:   g.Link(delC.Trigger).Other(delC.Initiator),
 			Link: delC.Trigger,
 		}
-		requireCheck(t, k.CheckFCP(delC, r), "fcp/walk-dead-link")
+		requireCheck(t, k.checkFCP(delC, r), "fcp/walk-dead-link")
 	})
 	t.Run("fcp/walk-failed-link", func(t *testing.T) {
 		r := clone(delR)
 		r.Header.FailedLinks = append(r.Header.FailedLinks, r.Walk.Records[0].Link)
-		requireCheck(t, k.CheckFCP(delC, r), "fcp/walk-failed-link")
+		requireCheck(t, k.checkFCP(delC, r), "fcp/walk-failed-link")
 	})
 	t.Run("fcp/failed-not-observed", func(t *testing.T) {
 		r := clone(delR)
@@ -429,7 +428,7 @@ func TestMutationsFCP(t *testing.T) {
 			l := g.Link(graph.LinkID(i))
 			if !visited[l.A] && !visited[l.B] {
 				r.Header.FailedLinks = append(r.Header.FailedLinks, l.ID)
-				requireCheck(t, k.CheckFCP(delC, r), "fcp/failed-not-observed")
+				requireCheck(t, k.checkFCP(delC, r), "fcp/failed-not-observed")
 				return
 			}
 		}
@@ -441,12 +440,12 @@ func TestMutationsFCP(t *testing.T) {
 			t.Fatal("delivered result carries no source route")
 		}
 		r.Header.SourceRoute = append(r.Header.SourceRoute, r.Header.SourceRoute[0])
-		requireCheck(t, k.CheckFCP(delC, r), "fcp/route-loop")
+		requireCheck(t, k.checkFCP(delC, r), "fcp/route-loop")
 	})
 	t.Run("fcp/delivery-wrong-dst", func(t *testing.T) {
 		r := clone(delR)
 		r.Walk.Records = r.Walk.Records[:len(r.Walk.Records)-1]
-		requireCheck(t, k.CheckFCP(delC, r), "fcp/delivery-wrong-dst")
+		requireCheck(t, k.checkFCP(delC, r), "fcp/delivery-wrong-dst")
 	})
 	t.Run("truth/delivery-beats-shortest", func(t *testing.T) {
 		r := clone(delR)
@@ -454,7 +453,7 @@ func TestMutationsFCP(t *testing.T) {
 		// true shortest path (all link costs are positive).
 		recs := r.Walk.Records
 		r.Walk.Records = append(recs[:1], recs[2:]...)
-		requireCheck(t, k.CheckFCP(delC, r), "truth/delivery-beats-shortest")
+		requireCheck(t, k.checkFCP(delC, r), "truth/delivery-beats-shortest")
 	})
 	t.Run("fcp/drop-premature", func(t *testing.T) {
 		r := clone(dropR)
@@ -462,7 +461,7 @@ func TestMutationsFCP(t *testing.T) {
 		// (connected) graph, which certainly has a path — the drop claim
 		// no longer holds up.
 		r.Header.FailedLinks = nil
-		requireCheck(t, k.CheckFCP(dropC, r), "fcp/drop-premature")
+		requireCheck(t, k.checkFCP(dropC, r), "fcp/drop-premature")
 	})
 }
 
@@ -472,13 +471,13 @@ func TestMutationsMRC(t *testing.T) {
 	g := w.Topo.G
 
 	var delC, dropC, unprotC *sim.Case
-	var delR, dropR mrc.Result
+	var delR, dropR sim.MRCResult
 	rng := rand.New(rand.NewSource(9))
 	for s := 0; s < 400 && (delC == nil || dropC == nil || unprotC == nil); s++ {
 		sc := failure.RandomScenario(w.Topo, rng)
 		rec, irr := sim.CasesFromScenario(w, sc)
 		for _, c := range append(rec, irr...) {
-			res, err := w.MRC.Recover(c.LV, c.Initiator, c.Dst, c.NextHop, c.Trigger)
+			res, err := sim.RunMRC(w, c, nil)
 			if err != nil {
 				continue
 			}
@@ -500,35 +499,35 @@ func TestMutationsMRC(t *testing.T) {
 	if delC == nil || dropC == nil {
 		t.Fatalf("could not gather MRC artifacts: delivered=%v dropped=%v", delC != nil, dropC != nil)
 	}
-	clone := func(r mrc.Result) mrc.Result {
+	clone := func(r sim.MRCResult) sim.MRCResult {
 		r.Walk.Records = append([]routing.HopRecord(nil), r.Walk.Records...)
 		return r
 	}
 
 	t.Run("clean-passes", func(t *testing.T) {
-		if vs := k.CheckMRC(delC, delR); len(vs) > 0 {
+		if vs := k.checkMRC(delC, delR); len(vs) > 0 {
 			t.Fatalf("clean delivered result flagged: %v", vs[0])
 		}
-		if vs := k.CheckMRC(dropC, dropR); len(vs) > 0 {
+		if vs := k.checkMRC(dropC, dropR); len(vs) > 0 {
 			t.Fatalf("clean dropped result flagged: %v", vs[0])
 		}
 	})
 	t.Run("mrc/config-selection", func(t *testing.T) {
 		r := clone(delR)
 		r.Config = (r.Config + 1) % w.MRC.Configs()
-		requireCheck(t, k.CheckMRC(delC, r), "mrc/config-selection")
+		requireCheck(t, k.checkMRC(delC, r), "mrc/config-selection")
 	})
 	t.Run("mrc/unprotected-forwarded", func(t *testing.T) {
 		if unprotC == nil {
 			t.Skip("no case with an unprotected suspected element")
 		}
-		r := mrc.Result{Config: mrc.Unisolated, Delivered: true}
-		requireCheck(t, k.CheckMRC(unprotC, r), "mrc/unprotected-forwarded")
+		r := sim.MRCResult{Config: mrc.Unisolated, Delivered: true}
+		requireCheck(t, k.checkMRC(unprotC, r), "mrc/unprotected-forwarded")
 	})
 	t.Run("mrc/walk-contiguous", func(t *testing.T) {
 		r := clone(delR)
 		r.Walk.Records[0], r.Walk.Records[1] = r.Walk.Records[1], r.Walk.Records[0]
-		requireCheck(t, k.CheckMRC(delC, r), "mrc/walk-contiguous")
+		requireCheck(t, k.checkMRC(delC, r), "mrc/walk-contiguous")
 	})
 	t.Run("mrc/walk-dead-link-and-exclude", func(t *testing.T) {
 		r := clone(delR)
@@ -537,7 +536,7 @@ func TestMutationsMRC(t *testing.T) {
 			To:   g.Link(delC.Trigger).Other(delC.Initiator),
 			Link: delC.Trigger,
 		}
-		vs := k.CheckMRC(delC, r)
+		vs := k.checkMRC(delC, r)
 		requireCheck(t, vs, "mrc/walk-dead-link")
 		requireCheck(t, vs, "mrc/exclude-violated")
 	})
@@ -545,7 +544,7 @@ func TestMutationsMRC(t *testing.T) {
 		r := clone(delR)
 		last := r.Walk.Records[len(r.Walk.Records)-1]
 		r.Walk.Append(routing.HopRecord{From: last.To, To: last.From, Link: last.Link})
-		requireCheck(t, k.CheckMRC(delC, r), "mrc/walk-loop")
+		requireCheck(t, k.checkMRC(delC, r), "mrc/walk-loop")
 	})
 	t.Run("mrc/isolated-link", func(t *testing.T) {
 		// The reverted Route bug in one mutation: forward over a link
@@ -556,9 +555,9 @@ func TestMutationsMRC(t *testing.T) {
 			if c0 == mrc.Unisolated || w.MRC.ConfigOf(l.B) != c0 {
 				continue
 			}
-			r := mrc.Result{Config: c0, DropAt: l.B}
+			r := sim.MRCResult{Config: c0, DropAt: l.B}
 			r.Walk.Append(routing.HopRecord{From: l.A, To: l.B, Link: l.ID})
-			requireCheck(t, k.CheckMRC(delC, r), "mrc/isolated-link")
+			requireCheck(t, k.checkMRC(delC, r), "mrc/isolated-link")
 			return
 		}
 		t.Skip("no link with both endpoints in one configuration")
@@ -583,10 +582,10 @@ func TestMutationsMRC(t *testing.T) {
 			if iso == delC.Dst {
 				continue
 			}
-			r := mrc.Result{Config: cfg, DropAt: iso}
+			r := sim.MRCResult{Config: cfg, DropAt: iso}
 			r.Walk.Append(first)
 			r.Walk.Append(routing.HopRecord{From: from, To: iso, Link: l.ID})
-			vs := k.CheckMRC(delC, r)
+			vs := k.checkMRC(delC, r)
 			requireCheck(t, vs, "mrc/restricted-misuse")
 			requireCheck(t, vs, "mrc/isolated-transit")
 			return
@@ -596,11 +595,77 @@ func TestMutationsMRC(t *testing.T) {
 	t.Run("mrc/delivery-wrong-dst", func(t *testing.T) {
 		r := clone(delR)
 		r.Walk.Records = r.Walk.Records[:len(r.Walk.Records)-1]
-		requireCheck(t, k.CheckMRC(delC, r), "mrc/delivery-wrong-dst")
+		requireCheck(t, k.checkMRC(delC, r), "mrc/delivery-wrong-dst")
 	})
 	t.Run("mrc/drop-site", func(t *testing.T) {
 		r := clone(dropR)
 		r.DropAt = dropC.Initiator // trajectory stopped elsewhere
-		requireCheck(t, k.CheckMRC(dropC, r), "mrc/drop-site")
+		requireCheck(t, k.checkMRC(dropC, r), "mrc/drop-site")
 	})
+}
+
+// TestCheckReadsTheSharedSession: the oracle checks the answer a case
+// rode, not a re-run of it. Corrupting the collection walk, or the
+// failed_link header, of a State's shared sessions must be caught in
+// every outcome RunCase then returns on that State.
+func TestCheckReadsTheSharedSession(t *testing.T) {
+	w := worldFor(t, "AS1239")
+	k := New(w)
+	corruptions := map[string]func(col *core.CollectResult){
+		"walk": func(col *core.CollectResult) {
+			recs := col.Walk.Records
+			recs[0], recs[len(recs)-1] = recs[len(recs)-1], recs[0]
+		},
+		"failed_link": func(col *core.CollectResult) {
+			// The first walked link is live: recording it is a lie.
+			col.Header.FailedLinks = append(col.Header.FailedLinks, col.Walk.Records[0].Link)
+		},
+	}
+	for name, corrupt := range corruptions {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(21))
+			rode, caught := 0, 0
+			for s := 0; s < 40 && rode < 40; s++ {
+				sc := failure.RandomScenario(w.Topo, rng)
+				st := w.Converged(sc)
+				rec, irr := sim.CasesFromScenario(w, sc)
+				var cases []*sim.Case
+				for _, c := range append(rec, irr...) {
+					c, err := sim.CaseAt(st, c.Initiator, c.Dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cases = append(cases, c)
+				}
+				corrupted := map[*core.Session]bool{}
+				var rt core.Route
+				for _, c := range cases {
+					o := sim.RunCase(w, c, sim.PaperSchemes(), &rt)
+					if vs := k.Check(o); len(vs) > 0 {
+						t.Fatalf("clean outcome flagged: %v", vs[0])
+					}
+					if sess := o.RTR.Session; sess != nil && len(o.RTR.Phase1.Records) >= 2 {
+						corrupted[sess] = true
+					}
+				}
+				for sess := range corrupted {
+					corrupt(sess.Collected())
+				}
+				for _, c := range cases {
+					o := sim.RunCase(w, c, sim.PaperSchemes(), &rt)
+					if !corrupted[o.RTR.Session] {
+						continue
+					}
+					rode++
+					if len(k.Check(o)) > 0 {
+						caught++
+					}
+				}
+			}
+			if rode == 0 || caught != rode {
+				t.Fatalf("caught %d of %d outcomes that rode a corrupted session", caught, rode)
+			}
+			t.Logf("caught %d of %d", caught, rode)
+		})
+	}
 }

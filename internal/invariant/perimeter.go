@@ -1,10 +1,8 @@
 package invariant
 
 import (
-	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -82,21 +80,22 @@ func (r PerimeterReport) String() string {
 		r.WalkMissed, r.ClustersMissed, r.MissBenign, r.DropUnseen, r.DropSeen)
 }
 
-// ClassifyPerimeter classifies every case's interaction with RTR's
-// single-perimeter walk assumption. Cases whose scenario has at most
-// one failure cluster satisfy the assumption and only count toward
-// Cases; multi-cluster cases are re-run through RTR and classified by
-// whether the walk covered every cluster and, if not, whether the miss
-// changed the outcome.
-func (k *Checker) ClassifyPerimeter(cases []*sim.Case) PerimeterReport {
+// ClassifyPerimeter classifies how every outcome's case interacts with
+// RTR's single-perimeter walk assumption. The outcomes are runs that
+// include rtr (RunAllN's, or RunCase over a list naming it). Cases
+// whose scenario has at most one failure cluster satisfy the assumption
+// and only count toward Cases; multi-cluster cases are classified from
+// the RTR answer the outcome holds: whether the walk covered every
+// cluster and, if not, whether the miss changed the outcome.
+func (k *Checker) ClassifyPerimeter(outs []sim.Outcome) PerimeterReport {
 	var r PerimeterReport
-	for _, c := range cases {
-		k.classifyPerimeterCase(c, &r)
+	for i := range outs {
+		classifyPerimeterCase(outs[i].Case, &outs[i].RTR, &r)
 	}
 	return r
 }
 
-func (k *Checker) classifyPerimeterCase(c *sim.Case, r *PerimeterReport) {
+func classifyPerimeterCase(c *sim.Case, rtr *sim.RTRResult, r *PerimeterReport) {
 	r.Cases++
 	clusters := c.Scenario.Clusters()
 	if len(clusters) > r.MaxClusters {
@@ -106,26 +105,19 @@ func (k *Checker) classifyPerimeterCase(c *sim.Case, r *PerimeterReport) {
 		return // single perimeter: the walk's assumption holds
 	}
 	r.MultiCluster++
-
-	sess, err := k.W.RTR.NewSession(c.LV, c.Initiator)
-	if err != nil {
-		r.CollectFailed++
+	switch {
+	case rtr.NoLiveNeighbor:
+		r.NoLiveNeighbor++
 		return
-	}
-	col, err := sess.Collect(c.Trigger)
-	if err != nil {
-		if errors.Is(err, core.ErrNoLiveNeighbor) {
-			r.NoLiveNeighbor++
-		} else {
-			r.CollectFailed++
-		}
+	case rtr.Session == nil: // the collection failed: the outcome's Err
+		r.CollectFailed++
 		return
 	}
 
 	// A cluster is "seen" when at least one of its links made it into
 	// the initiator's pruned view: collected by the walk (Rule 2) or
 	// observed directly by the initiator.
-	pruned := newLinkSet(col.Header.FailedLinks, c.LV.UnreachableLinks(c.Initiator))
+	pruned := newLinkSet(rtr.Session.Collected().Header.FailedLinks, c.LV.UnreachableLinks(c.Initiator))
 	clusterOf := make(map[graph.LinkID]int)
 	for ci, cl := range clusters {
 		for _, id := range cl {
@@ -151,22 +143,17 @@ func (k *Checker) classifyPerimeterCase(c *sim.Case, r *PerimeterReport) {
 	r.WalkMissed++
 	r.ClustersMissed += missed
 
-	rt, ok := sess.RecoveryPath(c.Dst)
-	if !ok {
+	switch ci, known := clusterOf[rtr.DropLink]; {
+	case rtr.IdentifiedUnreachable:
 		// Discarding is always truth-correct: the pruned view keeps a
 		// superset of the true post-failure edges, so no pruned-view
 		// path implies no true path.
 		r.MissBenign++
-		return
-	}
-	fwd := sess.ForwardSourceRouted(rt)
-	if fwd.Delivered {
+	case rtr.Recovered:
 		r.MissBenign++ // Theorem 2: a delivered recovery path is optimal
-		return
-	}
-	if ci, known := clusterOf[fwd.DropLink]; known && !seen[ci] {
+	case known && !seen[ci]:
 		r.DropUnseen++
-	} else {
+	default:
 		r.DropSeen++
 	}
 }

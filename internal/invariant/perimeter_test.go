@@ -12,8 +12,9 @@ import (
 )
 
 // TestCollectFailedGate pins the rtr/collect-failed rule over its three
-// inputs: it fires only for an error other than ErrNoLiveNeighbor on a
-// recoverable case whose failure is one cluster.
+// inputs: an outcome RTR's error stopped fires it only for an error
+// other than ErrNoLiveNeighbor on a recoverable case whose failure is
+// one cluster.
 func TestCollectFailedGate(t *testing.T) {
 	w := worldFor(t, "AS1239")
 	k := New(w)
@@ -37,7 +38,7 @@ func TestCollectFailedGate(t *testing.T) {
 			for _, err := range []error{core.ErrNoLiveNeighbor, other} {
 				c := &sim.Case{Scenario: sc, Recoverable: recoverable}
 				want := sc == single && recoverable && err == other
-				vs := k.checkCollectErr(c, err)
+				vs := k.Check(sim.Outcome{Case: c, Ran: sim.PaperSchemes()[:1], Err: err})
 				if got := hasCheck(vs, "rtr/collect-failed"); got != want || len(vs) > 1 {
 					t.Errorf("clusters=%d recoverable=%v err=%q: violations %v, want rtr/collect-failed=%v",
 						len(sc.Clusters()), recoverable, err, vs, want)
@@ -57,7 +58,7 @@ func TestClassifyPerimeterSingleDisk(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed.Derive(51, "perim-single") + int64(trial)))
 		sc := failure.Default().Generate(w.Topo, rng)
 		rec, irr := sim.CasesFromScenario(w, sc)
-		total.Add(k.ClassifyPerimeter(append(rec, irr...)))
+		total.Add(k.ClassifyPerimeter(sim.RunAllN(w, append(rec, irr...), 1)))
 	}
 	if total.MultiCluster != 0 {
 		t.Errorf("single-disk scenarios produced %d multi-cluster cases", total.MultiCluster)
@@ -79,7 +80,7 @@ func TestClassifyPerimeterMultiDisk(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed.Derive(53, "perim-multi") + int64(trial)))
 		sc := g.Generate(w.Topo, rng)
 		rec, irr := sim.CasesFromScenario(w, sc)
-		r := k.ClassifyPerimeter(append(rec, irr...))
+		r := k.ClassifyPerimeter(sim.RunAllN(w, append(rec, irr...), 1))
 		if got := r.CollectFailed + r.NoLiveNeighbor + r.AllSeen + r.WalkMissed; got != r.MultiCluster {
 			t.Fatalf("categories sum to %d, MultiCluster is %d (%s)", got, r.MultiCluster, r)
 		}
@@ -112,10 +113,8 @@ func TestMultiPerimeterProfileGatesCollectFailed(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed.Derive(59, "perim-gate") + int64(trial)))
 		sc := g.Generate(w.Topo, rng)
 		rec, irr := sim.CasesFromScenario(w, sc)
-		for _, c := range append(rec, irr...) {
-			for _, v := range k.CheckCase(c) {
-				t.Fatalf("trial %d: %v", trial, v)
-			}
+		if err := checkAll(k, append(rec, irr...)); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }

@@ -9,32 +9,29 @@ import (
 	"repro/internal/sim"
 )
 
-// checkRTRCase runs RTR on the case and checks phase 1 (the collection
-// walk), phase 2 (the recovery route and its forwarding), and the
-// Theorem 2 grading against the ground-truth oracle.
-func (k *Checker) checkRTRCase(c *sim.Case) []Violation {
-	sess, err := k.W.RTR.NewSession(c.LV, c.Initiator)
-	if err != nil {
-		return nil // harness bug territory, surfaced as case Err elsewhere
+// checkRTR checks RTR's answer to the case: phase 1 is the collection
+// walk of the session the case rode, the route is extracted into the
+// checker's own buffer from that same session's pruned-view tree (empty
+// when there is none), and the returned phase-2 trajectory must be that
+// route forwarded. A cut-off initiator rode no session and spent
+// nothing.
+func (k *Checker) checkRTR(c *sim.Case, r sim.RTRResult) []Violation {
+	if r.Session == nil {
+		return nil
 	}
-	col, err := sess.Collect(c.Trigger)
-	if err != nil {
-		return k.checkCollectErr(c, err)
-	}
-	vs := k.CheckCollect(c, col)
-	rt, ok := sess.RecoveryPath(c.Dst)
-	vs = append(vs, k.CheckRecoveryPath(c, col, rt, ok)...)
-	if ok {
-		vs = append(vs, k.CheckRTRForward(c, rt, sess.ForwardSourceRouted(rt))...)
-	}
-	return vs
+	col := r.Session.Collected()
+	vs := k.checkCollect(c, col)
+	var rt core.Route
+	ok := r.Session.RecoveryPathInto(&rt, c.Dst)
+	vs = append(vs, k.checkRecoveryPath(c, col, rt, ok)...)
+	fwd := core.ForwardResult{Delivered: r.Recovered, DropAt: r.DropAt, DropLink: r.DropLink, Walk: r.Phase2}
+	return append(vs, k.checkRTRForward(c, rt, fwd)...)
 }
 
 // checkCollectErr judges a phase-1 collection error. ErrNoLiveNeighbor
-// is a legitimate outcome (fully cut-off initiator); other collect
-// errors surface as the case's Err in the harness and are not
-// invariant breaches per se. A collect failure on a recoverable case
-// is a breach only when the case's failure is one cluster: the phase-1
+// is a legitimate outcome (fully cut-off initiator). Any other collect
+// failure is a breach only on a recoverable case whose failure is one
+// cluster: the phase-1
 // walk assumes one connected failure region, and a failure of several
 // clusters legitimately falls outside that assumption (ClassifyPerimeter
 // counts such cases instead of hiding them). The clusters are counted
@@ -47,14 +44,14 @@ func (k *Checker) checkCollectErr(c *sim.Case, err error) []Violation {
 	return nil
 }
 
-// CheckCollect verifies the phase-1 walk against the paper's rules:
+// checkCollect verifies the phase-1 walk against the paper's rules:
 // edge-contiguity over live links starting and ending at the
 // initiator, per-hop header snapshots consistent with the append-only
 // fields, Rule 2 recording only real observed failures, the
 // Constraint 1/2 cross_link exclusion honored at traversal time
 // (modulo the documented allowIncoming and home-link amendments), and
 // an exact backward retrace on truncation.
-func (k *Checker) CheckCollect(c *sim.Case, col *core.CollectResult) []Violation {
+func (k *Checker) checkCollect(c *sim.Case, col *core.CollectResult) []Violation {
 	var vs []Violation
 	g := k.W.Topo.G
 	h := &col.Header
@@ -258,7 +255,7 @@ func retraceSplit(recs []routing.HopRecord, initiator graph.NodeID) int {
 	return -1
 }
 
-// CheckRecoveryPath verifies phase 2 against a fresh Dijkstra oracle
+// checkRecoveryPath verifies phase 2 against a fresh Dijkstra oracle
 // over the initiator's pruned view (collected failed links plus the
 // initiator's own unreachable links — links only, the initiator cannot
 // tell failed nodes from failed links): the route is edge-contiguous
@@ -266,7 +263,7 @@ func retraceSplit(recs []routing.HopRecord, initiator graph.NodeID) int {
 // carries a cost equal to its link costs, and is cost-optimal in that
 // view; an early discard (!ok) must mean the pruned view really has no
 // path.
-func (k *Checker) CheckRecoveryPath(c *sim.Case, col *core.CollectResult, rt core.Route, ok bool) []Violation {
+func (k *Checker) checkRecoveryPath(c *sim.Case, col *core.CollectResult, rt core.Route, ok bool) []Violation {
 	var vs []Violation
 	g := k.W.Topo.G
 	pruned := newLinkSet(col.Header.FailedLinks, c.LV.UnreachableLinks(c.Initiator))
@@ -307,7 +304,7 @@ func (k *Checker) CheckRecoveryPath(c *sim.Case, col *core.CollectResult, rt cor
 		seen[u] = true
 		cost += g.Link(l).CostFrom(u)
 	}
-	if !costEqual(cost, rt.Cost) {
+	if !sim.CostEqual(cost, rt.Cost) {
 		vs = append(vs, k.violation(c, "rtr/route-cost",
 			"route cost %g but links sum to %g", rt.Cost, cost))
 	}
@@ -317,20 +314,20 @@ func (k *Checker) CheckRecoveryPath(c *sim.Case, col *core.CollectResult, rt cor
 	if dist[c.Dst] == inf {
 		vs = append(vs, k.violation(c, "rtr/route-unreachable",
 			"route returned but the pruned view has no path (oracle)"))
-	} else if !costEqual(rt.Cost, dist[c.Dst]) {
+	} else if !sim.CostEqual(rt.Cost, dist[c.Dst]) {
 		vs = append(vs, k.violation(c, "rtr/route-suboptimal",
 			"route cost %g, pruned-view shortest is %g", rt.Cost, dist[c.Dst]))
 	}
 	return vs
 }
 
-// CheckRTRForward verifies phase-2 forwarding and the Theorem 2
+// checkRTRForward verifies phase-2 forwarding and the Theorem 2
 // grading: the packet trajectory is a prefix of the route; a delivery
 // is a real post-failure path (every link usable under ground truth)
 // whose cost equals the true post-failure shortest path cost (Theorem
 // 2: a failure-free recovery path is optimal); a drop names a link
 // that really is unreachable at the dropping node.
-func (k *Checker) CheckRTRForward(c *sim.Case, rt core.Route, fwd core.ForwardResult) []Violation {
+func (k *Checker) checkRTRForward(c *sim.Case, rt core.Route, fwd core.ForwardResult) []Violation {
 	var vs []Violation
 	g := k.W.Topo.G
 	for i, rec := range fwd.Walk.Records {
@@ -371,7 +368,7 @@ func (k *Checker) CheckRTRForward(c *sim.Case, rt core.Route, fwd core.ForwardRe
 	if truth[c.Dst] == inf {
 		vs = append(vs, k.violation(c, "truth/delivered-irrecoverable",
 			"delivered, but ground truth has no post-failure path"))
-	} else if !costEqual(rt.Cost, truth[c.Dst]) {
+	} else if !sim.CostEqual(rt.Cost, truth[c.Dst]) {
 		vs = append(vs, k.violation(c, "rtr/theorem2",
 			"failure-free recovery path costs %g, true post-failure shortest is %g", rt.Cost, truth[c.Dst]))
 	}

@@ -5,13 +5,12 @@ import (
 	"repro/internal/sim"
 )
 
-// CheckResult checks the contract every scheme's Result keeps, whatever
+// checkResult checks the contract every scheme's Result keeps, whatever
 // its mechanics: the data walks form one trajectory (checkTrajectory),
 // and the grade is consistent — no grade without a delivery, a stretch
 // of at least 1, and Optimal only at stretch 1 on a path as short as
-// the true one. Exported so the mutation tests can tamper with a
-// genuine result and prove each check fires.
-func (k *Checker) CheckResult(c *sim.Case, scheme string, r sim.Result) []Violation {
+// the true one.
+func (k *Checker) checkResult(c *sim.Case, scheme string, r sim.Result) []Violation {
 	vs, cost, truth := k.checkTrajectory(c, "scheme", r.Delivered, r.Walks...)
 	switch {
 	case !r.Delivered:
@@ -22,7 +21,7 @@ func (k *Checker) CheckResult(c *sim.Case, scheme string, r sim.Result) []Violat
 	case (r.Stretch != 0 && r.Stretch < 1-1e-9) || (r.Optimal && r.Stretch != 1):
 		vs = append(vs, k.violation(c, "scheme/grade-stretch", "optimal=%v with stretch %g", r.Optimal, r.Stretch))
 	}
-	if r.Optimal && truth > 0 && !costEqual(cost, truth) {
+	if r.Optimal && truth > 0 && !sim.CostEqual(cost, truth) {
 		vs = append(vs, k.violation(c, "scheme/grade-optimal",
 			"graded optimal over cost %g, the true post-failure shortest is %g", cost, truth))
 	}
@@ -74,7 +73,7 @@ func (k *Checker) checkTrajectory(c *sim.Case, prefix string, delivered bool, wa
 	case dist[c.Dst] == inf:
 		vs = append(vs, k.violation(c, "truth/delivered-irrecoverable",
 			"delivered, but ground truth has no post-failure path"))
-	case cost < dist[c.Dst] && !costEqual(cost, dist[c.Dst]):
+	case cost < dist[c.Dst] && !sim.CostEqual(cost, dist[c.Dst]):
 		vs = append(vs, k.violation(c, "truth/delivery-beats-shortest",
 			"delivered over cost %g, below the true post-failure shortest %g", cost, dist[c.Dst]))
 	default:

@@ -81,34 +81,34 @@ func TestMutationsResult(t *testing.T) {
 	clone := func() []routing.HopRecord { return append([]routing.HopRecord(nil), recs...) }
 
 	t.Run("clean-passes", func(t *testing.T) {
-		if vs := k.CheckResult(c, sim.SchemeSpread, a.r); len(vs) > 0 {
+		if vs := k.checkResult(c, sim.SchemeSpread, a.r); len(vs) > 0 {
 			t.Fatalf("clean result flagged: %v", vs[0])
 		}
 	})
 	t.Run("scheme/walk-contiguous", func(t *testing.T) {
 		m := clone()
 		m[1].From = m[1].To
-		requireCheck(t, k.CheckResult(c, "m", withRecords(a.r, m)), "scheme/walk-contiguous")
+		requireCheck(t, k.checkResult(c, "m", withRecords(a.r, m)), "scheme/walk-contiguous")
 	})
 	t.Run("scheme/walk-dead-link", func(t *testing.T) {
 		m := append([]routing.HopRecord{
 			{From: c.Initiator, To: c.NextHop, Link: c.Trigger},
 			{From: c.NextHop, To: c.Initiator, Link: c.Trigger},
 		}, recs...)
-		requireCheck(t, k.CheckResult(c, "m", withRecords(a.r, m)), "scheme/walk-dead-link")
+		requireCheck(t, k.checkResult(c, "m", withRecords(a.r, m)), "scheme/walk-dead-link")
 	})
 	t.Run("scheme/delivery-wrong-dst", func(t *testing.T) {
-		requireCheck(t, k.CheckResult(c, "m", withRecords(a.r, clone()[:len(recs)-1])), "scheme/delivery-wrong-dst")
+		requireCheck(t, k.checkResult(c, "m", withRecords(a.r, clone()[:len(recs)-1])), "scheme/delivery-wrong-dst")
 	})
 	t.Run("scheme/grade-undelivered", func(t *testing.T) {
 		m := a.r
 		m.Delivered = false
-		requireCheck(t, k.CheckResult(c, "m", m), "scheme/grade-undelivered")
+		requireCheck(t, k.checkResult(c, "m", m), "scheme/grade-undelivered")
 	})
 	t.Run("scheme/grade-stretch", func(t *testing.T) {
 		m := a.r
 		m.Stretch = 0.5
-		requireCheck(t, k.CheckResult(c, "m", m), "scheme/grade-stretch")
+		requireCheck(t, k.checkResult(c, "m", m), "scheme/grade-stretch")
 	})
 	t.Run("scheme/grade-optimal", func(t *testing.T) {
 		// Bounce off the destination over a live link and back: still
@@ -118,14 +118,14 @@ func TestMutationsResult(t *testing.T) {
 			routing.HopRecord{From: c.Dst, To: last.From, Link: last.Link},
 			routing.HopRecord{From: last.From, To: c.Dst, Link: last.Link}))
 		m.Optimal, m.Stretch = true, 1
-		requireCheck(t, k.CheckResult(c, "m", m), "scheme/grade-optimal")
+		requireCheck(t, k.checkResult(c, "m", m), "scheme/grade-optimal")
 	})
 	t.Run("truth/delivery-beats-shortest", func(t *testing.T) {
 		// The cut pre-failure path is cheaper than any surviving one.
-		requireCheck(t, k.CheckResult(c, "m", withRecords(a.r, prePath(t, w, c))), "truth/delivery-beats-shortest")
+		requireCheck(t, k.checkResult(c, "m", withRecords(a.r, prePath(t, w, c))), "truth/delivery-beats-shortest")
 	})
 	t.Run("truth/delivered-irrecoverable", func(t *testing.T) {
 		m := withRecords(sim.Result{Delivered: true}, prePath(t, w, a.irr))
-		requireCheck(t, k.CheckResult(a.irr, "m", m), "truth/delivered-irrecoverable")
+		requireCheck(t, k.checkResult(a.irr, "m", m), "truth/delivered-irrecoverable")
 	})
 }

@@ -3,6 +3,7 @@ package invariant
 import (
 	"fmt"
 
+	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
@@ -37,7 +38,7 @@ func CheckUtil(res traffic.Result, target float64) []Violation {
 				col.name, u.Peak, u.P99, u.P50, u.Mean)
 		}
 	}
-	if target > 0 && !costEqual(res.Pre.Peak, target) {
+	if target > 0 && !sim.CostEqual(res.Pre.Peak, target) {
 		bad("util/calibration", "pre-failure peak %.9f, calibrated target %.9f", res.Pre.Peak, target)
 	}
 	return vs

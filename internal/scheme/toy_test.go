@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/invariant"
 	"repro/internal/routing"
@@ -172,12 +173,13 @@ func TestToySchemeChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := invariant.New(w)
+	var rt core.Route
 	caught := 0
 	for _, c := range toyCases(t, w, 48) {
-		if vs := k.CheckSchemes(c, set); len(vs) > 0 {
+		if vs := k.Check(sim.RunCase(w, c, set, &rt)); len(vs) > 0 {
 			t.Fatalf("toy case: %v", vs[0])
 		}
-		if vs := k.CheckSchemes(c, []sim.Scheme{lying{}}); len(vs) > 0 {
+		if vs := k.Check(sim.RunCase(w, c, []sim.Scheme{lying{}}, &rt)); len(vs) > 0 {
 			caught++
 		}
 	}

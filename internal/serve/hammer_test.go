@@ -15,14 +15,16 @@ import (
 // layer (run under -race in CI): N goroutines fire the same query mix
 // — every scheme, repeated instances, enough distinct instances to
 // force LRU evictions mid-flight — against one shared engine, and
-// every response must be byte-identical to the serial pass. The
-// subtest is named for the one phase-2 route engine the engine runs.
+// every response must be byte-identical to the serial pass, and the
+// engine's shared per-world oracle checks every answer as it is served.
+// The subtest is named for the one phase-2 route engine the engine
+// runs.
 func TestHammerBitIdentical(t *testing.T) {
 	t.Run("dijkstra", hammerBitIdentical)
 }
 
 func hammerBitIdentical(t *testing.T) {
-	e, err := New(Config{Topos: []string{"AS1239"}, Seed: testSeed, CacheEntries: 2})
+	e, err := New(Config{Topos: []string{"AS1239"}, Seed: testSeed, CacheEntries: 2, Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}

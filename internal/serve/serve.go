@@ -68,7 +68,8 @@ type Config struct {
 	// topologies; <= 0 disables caching entirely (every query rebuilds
 	// converged state).
 	CacheEntries int
-	// Check runs the invariant oracle on every recovery case served; a
+	// Check runs the invariant oracle, one Checker per world, on the
+	// answer to every recovery case served (errored ones included); a
 	// violation fails the query with an internal error carrying the
 	// repro string.
 	Check bool
@@ -89,10 +90,12 @@ type Config struct {
 // scratch comes from the spt workspace pool and per-case session
 // state, so one Engine serves any number of goroutines.
 type Engine struct {
-	worlds    map[string]*sim.World
-	names     []string
-	cache     *lru
-	check     bool
+	worlds map[string]*sim.World
+	names  []string
+	cache  *lru
+	// checkers holds one oracle per served world, keyed like worlds;
+	// nil unless Config.Check.
+	checkers  map[string]*invariant.Checker
 	defScheme string
 	st        stats
 }
@@ -107,7 +110,6 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		worlds:    make(map[string]*sim.World, len(names)+len(cfg.Worlds)),
 		cache:     newLRU(cfg.CacheEntries),
-		check:     cfg.Check,
 		defScheme: cfg.DefaultScheme,
 	}
 	if e.defScheme != "" {
@@ -151,6 +153,12 @@ func New(cfg Config) (*Engine, error) {
 		e.names = append(e.names, name)
 	}
 	sort.Strings(e.names)
+	if cfg.Check {
+		e.checkers = make(map[string]*invariant.Checker, len(e.worlds))
+		for name, w := range e.worlds {
+			e.checkers[name] = invariant.New(w)
+		}
+	}
 	return e, nil
 }
 
@@ -367,9 +375,10 @@ func (e *Engine) answerPair(w *sim.World, topoName string, en *entry, hit bool, 
 	out := sim.RunCase(w, c, set, &rt)
 	if out.Err != nil {
 		e.st.runnerErrors.Add(1)
-	} else if e.check {
+	}
+	if k := e.checkers[topoName]; k != nil {
 		e.st.checked.Add(1)
-		if vs := invariant.New(w).CheckSchemes(c, set); len(vs) > 0 {
+		if vs := k.Check(out); len(vs) > 0 {
 			e.st.violations.Add(int64(len(vs)))
 			return nil, fmt.Errorf("serve: %w", vs[0])
 		}

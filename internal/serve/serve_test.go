@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -348,6 +349,92 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		t.Errorf("swapped areas share an entry: hits %v/%v, fingerprints %q / %q",
 			ab.CacheHit, ba.CacheHit, ab.Failure, ba.Failure)
 	}
+}
+
+// TestCacheKeyDifferential is the cache key's property test over every
+// bundled topology and a generator of each area and link kind: client
+// respellings of a draw's Desc() share its canonical key and rebuild
+// its mask, and two draws with different masks never share a key.
+func TestCacheKeyDifferential(t *testing.T) {
+	specs := []string{"disks", "disks:k=3", "cut:w=150", "srlg:g=9,n=2", "link"}
+	const draws = 25
+	plus := func(num string, _ bool) string {
+		if strings.HasPrefix(num, "-") {
+			return num
+		}
+		return "+" + num
+	}
+	sci := func(num string, area bool) string {
+		if !area {
+			return num
+		}
+		x, err := strconv.ParseFloat(num, 64)
+		if err != nil {
+			t.Fatalf("coordinate %q: %v", num, err)
+		}
+		return fmt.Sprintf("%.20e", x)
+	}
+	maskOf := func(sc *failure.Scenario) string { return fmt.Sprint(sc.FailedNodes(), sc.FailedLinks()) }
+	for _, name := range topology.ASNames() {
+		p, _ := topology.ParamsFor(name)
+		topo, err := topology.Generate(p, rand.New(rand.NewSource(testSeed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		numLinks := topo.G.NumLinks()
+		maskByKey := map[string]string{}
+		for _, spec := range specs {
+			g, err := failure.ParseSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(testSeed))
+			for i := 0; i < draws; i++ {
+				sc := g.Generate(topo, rng)
+				desc, mask := sc.Desc(), maskOf(sc)
+				key, err := failure.Canonical(desc, numLinks)
+				if err != nil {
+					t.Fatalf("%s %s: %q: %v", name, spec, desc, err)
+				}
+				if prev, ok := maskByKey[key]; ok && prev != mask {
+					t.Errorf("%s %s: key %q names two masks", name, spec, key)
+				}
+				maskByKey[key] = mask
+				for _, re := range []string{
+					clientSpelling(desc),
+					respellNumbers(desc, plus),
+					respellNumbers(desc, sci),
+					clientSpelling(respellNumbers(desc, func(num string, area bool) string { return plus(sci(num, area), area) })),
+				} {
+					if got, err := failure.Canonical(re, numLinks); err != nil || got != key {
+						t.Errorf("%s %s: %q keys as %q (err %v), %q as %q", name, spec, re, got, err, desc, key)
+					}
+					if sc2, err := failure.ParseInstance(topo, re); err != nil || maskOf(sc2) != mask {
+						t.Errorf("%s %s: %q rebuilds another mask than %q (err %v)", name, spec, re, desc, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// respellNumbers rewrites every number of an instance descriptor with
+// num, which learns whether the number is an area coordinate or radius
+// (else a link ID).
+func respellNumbers(desc string, num func(s string, area bool) string) string {
+	if desc == "none" {
+		return desc
+	}
+	terms := strings.Split(desc, ";")
+	for i, term := range terms {
+		open := strings.IndexByte(term, '(')
+		kind, args := term[:open], strings.Split(term[open+1:len(term)-1], ",")
+		for j, a := range args {
+			args[j] = num(a, kind != "links")
+		}
+		terms[i] = kind + "(" + strings.Join(args, ",") + ")"
+	}
+	return strings.Join(terms, ";")
 }
 
 // TestExplicitLinksKeyTheCache: "disk;links(k)" used to fingerprint as

@@ -3,6 +3,7 @@ package sim
 import (
 	"repro/internal/core"
 	"repro/internal/fcp"
+	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/spt"
 )
@@ -36,6 +37,12 @@ type RTRResult struct {
 	// NoLiveNeighbor marks a fully cut-off initiator: recovery is
 	// impossible and nothing was spent.
 	NoLiveNeighbor bool
+	// Session is the prepared session the case rode, read-only and
+	// shared by its (State, initiator, trigger); nil when NoLiveNeighbor.
+	Session *core.Session
+	// DropAt and DropLink: where phase 2 discarded a routed packet.
+	DropAt   graph.NodeID
+	DropLink graph.LinkID
 }
 
 // RunRTR executes RTR on one case, riding the session of the case's
@@ -70,8 +77,7 @@ func runRTR(w *World, c *Case, rt *core.Route, truth *spt.Tree) (RTRResult, erro
 // route buffer: one per caller keeps a prepared session read-only and
 // therefore share-safe. See RunRTR for the truth parameter.
 func RunRTRSession(w *World, c *Case, sess *core.Session, col *core.CollectResult, rt *core.Route, truth *spt.Tree) RTRResult {
-	var res RTRResult
-	res.Phase1 = col.Walk
+	res := RTRResult{Session: sess, Phase1: col.Walk}
 	ok := sess.RecoveryPathInto(rt, c.Dst)
 	res.SPCalcs = sess.SPCalcs()
 	if !ok {
@@ -83,6 +89,7 @@ func RunRTRSession(w *World, c *Case, sess *core.Session, col *core.CollectResul
 	res.Phase2 = fwd.Walk
 	if !fwd.Delivered {
 		res.WastedHops = fwd.Walk.Hops()
+		res.DropAt, res.DropLink = fwd.DropAt, fwd.DropLink
 		return res
 	}
 	res.Recovered = true
@@ -139,6 +146,10 @@ type FCPResult struct {
 	// WastedHops counts the hops traveled before the packet was
 	// discarded (irrecoverable cases).
 	WastedHops int
+	// Header is the final packet header; DropAt the router that
+	// discarded the packet (only when !Delivered).
+	Header routing.Header
+	DropAt graph.NodeID
 }
 
 // RunFCP executes FCP on one case, sharing pruned-view trees through
@@ -159,6 +170,7 @@ func RunFCP(w *World, c *Case, truth *spt.Tree) (FCPResult, error) {
 	}
 	res.SPCalcs = r.SPCalcs
 	res.Walk = r.Walk
+	res.Header, res.DropAt = r.Header, r.DropAt
 	res.FinalBytes = r.Header.RecordingBytes()
 	if !r.Delivered {
 		res.WastedHops = r.Walk.Hops()
@@ -182,6 +194,10 @@ type MRCResult struct {
 	// Skipped marks a case run on a world without an MRC engine
 	// (scale mode); the other fields are then meaningless zeros.
 	Skipped bool
+	// Config is the backup configuration the packet switched to; DropAt
+	// is where it died (only when !Delivered).
+	Config int
+	DropAt graph.NodeID
 }
 
 // RunMRC executes MRC on one case. See RunRTR for the truth parameter.
@@ -195,7 +211,7 @@ func RunMRC(w *World, c *Case, truth *spt.Tree) (MRCResult, error) {
 	if err != nil {
 		return res, err
 	}
-	res.Walk = r.Walk
+	res.Walk, res.Config, res.DropAt = r.Walk, r.Config, r.DropAt
 	if !r.Delivered {
 		return res, nil
 	}
@@ -230,9 +246,12 @@ func TruthCost(w *World, c *Case, truth *spt.Tree) (float64, bool) {
 // registered scheme in Others under its name.
 type Outcome struct {
 	Case *Case
-	RTR  RTRResult
-	FCP  FCPResult
-	MRC  MRCResult
+	// Ran lists the schemes run, in order: a prefix of RunCase's list
+	// that, when Err is set, ends with the scheme that failed.
+	Ran []Scheme
+	RTR RTRResult
+	FCP FCPResult
+	MRC MRCResult
 	// Others holds the results of schemes beyond the paper's three
 	// (rtr-spread, any later registration), keyed by scheme name; nil
 	// when none ran.

@@ -148,33 +148,25 @@ func init() {
 
 // The paper's three protocols. RunCase stores each one's typed result
 // (RunRTR, RunFCP, RunMRC) in its Outcome field, which Record projects
-// onto the CaseRecord the tables aggregate; Run projects the same
-// result onto the scheme-independent Result.
+// onto the CaseRecord the tables aggregate and Outcome.Result onto the
+// scheme-independent Result; Run is that projection of RunCase on the
+// one scheme.
 type (
 	rtrScheme struct{}
 	fcpScheme struct{}
 	mrcScheme struct{}
 )
 
-func (rtrScheme) Name() string         { return SchemeRTR }
-func (rtrScheme) Prepare(*World) error { return nil }
+func (rtrScheme) Name() string                            { return SchemeRTR }
+func (rtrScheme) Prepare(*World) error                    { return nil }
+func (s rtrScheme) Run(w *World, c *Case) (Result, error) { return runOne(w, c, s) }
 
-func (rtrScheme) Run(w *World, c *Case) (Result, error) {
-	r, err := RunRTR(w, c, nil)
-	return Result{Delivered: r.Recovered, Optimal: r.Optimal, Stretch: r.Stretch,
-		SPCalcs: r.SPCalcs, NoLiveNeighbor: r.NoLiveNeighbor, Walks: walks(r.Phase2)}, err
-}
+func (fcpScheme) Name() string                            { return SchemeFCP }
+func (fcpScheme) Prepare(*World) error                    { return nil }
+func (s fcpScheme) Run(w *World, c *Case) (Result, error) { return runOne(w, c, s) }
 
-func (fcpScheme) Name() string         { return SchemeFCP }
-func (fcpScheme) Prepare(*World) error { return nil }
-
-func (fcpScheme) Run(w *World, c *Case) (Result, error) {
-	r, err := RunFCP(w, c, nil)
-	return Result{Delivered: r.Delivered, Optimal: r.Optimal, Stretch: r.Stretch,
-		SPCalcs: r.SPCalcs, Walks: walks(r.Walk)}, err
-}
-
-func (mrcScheme) Name() string { return SchemeMRC }
+func (mrcScheme) Name() string                            { return SchemeMRC }
+func (s mrcScheme) Run(w *World, c *Case) (Result, error) { return runOne(w, c, s) }
 
 // Prepare fails on a scale-mode world, which carries no MRC engine:
 // asked for by name, mrc refuses instead of silently skipping (under
@@ -186,10 +178,30 @@ func (mrcScheme) Prepare(w *World) error {
 	return nil
 }
 
-func (mrcScheme) Run(w *World, c *Case) (Result, error) {
-	r, err := RunMRC(w, c, nil)
-	return Result{Delivered: r.Delivered, Optimal: r.Optimal, Stretch: r.Stretch,
-		Skipped: r.Skipped, Walks: walks(r.Walk)}, err
+func runOne(w *World, c *Case, s Scheme) (Result, error) {
+	o := RunCase(w, c, []Scheme{s}, new(core.Route))
+	return o.Result(s.Name()), o.Err
+}
+
+// Result projects the named scheme's answer in o onto Result: what that
+// scheme's Run returns for the case (the zero Result when it did not
+// run).
+func (o *Outcome) Result(name string) Result {
+	switch name {
+	case SchemeRTR:
+		r := &o.RTR
+		return Result{Delivered: r.Recovered, Optimal: r.Optimal, Stretch: r.Stretch,
+			SPCalcs: r.SPCalcs, NoLiveNeighbor: r.NoLiveNeighbor, Walks: walks(r.Phase2)}
+	case SchemeFCP:
+		r := &o.FCP
+		return Result{Delivered: r.Delivered, Optimal: r.Optimal, Stretch: r.Stretch,
+			SPCalcs: r.SPCalcs, Walks: walks(r.Walk)}
+	case SchemeMRC:
+		r := &o.MRC
+		return Result{Delivered: r.Delivered, Optimal: r.Optimal, Stretch: r.Stretch,
+			Skipped: r.Skipped, Walks: walks(r.Walk)}
+	}
+	return o.Others[name]
 }
 
 // walks keeps the non-empty trajectories (a zero-hop walk carries no
@@ -208,12 +220,13 @@ func walks(ws ...routing.Walk) []routing.Walk {
 // RunAllN's grouping), in order, sharing rt as RTR's route buffer. The
 // paper's three fill their typed Outcome fields; any other scheme's
 // Result lands in Outcome.Others under its name. The first error stops
-// the case; Truth is attached only when some scheme delivered, i.e.
-// when grading actually read the tree.
+// the case (Outcome.Ran ends with the scheme that raised it); Truth is
+// attached only when some scheme delivered, i.e. when grading actually
+// read the tree.
 func RunCase(w *World, c *Case, schemes []Scheme, rt *core.Route) Outcome {
-	o := Outcome{Case: c}
+	o := Outcome{Case: c, Ran: schemes}
 	delivered := false
-	for _, s := range schemes {
+	for i, s := range schemes {
 		var err error
 		switch s.(type) {
 		case rtrScheme:
@@ -233,7 +246,7 @@ func RunCase(w *World, c *Case, schemes []Scheme, rt *core.Route) Outcome {
 			}
 		}
 		if err != nil {
-			o.Err = err
+			o.Err, o.Ran = err, schemes[:i+1]
 			break
 		}
 	}

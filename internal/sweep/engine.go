@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/invariant"
 	"repro/internal/par"
@@ -203,9 +205,9 @@ func (e *Engine) Run(ctx context.Context) (*RunResult, error) {
 // runShard computes one shard from scratch. All randomness comes from
 // the shard's derived seed, so the result is a pure function of
 // (spec, shard identity) — independent of workers, order, process.
-// With Spec.Check set, every generated case additionally passes
-// through the invariant oracle; the first violation aborts the shard
-// (and, via Run's fail-fast, the sweep) with a repro-carrying error.
+// With Spec.Check set, every case's outcome additionally passes the
+// invariant oracle; the first violation aborts the shard (and, via
+// Run's fail-fast, the sweep) with a repro-carrying error.
 func (e *Engine) runShard(sh Shard) (*ShardResult, error) {
 	w := e.Worlds[sh.Topology]
 	rng := rand.New(rand.NewSource(sh.Seed(e.Spec.BaseSeed)))
@@ -239,19 +241,18 @@ func (e *Engine) runShard(sh Shard) (*ShardResult, error) {
 		}
 	default:
 		rec, irr := sim.CollectBothSampledG(w, e.gen, rng, sh.Rec, sh.Irr, e.Spec.DstSample)
-		if e.Spec.Check {
-			k := invariant.New(w)
-			if err := k.CheckCases(rec); err != nil {
-				return nil, err
-			}
-			if err := k.CheckCases(irr); err != nil {
-				return nil, err
-			}
-		}
 		// Cases run serially inside a shard: the engine owns the
 		// parallelism, and the per-case order defines the record order.
-		sr.Rec = sim.Records(sim.RunAllN(w, rec, 1))
-		sr.Irr = sim.Records(sim.RunAllN(w, irr, 1))
+		recOut, irrOut := sim.RunAllN(w, rec, 1), sim.RunAllN(w, irr, 1)
+		if e.Spec.Check {
+			k := invariant.New(w)
+			for _, o := range slices.Concat(recOut, irrOut) {
+				if vs := k.Check(o); len(vs) > 0 {
+					return nil, vs[0]
+				}
+			}
+		}
+		sr.Rec, sr.Irr = sim.Records(recOut), sim.Records(irrOut)
 	}
 	return sr, nil
 }
@@ -261,9 +262,9 @@ func (e *Engine) runShard(sh Shard) (*ShardResult, error) {
 // to the heavy-load operating point on clean tables, then the matrix
 // replayed under the spec's failure draws with the named scheme
 // carrying recovery traffic. Post columns aggregate by max across
-// scenarios; with Spec.Check set, every recovery case the replay runs
-// passes the invariant oracle for the scheme, and the result passes the
-// utilization oracle before the shard is recorded.
+// scenarios; with Spec.Check set, the outcome of every recovery case
+// the replay runs passes the invariant oracle, and the result passes
+// the utilization oracle before the shard is recorded.
 func (e *Engine) runUtilShard(sh Shard, w *sim.World, rng *rand.Rand) (*traffic.Result, error) {
 	s, err := sim.LookupScheme(sh.Scheme)
 	if err != nil {
@@ -283,16 +284,19 @@ func (e *Engine) runUtilShard(sh Shard, w *sim.World, rng *rand.Rand) (*traffic.
 	if e.Spec.Check {
 		k = invariant.New(w)
 	}
+	set := []sim.Scheme{s}
+	var rt core.Route
 	run := func(c *sim.Case) (bool, []routing.Walk, error) {
-		r, err := s.Run(w, c)
-		if err != nil {
-			return false, nil, err
+		o := sim.RunCase(w, c, set, &rt)
+		if o.Err != nil {
+			return false, nil, o.Err
 		}
 		if k != nil {
-			if vs := k.CheckSchemes(c, []sim.Scheme{s}); len(vs) > 0 {
+			if vs := k.Check(o); len(vs) > 0 {
 				return false, nil, vs[0]
 			}
 		}
+		r := o.Result(s.Name())
 		return r.Delivered, r.Walks, nil
 	}
 	for i := 0; i < e.Spec.utilScenarios(); i++ {
