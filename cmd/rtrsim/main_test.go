@@ -24,6 +24,15 @@ var (
 )
 
 // binary builds the rtrsim binary once per test process.
+// TestMain removes the directory binary built into once the tests ran.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binPath != "" {
+		os.RemoveAll(filepath.Dir(binPath))
+	}
+	os.Exit(code)
+}
+
 func binary(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {

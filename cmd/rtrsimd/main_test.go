@@ -22,6 +22,15 @@ var (
 	buildErr  error
 )
 
+// TestMain removes the directory binary built into once the tests ran.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binPath != "" {
+		os.RemoveAll(filepath.Dir(binPath))
+	}
+	os.Exit(code)
+}
+
 func binary(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {

@@ -1,9 +1,11 @@
-// Command rtrtrace traces one RTR recovery hop by hop: the phase-1
-// walk with the evolving failed_link / cross_link header fields
-// (exactly the rows of the paper's Table I), followed by the phase-2
-// recovery path. By default it replays the paper's worked example
-// (Fig. 6 / Table I); any synthesized topology with a custom failure
-// disk works too, given both endpoints as node IDs in [0, n).
+// Command rtrtrace traces one RTR recovery hop by hop: the answer
+// sim.RunCase returns (the one rtrsimd serves for scheme=rtr), printed
+// as the phase-1 walk with the evolving failed_link / cross_link
+// header fields (exactly the rows of the paper's Table I), the phase-2
+// recovery path and, for a dropped packet, its sim.Explain line. By
+// default it replays the paper's worked example (Fig. 6 / Table I); any
+// synthesized topology with a custom failure disk works too, given
+// both endpoints as node IDs in [0, n).
 //
 // Usage:
 //
@@ -14,7 +16,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
 
@@ -23,6 +24,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/routing"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -39,30 +41,27 @@ func main() {
 	flag.Parse()
 
 	var (
-		topo *topology.Topology
+		w    *sim.World
+		err  error
 		area geom.Disk
 		src  graph.NodeID
 		dst  graph.NodeID
 	)
 	if *asName == "" {
-		topo = topology.PaperExample()
+		w, err = sim.NewWorldFrom(topology.PaperExample())
 		area = topology.PaperFailureArea()
 		src, dst = topology.PaperNode(7), topology.PaperNode(17)
 	} else {
-		p, ok := topology.ParamsFor(*asName)
-		if !ok {
-			fatalf("unknown topology %q", *asName)
-		}
-		var err error
-		topo, err = topology.Generate(p, newRand(*seed))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		area = geom.Disk{Center: geom.Point{X: *cx, Y: *cy}, Radius: *radius}
 		if *srcIn < 0 || *dstIn < 0 {
 			fatalf("-as needs both -src and -dst")
 		}
+		w, err = sim.NewWorld(*asName, *seed)
+		area = geom.Disk{Center: geom.Point{X: *cx, Y: *cy}, Radius: *radius}
 	}
+	if err != nil {
+		fatalf("%v", err)
+	}
+	topo := w.Topo
 	if *srcIn >= 0 {
 		src = graph.NodeID(*srcIn)
 	}
@@ -77,11 +76,10 @@ func main() {
 	}
 
 	sc := failure.NewScenario(topo, area)
-	lv := routing.NewLocalView(topo, sc)
-	tables := routing.ComputeTables(topo)
+	st := w.Converged(sc)
 	fmt.Printf("topology %s: %s\n", topo.Name, sc)
 
-	outcome, initiator, hops := routing.TraceDefault(tables, lv, src, dst)
+	outcome, initiator, hops := routing.TraceDefault(st.Pre(), st.LocalView(), src, dst)
 	switch outcome {
 	case routing.DefaultDelivered:
 		fmt.Printf("converged path %s -> %s is unaffected; nothing to recover\n", name(src), name(dst))
@@ -91,71 +89,63 @@ func main() {
 	case routing.DefaultNoRoute:
 		fatalf("no converged route %s -> %s", name(src), name(dst))
 	}
-	nh, trigger, _ := tables.NextHop(initiator, dst)
-	fmt.Printf("packet %s -> %s blocked after %d hop(s): recovery initiator %s, unreachable next hop %s over %s\n\n",
-		name(src), name(dst), hops, name(initiator), name(nh), linkName(topo, trigger))
-
-	r := core.New(topo, nil)
-	sess, err := r.NewSession(lv, initiator)
+	c, err := sim.CaseAt(st, initiator, dst)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	col, err := sess.Collect(trigger)
-	if err != nil {
-		fatalf("collect: %v", err)
+	fmt.Printf("packet %s -> %s blocked after %d hop(s): recovery initiator %s, unreachable next hop %s over %s\n\n",
+		name(src), name(dst), hops, name(initiator), name(c.NextHop), linkName(topo, c.Trigger))
+
+	var rt core.Route
+	o := sim.RunCase(w, c, sim.PaperSchemes()[:1], &rt) // rtr alone
+	switch {
+	case o.Err != nil:
+		fatalf("%v", o.Err)
+	case o.RTR.NoLiveNeighbor:
+		fatalf("recovery initiator %s has no live neighbor: recovery is impossible", name(initiator))
 	}
+	col := o.RTR.Session.Collected()
 
 	fmt.Println("Phase 1 — collecting failure information (Table I format)")
 	fmt.Printf("%-5s %-8s %-42s %s\n", "hop", "at", "failed_link", "cross_link")
 	// Row k shows the header after the node at hop k processed the
 	// packet — i.e. the contents on the wire of hop k+1 (the final row
 	// shows the finished header), matching the paper's Table I rows.
-	fmt.Printf("%-5d %-8s %-42s %s\n", 0, name(initiator), "-", linkList(topo, col.Header.CrossLinks[:initialCross(col)]))
-	for i, rec := range col.Walk.Records {
-		fs := core.FieldSizes{Failed: len(col.Header.FailedLinks), Cross: len(col.Header.CrossLinks)}
-		if i+1 < len(col.FieldSizes) {
-			fs = col.FieldSizes[i+1]
+	at := initiator
+	for k := 0; k <= len(col.Walk.Records); k++ {
+		if k > 0 {
+			at = col.Walk.Records[k-1].To
 		}
-		fmt.Printf("%-5d %-8s %-42s %s\n", i+1, name(rec.To),
+		fs := core.FieldSizes{Failed: len(col.Header.FailedLinks), Cross: len(col.Header.CrossLinks)}
+		if k < len(col.FieldSizes) {
+			fs = col.FieldSizes[k]
+		}
+		fmt.Printf("%-5d %-8s %-42s %s\n", k, name(at),
 			linkList(topo, col.Header.FailedLinks[:fs.Failed]),
 			linkList(topo, col.Header.CrossLinks[:fs.Cross]))
 	}
 	fmt.Printf("\nfirst phase: %d hops, %.1f ms, enclosed=%v truncated=%v escapes=%d\n\n",
 		col.Walk.Hops(), float64(col.Duration())/1e6, col.Enclosed, col.Truncated, col.Escapes)
 
-	if est, ok := sess.EstimateArea(); ok {
+	if est, ok := o.RTR.Session.EstimateArea(); ok {
 		fmt.Printf("estimated failure area: center %v radius %.1f (truth: %v)\n\n", est.Center, est.Radius, area)
 	}
 
-	rt, ok := sess.RecoveryPath(dst)
-	if !ok {
+	if o.RTR.IdentifiedUnreachable {
 		fmt.Printf("Phase 2 — destination %s is unreachable in the pruned view: packets discarded immediately (1 SP calculation spent)\n", name(dst))
 		return
 	}
 	fmt.Printf("Phase 2 — shortest recovery path (%d hops, cost %.0f): %s\n",
 		rt.Hops(), rt.Cost, pathString(rt.Nodes))
-	fwd := sess.ForwardSourceRouted(rt)
-	if fwd.Delivered {
+	if o.RTR.Recovered {
 		fmt.Println("source-routed packet delivered over the recovery path")
-	} else {
-		fmt.Printf("packet dropped at %s: link %s failed but was not collected\n",
-			name(fwd.DropAt), linkName(topo, fwd.DropLink))
+		return
 	}
-}
-
-// initialCross derives hop 0's cross_link length: entries present
-// before the first forwarding are exactly those carried on hop 1.
-func initialCross(col *core.CollectResult) int {
-	if len(col.FieldSizes) == 0 {
-		return 0
-	}
-	// Hop 1's snapshot may already include a Constraint-2 insertion
-	// for the first link; the seed set is never smaller than 0 and the
-	// difference is at most one entry, so report hop 1's count minus
-	// any first-link protection. Keeping it simple: report the count
-	// before any failed link was recorded, which is hop 1's count when
-	// no failure was recorded yet.
-	return col.FieldSizes[0].Cross
+	e, _ := sim.Explain(&o)
+	fmt.Printf("packet dropped at %s: link %s failed but was not collected\n",
+		name(o.RTR.DropAt), linkName(topo, e.DropLink))
+	fmt.Printf("explanation: walk visited an end of %s=%v, its failure cluster %d of %d seen=%v, clusters unseen=%d\n",
+		linkName(topo, e.DropLink), e.VisitedDrop, e.DropCluster+1, e.Clusters, e.DropSeen, e.Unseen)
 }
 
 func name(v graph.NodeID) string {
@@ -190,5 +180,3 @@ func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "rtrtrace: "+format+"\n", args...)
 	os.Exit(1)
 }
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -20,6 +20,15 @@ var (
 	buildErr  error
 )
 
+// TestMain removes the directory binary built into once the tests ran.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binPath != "" {
+		os.RemoveAll(filepath.Dir(binPath))
+	}
+	os.Exit(code)
+}
+
 func binary(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
@@ -60,10 +69,11 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestGoldenPaperTableI pins the default run: the worked example of
-// the paper's Fig. 6, whose phase-1 rows are exactly Table I.
-func TestGoldenPaperTableI(t *testing.T) {
-	cmd := exec.Command(binary(t))
+// trace runs rtrtrace with args and returns its stdout, failing the
+// test on a non-zero exit.
+func trace(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(binary(t), args...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err != nil {
@@ -73,30 +83,38 @@ func TestGoldenPaperTableI(t *testing.T) {
 		}
 		t.Fatal(err)
 	}
-	checkGolden(t, "table1.golden", stdout.String())
+	return stdout.String()
+}
+
+// TestGoldenPaperTableI pins the default run: the worked example of
+// the paper's Fig. 6, whose phase-1 rows are exactly Table I.
+func TestGoldenPaperTableI(t *testing.T) {
+	checkGolden(t, "table1.golden", trace(t))
 }
 
 // TestGoldenSynthesizedTrace pins a trace on a synthesized Table II
 // topology with an explicit failure disk.
 func TestGoldenSynthesizedTrace(t *testing.T) {
-	cmd := exec.Command(binary(t), "-as", "AS1239", "-seed", "1",
-		"-cx", "1000", "-cy", "1000", "-r", "250", "-src", "0", "-dst", "20")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		var ee *exec.ExitError
-		if errors.As(err, &ee) {
-			t.Fatalf("exit %d\nstderr:\n%s", ee.ExitCode(), stderr.String())
-		}
-		t.Fatal(err)
-	}
-	checkGolden(t, "trace_as1239.golden", stdout.String())
+	checkGolden(t, "trace_as1239.golden", trace(t, "-as", "AS1239", "-seed", "1",
+		"-cx", "1000", "-cy", "1000", "-r", "250", "-src", "0", "-dst", "20"))
+}
+
+// TestGoldenDropTrace pins the phase-2 drop and its explanation line:
+// a recoverable case whose failure is one default-generator disk (one
+// cluster), where a clean walk still misses the link the routed packet
+// dies on.
+func TestGoldenDropTrace(t *testing.T) {
+	checkGolden(t, "trace_drop.golden", trace(t, "-as", "AS3320", "-seed", "1",
+		"-cx", "875.4283743739604", "-cy", "849.2749941425313", "-r", "237.36461457342187",
+		"-src", "9", "-dst", "60"))
 }
 
 // TestBadEndpointsExitOne: on a synthesized topology both endpoints
-// are required, must be node IDs of the graph and must differ; anything
-// else exits 1 with a message instead of panicking or tracing a
-// default pair.
+// are required, must be node IDs of the graph and must differ, and the
+// topology must be a Table II name; anything else exits 1 with a
+// message instead of panicking or tracing a default pair. So does a
+// source that is a cut-off initiator (Outcome.RTR.NoLiveNeighbor): it
+// rides no RTR session, so there is no walk to trace.
 func TestBadEndpointsExitOne(t *testing.T) {
 	area := []string{"-as", "AS209", "-cx", "900", "-cy", "1100", "-r", "220"}
 	for _, tc := range []struct {
@@ -109,6 +127,9 @@ func TestBadEndpointsExitOne(t *testing.T) {
 		{"no-endpoints", nil, "needs both -src and -dst"},
 		{"no-dst", []string{"-src", "3"}, "needs both -src and -dst"},
 		{"same-endpoint", []string{"-src", "3", "-dst", "3"}, "must differ"},
+		{"unknown-topology", []string{"-as", "AS0", "-src", "3", "-dst", "4"}, "unknown topology"},
+		{"cut-off-initiator", []string{"-as", "AS1239", "-cx", "1209.3205759592392", "-cy", "1881.0181760900248",
+			"-r", "232.9120106436981", "-src", "5", "-dst", "0"}, "has no live neighbor"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(binary(t), append(append([]string(nil), area...), tc.args...)...)

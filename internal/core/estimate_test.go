@@ -2,10 +2,13 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/failure"
+	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -115,5 +118,57 @@ func TestEstimateAreaStatistical(t *testing.T) {
 	t.Logf("estimates near the true area: %.0f%% (%d/%d)", 100*frac, near, total)
 	if frac < 0.7 {
 		t.Errorf("only %.0f%% of estimates near the truth; estimator is broken", 100*frac)
+	}
+}
+
+// TestEstimateAreaDeterministic: on every Table II topology, repeated
+// estimates of one session are bit-identical and equal the disk over
+// the known links' midpoints in ascending link order (Welzl is
+// order-sensitive in floating point, so any unordered gathering of the
+// links shows here).
+func TestEstimateAreaDeterministic(t *testing.T) {
+	bits := func(d geom.Disk) [3]uint64 {
+		return [3]uint64{math.Float64bits(d.Center.X), math.Float64bits(d.Center.Y), math.Float64bits(d.Radius)}
+	}
+	for _, name := range topology.ASNames() {
+		topo := topology.GenerateAS(name, 1)
+		r := New(topo, nil)
+		tables := routing.ComputeTables(topo)
+		rng := rand.New(rand.NewSource(41))
+		n := topo.G.NumNodes()
+		for sessions := 0; sessions < 10; {
+			sc := failure.Default().Generate(topo, rng)
+			lv := routing.NewLocalView(topo, sc)
+			dst := graph.NodeID(rng.Intn(n))
+			outcome, initiator, _ := routing.TraceDefault(tables, lv, graph.NodeID(rng.Intn(n)), dst)
+			if outcome != routing.DefaultBlocked {
+				continue
+			}
+			sess, err := r.NewSession(lv, initiator)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, trigger, _ := tables.NextHop(initiator, dst)
+			col, err := sess.Collect(trigger)
+			if err != nil {
+				continue
+			}
+			sessions++
+			known := append(append([]graph.LinkID(nil), col.Header.FailedLinks...), lv.UnreachableLinks(initiator)...)
+			slices.Sort(known)
+			known = slices.Compact(known)
+			pts := make([]geom.Point, len(known))
+			for i, id := range known {
+				pts[i] = topo.LinkSegment(id).Midpoint()
+			}
+			want := bits(geom.SmallestEnclosingDisk(pts))
+			for call := 0; call < 20; call++ {
+				est, ok := sess.EstimateArea()
+				if !ok || bits(est) != want {
+					t.Fatalf("%s: call %d estimated %v (ok=%v), want the ascending-order disk %v",
+						name, call, est, ok, geom.SmallestEnclosingDisk(pts))
+				}
+			}
+		}
 	}
 }

@@ -167,6 +167,9 @@ func (s *Session) SPCalcs() int { return s.spCalcs }
 // Collected returns the phase-1 result, or nil before collection.
 func (s *Session) Collected() *CollectResult { return s.collected }
 
+// Knows reports whether link id is down in the initiator's pruned view.
+func (s *Session) Knows(id graph.LinkID) bool { return s.prunedView().LinkDown(id) }
+
 // SeedFailedLinks injects failures already known from the packet
 // header (the multi-area case of Section III-E: a packet that bypassed
 // failure area F1 carries F1's failed links, and the next initiator

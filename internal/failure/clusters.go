@@ -12,8 +12,9 @@ import (
 // overlapping) failure areas. RTR's phase-1 perimeter walk assumes one
 // cluster — a single connected failure region with a single outer
 // perimeter; scenarios with more than one cluster are exactly the
-// shapes where that assumption can break, and the invariant layer's
-// perimeter classifier counts them.
+// shapes where that assumption can break. sim.Explain reports, per RTR
+// answer, how many clusters the initiator saw, and the invariant
+// layer's perimeter classifier tallies it.
 //
 // A scenario from a single disk or a single capsule always yields at
 // most one cluster: each of its failed links either intersects the

@@ -3,7 +3,6 @@ package invariant
 import (
 	"fmt"
 
-	"repro/internal/graph"
 	"repro/internal/sim"
 )
 
@@ -80,80 +79,41 @@ func (r PerimeterReport) String() string {
 		r.WalkMissed, r.ClustersMissed, r.MissBenign, r.DropUnseen, r.DropSeen)
 }
 
-// ClassifyPerimeter classifies how every outcome's case interacts with
-// RTR's single-perimeter walk assumption. The outcomes are runs that
-// include rtr (RunAllN's, or RunCase over a list naming it). Cases
-// whose scenario has at most one failure cluster satisfy the assumption
-// and only count toward Cases; multi-cluster cases are classified from
-// the RTR answer the outcome holds: whether the walk covered every
-// cluster and, if not, whether the miss changed the outcome.
+// ClassifyPerimeter tallies how every outcome's case meets RTR's
+// single-perimeter walk assumption, from the explanation (sim.Explain)
+// of the RTR answer it holds; outs must include rtr (RunAllN's, or
+// RunCase over a list naming it). Cases whose failure has at most one
+// cluster satisfy the assumption and only count toward Cases.
 func (k *Checker) ClassifyPerimeter(outs []sim.Outcome) PerimeterReport {
 	var r PerimeterReport
 	for i := range outs {
-		classifyPerimeterCase(outs[i].Case, &outs[i].RTR, &r)
+		o := &outs[i]
+		e, ok := sim.Explain(o)
+		r.Cases++
+		r.MaxClusters = max(r.MaxClusters, e.Clusters)
+		if e.Clusters <= 1 {
+			continue
+		}
+		r.MultiCluster++
+		switch {
+		case o.RTR.NoLiveNeighbor:
+			r.NoLiveNeighbor++
+		case !ok: // the collection failed: the outcome's Err
+			r.CollectFailed++
+		case e.Unseen == 0:
+			r.AllSeen++
+		default:
+			r.WalkMissed++
+			r.ClustersMissed += e.Unseen
+			switch {
+			case !e.Dropped: // delivered or discarded: see MissBenign
+				r.MissBenign++
+			case e.DropCluster >= 0 && !e.DropSeen:
+				r.DropUnseen++
+			default:
+				r.DropSeen++
+			}
+		}
 	}
 	return r
-}
-
-func classifyPerimeterCase(c *sim.Case, rtr *sim.RTRResult, r *PerimeterReport) {
-	r.Cases++
-	clusters := c.Scenario.Clusters()
-	if len(clusters) > r.MaxClusters {
-		r.MaxClusters = len(clusters)
-	}
-	if len(clusters) <= 1 {
-		return // single perimeter: the walk's assumption holds
-	}
-	r.MultiCluster++
-	switch {
-	case rtr.NoLiveNeighbor:
-		r.NoLiveNeighbor++
-		return
-	case rtr.Session == nil: // the collection failed: the outcome's Err
-		r.CollectFailed++
-		return
-	}
-
-	// A cluster is "seen" when at least one of its links made it into
-	// the initiator's pruned view: collected by the walk (Rule 2) or
-	// observed directly by the initiator.
-	pruned := newLinkSet(rtr.Session.Collected().Header.FailedLinks, c.LV.UnreachableLinks(c.Initiator))
-	clusterOf := make(map[graph.LinkID]int)
-	for ci, cl := range clusters {
-		for _, id := range cl {
-			clusterOf[id] = ci
-		}
-	}
-	seen := make([]bool, len(clusters))
-	for id := range pruned {
-		if ci, ok := clusterOf[id]; ok {
-			seen[ci] = true
-		}
-	}
-	missed := 0
-	for _, s := range seen {
-		if !s {
-			missed++
-		}
-	}
-	if missed == 0 {
-		r.AllSeen++
-		return
-	}
-	r.WalkMissed++
-	r.ClustersMissed += missed
-
-	switch ci, known := clusterOf[rtr.DropLink]; {
-	case rtr.IdentifiedUnreachable:
-		// Discarding is always truth-correct: the pruned view keeps a
-		// superset of the true post-failure edges, so no pruned-view
-		// path implies no true path.
-		r.MissBenign++
-	case rtr.Recovered:
-		r.MissBenign++ // Theorem 2: a delivered recovery path is optimal
-	case known && !seen[ci]:
-		r.DropUnseen++
-	default:
-		r.DropSeen++
-	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/fcp"
 	"repro/internal/graph"
@@ -129,6 +131,58 @@ func CostEqual(a, b float64) bool {
 		scale = b
 	}
 	return d <= 1e-9*(1+scale)
+}
+
+// Explanation is why RTR's answer came out as it did (Explain): the
+// walk's end state, the routed packet's drop, and how the failure's
+// clusters (failure.Scenario.Clusters) met the initiator's pruned view.
+type Explanation struct {
+	// Collect is the phase-1 result; its Enclosed, Truncated and
+	// Escapes give the walk's end state.
+	Collect *core.CollectResult
+	// Dropped reports that phase 2 routed the packet onto DropLink, the
+	// first failed link on its route; VisitedDrop that the walk visited
+	// an endpoint of it.
+	Dropped     bool
+	DropLink    graph.LinkID
+	VisitedDrop bool
+	// Clusters counts the failure's clusters, Unseen those with no link
+	// in the pruned view.
+	Clusters, Unseen int
+	// DropCluster indexes DropLink's cluster (-1 without a drop);
+	// DropSeen reports that the pruned view holds a link of it.
+	DropCluster int
+	DropSeen    bool
+}
+
+// Explain explains the RTR answer o holds from the session it rode.
+// ok is false when RTR rode none (a cut-off initiator or a failed
+// collection); the Explanation then holds only the cluster count.
+func Explain(o *Outcome) (e Explanation, ok bool) {
+	r, clusters := &o.RTR, o.Case.Scenario.Clusters()
+	e.Clusters, e.DropCluster = len(clusters), -1
+	if r.Session == nil {
+		return e, false
+	}
+	e.Collect = r.Session.Collected()
+	e.Dropped = !r.Recovered && !r.IdentifiedUnreachable
+	if e.Dropped {
+		e.DropLink = r.DropLink
+		l := o.Case.Scenario.Topo.G.Link(r.DropLink)
+		for _, h := range e.Collect.Walk.Records {
+			e.VisitedDrop = e.VisitedDrop || l.HasEndpoint(h.From) || l.HasEndpoint(h.To)
+		}
+	}
+	for ci, cl := range clusters {
+		seen := slices.ContainsFunc(cl, r.Session.Knows)
+		if !seen {
+			e.Unseen++
+		}
+		if e.Dropped && slices.Contains(cl, r.DropLink) {
+			e.DropCluster, e.DropSeen = ci, seen
+		}
+	}
+	return e, true
 }
 
 // FCPResult is FCP's metric record for one test case.
