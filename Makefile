@@ -41,13 +41,16 @@ examples:
 	  $(GO) run ./$$d > /dev/null || { echo "examples: $$d failed"; exit 1; }; \
 	done
 
-## bench-smoke: compile-and-run every benchmark once (correctness of
-## the bench harness, not timing).
+## bench-smoke: compile-and-run every benchmark in the module once
+## (correctness of the bench harness, not timing): the root package's,
+## and those kept next to the code they time (the header codec in
+## internal/routing, the single-pair recovery in internal/sim, the warm
+## query in internal/serve).
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x .
+	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
 ## bench: the root go-test benchmarks (one per table/figure, plus the
-## runner and single-pair micro-benchmarks) with allocation stats — for
+## runner micro-benchmarks) with allocation stats — for
 ## measuring while you work. The numbers the repo is gated on come
 ## from bench/ (see bench-run and bench/README.md).
 bench:
@@ -155,8 +158,9 @@ SCALE_RSS_MB ?= 1536
 scale-smoke:
 	$(GO) run ./cmd/rtrscale -nodes $(SCALE_NODES) -budget $(SCALE_BUDGET) -max-rss-mb $(SCALE_RSS_MB)
 
-## fuzz-smoke: a short native-fuzzing pass over the wire decoder, the
-## topology parser, the failure-generator spec parser, the
+## fuzz-smoke: a short native-fuzzing pass over the header wire codec
+## (the reference in internal/routing's tests for what RecordingBytes
+## prices), the topology parser, the failure-generator spec parser, the
 ## failure-instance grammar, the capsule geometry predicates, and the
 ## invariant oracle over fuzzed failure geometry (CI runs this; use
 ## go test -fuzz directly for long sessions).

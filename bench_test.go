@@ -442,39 +442,6 @@ func BenchmarkRunAllBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkSinglePairRecovery measures one full single-pair recovery
-// per op — fresh session, collection, phase-2 route, forwarding,
-// grading — for each protocol on the two largest Table II topologies.
-func BenchmarkSinglePairRecovery(b *testing.B) {
-	for _, as := range []string{"AS7018", "AS3549"} {
-		w, err := sim.NewWorld(as, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, err := sim.NewSinglePair(w, 13)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, proto := range []struct {
-			name string
-			run  func() error
-		}{
-			{"rtr", func() error { _, err := sim.RunRTR(p.W, p.C, p.Truth); return err }},
-			{"fcp", func() error { _, err := sim.RunFCP(p.W, p.C, p.Truth); return err }},
-			{"mrc", func() error { _, err := sim.RunMRC(p.W, p.C, p.Truth); return err }},
-		} {
-			b.Run(as+"/"+proto.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := proto.run(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkIncrementalRecompute measures the Narvaez-style incremental
 // SPT update RTR's phase 2 uses, against a batch of removed links.
 func BenchmarkIncrementalRecompute(b *testing.B) {
@@ -587,29 +554,6 @@ func tiered16k(b *testing.B) *topology.Topology {
 		b.Fatal(err)
 	}
 	return topo
-}
-
-// BenchmarkHeaderCodec measures the packet-header wire codec round
-// trip at a typical phase-1 header size.
-func BenchmarkHeaderCodec(b *testing.B) {
-	h := routing.Header{
-		Mode:        routing.ModeCollect,
-		RecInit:     42,
-		FailedLinks: []graph.LinkID{3, 9, 17, 21, 80},
-		CrossLinks:  []graph.LinkID{5, 44},
-	}
-	buf := make([]byte, 0, h.EncodedSize())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = h.AppendBinary(buf[:0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := routing.DecodeHeader(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkPhase1Walk measures one constrained collection walk on a

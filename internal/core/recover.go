@@ -144,17 +144,6 @@ func (s *Session) RecoveryPathAvoidingInto(rt *Route, dst graph.NodeID, avoid []
 	return true
 }
 
-// SourceRouteHeader builds the phase-2 packet header carrying rt as a
-// source route.
-func (s *Session) SourceRouteHeader(rt Route) routing.Header {
-	return routing.Header{
-		Mode:        routing.ModeSource,
-		RecInit:     s.initiator,
-		SourceRoute: append([]graph.NodeID(nil), rt.Nodes...),
-		SourceIdx:   0,
-	}
-}
-
 // ForwardResult is the outcome of source-routing a packet along a
 // recovery path under the real (ground-truth) failure.
 type ForwardResult struct {

@@ -84,12 +84,6 @@ func New(topo *topology.Topology, ci *topology.CrossIndex, opts ...Option) *RTR 
 // the benchmark harness passes it to mrc.NewWarmPhase2.
 func (r *RTR) Heuristic() spt.Heuristic { return nil }
 
-// Topology returns the engine's topology.
-func (r *RTR) Topology() *topology.Topology { return r.topo }
-
-// CrossIndex returns the engine's cross-link index.
-func (r *RTR) CrossIndex() *topology.CrossIndex { return r.ci }
-
 // cleanTree returns the cached pre-failure forward shortest path tree
 // rooted at v — the SPT every link-state router maintains anyway, which
 // phase 2's incremental recomputation starts from.
@@ -156,9 +150,6 @@ func (r *RTR) NewSession(lv *routing.LocalView, initiator graph.NodeID) (*Sessio
 	}
 	return &Session{r: r, lv: lv, initiator: initiator}, nil
 }
-
-// Initiator returns the session's recovery initiator.
-func (s *Session) Initiator() graph.NodeID { return s.initiator }
 
 // SPCalcs returns the number of shortest-path calculations the session
 // has performed — the paper's computational-overhead metric.

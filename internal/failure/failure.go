@@ -145,11 +145,6 @@ func (s *Scenario) Areas() []geom.Disk {
 	return out
 }
 
-// Shapes returns every failure area of any kind.
-func (s *Scenario) Shapes() []Area {
-	return append([]Area(nil), s.areas...)
-}
-
 // GenSpec returns the generator spec string that produced the
 // scenario, or "" for hand-built scenarios.
 func (s *Scenario) GenSpec() string { return s.gen }
@@ -169,14 +164,6 @@ func (s *Scenario) NumFailedLinks() int { return len(s.mask.DownLinks()) }
 // HasFailures reports whether anything failed at all.
 func (s *Scenario) HasFailures() bool {
 	return len(s.mask.DownLinks()) > 0 || len(s.mask.DownNodes()) > 0
-}
-
-// Unreachable reports whether, from endpoint v of link l, the neighbor
-// across l is unreachable: the link itself failed or the neighbor
-// failed. This is exactly what a live router can observe about l — it
-// cannot tell the two cases apart.
-func (s *Scenario) Unreachable(l graph.Link, v graph.NodeID) bool {
-	return s.LinkDown(l.ID) || s.NodeDown(l.Other(v))
 }
 
 // String implements fmt.Stringer.

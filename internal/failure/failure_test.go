@@ -205,3 +205,16 @@ func TestRandomScenarioSmoke(t *testing.T) {
 		t.Error("50 random areas on a 58-node topology should hit something")
 	}
 }
+
+// Shapes returns every failure area of any kind.
+func (s *Scenario) Shapes() []Area {
+	return append([]Area(nil), s.areas...)
+}
+
+// Unreachable reports whether, from endpoint v of link l, the neighbor
+// across l is unreachable: the link itself failed or the neighbor
+// failed. This is exactly what a live router can observe about l — it
+// cannot tell the two cases apart.
+func (s *Scenario) Unreachable(l graph.Link, v graph.NodeID) bool {
+	return s.LinkDown(l.ID) || s.NodeDown(l.Other(v))
+}

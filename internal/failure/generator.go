@@ -35,10 +35,6 @@ type FixedRadius interface {
 	WithRadius(r float64) Generator
 }
 
-// DefaultSpec is the paper's failure model: one disk, radius uniform
-// in [MinRadius, MaxRadius].
-const DefaultSpec = "disk"
-
 // Default returns the paper's single-disk generator. Its Generate is
 // bit-identical to RandomScenario on the same RNG stream.
 func Default() Generator { return DiskGen{Min: MinRadius, Max: MaxRadius} }
@@ -200,7 +196,7 @@ func (g SRLGGen) Name() string {
 
 // Generate implements Generator.
 func (g SRLGGen) Generate(topo *topology.Topology, rng *rand.Rand) *Scenario {
-	groups := SRLGGroups(topo, g.Groups)
+	groups := srlgGroups(topo, g.Groups)
 	var links []graph.LinkID
 	if len(groups) > 0 {
 		pick := g.Fail
@@ -217,19 +213,19 @@ func (g SRLGGen) Generate(topo *topology.Topology, rng *rand.Rand) *Scenario {
 	return s
 }
 
-// SRLGGroup is one named shared-risk group: the links whose midpoints
+// srlgGroup is one named shared-risk group: the links whose midpoints
 // fall into one grid cell.
-type SRLGGroup struct {
+type srlgGroup struct {
 	Name  string
 	Links []graph.LinkID
 }
 
-// SRLGGroups partitions topo's links into geographically-close groups:
+// srlgGroups partitions topo's links into geographically-close groups:
 // a ceil(sqrt(target))² grid of equal cells over the simulation area,
 // bucketing links by segment midpoint. The returned groups are the
 // non-empty cells in row-major order — a deterministic pure function
 // of the topology, so group identity is stable across runs.
-func SRLGGroups(topo *topology.Topology, target int) []SRLGGroup {
+func srlgGroups(topo *topology.Topology, target int) []srlgGroup {
 	if target < 1 {
 		target = 1
 	}
@@ -252,12 +248,12 @@ func SRLGGroups(topo *topology.Topology, target int) []SRLGGroup {
 		}
 		cells[cy*r+cx] = append(cells[cy*r+cx], id)
 	}
-	var out []SRLGGroup
+	var out []srlgGroup
 	for ci, links := range cells {
 		if len(links) == 0 {
 			continue
 		}
-		out = append(out, SRLGGroup{
+		out = append(out, srlgGroup{
 			Name:  fmt.Sprintf("cell(%d,%d)", ci%r, ci/r),
 			Links: links,
 		})
@@ -290,20 +286,6 @@ func (g LinkFlapGen) Generate(topo *topology.Topology, rng *rand.Rand) *Scenario
 // Kinds returns the registered generator kinds in registration order.
 func Kinds() []string {
 	return []string{"disk", "disks", "cut", "srlg", "link"}
-}
-
-// AllDefaults returns one default-configured generator per registered
-// kind, in Kinds order — the matrix the property tests sweep.
-func AllDefaults() []Generator {
-	out := make([]Generator, 0, len(Kinds()))
-	for _, k := range Kinds() {
-		g, err := ParseSpec(k)
-		if err != nil {
-			panic("failure: default spec " + k + " does not parse: " + err.Error())
-		}
-		out = append(out, g)
-	}
-	return out
 }
 
 // ParseSpecOrDefault parses a generator spec, mapping the empty string

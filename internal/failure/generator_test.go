@@ -278,7 +278,7 @@ func TestMultiDiskDisjoint(t *testing.T) {
 // deterministic function of the topology.
 func TestSRLGGroups(t *testing.T) {
 	topo := testTopo(t)
-	groups := SRLGGroups(topo, 16)
+	groups := srlgGroups(topo, 16)
 	seen := make(map[graph.LinkID]int)
 	for gi, g := range groups {
 		if len(g.Links) == 0 {
@@ -297,11 +297,11 @@ func TestSRLGGroups(t *testing.T) {
 	if len(seen) != topo.G.NumLinks() {
 		t.Fatalf("partition covers %d/%d links", len(seen), topo.G.NumLinks())
 	}
-	again := SRLGGroups(topo, 16)
+	again := srlgGroups(topo, 16)
 	if !reflect.DeepEqual(groups, again) {
 		t.Fatal("grouping must be deterministic")
 	}
-	if len(SRLGGroups(topo, 1)) != 1 {
+	if len(srlgGroups(topo, 1)) != 1 {
 		t.Fatal("target 1 must give a single group")
 	}
 }
@@ -310,7 +310,7 @@ func TestSRLGGroups(t *testing.T) {
 func TestSRLGGenerate(t *testing.T) {
 	topo := testTopo(t)
 	g := SRLGGen{Groups: 16, Fail: 2}
-	groups := SRLGGroups(topo, 16)
+	groups := srlgGroups(topo, 16)
 	memberOf := make(map[graph.LinkID]int)
 	for gi, grp := range groups {
 		for _, id := range grp.Links {
@@ -505,3 +505,21 @@ func TestAllDefaultsMatchesKinds(t *testing.T) {
 		}
 	}
 }
+
+// AllDefaults returns one default-configured generator per registered
+// kind, in Kinds order — the matrix the property tests sweep.
+func AllDefaults() []Generator {
+	out := make([]Generator, 0, len(Kinds()))
+	for _, k := range Kinds() {
+		g, err := ParseSpec(k)
+		if err != nil {
+			panic("failure: default spec " + k + " does not parse: " + err.Error())
+		}
+		out = append(out, g)
+	}
+	return out
+}
+
+// DefaultSpec is the paper's failure model: one disk, radius uniform
+// in [MinRadius, MaxRadius].
+const DefaultSpec = "disk"

@@ -50,9 +50,6 @@ func New(topo *topology.Topology) *FCP {
 // here so both protocols share one set of clean trees.
 func (f *FCP) UseCleanTrees(clean func(graph.NodeID) *spt.Tree) { f.clean = clean }
 
-// Topology returns the engine's topology.
-func (f *FCP) Topology() *topology.Topology { return f.topo }
-
 // Result is the outcome of one FCP recovery attempt.
 type Result struct {
 	Delivered bool

@@ -12,14 +12,14 @@ func TestSmallestEnclosingDiskTrivial(t *testing.T) {
 		t.Errorf("empty set: %v", d)
 	}
 	d := SmallestEnclosingDisk([]Point{{3, 4}})
-	if d.Radius != 0 || !d.Center.Eq(Point{3, 4}) {
+	if d.Radius != 0 || !d.Center.eq(Point{3, 4}) {
 		t.Errorf("single point: %v", d)
 	}
 }
 
 func TestSmallestEnclosingDiskTwoPoints(t *testing.T) {
 	d := SmallestEnclosingDisk([]Point{{0, 0}, {10, 0}})
-	if !d.Center.Eq(Point{5, 0}) || math.Abs(d.Radius-5) > 1e-9 {
+	if !d.Center.eq(Point{5, 0}) || math.Abs(d.Radius-5) > 1e-9 {
 		t.Errorf("two points: %v", d)
 	}
 }
@@ -28,7 +28,7 @@ func TestSmallestEnclosingDiskTriangle(t *testing.T) {
 	// Equilateral-ish: circumcircle of a right triangle is the
 	// hypotenuse midpoint.
 	d := SmallestEnclosingDisk([]Point{{0, 0}, {8, 0}, {0, 6}})
-	if !d.Center.Eq(Point{4, 3}) || math.Abs(d.Radius-5) > 1e-9 {
+	if !d.Center.eq(Point{4, 3}) || math.Abs(d.Radius-5) > 1e-9 {
 		t.Errorf("right triangle: %v", d)
 	}
 }
@@ -37,21 +37,21 @@ func TestSmallestEnclosingDiskObtuse(t *testing.T) {
 	// For an obtuse triangle the two farthest points define the disk;
 	// the third is strictly inside.
 	d := SmallestEnclosingDisk([]Point{{0, 0}, {10, 0}, {5, 1}})
-	if !d.Center.Eq(Point{5, 0}) || math.Abs(d.Radius-5) > 1e-9 {
+	if !d.Center.eq(Point{5, 0}) || math.Abs(d.Radius-5) > 1e-9 {
 		t.Errorf("obtuse triangle: %v", d)
 	}
 }
 
 func TestSmallestEnclosingDiskCollinear(t *testing.T) {
 	d := SmallestEnclosingDisk([]Point{{0, 0}, {4, 0}, {10, 0}, {7, 0}})
-	if !d.Center.Eq(Point{5, 0}) || math.Abs(d.Radius-5) > 1e-9 {
+	if !d.Center.eq(Point{5, 0}) || math.Abs(d.Radius-5) > 1e-9 {
 		t.Errorf("collinear points: %v", d)
 	}
 }
 
 func TestSmallestEnclosingDiskDuplicates(t *testing.T) {
 	d := SmallestEnclosingDisk([]Point{{1, 1}, {1, 1}, {1, 1}})
-	if d.Radius > 1e-9 || !d.Center.Eq(Point{1, 1}) {
+	if d.Radius > 1e-9 || !d.Center.eq(Point{1, 1}) {
 		t.Errorf("duplicates: %v", d)
 	}
 }
@@ -107,7 +107,7 @@ func TestSmallestEnclosingDiskProperty(t *testing.T) {
 func TestCircumdisk(t *testing.T) {
 	d := circumdisk(Point{0, 0}, Point{2, 0}, Point{1, 1})
 	// Circumcenter of (0,0),(2,0),(1,1) is (1,0), radius 1.
-	if !d.Center.Eq(Point{1, 0}) || math.Abs(d.Radius-1) > 1e-9 {
+	if !d.Center.eq(Point{1, 0}) || math.Abs(d.Radius-1) > 1e-9 {
 		t.Errorf("circumdisk: %v", d)
 	}
 	if d := circumdisk(Point{0, 0}, Point{1, 0}, Point{2, 0}); d.Radius != 0 {

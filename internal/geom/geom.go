@@ -56,8 +56,8 @@ func (p Point) Dist2(q Point) float64 {
 	return d.Dot(d)
 }
 
-// Eq reports whether p and q coincide within Eps.
-func (p Point) Eq(q Point) bool {
+// eq reports whether p and q coincide within Eps.
+func (p Point) eq(q Point) bool {
 	return math.Abs(p.X-q.X) <= Eps && math.Abs(p.Y-q.Y) <= Eps
 }
 
@@ -101,11 +101,11 @@ func onSegment(a, b, r Point) bool {
 		math.Min(a.Y, b.Y)-Eps <= r.Y && r.Y <= math.Max(a.Y, b.Y)+Eps
 }
 
-// SharesEndpoint reports whether the two segments share an endpoint
+// sharesEndpoint reports whether the two segments share an endpoint
 // (within Eps). Links incident to a common router share an endpoint and
 // are never considered to cross each other.
-func (s Segment) SharesEndpoint(t Segment) bool {
-	return s.A.Eq(t.A) || s.A.Eq(t.B) || s.B.Eq(t.A) || s.B.Eq(t.B)
+func (s Segment) sharesEndpoint(t Segment) bool {
+	return s.A.eq(t.A) || s.A.eq(t.B) || s.B.eq(t.A) || s.B.eq(t.B)
 }
 
 // Crosses reports whether segments s and t cross, i.e. intersect at a
@@ -113,7 +113,7 @@ func (s Segment) SharesEndpoint(t Segment) bool {
 // across link B" used by RTR's cross_link constraint: two links that
 // merely meet at a common router do not cross.
 func (s Segment) Crosses(t Segment) bool {
-	if s.SharesEndpoint(t) {
+	if s.sharesEndpoint(t) {
 		return false
 	}
 	o1 := orientation(s.A, s.B, t.A)
@@ -214,9 +214,6 @@ func (d Disk) IntersectsSegment(s Segment) bool {
 	return s.DistToPoint(d.Center) < d.Radius-Eps
 }
 
-// Area returns the area of the disk.
-func (d Disk) Area() float64 { return math.Pi * d.Radius * d.Radius }
-
 // Capsule is the set of points within Radius of a spine segment — a
 // stadium shape. It models line/conduit cuts: a trench, pipeline, or
 // border strip of width 2*Radius failing everything it touches. The
@@ -243,12 +240,6 @@ func (c Capsule) Contains(p Point) bool {
 // radius).
 func (c Capsule) IntersectsSegment(s Segment) bool {
 	return c.Seg.DistToSegment(s) < c.Radius-Eps
-}
-
-// Area returns the area of the capsule (rectangle plus two half
-// disks).
-func (c Capsule) Area() float64 {
-	return 2*c.Radius*c.Seg.Length() + math.Pi*c.Radius*c.Radius
 }
 
 // CCWAngle returns the counterclockwise rotation, in radians in the

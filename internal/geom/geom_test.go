@@ -39,10 +39,10 @@ func TestPointArithmetic(t *testing.T) {
 
 func TestPointEq(t *testing.T) {
 	p := Point{1, 1}
-	if !p.Eq(Point{1 + Eps/2, 1 - Eps/2}) {
+	if !p.eq(Point{1 + Eps/2, 1 - Eps/2}) {
 		t.Error("points within Eps should be equal")
 	}
-	if p.Eq(Point{1.1, 1}) {
+	if p.eq(Point{1.1, 1}) {
 		t.Error("distinct points should not be equal")
 	}
 }
@@ -271,3 +271,6 @@ func TestStringers(t *testing.T) {
 		t.Error("Disk.String must be non-empty")
 	}
 }
+
+// Area returns the area of the disk.
+func (d Disk) Area() float64 { return math.Pi * d.Radius * d.Radius }

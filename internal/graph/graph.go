@@ -200,16 +200,6 @@ func (g *Graph) Adj(v NodeID) []Halfedge {
 // Degree returns the number of incident links of v.
 func (g *Graph) Degree(v NodeID) int { return len(g.adj[v]) }
 
-// Neighbors returns the neighbors of v in adjacency order. Parallel
-// links yield repeated neighbors.
-func (g *Graph) Neighbors(v NodeID) []NodeID {
-	out := make([]NodeID, 0, len(g.adj[v]))
-	for _, h := range g.adj[v] {
-		out = append(out, h.Neighbor)
-	}
-	return out
-}
-
 // LinkBetween returns the ID of a link between a and b, if any exists.
 // With parallel links, the first added wins.
 func (g *Graph) LinkBetween(a, b NodeID) (LinkID, bool) {
@@ -222,22 +212,4 @@ func (g *Graph) LinkBetween(a, b NodeID) (LinkID, bool) {
 		}
 	}
 	return 0, false
-}
-
-// HasLink reports whether a link between a and b exists.
-func (g *Graph) HasLink(a, b NodeID) bool {
-	_, ok := g.LinkBetween(a, b)
-	return ok
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	c.links = make([]Link, len(g.links))
-	copy(c.links, g.links)
-	for v := range g.adj {
-		c.adj[v] = make([]Halfedge, len(g.adj[v]))
-		copy(c.adj[v], g.adj[v])
-	}
-	return c
 }

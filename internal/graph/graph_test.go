@@ -375,3 +375,31 @@ func TestComponentsPartitionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Neighbors returns the neighbors of v in adjacency order. Parallel
+// links yield repeated neighbors.
+func (g *Graph) Neighbors(v NodeID) []NodeID {
+	out := make([]NodeID, 0, len(g.adj[v]))
+	for _, h := range g.adj[v] {
+		out = append(out, h.Neighbor)
+	}
+	return out
+}
+
+// HasLink reports whether a link between a and b exists.
+func (g *Graph) HasLink(a, b NodeID) bool {
+	_, ok := g.LinkBetween(a, b)
+	return ok
+}
+
+// Clone returns a deep copy of the graph.
+func (g *Graph) Clone() *Graph {
+	c := New(g.n)
+	c.links = make([]Link, len(g.links))
+	copy(c.links, g.links)
+	for v := range g.adj {
+		c.adj[v] = make([]Halfedge, len(g.adj[v]))
+		copy(c.adj[v], g.adj[v])
+	}
+	return c
+}

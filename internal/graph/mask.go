@@ -76,17 +76,6 @@ func (m *Mask) DownLinks() []LinkID {
 	return out
 }
 
-// Clone returns a deep copy of the mask.
-func (m *Mask) Clone() *Mask {
-	c := &Mask{
-		nodes: make([]bool, len(m.nodes)),
-		links: make([]bool, len(m.links)),
-	}
-	copy(c.nodes, m.nodes)
-	copy(c.links, m.links)
-	return c
-}
-
 // Union is the Denied that removes everything removed by either of its
 // operands. It is used to compose a base failure scenario with
 // additionally learned failures.

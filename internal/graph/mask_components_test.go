@@ -156,3 +156,14 @@ func TestUnionComposesWithNothing(t *testing.T) {
 		t.Error("Union{Nothing, mask} must behave exactly like the mask")
 	}
 }
+
+// Clone returns a deep copy of the mask.
+func (m *Mask) Clone() *Mask {
+	c := &Mask{
+		nodes: make([]bool, len(m.nodes)),
+		links: make([]bool, len(m.links)),
+	}
+	copy(c.nodes, m.nodes)
+	copy(c.links, m.links)
+	return c
+}

@@ -81,9 +81,9 @@ const DefaultMaxOracleNodes = 8192
 // New returns a Checker for w.
 func New(w *sim.World) *Checker { return &Checker{W: w} }
 
-// OracleEnabled reports whether the O(n²) oracle checks run on this
+// oracleEnabled reports whether the O(n²) oracle checks run on this
 // checker's world.
-func (k *Checker) OracleEnabled() bool {
+func (k *Checker) oracleEnabled() bool {
 	return k.gate() < 0 || k.W.Topo.G.NumNodes() <= k.gate()
 }
 
@@ -99,7 +99,7 @@ func (k *Checker) gate() int {
 // oracle gate, or (nil, false) — logging the skip reason exactly once
 // per checker — when it is not.
 func (k *Checker) oracle(root graph.NodeID, down graph.Denied) ([]float64, bool) {
-	if !k.OracleEnabled() {
+	if !k.oracleEnabled() {
 		k.oracleNote.Do(func() {
 			msg := fmt.Sprintf("invariant: %s (%d nodes): O(n²) oracle checks skipped (gate %d nodes): "+
 				"rtr/early-discard-wrong, rtr/route-unreachable, rtr/route-suboptimal, rtr/theorem2, "+

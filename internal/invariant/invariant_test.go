@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/failure"
+	"repro/internal/igp"
 	"repro/internal/sim"
 	"repro/internal/spt"
 	"repro/internal/topology"
@@ -134,9 +135,7 @@ func TestCheckCaseGoalEngines(t *testing.T) {
 // perturbed result.
 func TestCheckLossConservation(t *testing.T) {
 	w := worldFor(t, "AS1239")
-	cfg := sim.DefaultLossConfig()
-	cfg.Scenarios = 5
-	res := sim.PacketLoss(w, cfg)
+	res := sim.PacketLoss(w, sim.LossConfig{Scenarios: 5, PacketsPerSecond: 10000, Seed: 1, Timers: igp.ClassicTimers()})
 	if res.Offered <= 0 {
 		t.Fatalf("loss experiment offered no traffic: %+v", res)
 	}
@@ -231,7 +230,7 @@ func TestOracleGate(t *testing.T) {
 	k := New(w)
 	k.MaxOracleNodes = 1 // well below AS1239's 52 nodes
 	k.Log = func(msg string) { logs = append(logs, msg) }
-	if k.OracleEnabled() {
+	if k.oracleEnabled() {
 		t.Fatal("oracle must be gated off below the node count")
 	}
 	if err := checkAll(k, cases); err != nil {
@@ -248,7 +247,7 @@ func TestOracleGate(t *testing.T) {
 
 	forced := New(w)
 	forced.MaxOracleNodes = -1
-	if !forced.OracleEnabled() {
+	if !forced.oracleEnabled() {
 		t.Fatal("negative gate must force the oracle on")
 	}
 	if err := checkAll(forced, cases); err != nil {

@@ -31,11 +31,10 @@ func (k *Checker) checkRTR(c *sim.Case, r sim.RTRResult) []Violation {
 // checkCollectErr judges a phase-1 collection error. ErrNoLiveNeighbor
 // is a legitimate outcome (fully cut-off initiator). Any other collect
 // failure is a breach only on a recoverable case whose failure is one
-// cluster: the phase-1
-// walk assumes one connected failure region, and a failure of several
-// clusters legitimately falls outside that assumption (ClassifyPerimeter
-// counts such cases instead of hiding them). The clusters are counted
-// here, on the error path only.
+// cluster: the phase-1 walk assumes one connected failure region, and a
+// failure of several clusters legitimately falls outside that
+// assumption (this package's tests tally such cases from sim.Explain).
+// The clusters are counted here, on the error path only.
 func (k *Checker) checkCollectErr(c *sim.Case, err error) []Violation {
 	if !errors.Is(err, core.ErrNoLiveNeighbor) && c.Recoverable && len(c.Scenario.Clusters()) <= 1 {
 		return []Violation{k.violation(c, "rtr/collect-failed",

@@ -97,20 +97,6 @@ func (m *MRC) Configs() int { return m.k }
 // Unisolated for articulation points.
 func (m *MRC) ConfigOf(v graph.NodeID) int { return m.isolCfg[v] }
 
-// UnprotectedNodes returns the nodes MRC cannot protect: those no
-// configuration isolates. They are (a subset of) the topology's
-// articulation points — single points of failure that partition the
-// network, against which no recovery scheme helps.
-func (m *MRC) UnprotectedNodes() []graph.NodeID {
-	var out []graph.NodeID
-	for v, c := range m.isolCfg {
-		if c == Unisolated {
-			out = append(out, graph.NodeID(v))
-		}
-	}
-	return out
-}
-
 // assign greedily picks an isolation configuration for every node such
 // that each configuration's backbone stays connected and every
 // isolated node keeps a restricted link into the backbone. Nodes that

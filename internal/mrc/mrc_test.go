@@ -345,3 +345,17 @@ func TestNewWarmPhase2OnlyDijkstra(t *testing.T) {
 		t.Fatal("a second engine must be rejected")
 	}
 }
+
+// UnprotectedNodes returns the nodes MRC cannot protect: those no
+// configuration isolates. They are (a subset of) the topology's
+// articulation points — single points of failure that partition the
+// network, against which no recovery scheme helps.
+func (m *MRC) UnprotectedNodes() []graph.NodeID {
+	var out []graph.NodeID
+	for v, c := range m.isolCfg {
+		if c == Unisolated {
+			out = append(out, graph.NodeID(v))
+		}
+	}
+	return out
+}

@@ -95,14 +95,6 @@ func (h *Histogram) Merge(o *Histogram) {
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() int64 { return h.n }
 
-// Min returns the smallest recorded value (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest recorded value (0 when empty).
 func (h *Histogram) Max() int64 { return h.max }
 

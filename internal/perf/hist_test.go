@@ -91,3 +91,11 @@ func TestHistogramMerge(t *testing.T) {
 		t.Fatal("merging an empty histogram changed the count")
 	}
 }
+
+// Min returns the smallest recorded value (0 when empty).
+func (h *Histogram) Min() int64 {
+	if h.n == 0 {
+		return 0
+	}
+	return h.min
+}

@@ -1,13 +1,11 @@
 // Package routing provides the packet and forwarding substrate shared
-// by RTR and the baselines: the recovery packet header with its binary
-// wire codec (the paper's mode / rec_init / failed_link / cross_link
-// fields plus the source route), link-state routing tables, the
-// restricted per-node failure view, and hop/delay accounting.
+// by RTR and the baselines: the recovery packet header (the paper's
+// mode / rec_init / failed_link / cross_link fields plus the source
+// route), link-state routing tables, the restricted per-node failure
+// view, and hop/delay accounting.
 package routing
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"time"
 
@@ -44,8 +42,8 @@ func (m Mode) String() string {
 }
 
 // Header is the recovery header carried by packets during IGP
-// convergence. Link and node IDs occupy 16 bits on the wire, exactly
-// as the paper specifies.
+// convergence. It is priced, not serialised: RecordingBytes counts
+// each link and node ID at the paper's 16-bit width.
 type Header struct {
 	Mode    Mode
 	RecInit graph.NodeID
@@ -106,166 +104,6 @@ func (h *Header) RecordCrossLink(id graph.LinkID) bool {
 // Each recorded link ID and each source-route entry is 16 bits.
 func (h *Header) RecordingBytes() int {
 	return 2 * (len(h.FailedLinks) + len(h.CrossLinks) + len(h.SourceRoute))
-}
-
-// EncodedSize is the exact number of bytes AppendBinary emits.
-func (h *Header) EncodedSize() int {
-	return 1 + 2 + 2 + 2*len(h.FailedLinks) + 2 + 2*len(h.CrossLinks) + 2 + 2 + 2*len(h.SourceRoute)
-}
-
-// Wire format (big endian):
-//
-//	mode     uint8
-//	rec_init uint16
-//	nFailed  uint16, then nFailed x uint16
-//	nCross   uint16, then nCross x uint16
-//	nRoute   uint16, srcIdx uint16, then nRoute x uint16
-
-// ErrIDOverflow is returned when an in-memory 32-bit node or link ID
-// does not fit the paper's 16-bit wire fields. Topologies past the
-// 65535-ID ceiling can be simulated but their headers cannot be
-// serialized in the paper's format.
-var ErrIDOverflow = errors.New("routing: ID exceeds 16-bit wire field")
-
-// AppendBinary appends the wire encoding of h to b.
-func (h *Header) AppendBinary(b []byte) ([]byte, error) {
-	if len(h.FailedLinks) > 0xFFFF || len(h.CrossLinks) > 0xFFFF || len(h.SourceRoute) > 0xFFFF {
-		return nil, errors.New("routing: header field too long to encode")
-	}
-	if h.SourceIdx < 0 || h.SourceIdx > len(h.SourceRoute) {
-		return nil, fmt.Errorf("routing: source index %d out of range [0,%d]", h.SourceIdx, len(h.SourceRoute))
-	}
-	if h.RecInit > 0xFFFF {
-		return nil, fmt.Errorf("%w: rec_init node %d", ErrIDOverflow, h.RecInit)
-	}
-	b = append(b, byte(h.Mode))
-	b = binary.BigEndian.AppendUint16(b, uint16(h.RecInit))
-	b = binary.BigEndian.AppendUint16(b, uint16(len(h.FailedLinks)))
-	for _, id := range h.FailedLinks {
-		if id > 0xFFFF {
-			return nil, fmt.Errorf("%w: failed_link %d", ErrIDOverflow, id)
-		}
-		b = binary.BigEndian.AppendUint16(b, uint16(id))
-	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(h.CrossLinks)))
-	for _, id := range h.CrossLinks {
-		if id > 0xFFFF {
-			return nil, fmt.Errorf("%w: cross_link %d", ErrIDOverflow, id)
-		}
-		b = binary.BigEndian.AppendUint16(b, uint16(id))
-	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(h.SourceRoute)))
-	b = binary.BigEndian.AppendUint16(b, uint16(h.SourceIdx))
-	for _, id := range h.SourceRoute {
-		if id > 0xFFFF {
-			return nil, fmt.Errorf("%w: source-route node %d", ErrIDOverflow, id)
-		}
-		b = binary.BigEndian.AppendUint16(b, uint16(id))
-	}
-	return b, nil
-}
-
-// ErrShortHeader is returned when a header buffer is truncated.
-var ErrShortHeader = errors.New("routing: short header")
-
-// DecodeHeader parses a header from b and returns it together with the
-// number of bytes consumed.
-func DecodeHeader(b []byte) (Header, int, error) {
-	var h Header
-	off := 0
-	u8 := func() (byte, error) {
-		if off+1 > len(b) {
-			return 0, ErrShortHeader
-		}
-		v := b[off]
-		off++
-		return v, nil
-	}
-	u16 := func() (uint16, error) {
-		if off+2 > len(b) {
-			return 0, ErrShortHeader
-		}
-		v := binary.BigEndian.Uint16(b[off:])
-		off += 2
-		return v, nil
-	}
-
-	m, err := u8()
-	if err != nil {
-		return h, 0, err
-	}
-	if m > uint8(ModeSource) {
-		return h, 0, fmt.Errorf("routing: invalid mode %d", m)
-	}
-	h.Mode = Mode(m)
-	ri, err := u16()
-	if err != nil {
-		return h, 0, err
-	}
-	h.RecInit = graph.NodeID(ri)
-
-	nf, err := u16()
-	if err != nil {
-		return h, 0, err
-	}
-	if nf > 0 {
-		h.FailedLinks = make([]graph.LinkID, nf)
-		for i := range h.FailedLinks {
-			v, err := u16()
-			if err != nil {
-				return h, 0, err
-			}
-			h.FailedLinks[i] = graph.LinkID(v)
-		}
-	}
-
-	nc, err := u16()
-	if err != nil {
-		return h, 0, err
-	}
-	if nc > 0 {
-		h.CrossLinks = make([]graph.LinkID, nc)
-		for i := range h.CrossLinks {
-			v, err := u16()
-			if err != nil {
-				return h, 0, err
-			}
-			h.CrossLinks[i] = graph.LinkID(v)
-		}
-	}
-
-	nr, err := u16()
-	if err != nil {
-		return h, 0, err
-	}
-	si, err := u16()
-	if err != nil {
-		return h, 0, err
-	}
-	if int(si) > int(nr) {
-		return h, 0, fmt.Errorf("routing: source index %d beyond route length %d", si, nr)
-	}
-	h.SourceIdx = int(si)
-	if nr > 0 {
-		h.SourceRoute = make([]graph.NodeID, nr)
-		for i := range h.SourceRoute {
-			v, err := u16()
-			if err != nil {
-				return h, 0, err
-			}
-			h.SourceRoute[i] = graph.NodeID(v)
-		}
-	}
-	return h, off, nil
-}
-
-// Clone returns a deep copy of the header.
-func (h *Header) Clone() Header {
-	c := *h
-	c.FailedLinks = append([]graph.LinkID(nil), h.FailedLinks...)
-	c.CrossLinks = append([]graph.LinkID(nil), h.CrossLinks...)
-	c.SourceRoute = append([]graph.NodeID(nil), h.SourceRoute...)
-	return c
 }
 
 // Delay model, exactly as in the paper's evaluation: 100 microseconds

@@ -454,3 +454,15 @@ func TestWalkAccounting(t *testing.T) {
 		t.Error("duration model must be 1.8 ms per hop")
 	}
 }
+
+// LiveNeighbors returns the halfedges of v leading to reachable
+// neighbors, in adjacency order.
+func (lv *LocalView) LiveNeighbors(v graph.NodeID) []graph.Halfedge {
+	var out []graph.Halfedge
+	for _, h := range lv.topo.G.Adj(v) {
+		if !lv.NeighborUnreachable(v, h.Link) {
+			out = append(out, h)
+		}
+	}
+	return out
+}

@@ -20,9 +20,6 @@ func NewLocalView(topo *topology.Topology, d graph.Denied) *LocalView {
 	return &LocalView{topo: topo, gt: d}
 }
 
-// Topology returns the (pre-failure) topology every router knows.
-func (lv *LocalView) Topology() *topology.Topology { return lv.topo }
-
 // NodeAlive reports whether node v itself is alive. A failed router
 // cannot run any protocol; the harness only invokes protocol code on
 // live nodes, and protocol code may sanity-check with this.
@@ -43,18 +40,6 @@ func (lv *LocalView) UnreachableLinks(v graph.NodeID) []graph.LinkID {
 	for _, h := range lv.topo.G.Adj(v) {
 		if lv.NeighborUnreachable(v, h.Link) {
 			out = append(out, h.Link)
-		}
-	}
-	return out
-}
-
-// LiveNeighbors returns the halfedges of v leading to reachable
-// neighbors, in adjacency order.
-func (lv *LocalView) LiveNeighbors(v graph.NodeID) []graph.Halfedge {
-	var out []graph.Halfedge
-	for _, h := range lv.topo.G.Adj(v) {
-		if !lv.NeighborUnreachable(v, h.Link) {
-			out = append(out, h)
 		}
 	}
 	return out

@@ -109,11 +109,14 @@ func TestToySchemeSwept(t *testing.T) {
 // it answers rtr in — a case record — with the scheme's own grade under
 // its name, equal to a direct run, and checks it under Config.Check.
 func TestToySchemeServed(t *testing.T) {
-	e, err := serve.New(serve.Config{Topos: []string{"AS1239"}, Seed: testSeed, CacheEntries: 8, Check: true})
+	w, err := sim.NewWorld("AS1239", testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := e.World("AS1239")
+	e, err := serve.New(serve.Config{Worlds: map[string]*sim.World{"AS1239": w}, CacheEntries: 8, Check: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	delivered := 0
 	for _, c := range toyCases(t, w, 24) {
 		q := serve.Query{Topo: "AS1239", Failure: c.Scenario.Desc(), Src: int(c.Initiator), Dst: int(c.Dst), Scheme: toyName}

@@ -85,7 +85,7 @@ func hammerBitIdentical(t *testing.T) {
 func hammerQueries(t *testing.T, e *Engine, name string) []Query {
 	t.Helper()
 	var queries []Query
-	for _, s := range []string{SchemeAll, SchemeRTR, SchemeFCP, SchemeMRC} {
+	for _, s := range []string{SchemeAll, SchemeRTR, sim.SchemeFCP, sim.SchemeMRC} {
 		queries = append(queries, mixQueries(e, name, 5, 3, s)...)
 	}
 	if len(queries) < 4*3*3 {

@@ -32,8 +32,6 @@ import (
 // touching this package.
 const (
 	SchemeRTR = sim.SchemeRTR
-	SchemeFCP = sim.SchemeFCP
-	SchemeMRC = sim.SchemeMRC
 	// SchemeAll runs the paper's three protocols on the case, sharing
 	// one ground-truth tree, exactly like the sim harness's RunAll.
 	SchemeAll = sim.SchemeAll
@@ -164,10 +162,6 @@ func New(cfg Config) (*Engine, error) {
 
 // Topologies returns the sorted topology names the engine serves.
 func (e *Engine) Topologies() []string { return e.names }
-
-// World returns the engine's world for a topology (nil when not
-// served). Tests use it to grade responses against direct sim runs.
-func (e *Engine) World(name string) *sim.World { return e.worlds[name] }
 
 // Query is one recovery question.
 type Query struct {

@@ -118,7 +118,7 @@ func TestSingleSchemeProjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var zero sim.CaseRecord
-	for _, scheme := range []string{SchemeRTR, SchemeFCP, SchemeMRC} {
+	for _, scheme := range []string{SchemeRTR, sim.SchemeFCP, sim.SchemeMRC} {
 		qq := q
 		qq.Scheme = scheme
 		resp, err := e.Query(qq)
@@ -132,10 +132,10 @@ func TestSingleSchemeProjection(t *testing.T) {
 			}
 			got.RTR, ref.RTR = zero.RTR, zero.RTR
 		}
-		if scheme != SchemeFCP {
+		if scheme != sim.SchemeFCP {
 			got.FCP, ref.FCP = zero.FCP, zero.FCP
 		}
-		if scheme != SchemeMRC {
+		if scheme != sim.SchemeMRC {
 			got.MRC, ref.MRC = zero.MRC, zero.MRC
 		}
 		if mustJSON(t, got) != mustJSON(t, ref) {
@@ -589,7 +589,7 @@ func TestScaleWorldServing(t *testing.T) {
 		t.Fatalf("served topologies %v, want [scale-demo]", got)
 	}
 
-	if _, err := e.Query(Query{Topo: "scale-demo", Failure: "none", Src: 0, Dst: 1, Scheme: SchemeMRC}); err == nil {
+	if _, err := e.Query(Query{Topo: "scale-demo", Failure: "none", Src: 0, Dst: 1, Scheme: sim.SchemeMRC}); err == nil {
 		t.Error("mrc scheme accepted on a world without MRC")
 	} else if _, ok := err.(*ClientError); !ok {
 		t.Errorf("mrc-unavailable error %v is not a ClientError", err)
@@ -683,3 +683,7 @@ func TestCacheDisabled(t *testing.T) {
 		t.Error("hit rate nonzero with cache disabled")
 	}
 }
+
+// World returns the engine's world for a topology (nil when not
+// served), so tests can grade responses against direct sim runs.
+func (e *Engine) World(name string) *sim.World { return e.worlds[name] }

@@ -25,16 +25,6 @@ type LossConfig struct {
 	Timers           igp.Timers
 }
 
-// DefaultLossConfig uses classic (slow) IGP timers.
-func DefaultLossConfig() LossConfig {
-	return LossConfig{
-		Scenarios:        50,
-		PacketsPerSecond: 10000,
-		Seed:             1,
-		Timers:           igp.ClassicTimers(),
-	}
-}
-
 // LossResult aggregates convergence-window packet loss with and
 // without RTR over the sampled failure scenarios.
 type LossResult struct {

@@ -123,3 +123,13 @@ func TestGoodputSeriesEmptyWorldOK(t *testing.T) {
 		t.Errorf("no scenarios must yield nil series, got %d points", len(pts))
 	}
 }
+
+// DefaultLossConfig uses classic (slow) IGP timers.
+func DefaultLossConfig() LossConfig {
+	return LossConfig{
+		Scenarios:        50,
+		PacketsPerSecond: 10000,
+		Seed:             1,
+		Timers:           igp.ClassicTimers(),
+	}
+}

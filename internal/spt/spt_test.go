@@ -152,7 +152,7 @@ func TestReverseTreeIsRoutingTable(t *testing.T) {
 			if !ok {
 				t.Fatalf("node %d has no next hop toward %d", cur, dst)
 			}
-			if !g.HasLink(cur, nh) {
+			if _, ok := g.LinkBetween(cur, nh); !ok {
 				t.Fatalf("next hop %d is not adjacent to %d", nh, cur)
 			}
 			cur = nh

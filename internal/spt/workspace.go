@@ -11,7 +11,7 @@ import (
 // affected-region bookkeeping of incremental recomputation. Reusing a
 // Workspace across calls makes repeat computations allocation-free.
 //
-// The scratch-returning methods (Compute, ComputeReverse, Recompute)
+// The scratch-returning methods (Compute, Recompute)
 // return a Tree owned by the workspace: it is valid only until the
 // workspace's next call or Release. Callers that retain trees must
 // Clone them or use the package-level functions, which return owned
@@ -57,14 +57,6 @@ func (ws *Workspace) Release() { wsPool.Put(ws) }
 func (ws *Workspace) Compute(g *graph.Graph, root graph.NodeID, d graph.Denied) *Tree {
 	ws.ensureScratch(g.NumNodes())
 	ws.runInto(&ws.scratch, g, root, d, Forward)
-	return &ws.scratch
-}
-
-// ComputeReverse is the scratch-tree equivalent of the package-level
-// ComputeReverse.
-func (ws *Workspace) ComputeReverse(g *graph.Graph, root graph.NodeID, d graph.Denied) *Tree {
-	ws.ensureScratch(g.NumNodes())
-	ws.runInto(&ws.scratch, g, root, d, Reverse)
 	return &ws.scratch
 }
 

@@ -175,3 +175,11 @@ func TestComputeAllocFree(t *testing.T) {
 		t.Errorf("warmed-up Workspace.Recompute allocates %.1f times per run, want 0", allocs)
 	}
 }
+
+// ComputeReverse is the scratch-tree equivalent of the package-level
+// ComputeReverse.
+func (ws *Workspace) ComputeReverse(g *graph.Graph, root graph.NodeID, d graph.Denied) *Tree {
+	ws.ensureScratch(g.NumNodes())
+	ws.runInto(&ws.scratch, g, root, d, Reverse)
+	return &ws.scratch
+}

@@ -150,16 +150,13 @@ func (r *Rate) Observe(hit bool) {
 	}
 }
 
-// Fraction returns Hits/Total (0 when empty).
-func (r Rate) Fraction() float64 {
+// Percent returns Hits/Total in percent (0 when empty).
+func (r Rate) Percent() float64 {
 	if r.Total == 0 {
 		return 0
 	}
-	return float64(r.Hits) / float64(r.Total)
+	return 100 * (float64(r.Hits) / float64(r.Total))
 }
-
-// Percent returns the rate in percent.
-func (r Rate) Percent() float64 { return 100 * r.Fraction() }
 
 // String implements fmt.Stringer.
 func (r Rate) String() string {

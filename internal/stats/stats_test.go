@@ -141,7 +141,7 @@ func TestCDFMonotonicProperty(t *testing.T) {
 
 func TestRate(t *testing.T) {
 	var r Rate
-	if r.Fraction() != 0 || r.Percent() != 0 {
+	if r.Percent() != 0 {
 		t.Error("empty rate must be 0")
 	}
 	r.Observe(true)
@@ -150,8 +150,8 @@ func TestRate(t *testing.T) {
 	if r.Hits != 2 || r.Total != 3 {
 		t.Errorf("rate = %+v", r)
 	}
-	if math.Abs(r.Fraction()-2.0/3.0) > 1e-12 {
-		t.Errorf("fraction = %v", r.Fraction())
+	if math.Abs(r.Percent()/100-2.0/3.0) > 1e-12 {
+		t.Errorf("fraction = %v", r.Percent()/100)
 	}
 	if r.String() == "" {
 		t.Error("string must be non-empty")

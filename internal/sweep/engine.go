@@ -69,9 +69,6 @@ type RunResult struct {
 	Interrupted bool
 }
 
-// Complete reports whether every planned shard has a result.
-func (r *RunResult) Complete() bool { return len(r.Results) == len(r.Plan) }
-
 // Run executes all shards not already checkpointed. Cancelling ctx
 // stops the engine from starting new shards; in-flight shards finish
 // and are checkpointed, so every shard is either fully recorded or

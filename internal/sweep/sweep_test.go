@@ -431,3 +431,6 @@ func TestCheckedSweepMatchesUnchecked(t *testing.T) {
 		t.Error("Check leaked into the checkpoint fingerprint")
 	}
 }
+
+// Complete reports whether every planned shard has a result.
+func (r *RunResult) Complete() bool { return len(r.Results) == len(r.Plan) }

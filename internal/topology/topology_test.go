@@ -227,7 +227,7 @@ func TestPaperExampleStructure(t *testing.T) {
 	}
 	// The narrative's routing path v7 v6 v11 v15 v17 must exist.
 	for _, pair := range [][2]int{{7, 6}, {6, 11}, {11, 15}, {15, 17}} {
-		if !topo.G.HasLink(PaperNode(pair[0]), PaperNode(pair[1])) {
+		if _, ok := topo.G.LinkBetween(PaperNode(pair[0]), PaperNode(pair[1])); !ok {
 			t.Errorf("missing routing-path link v%d-v%d", pair[0], pair[1])
 		}
 	}
@@ -323,7 +323,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatal("round trip changed graph size")
 	}
 	for i := range topo.Coords {
-		if !back.Coords[i].Eq(topo.Coords[i]) {
+		if back.Coords[i] != topo.Coords[i] {
 			t.Errorf("coordinate %d changed: %v -> %v", i, topo.Coords[i], back.Coords[i])
 		}
 	}
@@ -405,7 +405,7 @@ func TestLinkSegment(t *testing.T) {
 	id := PaperLink(topo, 6, 11)
 	seg := topo.LinkSegment(id)
 	want := geom.Segment{A: topo.Coord(PaperNode(6)), B: topo.Coord(PaperNode(11))}
-	if !seg.A.Eq(want.A) || !seg.B.Eq(want.B) {
+	if seg != want {
 		t.Errorf("LinkSegment = %v, want %v", seg, want)
 	}
 }
