@@ -161,9 +161,10 @@ scale-smoke:
 ## fuzz-smoke: a short native-fuzzing pass over the header wire codec
 ## (the reference in internal/routing's tests for what RecordingBytes
 ## prices), the topology parser, the failure-generator spec parser, the
-## failure-instance grammar, the capsule geometry predicates, and the
-## invariant oracle over fuzzed failure geometry (CI runs this; use
-## go test -fuzz directly for long sessions).
+## failure-instance grammar, the capsule geometry predicates, the
+## invariant oracle over fuzzed failure geometry, and incremental
+## shortest-path recomputation against a heapless cold build (CI runs
+## this; use go test -fuzz directly for long sessions).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeHeader -fuzztime $(FUZZTIME) ./internal/routing
@@ -173,6 +174,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseInstance -fuzztime $(FUZZTIME) ./internal/failure
 	$(GO) test -run xxx -fuzz FuzzCapsuleIntersect -fuzztime $(FUZZTIME) ./internal/geom
 	$(GO) test -run xxx -fuzz FuzzCheckCase -fuzztime $(FUZZTIME) ./internal/invariant
+	$(GO) test -run xxx -fuzz FuzzRecompute -fuzztime $(FUZZTIME) ./internal/spt
 
 clean:
 	rm -f repro.test

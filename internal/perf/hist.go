@@ -25,7 +25,6 @@ type Histogram struct {
 	counts [histBuckets]int64
 	n      int64
 	sum    int64
-	min    int64
 	max    int64
 }
 
@@ -64,9 +63,6 @@ func (h *Histogram) Record(v int64) {
 		v = 0
 	}
 	h.counts[histIndex(v)]++
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
@@ -81,9 +77,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	for i, c := range o.counts {
 		h.counts[i] += c
-	}
-	if h.n == 0 || o.min < h.min {
-		h.min = o.min
 	}
 	if o.max > h.max {
 		h.max = o.max

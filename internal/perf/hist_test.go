@@ -58,8 +58,8 @@ func TestHistogramQuantiles(t *testing.T) {
 			t.Errorf("Quantile(%g) = %d too far above exact %d", q, got, exact)
 		}
 	}
-	if h.Max() != vals[n-1] || h.Min() != vals[0] {
-		t.Errorf("min/max: got (%d, %d), want (%d, %d)", h.Min(), h.Max(), vals[0], vals[n-1])
+	if h.Max() != vals[n-1] {
+		t.Errorf("max: got %d, want %d", h.Max(), vals[n-1])
 	}
 	if h.Quantile(1) != h.Max() {
 		t.Errorf("Quantile(1) = %d, want max %d", h.Quantile(1), h.Max())
@@ -77,7 +77,7 @@ func TestHistogramMerge(t *testing.T) {
 		all.Record(i * 1000)
 	}
 	a.Merge(&b)
-	if a.Count() != all.Count() || a.Max() != all.Max() || a.Min() != all.Min() || a.Mean() != all.Mean() {
+	if a.Count() != all.Count() || a.Max() != all.Max() || a.Mean() != all.Mean() {
 		t.Fatal("merge does not match direct accumulation")
 	}
 	for _, q := range []float64{0.25, 0.5, 0.9, 0.99} {
@@ -90,12 +90,4 @@ func TestHistogramMerge(t *testing.T) {
 	if a.Count() != all.Count() {
 		t.Fatal("merging an empty histogram changed the count")
 	}
-}
-
-// Min returns the smallest recorded value (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
 }

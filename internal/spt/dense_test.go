@@ -1,6 +1,7 @@
 package spt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,43 +15,14 @@ type opaqueDenied struct{ m *graph.Mask }
 func (d opaqueDenied) NodeDown(v graph.NodeID) bool  { return d.m.NodeDown(v) }
 func (d opaqueDenied) LinkDown(id graph.LinkID) bool { return d.m.LinkDown(id) }
 
-// settle is the reference interface-dispatch Dijkstra main loop: the
-// generic twin of settleDense, consulting the overlay through
-// graph.Denied on every edge. Production paths go through settleDense;
-// the differential tests below assert the two are bit-identical.
-func settle(g *graph.Graph, t *Tree, d graph.Denied, h *minHeap, scope []bool) {
-	for {
-		v, dv, ok := h.pop()
-		if !ok {
-			return
-		}
-		if dv > t.Dist[v] {
-			continue // stale entry
-		}
-		for _, he := range g.Adj(v) {
-			w := he.Neighbor
-			if scope != nil && !scope[w] {
-				continue
-			}
-			if d.NodeDown(w) || d.LinkDown(he.Link) {
-				continue
-			}
-			l := g.Link(he.Link)
-			nd := dv + edgeCost(l, t.Kind, w)
-			if nd < t.Dist[w] {
-				t.Dist[w] = nd
-				t.Parent[w] = int32(v)
-				t.ParentLink[w] = int32(he.Link)
-				h.push(w, nd)
-			}
-		}
-	}
-}
-
-// computeGeneric is a cold Dijkstra through the reference settle loop —
-// interface dispatch on every edge, no dense compilation. It is the
-// oracle the devirtualized production path must match bit for bit.
-func computeGeneric(g *graph.Graph, root graph.NodeID, d graph.Denied, kind Kind) *Tree {
+// referenceTree is the oracle every production tree must match bit for
+// bit: a cold Dijkstra with no heap, no dense tables and no half-edge
+// costs. Each round scans all nodes for the unsettled one with the
+// smallest (dist, node) label, consults the overlay through
+// graph.Denied and reads costs from the link, so a fault in the heap,
+// the overlay compilation or the forward-cost shortcut cannot hide in
+// its own reference. O(n²), for small test graphs only.
+func referenceTree(g *graph.Graph, root graph.NodeID, d graph.Denied, kind Kind) *Tree {
 	n := g.NumNodes()
 	t := &Tree{
 		Kind:       kind,
@@ -68,32 +40,39 @@ func computeGeneric(g *graph.Graph, root graph.NodeID, d graph.Denied, kind Kind
 		return t
 	}
 	t.Dist[root] = 0
-	var h minHeap
-	h.reset(n)
-	h.push(root, 0)
-	settle(g, t, d, &h, nil)
-	return t
-}
-
-func requireTreesIdentical(t *testing.T, label string, got, want *Tree) {
-	t.Helper()
-	if got.Kind != want.Kind || got.Root != want.Root {
-		t.Fatalf("%s: tree identity mismatch", label)
-	}
-	for v := range want.Dist {
-		if got.Dist[v] != want.Dist[v] || got.Parent[v] != want.Parent[v] || got.ParentLink[v] != want.ParentLink[v] {
-			t.Fatalf("%s: node %d: got (dist %v, parent %d, link %d), want (%v, %d, %d)",
-				label, v,
-				got.Dist[v], got.Parent[v], got.ParentLink[v],
-				want.Dist[v], want.Parent[v], want.ParentLink[v])
+	settled := make([]bool, n)
+	for {
+		v := -1
+		for u := 0; u < n; u++ {
+			// Ascending scan with strict <: equal distances keep the
+			// smaller node ID.
+			if !settled[u] && t.Dist[u] != Inf && (v < 0 || t.Dist[u] < t.Dist[v]) {
+				v = u
+			}
+		}
+		if v < 0 {
+			return t
+		}
+		settled[v] = true
+		for _, he := range g.Adj(graph.NodeID(v)) {
+			w := he.Neighbor
+			if settled[w] || d.NodeDown(w) || d.LinkDown(he.Link) {
+				continue
+			}
+			nd := t.Dist[v] + edgeCost(g.Link(he.Link), kind, w)
+			if nd < t.Dist[w] {
+				t.Dist[w] = nd
+				t.Parent[w] = int32(v)
+				t.ParentLink[w] = int32(he.Link)
+			}
 		}
 	}
 }
 
 // Property: the dense fast path (production Compute/ComputeReverse)
-// produces trees bit-identical to the reference interface-dispatch
-// settle loop, for borrowed tables (Mask), compiled opaque overlays,
-// and the all-up overlay, on random weighted graphs.
+// produces trees bit-identical to the heapless reference, for borrowed
+// tables (Mask), compiled opaque overlays, and the all-up overlay, on
+// random weighted graphs.
 func TestDenseSettleMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 150; trial++ {
@@ -120,10 +99,148 @@ func TestDenseSettleMatchesGeneric(t *testing.T) {
 		}
 		root := graph.NodeID(rng.Intn(n))
 		for _, o := range overlays {
-			want := computeGeneric(g, root, o.d, Forward)
-			requireTreesIdentical(t, o.label+"/forward", Compute(g, root, o.d), want)
-			want = computeGeneric(g, root, o.d, Reverse)
-			requireTreesIdentical(t, o.label+"/reverse", ComputeReverse(g, root, o.d), want)
+			requireIdentical(t, referenceTree(g, root, o.d, Forward), Compute(g, root, o.d), o.label+"/forward")
+			requireIdentical(t, referenceTree(g, root, o.d, Reverse), ComputeReverse(g, root, o.d), o.label+"/reverse")
 		}
+	}
+}
+
+// tieCosts draws link costs that make equal-cost paths common, as the
+// paper's unit-cost worlds do.
+var tieCosts = []struct {
+	label string
+	draw  func(rng *rand.Rand) (ab, ba float64)
+}{
+	{"unit", func(*rand.Rand) (float64, float64) { return 1, 1 }},
+	{"one-or-two", func(rng *rand.Rand) (float64, float64) {
+		c := float64(1 + rng.Intn(2))
+		return c, c
+	}},
+	{"asymmetric-int", func(rng *rand.Rand) (float64, float64) {
+		return float64(1 + rng.Intn(3)), float64(1 + rng.Intn(3))
+	}},
+}
+
+// tieGraph builds a connected multigraph whose costs come from draw,
+// with extra chords and some links doubled by a parallel link of its
+// own draw.
+func tieGraph(rng *rand.Rand, n int, draw func(*rand.Rand) (float64, float64)) *graph.Graph {
+	g := graph.New(n)
+	add := func(a, b graph.NodeID) {
+		ab, ba := draw(rng)
+		if _, err := g.AddLinkCost(a, b, ab, ba); err != nil {
+			panic(err)
+		}
+	}
+	for v := 1; v < n; v++ {
+		add(graph.NodeID(rng.Intn(v)), graph.NodeID(v))
+	}
+	for i := rng.Intn(2 * n); i > 0; i-- {
+		if a, b := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)); a != b {
+			add(a, b)
+		}
+	}
+	for id := g.NumLinks() - 1; id >= 0; id-- {
+		if rng.Intn(4) == 0 {
+			l := g.Link(graph.LinkID(id))
+			add(l.A, l.B)
+		}
+	}
+	return g
+}
+
+// Property: on tie-heavy graphs (unit, {1,2} and asymmetric integer
+// costs, parallel links), cold builds and both incremental entry
+// points reproduce the heapless reference bit for bit, equal-cost
+// tie-breaks included, for both tree kinds, with and without a base
+// overlay, under link and node deletions.
+func TestTieHeavyTreesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ws := GetWorkspace()
+	defer ws.Release()
+	for _, costs := range tieCosts {
+		for trial := 0; trial < 80; trial++ {
+			n := 2 + rng.Intn(40)
+			g := tieGraph(rng, n, costs.draw)
+			root := graph.NodeID(rng.Intn(n))
+			bases := []graph.Denied{graph.Nothing, randMask(rng, g, rng.Intn(3), rng.Intn(4))}
+			extra := randMask(rng, g, rng.Intn(3), 1+rng.Intn(5))
+			for _, base := range bases {
+				label := fmt.Sprintf("%s trial %d base %v", costs.label, trial, base != graph.Nothing)
+				requireMatchesReference(t, ws, g, root, base, extra, label)
+			}
+		}
+	}
+}
+
+// computeKind runs the production cold build of the given kind.
+func computeKind(g *graph.Graph, root graph.NodeID, d graph.Denied, kind Kind) *Tree {
+	if kind == Forward {
+		return Compute(g, root, d)
+	}
+	return ComputeReverse(g, root, d)
+}
+
+// FuzzRecompute builds a small integer-cost multigraph and two failure
+// masks from the input and checks that the cold build under base, and
+// Recompute and Workspace.Recompute under base+extra, equal the
+// heapless reference bit for bit, for both tree kinds.
+//
+// topo: byte 0 sizes the graph (2..17 nodes), then each 3-byte group
+// (a, b, costs) adds a link a%n–b%n (self loops skipped) with costs
+// 1+costs&3 forward and 1+(costs>>2)&3 back. In a mask byte, the high
+// bit fails node (b&0x7f)%n, otherwise link b%m.
+func FuzzRecompute(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 0, 0, 0, 2, 5}, []byte{}, []byte{1}, uint8(0))
+	f.Add([]byte{6, 0, 1, 0, 0, 1, 0, 1, 2, 1, 2, 3, 4, 3, 4, 0, 4, 5, 0, 5, 0, 0, 0, 3, 1}, []byte{2}, []byte{0x83, 0}, uint8(5))
+	f.Add([]byte{9, 0, 1, 7, 1, 2, 2, 2, 3, 9, 3, 4, 0, 4, 5, 13, 5, 6, 0, 6, 7, 3, 7, 8, 0, 8, 0, 1, 0, 4, 0, 2, 6, 4}, []byte{0x81, 3}, []byte{5, 0x86, 7}, uint8(2))
+	f.Fuzz(func(t *testing.T, topo, baseBytes, extraBytes []byte, rootByte uint8) {
+		if len(topo) == 0 {
+			return
+		}
+		n := 2 + int(topo[0])%16
+		g := graph.New(n)
+		for i := 1; i+2 < len(topo) && i < 1+3*64; i += 3 {
+			a, b := graph.NodeID(int(topo[i])%n), graph.NodeID(int(topo[i+1])%n)
+			if a == b {
+				continue
+			}
+			c := topo[i+2]
+			if _, err := g.AddLinkCost(a, b, float64(1+c&3), float64(1+(c>>2)&3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mask := func(bs []byte) *graph.Mask {
+			m := graph.NewMask(g)
+			for _, b := range bs {
+				switch {
+				case b&0x80 != 0:
+					m.FailNode(graph.NodeID(int(b&0x7f) % n))
+				case g.NumLinks() > 0:
+					m.FailLink(graph.LinkID(int(b) % g.NumLinks()))
+				}
+			}
+			return m
+		}
+		base, extra := mask(baseBytes), mask(extraBytes)
+		root := graph.NodeID(int(rootByte) % n)
+		ws := GetWorkspace()
+		defer ws.Release()
+		requireMatchesReference(t, ws, g, root, base, extra, "fuzz")
+	})
+}
+
+// requireMatchesReference asserts, for both tree kinds, that the cold
+// build under base and both incremental entry points under base+extra
+// equal the heapless reference bit for bit.
+func requireMatchesReference(t *testing.T, ws *Workspace, g *graph.Graph, root graph.NodeID, base, extra graph.Denied, label string) {
+	t.Helper()
+	for _, kind := range []Kind{Forward, Reverse} {
+		label := fmt.Sprintf("%s kind %d", label, kind)
+		t0 := computeKind(g, root, base, kind)
+		requireIdentical(t, referenceTree(g, root, base, kind), t0, label+" cold")
+		want := referenceTree(g, root, graph.Union{X: base, Y: extra}, kind)
+		requireIdentical(t, want, Recompute(g, t0, base, extra), label+" owned recompute")
+		requireIdentical(t, want, ws.Recompute(g, t0, base, extra), label+" scratch recompute")
 	}
 }

@@ -132,7 +132,7 @@ func goalLower(heur Heuristic, v, goal graph.NodeID) float64 {
 func settleGoal(g *graph.Graph, t *Tree, nodeDown, linkDown []bool, pq *minHeap, settled []bool, goal graph.NodeID, heur Heuristic) {
 	goalF := Inf
 	for pq.len() > 0 {
-		if pq.dists[0] > goalF {
+		if pq.items[0].dist > goalF {
 			break
 		}
 		v, _, _ := pq.pop()

@@ -2,97 +2,101 @@ package spt
 
 import "repro/internal/graph"
 
-// minHeap is a binary min-heap of (node, dist) entries with lazy
+// heapEntry is one (dist, node) record of the priority queue.
+type heapEntry struct {
+	dist float64
+	node graph.NodeID
+}
+
+// before is the canonical (dist, node) order.
+func (a heapEntry) before(b heapEntry) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	return a.node < b.node
+}
+
+// minHeap is a 4-ary min-heap of (dist, node) records with lazy
 // deletion: decrease-key is implemented by pushing a fresh entry and
-// discarding stale pops in the Dijkstra loop.
+// discarding stale pops in the Dijkstra loop. The records sit in one
+// slice, so a sift step compares entries in one cache line, and sifts
+// move a hole instead of swapping.
 //
 // Entries are ordered by (dist, node): ties in distance break on the
 // smaller node ID. Because link costs are strictly positive, every
 // node's final entry is in the heap before the first entry at its
 // distance pops, so the canonical order makes the whole pop sequence —
 // and with it every equal-cost parent choice — a pure function of
-// (graph, overlay, root), independent of insertion order. That is what
-// lets incremental recomputation reproduce a cold build bit for bit.
+// (graph, overlay, root), independent of insertion order and of the
+// heap's shape. That is what lets incremental recomputation reproduce
+// a cold build bit for bit.
 type minHeap struct {
-	nodes []graph.NodeID
-	dists []float64
+	items []heapEntry
 }
 
 // reset empties the heap, growing its storage to capHint if needed, so
 // one heap can serve many computations without reallocating.
 func (h *minHeap) reset(capHint int) {
-	if cap(h.nodes) < capHint {
-		h.nodes = make([]graph.NodeID, 0, capHint)
-		h.dists = make([]float64, 0, capHint)
+	if cap(h.items) < capHint {
+		h.items = make([]heapEntry, 0, capHint)
 		return
 	}
-	h.nodes = h.nodes[:0]
-	h.dists = h.dists[:0]
+	h.items = h.items[:0]
 }
 
-func (h *minHeap) len() int { return len(h.nodes) }
+func (h *minHeap) len() int { return len(h.items) }
 
 func (h *minHeap) push(v graph.NodeID, d float64) {
-	h.nodes = append(h.nodes, v)
-	h.dists = append(h.dists, d)
-	h.up(len(h.nodes) - 1)
+	e := heapEntry{dist: d, node: v}
+	h.items = append(h.items, e)
+	items := h.items
+	i := len(items) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(items[p]) {
+			break
+		}
+		items[i] = items[p]
+		i = p
+	}
+	items[i] = e
 }
 
 // pop removes and returns the minimum entry; ok is false when empty.
 func (h *minHeap) pop() (v graph.NodeID, d float64, ok bool) {
-	if len(h.nodes) == 0 {
+	items := h.items
+	if len(items) == 0 {
 		return 0, 0, false
 	}
-	v, d = h.nodes[0], h.dists[0]
-	last := len(h.nodes) - 1
-	h.nodes[0], h.dists[0] = h.nodes[last], h.dists[last]
-	h.nodes = h.nodes[:last]
-	h.dists = h.dists[:last]
-	if last > 0 {
-		h.down(0)
-	}
-	return v, d, true
-}
-
-// less is the canonical (dist, node) order.
-func (h *minHeap) less(i, j int) bool {
-	if h.dists[i] != h.dists[j] {
-		return h.dists[i] < h.dists[j]
-	}
-	return h.nodes[i] < h.nodes[j]
-}
-
-func (h *minHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			return
+	top := items[0]
+	n := len(items) - 1
+	last := items[n]
+	items = items[:n]
+	h.items = items
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			end := c + 4
+			if end > n {
+				end = n
+			}
+			best := c
+			for j := c + 1; j < end; j++ {
+				if items[j].before(items[best]) {
+					best = j
+				}
+			}
+			if !items[best].before(last) {
+				break
+			}
+			items[i] = items[best]
+			i = best
 		}
-		h.swap(i, p)
-		i = p
+		items[i] = last
 	}
-}
-
-func (h *minHeap) down(i int) {
-	n := len(h.nodes)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && h.less(l, min) {
-			min = l
-		}
-		if r < n && h.less(r, min) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h.swap(i, min)
-		i = min
-	}
-}
-
-func (h *minHeap) swap(i, j int) {
-	h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i]
-	h.dists[i], h.dists[j] = h.dists[j], h.dists[i]
+	return top.node, top.dist, true
 }

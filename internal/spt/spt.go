@@ -206,9 +206,13 @@ func run(g *graph.Graph, root graph.NodeID, d graph.Denied, kind Kind) *Tree {
 // The failure overlay arrives compiled to flat tables: the per-edge
 // membership tests are two slice loads instead of two interface calls,
 // which dominates the inner loop on dense topologies (~4m dynamic
-// dispatches per tree otherwise). The interface-dispatch twin it must
-// match bit for bit is the oracle in dense_test.go.
+// dispatches per tree otherwise). A forward tree pays v→w, which the
+// half-edge already carries (graph.AddLinkCost stores the same float
+// as Link.CostFrom(v)); a reverse tree pays w→v, read from the link.
+// The heapless reference it must match bit for bit is in
+// dense_test.go.
 func settleDense(g *graph.Graph, t *Tree, nodeDown, linkDown []bool, h *minHeap, scope []bool) {
+	forward := t.Kind == Forward
 	for {
 		v, dv, ok := h.pop()
 		if !ok {
@@ -225,8 +229,11 @@ func settleDense(g *graph.Graph, t *Tree, nodeDown, linkDown []bool, h *minHeap,
 			if nodeDown[w] || linkDown[he.Link] {
 				continue
 			}
-			l := g.Link(he.Link)
-			nd := dv + edgeCost(l, t.Kind, w)
+			c := he.Cost
+			if !forward {
+				c = g.Link(he.Link).CostFrom(w)
+			}
+			nd := dv + c
 			if nd < t.Dist[w] {
 				t.Dist[w] = nd
 				t.Parent[w] = int32(v)

@@ -3,6 +3,7 @@ package spt
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -260,8 +261,8 @@ func randConnectedGraph(rng *rand.Rand, n, extra int) *graph.Graph {
 	return g
 }
 
-// Property: incremental recompute equals full recompute, for both tree
-// kinds, under random delete sets.
+// Property: incremental recompute equals the heapless cold build bit
+// for bit, for both tree kinds, under random delete sets.
 func TestRecomputeMatchesFullProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	f := func() bool {
@@ -284,22 +285,9 @@ func TestRecomputeMatchesFullProperty(t *testing.T) {
 			}
 		}
 		for _, kind := range []Kind{Forward, Reverse} {
-			var tr *Tree
-			if kind == Forward {
-				tr = Compute(g, root, base)
-			} else {
-				tr = ComputeReverse(g, root, base)
-			}
+			tr := computeKind(g, root, base, kind)
 			inc := Recompute(g, tr, base, extra)
-			var full *Tree
-			if kind == Forward {
-				full = Compute(g, root, graph.Union{X: base, Y: extra})
-			} else {
-				full = ComputeReverse(g, root, graph.Union{X: base, Y: extra})
-			}
-			if !treesEqualDist(inc, full) {
-				return false
-			}
+			requireIdentical(t, referenceTree(g, root, graph.Union{X: base, Y: extra}, kind), inc, "recompute")
 			// Parent chains in the incremental tree must reproduce the
 			// claimed distances using live links only.
 			combined := graph.Union{X: base, Y: extra}
@@ -376,6 +364,11 @@ func TestPathCostConsistencyProperty(t *testing.T) {
 	}
 }
 
+// TestHeapOrdering checks that the heap pops in the canonical
+// (dist, node) order: first a plain run of distinct distances, then
+// random interleaved pushes and pops with many equal distances and
+// repeated node IDs, where every pop must return the smallest live
+// entry of a sorted reference multiset.
 func TestHeapOrdering(t *testing.T) {
 	h := new(minHeap)
 	h.reset(0)
@@ -399,5 +392,37 @@ func TestHeapOrdering(t *testing.T) {
 	}
 	if _, _, ok := h.pop(); ok {
 		t.Error("pop on empty heap must report false")
+	}
+
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 200; trial++ {
+		h.reset(rng.Intn(8))
+		var live []heapEntry // reference multiset, kept sorted
+		for op := 0; op < 300; op++ {
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				v, d, ok := h.pop()
+				if !ok || v != live[0].node || d != live[0].dist {
+					t.Fatalf("trial %d op %d: pop = (%v, %d, %v), want (%v, %d)", trial, op, d, v, ok, live[0].dist, live[0].node)
+				}
+				live = live[1:]
+				continue
+			}
+			e := heapEntry{dist: float64(rng.Intn(6)), node: graph.NodeID(rng.Intn(5))}
+			h.push(e.node, e.dist)
+			i := sort.Search(len(live), func(i int) bool {
+				return e.dist < live[i].dist || e.dist == live[i].dist && e.node < live[i].node
+			})
+			live = append(live[:i], append([]heapEntry{e}, live[i:]...)...)
+			if h.len() != len(live) {
+				t.Fatalf("trial %d op %d: len = %d, want %d", trial, op, h.len(), len(live))
+			}
+		}
+		for len(live) > 0 {
+			v, d, _ := h.pop()
+			if v != live[0].node || d != live[0].dist {
+				t.Fatalf("trial %d drain: pop = (%v, %d), want (%v, %d)", trial, d, v, live[0].dist, live[0].node)
+			}
+			live = live[1:]
+		}
 	}
 }

@@ -26,11 +26,12 @@ type Workspace struct {
 	// Incremental-recompute scratch: the affected region, the tree's
 	// children lists flattened into intrusive linked lists
 	// (childHead[p] is p's first child, childNext[c] the next
-	// sibling), and the descendant traversal stack.
+	// sibling), the region's nodes, and the frontier's pushed marks.
 	affected  []bool
 	childHead []int32
 	childNext []int32
 	queue     []graph.NodeID
+	frontier  []bool
 	// Compiled overlay scratch: the current computation's failure
 	// overlay as flat node/link down tables (see graph.DenseTabler),
 	// filled only when the overlay cannot lend its own tables.
@@ -231,8 +232,9 @@ func (ws *Workspace) runInto(t *Tree, g *graph.Graph, root graph.NodeID, d graph
 // remove elements. See the package-level Recompute for the algorithm.
 func (ws *Workspace) recomputeInto(nt *Tree, g *graph.Graph, base, extra graph.Denied) {
 	n := g.NumNodes()
+	dn, dl := ws.denseUnion(g, base, extra)
 
-	if extra.NodeDown(nt.Root) {
+	if dn[nt.Root] {
 		for i := 0; i < n; i++ {
 			nt.Dist[i] = Inf
 			nt.Parent[i] = None
@@ -242,23 +244,19 @@ func (ws *Workspace) recomputeInto(nt *Tree, g *graph.Graph, base, extra graph.D
 	}
 
 	// 1. Find directly affected nodes: down themselves, or attached to
-	// the tree through a newly removed link or parent.
+	// the tree through a removed link or parent. The union tables can
+	// stand in for extra: anything down under base is already off the
+	// tree.
 	affected := ws.ensureAffected(n)
 	queue := ws.queue[:0]
 	for v := 0; v < n; v++ {
-		id := graph.NodeID(v)
 		if nt.Dist[v] == Inf {
 			// Unreachable before; deletions cannot help, skip.
 			continue
 		}
-		switch {
-		case extra.NodeDown(id):
+		if pl := nt.ParentLink[v]; dn[v] || pl != None && (dl[pl] || dn[nt.Parent[v]]) {
 			affected[v] = true
-			queue = append(queue, id)
-		case nt.ParentLink[v] != None &&
-			(extra.LinkDown(graph.LinkID(nt.ParentLink[v])) || extra.NodeDown(graph.NodeID(nt.Parent[v]))):
-			affected[v] = true
-			queue = append(queue, id)
+			queue = append(queue, graph.NodeID(v))
 		}
 	}
 	if len(queue) == 0 {
@@ -266,7 +264,8 @@ func (ws *Workspace) recomputeInto(nt *Tree, g *graph.Graph, base, extra graph.D
 		return
 	}
 
-	// 2. Extend to all tree descendants of affected nodes.
+	// 2. Extend to all tree descendants of affected nodes; queue ends
+	// up holding the whole region.
 	head, next := ws.ensureChildren(n)
 	for v := 0; v < n; v++ {
 		if p := nt.Parent[v]; p != None {
@@ -274,10 +273,8 @@ func (ws *Workspace) recomputeInto(nt *Tree, g *graph.Graph, base, extra graph.D
 			head[p] = int32(v)
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for c := head[v]; c != None; c = next[c] {
+	for i := 0; i < len(queue); i++ {
+		for c := head[queue[i]]; c != None; c = next[c] {
 			if !affected[c] {
 				affected[c] = true
 				queue = append(queue, graph.NodeID(c))
@@ -286,33 +283,35 @@ func (ws *Workspace) recomputeInto(nt *Tree, g *graph.Graph, base, extra graph.D
 	}
 	ws.queue = queue
 
-	// 3. Reset the affected region and seed the heap with the frontier:
-	// every unaffected node with a live edge into the region, pushed
-	// once at its (unchanged) distance. Settle then pops frontier and
-	// region nodes interleaved in the canonical (dist, node) order a
-	// cold build would use, so every equal-cost parent choice inside
-	// the region matches the cold build bit for bit. (Relaxing frontier
-	// edges here directly instead would fix region parents in node-scan
-	// order and break that identity.)
-	for v := 0; v < n; v++ {
-		if affected[v] {
-			nt.Dist[v] = Inf
-			nt.Parent[v] = None
-			nt.ParentLink[v] = None
-		}
+	// 3. Reset the region and seed the heap with the frontier: every
+	// unaffected reachable node with a live link to a live region node,
+	// found from the region's side and pushed once at its (unchanged)
+	// distance. After the reset a finite label marks exactly the
+	// unaffected reachable nodes. Settle then pops frontier and region
+	// nodes interleaved in the canonical (dist, node) order a cold
+	// build would use, whatever the push order, so every equal-cost
+	// parent choice inside the region matches the cold build bit for
+	// bit. (Relaxing frontier edges here directly instead would fix
+	// region parents in scan order and break that identity.)
+	for _, v := range queue {
+		nt.Dist[v] = Inf
+		nt.Parent[v] = None
+		nt.ParentLink[v] = None
 	}
-	dn, dl := ws.denseUnion(g, base, extra)
+	frontier := resizeCleared(ws.frontier, n)
+	ws.frontier = frontier
 	ws.h.reset(n)
-	for v := 0; v < n; v++ {
-		if affected[v] || nt.Dist[v] == Inf {
+	for _, v := range queue {
+		if dn[v] {
 			continue
 		}
-		for _, he := range g.Adj(graph.NodeID(v)) {
+		for _, he := range g.Adj(v) {
 			w := he.Neighbor
-			if affected[w] && !dn[w] && !dl[he.Link] {
-				ws.h.push(graph.NodeID(v), nt.Dist[v])
-				break
+			if nt.Dist[w] == Inf || frontier[w] || dl[he.Link] {
+				continue
 			}
+			frontier[w] = true
+			ws.h.push(w, nt.Dist[w])
 		}
 	}
 

@@ -66,20 +66,6 @@ func requireIdentical(t *testing.T, want, got *Tree, label string) {
 	}
 }
 
-// freshCompute runs Dijkstra with no workspace reuse at all, as the
-// independent oracle for the differential tests.
-func freshCompute(g *graph.Graph, root graph.NodeID, d graph.Denied, kind Kind) *Tree {
-	n := g.NumNodes()
-	t := &Tree{
-		Dist:       make([]float64, n),
-		Parent:     make([]int32, n),
-		ParentLink: make([]int32, n),
-	}
-	var ws Workspace
-	ws.runInto(t, g, root, d, kind)
-	return t
-}
-
 // TestWorkspaceDifferentialCompute checks that one workspace reused
 // across many graphs of varying sizes, roots, kinds, and failure masks
 // yields trees identical to fresh computations — the stale-buffer
@@ -101,7 +87,7 @@ func TestWorkspaceDifferentialCompute(t *testing.T) {
 }
 
 // TestWorkspaceDifferentialRecompute checks the incremental update
-// against a from-scratch computation under the combined failure set,
+// against the heapless reference under the combined failure set,
 // through both the package-level and the workspace entry points.
 func TestWorkspaceDifferentialRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -116,13 +102,8 @@ func TestWorkspaceDifferentialRecompute(t *testing.T) {
 		label := fmt.Sprintf("trial %d (n=%d root=%d)", trial, n, root)
 
 		for _, kind := range []Kind{Forward, Reverse} {
-			var t0 *Tree
-			if kind == Forward {
-				t0 = Compute(g, root, base)
-			} else {
-				t0 = ComputeReverse(g, root, base)
-			}
-			want := freshCompute(g, root, graph.Union{X: base, Y: extra}, kind)
+			t0 := computeKind(g, root, base, kind)
+			want := referenceTree(g, root, graph.Union{X: base, Y: extra}, kind)
 			requireIdentical(t, want, Recompute(g, t0, base, extra), label+" owned recompute")
 			requireIdentical(t, want, ws.Recompute(g, t0, base, extra), label+" scratch recompute")
 		}
@@ -144,7 +125,7 @@ func TestWorkspaceRecomputeFromOwnScratch(t *testing.T) {
 
 		scratch := ws.Compute(g, root, graph.Nothing)
 		got := ws.Recompute(g, scratch, graph.Nothing, extra)
-		want := freshCompute(g, root, extra, Forward)
+		want := referenceTree(g, root, extra, Forward)
 		requireIdentical(t, want, got, fmt.Sprintf("trial %d", trial))
 	}
 }
