@@ -30,8 +30,8 @@ type FCP struct {
 	topo *topology.Topology
 	// clean optionally supplies the pre-failure forward SPT rooted at a
 	// node. The carried failure set only grows, so every recomputation
-	// is a delete-only update of that clean tree and can run as a
-	// frontier-push spt.Recompute over the affected region instead of a
+	// is a delete-only update of that clean tree and can run as an
+	// spt.Recompute that settles only the affected region instead of a
 	// cold full-graph Dijkstra. Bit-identical either way (the
 	// incremental engine's canonical tie-break guarantee).
 	clean func(graph.NodeID) *spt.Tree

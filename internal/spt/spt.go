@@ -202,7 +202,12 @@ func run(g *graph.Graph, root graph.NodeID, d graph.Denied, kind Kind) *Tree {
 
 // settleDense runs the Dijkstra main loop, extending the tree from
 // whatever is already in the heap. If scope is non-nil, only nodes with
-// scope[v] == true may be relabeled (used by incremental recompute).
+// scope[v] == true may be relabeled (used by incremental recompute,
+// which seeds them from neighbours outside the heap), and a popped node
+// that reaches one at its current distance takes it over when it comes
+// before the current parent in (dist, node) order: a cold build would
+// have popped it first. Cold builds skip the test, as a parent always
+// pops before its rivals there.
 // The failure overlay arrives compiled to flat tables: the per-edge
 // membership tests are two slice loads instead of two interface calls,
 // which dominates the inner loop on dense topologies (~4m dynamic
@@ -239,6 +244,12 @@ func settleDense(g *graph.Graph, t *Tree, nodeDown, linkDown []bool, h *minHeap,
 				t.Parent[w] = int32(v)
 				t.ParentLink[w] = int32(he.Link)
 				h.push(w, nd)
+			} else if scope != nil && nd == t.Dist[w] {
+				p := graph.NodeID(t.Parent[w])
+				if (heapEntry{dv, v}).before(heapEntry{t.Dist[p], p}) {
+					t.Parent[w] = int32(v)
+					t.ParentLink[w] = int32(he.Link)
+				}
 			}
 		}
 	}
@@ -252,8 +263,8 @@ func settleDense(g *graph.Graph, t *Tree, nodeDown, linkDown []bool, h *minHeap,
 // elements (this is the delete-only case RTR needs: the initiator
 // learns of additional failures and prunes them). The result is
 // bit-identical to the cold build — Dist, Parent, and ParentLink all
-// match, including equal-cost tie breaks, thanks to the heap's
-// canonical (dist, node) order.
+// match, including equal-cost tie breaks, because region nodes are
+// seeded and settled by the heap's canonical (dist, node) order.
 func Recompute(g *graph.Graph, t *Tree, base, extra graph.Denied) *Tree {
 	nt := t.Clone()
 	ws := GetWorkspace()

@@ -26,12 +26,11 @@ type Workspace struct {
 	// Incremental-recompute scratch: the affected region, the tree's
 	// children lists flattened into intrusive linked lists
 	// (childHead[p] is p's first child, childNext[c] the next
-	// sibling), the region's nodes, and the frontier's pushed marks.
+	// sibling), and the region's nodes.
 	affected  []bool
 	childHead []int32
 	childNext []int32
 	queue     []graph.NodeID
-	frontier  []bool
 	// Compiled overlay scratch: the current computation's failure
 	// overlay as flat node/link down tables (see graph.DenseTabler),
 	// filled only when the overlay cannot lend its own tables.
@@ -283,40 +282,53 @@ func (ws *Workspace) recomputeInto(nt *Tree, g *graph.Graph, base, extra graph.D
 	}
 	ws.queue = queue
 
-	// 3. Reset the region and seed the heap with the frontier: every
-	// unaffected reachable node with a live link to a live region node,
-	// found from the region's side and pushed once at its (unchanged)
-	// distance. After the reset a finite label marks exactly the
-	// unaffected reachable nodes. Settle then pops frontier and region
-	// nodes interleaved in the canonical (dist, node) order a cold
-	// build would use, whatever the push order, so every equal-cost
-	// parent choice inside the region matches the cold build bit for
-	// bit. (Relaxing frontier edges here directly instead would fix
-	// region parents in scan order and break that identity.)
+	// 3. Reset the region, then label each live region node from its
+	// reachable neighbours outside the region, over live links; their
+	// labels are final (region nodes labelled earlier in this pass are
+	// not). Take the smallest Dist[u] + cost(u→v), ties to the smallest
+	// (Dist[u], u), then to the first link in Adj(v). That is the parent
+	// a cold build's strict-< relaxation keeps among these neighbours:
+	// it pops them in (dist, node) order, and half-edges sit in link-ID
+	// order at both ends, so the first link in Adj(v) is the first in
+	// Adj(u). Forward trees pay u→v, read from the link; reverse trees
+	// pay v→u, which v's half-edge carries. Each labelled node is pushed
+	// once.
 	for _, v := range queue {
 		nt.Dist[v] = Inf
 		nt.Parent[v] = None
 		nt.ParentLink[v] = None
 	}
-	frontier := resizeCleared(ws.frontier, n)
-	ws.frontier = frontier
+	forward := nt.Kind == Forward
 	ws.h.reset(n)
 	for _, v := range queue {
 		if dn[v] {
 			continue
 		}
+		best, from, link := Inf, heapEntry{dist: Inf}, int32(None)
 		for _, he := range g.Adj(v) {
-			w := he.Neighbor
-			if nt.Dist[w] == Inf || frontier[w] || dl[he.Link] {
+			u := he.Neighbor
+			du := nt.Dist[u]
+			if du == Inf || affected[u] || dl[he.Link] {
 				continue
 			}
-			frontier[w] = true
-			ws.h.push(w, nt.Dist[w])
+			c := he.Cost
+			if forward {
+				c = g.Link(he.Link).CostFrom(u)
+			}
+			e := heapEntry{dist: du, node: u}
+			if d := du + c; d < best || d == best && e.before(from) {
+				best, from, link = d, e, int32(he.Link)
+			}
+		}
+		if link != None {
+			nt.Dist[v] = best
+			nt.Parent[v] = int32(from.node)
+			nt.ParentLink[v] = link
+			ws.h.push(v, best)
 		}
 	}
 
-	// 4. Run Dijkstra restricted to the affected region: the scope
-	// guard keeps frontier nodes' own labels fixed while their pops
-	// relax edges into the region at the canonical moment.
+	// 4. Run Dijkstra over the region alone; settleDense lets a region
+	// node that pops before a seeding neighbour take an equal tie over.
 	settleDense(g, nt, dn, dl, &ws.h, affected)
 }
