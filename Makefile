@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race loc examples bench-smoke bench bench-run sweep-smoke sweep-smoke-generators check-invariants congestion-smoke serve-smoke scale-smoke fuzz-smoke clean
+.PHONY: check fmt vet build test race loc bench-smoke bench bench-run sweep-smoke sweep-smoke-generators check-invariants congestion-smoke serve-smoke scale-smoke fuzz-smoke clean
 
-## check: the full pre-merge gate — gofmt, vet, build, race-enabled tests,
-## every example program run to completion, a one-iteration pass over
-## every benchmark so bench code can't rot, a
+## check: the full pre-merge gate — gofmt, vet, build, race-enabled tests
+## (which run every Example and compare its output), a one-iteration
+## pass over every benchmark so bench code can't rot, a
 ## short run of the repo benchmark's own harness, an interrupt/resume
 ## sweep that must reproduce the uninterrupted run byte for byte, an
 ## invariant-checked sweep, a checked smoke sweep per alternative
 ## failure generator, a live daemon/load-generator round trip, and the
 ## 100k-node scale pipeline under wall-clock/RSS budgets.
-check: fmt vet build race examples bench-smoke bench-run sweep-smoke sweep-smoke-generators check-invariants congestion-smoke serve-smoke scale-smoke
+check: fmt vet build race bench-smoke bench-run sweep-smoke sweep-smoke-generators check-invariants congestion-smoke serve-smoke scale-smoke
 
 ## fmt: every Go file is gofmt-clean.
 fmt:
@@ -28,18 +28,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-## loc: lines of non-test Go in internal/, cmd/ and examples/ — the
-## size ROADMAP.md tracks.
+## loc: lines of non-test Go in internal/ and cmd/ — the size
+## ROADMAP.md tracks.
 loc:
-	@find internal cmd examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
-
-## examples: run every examples/* program; each must exit 0 (they are
-## the library's documented entry points, so a broken one is a broken
-## API).
-examples:
-	for d in examples/*/; do \
-	  $(GO) run ./$$d > /dev/null || { echo "examples: $$d failed"; exit 1; }; \
-	done
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 ## bench-smoke: compile-and-run every benchmark in the module once
 ## (correctness of the bench harness, not timing): the root package's,

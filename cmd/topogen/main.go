@@ -11,9 +11,11 @@
 //	topogen -in big.snap -stats                    # inspect a saved file
 //	topogen -list                                  # list Table II presets
 //
-// Synthesis seeds go through internal/seed.Derive keyed by the
-// topology name, so the same (name, seed) pair reproduces the same
-// graph byte for byte regardless of which tool draws it.
+// A Table II preset (-as) draws from the stream sim.NewWorld uses,
+// rand.NewSource(seed), so the file holds the graph rtrsim, rtrsimd and
+// the benchmark simulate for that (name, seed). A -nodes synthesis
+// derives its stream through internal/seed.Derive keyed by the
+// topology name, as rtrscale does.
 package main
 
 import (
@@ -105,7 +107,7 @@ func load(asName, in string, nodes, links int, tiers bool, name string, seedBase
 		if !ok {
 			return nil, fmt.Errorf("unknown preset %q (try -list)", asName)
 		}
-		return topology.Generate(p, newRand(seedBase, asName))
+		return topology.Generate(p, rand.New(rand.NewSource(seedBase)))
 	default:
 		return nil, fmt.Errorf("pass one of -as, -nodes, -in, or -paper-example")
 	}
@@ -176,9 +178,13 @@ func printStats(t *topology.Topology) {
 	fmt.Printf("nodes        %d\n", n)
 	fmt.Printf("links        %d\n", g.NumLinks())
 	fmt.Printf("connected    %v\n", g.ConnectedAll(graph.Nothing))
-	fmt.Printf("degree       min %d / median %d / max %d, %d leaves\n",
-		degrees[0], degrees[n/2], maxDeg, leaves)
-	fmt.Printf("avg link len %.1f\n", totalLen/float64(g.NumLinks()))
+	if n > 0 {
+		fmt.Printf("degree       min %d / median %d / max %d, %d leaves\n",
+			degrees[0], degrees[n/2], maxDeg, leaves)
+	}
+	if g.NumLinks() > 0 {
+		fmt.Printf("avg link len %.1f\n", totalLen/float64(g.NumLinks()))
+	}
 	if g.NumLinks() <= statCrossLimit {
 		ci := topology.BuildCrossIndex(t)
 		fmt.Printf("crossings    %d\n", ci.NumCrossings())
@@ -188,9 +194,8 @@ func printStats(t *topology.Topology) {
 	fmt.Printf("cut vertices %d\n", len(g.ArticulationPoints(graph.Nothing)))
 }
 
-// newRand derives the generator stream from (base seed, topology name)
-// so every tool that synthesizes the same named topology draws the
-// same stream.
+// newRand derives a -nodes synthesis stream from (base seed, topology
+// name), the stream rtrscale draws for the same pair.
 func newRand(base int64, name string) *rand.Rand {
 	return rand.New(rand.NewSource(seed.Derive(base, "topogen", name)))
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestDesignPackageMap keeps DESIGN.md §5 honest: every directory
-// under cmd/, internal/ and examples/ has a line in the package map,
+// under cmd/ and internal/ has a line in the package map,
 // and every line names a directory that exists.
 func TestDesignPackageMap(t *testing.T) {
 	doc, err := os.ReadFile("DESIGN.md")
@@ -23,14 +23,14 @@ func TestDesignPackageMap(t *testing.T) {
 	}
 	section, _, _ = strings.Cut(section, "\n## ")
 	mapped := map[string]bool{}
-	for _, m := range regexp.MustCompile(`(?m)^((?:cmd|internal|examples)/[a-z0-9]+)/\s`).FindAllStringSubmatch(section, -1) {
+	for _, m := range regexp.MustCompile(`(?m)^((?:cmd|internal)/[a-z0-9]+)/\s`).FindAllStringSubmatch(section, -1) {
 		if mapped[m[1]] {
 			t.Errorf("DESIGN.md §5 lists %s twice", m[1])
 		}
 		mapped[m[1]] = true
 	}
 	onDisk := map[string]bool{}
-	for _, root := range []string{"cmd", "internal", "examples"} {
+	for _, root := range []string{"cmd", "internal"} {
 		entries, err := os.ReadDir(root)
 		if err != nil {
 			t.Fatal(err)

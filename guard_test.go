@@ -292,13 +292,15 @@ func viaInterface(named *types.Named, m *types.Func, ifaces []*types.Interface) 
 // sharedTestFixtures are the exported identifiers that only tests
 // reference, kept exported because tests in other packages share them.
 var sharedTestFixtures = map[string]string{
-	"topology.PaperLink": "names the paper example's links in core, failure, routing, sim and root tests",
-	"sim.RunRTR":         "grades one case with RTR alone in scheme, serve and traffic tests",
-	"failure.Canonical":  "spells a failure's cache key in serve tests",
-	"routing.Walk.Nodes": "reads a walk's node sequence in core and fcp tests",
-	"geom.SweepOrder":    "orders the collection sweep in core's exclusion tests",
-	"spt.Tree.Reachable": "asks tree reachability in converged tests",
-	"fcp.Memo.Len":       "counts the trees a converged.State's memo holds in converged tests",
+	"topology.PaperLink":  "names the paper example's links in core, failure, routing, sim and root tests",
+	"sim.RunRTR":          "grades one case with RTR alone in scheme, serve and traffic tests",
+	"failure.Canonical":   "spells a failure's cache key in serve tests",
+	"routing.Walk.Nodes":  "reads a walk's node sequence in core and fcp tests",
+	"geom.SweepOrder":     "orders the collection sweep in core's exclusion tests",
+	"spt.Tree.Reachable":  "asks tree reachability in converged tests",
+	"fcp.Memo.Len":        "counts the trees a converged.State's memo holds in converged tests",
+	"topology.GenerateAS": "builds a Table II map in one call in converged, core, failure, fcp, igp, mrc, routing, spt, topology and root tests",
+	"igp.TunedTimers":     "models sub-second BFD-tuned IGP timers in igp and sim tests",
 }
 
 // TestNoDeadExports fails on an exported identifier in internal/ that

@@ -44,7 +44,7 @@ func TestRTRvsFCPShape(t *testing.T) {
 
 			sess, _ := r.NewSession(lv, initiator)
 			_, trigger, _ := tables.NextHop(initiator, dst)
-			rt, fwd, ok, err := sess.Recover(trigger, dst)
+			rt, fwd, ok, err := recoverPath(sess, trigger, dst)
 			if err != nil && !errors.Is(err, ErrNoLiveNeighbor) {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/failure"
@@ -32,9 +33,15 @@ func Example() {
 		initiator+1, col.Walk.Hops(), len(col.Header.FailedLinks))
 	fmt.Printf("recovery path has %d hops; delivered: %v; SP calculations: %d\n",
 		route.Hops(), fwd.Delivered, sess.SPCalcs())
+	path := make([]string, len(route.Nodes))
+	for i, v := range route.Nodes {
+		path[i] = fmt.Sprintf("v%d", v+1)
+	}
+	fmt.Println(strings.Join(path, " -> "))
 	// Output:
 	// initiator v6 walked 11 hops and collected 5 failed links
 	// recovery path has 5 hops; delivered: true; SP calculations: 1
+	// v6 -> v5 -> v12 -> v11 -> v15 -> v17
 }
 
 // Collecting failure information once serves every destination the

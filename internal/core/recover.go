@@ -184,17 +184,3 @@ func (s *Session) ForwardSourceRouted(rt Route) ForwardResult {
 	res.Delivered = true
 	return res
 }
-
-// Recover is the end-to-end convenience: run phase 1 (once), compute
-// the recovery path for dst, and simulate phase-2 forwarding. ok is
-// false when the initiator's view has no path to dst (early discard).
-func (s *Session) Recover(trigger graph.LinkID, dst graph.NodeID) (Route, ForwardResult, bool, error) {
-	if _, err := s.Collect(trigger); err != nil {
-		return Route{}, ForwardResult{}, false, err
-	}
-	rt, ok := s.RecoveryPath(dst)
-	if !ok {
-		return Route{}, ForwardResult{}, false, nil
-	}
-	return rt, s.ForwardSourceRouted(rt), true, nil
-}

@@ -127,62 +127,93 @@ func TestSourceRouteHeader(t *testing.T) {
 	}
 }
 
+// recoverPath is the end-to-end convenience: run phase 1 (once per
+// session), compute the recovery path for dst, and simulate phase-2
+// forwarding. ok is false when the initiator's view has no path to dst
+// (early discard).
+func recoverPath(s *Session, trigger graph.LinkID, dst graph.NodeID) (Route, ForwardResult, bool, error) {
+	if _, err := s.Collect(trigger); err != nil {
+		return Route{}, ForwardResult{}, false, err
+	}
+	rt, ok := s.RecoveryPath(dst)
+	if !ok {
+		return Route{}, ForwardResult{}, false, nil
+	}
+	return rt, s.ForwardSourceRouted(rt), true, nil
+}
+
 // TestTheorem3SingleLinkFailures: under ANY single link failure, every
 // failed routing path with a reachable destination is recovered with
-// the exact shortest recovery path. Exhaustive over all links and all
-// source/destination pairs of the fixture.
+// the exact shortest recovery path. Exhaustive over every link and
+// every (initiator, destination) pair whose next hop the link cut, on
+// the fixture and on the AS1239 analogue; the counts pin how many
+// failed paths each sweep checks and how many of them a bridge (or a
+// leaf's only link) cut off from every scheme.
 func TestTheorem3SingleLinkFailures(t *testing.T) {
-	topo := topology.PaperExample()
-	r := New(topo, nil)
-	tables := routing.ComputeTables(topo)
-	n := topo.G.NumNodes()
-
-	for li := 0; li < topo.G.NumLinks(); li++ {
-		linkID := graph.LinkID(li)
-		sc := failure.SingleLink(topo, linkID)
-		lv := routing.NewLocalView(topo, sc)
-		truth := make([]*spt.Tree, n) // lazily computed ground-truth SPTs
-
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				if src == dst {
-					continue
-				}
-				s, d := graph.NodeID(src), graph.NodeID(dst)
-				outcome, initiator, _ := routing.TraceDefault(tables, lv, s, d)
-				if outcome != routing.DefaultBlocked {
-					continue // path unaffected by this failure
-				}
-				sess, err := r.NewSession(lv, initiator)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, trigger, _ := tables.NextHop(initiator, d)
-				rt, fwd, ok, err := sess.Recover(trigger, d)
-				if err != nil {
-					t.Fatalf("link %v, %d->%d: %v", topo.G.Link(linkID), src, dst, err)
-				}
-
-				if truth[initiator] == nil {
-					truth[initiator] = spt.Compute(topo.G, initiator, sc)
-				}
-				optCost, reachable := truth[initiator].CostTo(d)
-				if !reachable {
-					if ok {
-						t.Fatalf("link %v: RTR claims recovery to unreachable v%d", topo.G.Link(linkID), dst+1)
+	for _, in := range []struct {
+		topo                *topology.Topology
+		failed, partitioned int
+	}{
+		{topology.PaperExample(), 306, 0},
+		{topology.GenerateAS("AS1239", 1), 2652, 988},
+	} {
+		topo := in.topo
+		r := New(topo, nil)
+		tables := routing.ComputeTables(topo)
+		n := topo.G.NumNodes()
+		failed, partitioned := 0, 0
+		for li := 0; li < topo.G.NumLinks(); li++ {
+			linkID := graph.LinkID(li)
+			sc := failure.NewLinkSet(topo, linkID)
+			lv := routing.NewLocalView(topo, sc)
+			for i := 0; i < n; i++ {
+				initiator := graph.NodeID(i)
+				var sess *Session
+				var truth *spt.Tree
+				for d := 0; d < n; d++ {
+					dst := graph.NodeID(d)
+					if dst == initiator {
+						continue
 					}
-					continue
-				}
-				if !ok {
-					t.Fatalf("link %v, initiator %d, dst %d: Theorem 3 violated — no recovery", topo.G.Link(linkID), initiator, dst)
-				}
-				if !fwd.Delivered {
-					t.Fatalf("link %v: recovery path contains a failure under single link failure", topo.G.Link(linkID))
-				}
-				if rt.Cost != optCost {
-					t.Fatalf("link %v, initiator %d, dst %d: cost %v, optimal %v", topo.G.Link(linkID), initiator, dst, rt.Cost, optCost)
+					_, trigger, ok := tables.NextHop(initiator, dst)
+					if !ok || !lv.NeighborUnreachable(initiator, trigger) {
+						continue // path unaffected by this failure
+					}
+					failed++
+					if sess == nil {
+						var err error
+						if sess, err = r.NewSession(lv, initiator); err != nil {
+							t.Fatal(err)
+						}
+						truth = spt.Compute(topo.G, initiator, sc)
+					}
+					rt, fwd, ok, err := recoverPath(sess, trigger, dst)
+					if err != nil && !errors.Is(err, ErrNoLiveNeighbor) {
+						t.Fatalf("%s link %v, %d->%d: %v", topo.Name, topo.G.Link(linkID), initiator, dst, err)
+					}
+					optCost, reachable := truth.CostTo(dst)
+					if !reachable {
+						if ok {
+							t.Fatalf("%s link %v: RTR claims recovery to unreachable %d", topo.Name, topo.G.Link(linkID), dst)
+						}
+						partitioned++
+						continue
+					}
+					if !ok {
+						t.Fatalf("%s link %v, initiator %d, dst %d: Theorem 3 violated — no recovery", topo.Name, topo.G.Link(linkID), initiator, dst)
+					}
+					if !fwd.Delivered {
+						t.Fatalf("%s link %v: recovery path contains a failure under single link failure", topo.Name, topo.G.Link(linkID))
+					}
+					if rt.Cost != optCost {
+						t.Fatalf("%s link %v, initiator %d, dst %d: cost %v, optimal %v", topo.Name, topo.G.Link(linkID), initiator, dst, rt.Cost, optCost)
+					}
 				}
 			}
+		}
+		if failed != in.failed || partitioned != in.partitioned {
+			t.Errorf("%s: %d failed paths, %d partitioned; want %d and %d",
+				topo.Name, failed, partitioned, in.failed, in.partitioned)
 		}
 	}
 }

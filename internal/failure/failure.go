@@ -172,12 +172,6 @@ func (s *Scenario) String() string {
 		s.Topo.Name, len(s.areas), s.NumFailedNodes(), s.NumFailedLinks())
 }
 
-// SingleLink returns a scenario in which exactly the given link fails
-// (no geometric area). It is used by the Theorem 3 experiments.
-func SingleLink(topo *topology.Topology, id graph.LinkID) *Scenario {
-	return NewLinkSet(topo, id)
-}
-
 // RandomArea draws a failure disk with center uniform in the
 // simulation area and radius uniform in [minR, maxR], matching the
 // paper's setup.

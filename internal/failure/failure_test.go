@@ -110,7 +110,7 @@ func TestMultiAreaUnion(t *testing.T) {
 func TestSingleLink(t *testing.T) {
 	topo := topology.PaperExample()
 	id := topology.PaperLink(topo, 6, 11)
-	s := SingleLink(topo, id)
+	s := NewLinkSet(topo, id)
 	if !s.LinkDown(id) {
 		t.Error("the designated link must be down")
 	}

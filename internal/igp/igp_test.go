@@ -120,7 +120,7 @@ func TestConvergePartition(t *testing.T) {
 	if !found {
 		t.Skip("no leaf in this topology")
 	}
-	sc := failure.SingleLink(topo, topo.G.Adj(leaf)[0].Link)
+	sc := failure.NewLinkSet(topo, topo.G.Adj(leaf)[0].Link)
 	c := Converge(sc, TunedTimers())
 	if c.RouterTime[leaf] != 0 {
 		// The leaf IS a detector of its own link failure, so it

@@ -142,7 +142,7 @@ func TestRecoverSingleLinkFailure(t *testing.T) {
 	total := 0
 	for li := 0; li < topo.G.NumLinks(); li++ {
 		id := graph.LinkID(li)
-		sc := failure.SingleLink(topo, id)
+		sc := failure.NewLinkSet(topo, id)
 		lv := routing.NewLocalView(topo, sc)
 		l := topo.G.Link(id)
 		// The endpoint A recovering a path through the link.

@@ -127,121 +127,3 @@ func PacketLoss(w *World, cfg LossConfig) LossResult {
 	}
 	return res
 }
-
-// GoodputPoint samples the fraction of failed-path flows delivered at
-// time t after the failure, with and without RTR.
-type GoodputPoint struct {
-	T          time.Duration
-	NoRecovery float64
-	WithRTR    float64
-}
-
-// GoodputSeries computes flow availability over time, averaged over
-// random failure scenarios. Without recovery, a flow returns when
-// every router on its post-failure path has converged; with RTR,
-// recovered flows return as soon as the initiator detects the failure
-// and finishes the collection walk, while unrecovered flows wait for
-// convergence like everyone else. Irrecoverable flows never return in
-// either column.
-func GoodputSeries(w *World, cfg LossConfig, step time.Duration) []GoodputPoint {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	type flow struct {
-		noRecAt time.Duration // when IGP convergence restores the flow
-		rtrAt   time.Duration // when RTR restores it (or noRecAt)
-		never   bool          // irrecoverable
-	}
-	var flows []flow
-	var horizon time.Duration
-
-	for s := 0; s < cfg.Scenarios; s++ {
-		sc := failure.RandomScenario(w.Topo, rng)
-		if !sc.HasFailures() {
-			continue
-		}
-		conv := igp.Converge(sc, cfg.Timers)
-		if conv.Total > horizon {
-			horizon = conv.Total
-		}
-		rec, irr := CasesFromScenario(w, sc)
-		outs := RunAll(w, rec)
-		for _, o := range outs {
-			if o.Err != nil {
-				continue
-			}
-			var f flow
-			f.noRecAt, f.rtrAt = restoreTimes(w, conv, cfg.Timers, o)
-			if f.rtrAt > f.noRecAt {
-				f.rtrAt = f.noRecAt // IGP got there first
-			}
-			flows = append(flows, f)
-		}
-		for range irr {
-			flows = append(flows, flow{never: true})
-		}
-	}
-	if len(flows) == 0 {
-		return nil
-	}
-
-	var out []GoodputPoint
-	for t := time.Duration(0); t <= horizon+step; t += step {
-		var noRec, rtr int
-		for _, f := range flows {
-			if f.never {
-				continue
-			}
-			if t >= f.noRecAt {
-				noRec++
-			}
-			if t >= f.rtrAt {
-				rtr++
-			}
-		}
-		out = append(out, GoodputPoint{
-			T:          t,
-			NoRecovery: float64(noRec) / float64(len(flows)),
-			WithRTR:    float64(rtr) / float64(len(flows)),
-		})
-	}
-	return out
-}
-
-// restoreTimes is the model of one recoverable case's flow: noRecAt
-// is when IGP convergence restores it (pathConvergence), rtrAt when
-// RTR does — detection plus the collection walk, after which held
-// packets leave on the recovery path — or noRecAt when RTR did not
-// recover the case. rtrAt is not clamped to noRecAt.
-func restoreTimes(w *World, conv *igp.Convergence, timers igp.Timers, o Outcome) (noRecAt, rtrAt time.Duration) {
-	noRecAt = pathConvergence(w, conv, o)
-	if !o.RTR.Recovered {
-		return noRecAt, noRecAt
-	}
-	return noRecAt, timers.Detection + o.RTR.Phase1.Duration()
-}
-
-// pathConvergence estimates when IGP convergence restores a flow: the
-// latest convergence time among the routers on the post-failure
-// shortest path from the initiator to the destination. The outcome's
-// shared truth tree serves when grading built one.
-func pathConvergence(w *World, conv *igp.Convergence, o Outcome) time.Duration {
-	c := o.Case
-	tree := o.Truth
-	if tree == nil {
-		tree = w.StateOf(c).Truth(c.Initiator)
-	}
-	nodes, ok := tree.PathNodes(c.Dst)
-	if !ok {
-		return conv.Total
-	}
-	var latest time.Duration
-	for _, v := range nodes {
-		if conv.RouterTime[v] > latest {
-			latest = conv.RouterTime[v]
-		}
-	}
-	if latest == 0 {
-		latest = conv.Total
-	}
-	return latest
-}

@@ -72,58 +72,6 @@ func TestDefaultLossConfig(t *testing.T) {
 	}
 }
 
-func TestGoodputSeriesShape(t *testing.T) {
-	w, err := NewWorld("AS1239", 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := LossConfig{Scenarios: 10, PacketsPerSecond: 1000, Seed: 7, Timers: igp.ClassicTimers()}
-	pts := GoodputSeries(w, cfg, 200*time.Millisecond)
-	if len(pts) < 5 {
-		t.Fatalf("series too short: %d points", len(pts))
-	}
-	// Both series are monotone non-decreasing; RTR dominates
-	// no-recovery at every instant; both end equal (IGP eventually
-	// restores everything restorable).
-	for i, p := range pts {
-		if p.WithRTR < p.NoRecovery-1e-12 {
-			t.Fatalf("t=%v: RTR goodput %.3f below no-recovery %.3f", p.T, p.WithRTR, p.NoRecovery)
-		}
-		if i > 0 {
-			if p.WithRTR < pts[i-1].WithRTR || p.NoRecovery < pts[i-1].NoRecovery {
-				t.Fatalf("goodput must be monotone: %+v -> %+v", pts[i-1], p)
-			}
-		}
-	}
-	last := pts[len(pts)-1]
-	if last.WithRTR != last.NoRecovery {
-		t.Errorf("series must converge: %.3f vs %.3f", last.WithRTR, last.NoRecovery)
-	}
-	if last.NoRecovery <= 0 || last.NoRecovery > 1 {
-		t.Errorf("final availability %.3f out of range", last.NoRecovery)
-	}
-	// Early on, RTR must be strictly ahead (it restores flows right
-	// after detection, long before classic convergence).
-	early := pts[len(pts)/3]
-	if early.WithRTR <= early.NoRecovery {
-		t.Errorf("RTR should lead during convergence: t=%v rtr=%.3f norec=%.3f",
-			early.T, early.WithRTR, early.NoRecovery)
-	}
-	t.Logf("at %v: no-recovery %.1f%%, with RTR %.1f%%; final %.1f%%",
-		early.T, 100*early.NoRecovery, 100*early.WithRTR, 100*last.NoRecovery)
-}
-
-func TestGoodputSeriesEmptyWorldOK(t *testing.T) {
-	w, err := NewWorld("AS1239", 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := GoodputSeries(w, LossConfig{Scenarios: 0, Timers: igp.TunedTimers(), Seed: 1}, time.Second)
-	if pts != nil {
-		t.Errorf("no scenarios must yield nil series, got %d points", len(pts))
-	}
-}
-
 // DefaultLossConfig uses classic (slow) IGP timers.
 func DefaultLossConfig() LossConfig {
 	return LossConfig{

@@ -1,16 +1,16 @@
 package sim
 
 // A discrete-event packet-level simulator for the pre-convergence
-// window, kept as the independent check of the analytic loss model
-// (loss.go): flows inject packets that are forwarded hop by hop
-// (routing.HopDelay each) using whatever table each router currently
-// has — stale before its IGP convergence time, fresh after — while RTR
-// recovers blocked flows: the first blocked packet rides the
-// collection walk, packets arriving during collection are held at the
-// initiator (increased delay, no loss — Section III-A), and once the
-// walk returns everything is source-routed over the recovery path.
-// loss.go states the same dynamics in closed form; the simulator
-// derives them from individual packet events, and
+// window, kept as the independent check of the analytic per-flow
+// restore model (restoreTimes, below): flows inject packets that are
+// forwarded hop by hop (routing.HopDelay each) using whatever table
+// each router currently has — stale before its IGP convergence time,
+// fresh after — while RTR recovers blocked flows: the first blocked
+// packet rides the collection walk, packets arriving during collection
+// are held at the initiator (increased delay, no loss — Section
+// III-A), and once the walk returns everything is source-routed over
+// the recovery path. restoreTimes states the same dynamics in closed
+// form; the simulator derives them from individual packet events, and
 // TestPacketSimAgreesWithLossModel holds the two to each other.
 
 import (
@@ -572,13 +572,52 @@ func TestSessionPerTrigger(t *testing.T) {
 	t.Fatal("no initiator with two triggers of different walk lengths drawn")
 }
 
+// restoreTimes is the model of one recoverable case's flow: noRecAt
+// is when IGP convergence restores it (pathConvergence), rtrAt when
+// RTR does — detection plus the collection walk, after which held
+// packets leave on the recovery path — or noRecAt when RTR did not
+// recover the case. rtrAt is not clamped to noRecAt.
+func restoreTimes(w *World, conv *igp.Convergence, timers igp.Timers, o Outcome) (noRecAt, rtrAt time.Duration) {
+	noRecAt = pathConvergence(w, conv, o)
+	if !o.RTR.Recovered {
+		return noRecAt, noRecAt
+	}
+	return noRecAt, timers.Detection + o.RTR.Phase1.Duration()
+}
+
+// pathConvergence estimates when IGP convergence restores a flow: the
+// latest convergence time among the routers on the post-failure
+// shortest path from the initiator to the destination. The outcome's
+// shared truth tree serves when grading built one.
+func pathConvergence(w *World, conv *igp.Convergence, o Outcome) time.Duration {
+	c := o.Case
+	tree := o.Truth
+	if tree == nil {
+		tree = w.StateOf(c).Truth(c.Initiator)
+	}
+	nodes, ok := tree.PathNodes(c.Dst)
+	if !ok {
+		return conv.Total
+	}
+	var latest time.Duration
+	for _, v := range nodes {
+		if conv.RouterTime[v] > latest {
+			latest = conv.RouterTime[v]
+		}
+	}
+	if latest == 0 {
+		latest = conv.Total
+	}
+	return latest
+}
+
 // TestPacketSimAgreesWithLossModel is the differential of the analytic
-// loss model (restoreTimes, which GoodputSeries reads) against the
-// packet simulator. On every Table II topology, random failures give
-// recoverable cases; each sampled case becomes one flow from its
-// initiator to its destination, sending every 25 ms (a divisor of the
-// 50 ms detection time, so a packet is blocked at the initiator the
-// instant detection completes). Then:
+// loss model (restoreTimes) against the packet simulator. On every
+// Table II topology, random failures give recoverable cases; each
+// sampled case becomes one flow from its initiator to its destination,
+// sending every 25 ms (a divisor of the 50 ms detection time, so a
+// packet is blocked at the initiator the instant detection completes).
+// Then:
 //
 //   - (a) if RTR recovered the case, the flow's first recovered
 //     delivery is exactly the model's RTR time plus the phase-2 path;
