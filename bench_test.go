@@ -283,21 +283,23 @@ func BenchmarkDatasetBuild(b *testing.B) {
 // termination against the paper's literal rule (DESIGN.md §6): same
 // workload, two engines, reported as optimal recovery rates.
 func BenchmarkAblationTermination(b *testing.B) {
-	build := func(opts ...core.Option) (*sim.World, []*sim.Case) {
-		w, err := sim.NewWorld("AS1239", 11, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cases, _ := sim.CollectBothG(w, failure.Default(), rand.New(rand.NewSource(5)), benchCases, 0)
-		return w, cases
+	verified, err := sim.NewWorld("AS1239", 11)
+	if err != nil {
+		b.Fatal(err)
 	}
-	verified, verCases := build()
-	paper, papCases := build(core.WithPaperTermination())
+	// The paper-rule world shares everything but its RTR engine.
+	paper := *verified
+	paper.RTR = core.New(verified.Topo, verified.CI, core.WithPaperTermination())
+	collect := func(w *sim.World) []*sim.Case {
+		cases, _ := sim.CollectBothG(w, failure.Default(), rand.New(rand.NewSource(5)), benchCases, 0)
+		return cases
+	}
+	verCases, papCases := collect(verified), collect(&paper)
 	b.ResetTimer()
 	var verOpt, papOpt float64
 	for i := 0; i < b.N; i++ {
 		vo := sim.RunAll(verified, verCases)
-		po := sim.RunAll(paper, papCases)
+		po := sim.RunAll(&paper, papCases)
 		verOpt, papOpt = optimalRate(vo), optimalRate(po)
 	}
 	b.ReportMetric(verOpt, "verified-optimal-%")
@@ -501,18 +503,10 @@ func BenchmarkPostFailureTables(b *testing.B) {
 
 // BenchmarkMRCBuildTrees measures MRC's k*n configuration tree matrix
 // — the precomputation cost Enhanced-MRC identifies as MRC's scaling
-// burden — cold versus warm-started from the clean routing tables.
+// burden — warm-started from the clean routing tables.
 func BenchmarkMRCBuildTrees(b *testing.B) {
 	topo := topology.GenerateAS("AS7018", 1)
 	tables := routing.ComputeTables(topo)
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := mrc.New(topo, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

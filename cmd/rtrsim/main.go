@@ -73,7 +73,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/igp"
 	"repro/internal/invariant"
@@ -229,7 +228,8 @@ func run() int {
 	for _, c := range []struct {
 		flag string
 		n    int
-	}{{"cases", *cases}, {"fig11-areas", *fig11Area}, {"loss-scenarios", *lossScen}} {
+	}{{"cases", *cases}, {"fig11-areas", *fig11Area}, {"loss-scenarios", *lossScen},
+		{"util-pairs", *utilPairs}, {"util-scenarios", *utilScen}} {
 		if c.n < 1 {
 			return fail(fmt.Errorf("-%s: %d, want at least 1", c.flag, c.n))
 		}
@@ -532,28 +532,20 @@ func printCongestion(in *inputs) error {
 }
 
 // printAblation runs the four design-choice ablations on rtrsim's own
-// worlds, plus one paper-termination world per topology that the
-// termination and constraint ablations share.
+// worlds.
 func printAblation(in *inputs) error {
-	paper := make([]*sim.World, len(in.worlds))
-	for i, w := range in.worlds {
-		var err error
-		if paper[i], err = sim.NewWorld(w.Topo.Name, in.seed, core.WithPaperTermination()); err != nil {
-			return err
-		}
-	}
 	fmt.Println("Ablations — design choices (DESIGN.md §6)")
 	fmt.Println("termination rule: enclosure-verified vs the paper's literal rule")
 	fmt.Printf("%-10s %12s %12s %12s %12s\n", "Topology", "ver-opt%", "ver-p90ms", "pap-opt%", "pap-p90ms")
-	for i, w := range in.worlds {
-		r := sim.AblateTermination(w, paper[i], in.seed, in.cases)
+	for _, w := range in.worlds {
+		r := sim.AblateTermination(w, in.seed, in.cases)
 		fmt.Printf("%-10s %12.1f %12.0f %12.1f %12.0f\n", r.AS, r.VerifiedOptimal, r.VerifiedP90Ms, r.PaperOptimal, r.PaperP90Ms)
 	}
 	fmt.Println("\nconstraints 1-2: failure coverage and walk length (2x2 with termination)")
 	fmt.Printf("%-10s | %10s %10s | %10s %10s\n", "", "verified", "", "paper", "")
 	fmt.Printf("%-10s | %10s %10s | %10s %10s\n", "Topology", "con", "unc", "con", "unc")
-	for i, w := range in.worlds {
-		r := sim.AblateConstraints(w, paper[i], in.seed, in.cases)
+	for _, w := range in.worlds {
+		r := sim.AblateConstraints(w, in.seed, in.cases)
 		fmt.Printf("%-10s | %5.1f%%/%3.0fh %5.1f%%/%3.0fh | %5.1f%%/%3.0fh %5.1f%%/%3.0fh\n", r.AS,
 			r.VerifiedConstrained.Coverage, r.VerifiedConstrained.AvgWalkHops,
 			r.VerifiedUnconstrained.Coverage, r.VerifiedUnconstrained.AvgWalkHops,

@@ -2,15 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/topology"
 )
@@ -268,19 +271,37 @@ func TestUnknownExperimentExitsOne(t *testing.T) {
 
 // TestNonPositiveCountsExitOne: a workload count below 1 fails at flag
 // parse with exit 1 and a message naming the flag, instead of a nil
-// dereference (-cases in table3) or an empty row (fig11, loss).
+// dereference (-cases in table3), an empty row (fig11, loss) or a
+// silent fallback to the default (congestion). A traffic matrix larger
+// than the topology's n(n-1) ordered pairs fails the same way before
+// any shard runs; each run has a deadline, so a sweep that never
+// finishes drawing distinct pairs fails the test instead of stalling
+// it.
 func TestNonPositiveCountsExitOne(t *testing.T) {
-	for _, args := range [][]string{
-		{"-exp", "table3", "-cases", "0"},
-		{"-exp", "table3", "-cases", "-1"},
-		{"-exp", "fig11", "-fig11-areas", "-1"},
-		{"-exp", "loss", "-loss-scenarios", "0"},
-		{"-exp", "loss", "-loss-scenarios", "-3"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "table3", "-cases", "0"}, "-cases: 0"},
+		{[]string{"-exp", "table3", "-cases", "-1"}, "-cases: -1"},
+		{[]string{"-exp", "fig11", "-fig11-areas", "-1"}, "-fig11-areas: -1"},
+		{[]string{"-exp", "loss", "-loss-scenarios", "0"}, "-loss-scenarios: 0"},
+		{[]string{"-exp", "loss", "-loss-scenarios", "-3"}, "-loss-scenarios: -3"},
+		{[]string{"-exp", "congestion", "-util-pairs", "0"}, "-util-pairs: 0"},
+		{[]string{"-exp", "congestion", "-util-scenarios", "0"}, "-util-scenarios: 0"},
+		{[]string{"-exp", "congestion", "-as", "AS4323", "-util-pairs", "3000", "-util-scenarios", "1", "-scheme", "rtr"},
+			"3000 traffic pairs exceed the 2550 ordered node pairs of AS4323"},
 	} {
-		cmd := exec.Command(binary(t), append(args, "-as", "AS1239")...)
+		args := tc.args
+		if !slices.Contains(args, "-as") {
+			args = append(args, "-as", "AS1239")
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, binary(t), args...)
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
+		cancel()
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != 1 {
 			t.Errorf("%v: err = %v, want exit 1", args, err)
@@ -289,8 +310,8 @@ func TestNonPositiveCountsExitOne(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%v: printed %q before rejecting the count", args, stdout.String())
 		}
-		if msg := stderr.String(); !strings.Contains(msg, args[2]+": "+args[3]) {
-			t.Errorf("%v: stderr %q does not name the flag", args, msg)
+		if msg := stderr.String(); !strings.Contains(msg, tc.want) {
+			t.Errorf("%v: stderr %q does not say %q", args, msg, tc.want)
 		}
 	}
 }

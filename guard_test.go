@@ -206,12 +206,14 @@ func TestMapRangesAreOrderFree(t *testing.T) {
 	}
 }
 
-// deadExports names every exported package-level identifier, and every
-// exported method, declared in a package under internal/ that no
-// non-test code in pkgs references. A method that implements an
-// interface the module declares, fmt.Stringer or error is called
-// through that interface and is not reported.
-func deadExports(pkgs []*pkg) []string {
+// deadCode names every package-level identifier, and every method,
+// that no non-test code in pkgs references: exported ones declared in
+// a package under internal/, unexported ones under internal/ and cmd/
+// (main and init are called by the runtime). A method that implements
+// an interface the module declares, fmt.Stringer or error is called
+// through that interface and is not reported. Names are qualified by
+// the package's directory, so a command's are "rtrsim.x", not "main.x".
+func deadCode(pkgs []*pkg) []string {
 	used := map[types.Object]bool{}
 	var ifaces []*types.Interface
 	for _, p := range pkgs {
@@ -229,14 +231,17 @@ func deadExports(pkgs []*pkg) []string {
 	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface), stringer)
 	var dead []string
 	for _, p := range pkgs {
-		if !strings.HasPrefix(p.dir, "internal/") {
+		internal := strings.HasPrefix(p.dir, "internal/")
+		if !internal && !strings.HasPrefix(p.dir, "cmd/") {
 			continue
 		}
+		scanned := func(obj types.Object) bool { return internal || !obj.Exported() }
+		qual := filepath.Base(p.dir) + "."
 		scope := p.types.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if obj.Exported() && !used[obj] {
-				dead = append(dead, p.types.Name()+"."+name)
+			if scanned(obj) && !used[obj] && name != "main" && name != "init" {
+				dead = append(dead, qual+name)
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -248,8 +253,8 @@ func deadExports(pkgs []*pkg) []string {
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
-				if m.Exported() && !used[m] && !viaInterface(named, m, ifaces) {
-					dead = append(dead, p.types.Name()+"."+name+"."+m.Name())
+				if scanned(m) && !used[m] && !viaInterface(named, m, ifaces) {
+					dead = append(dead, qual+name+"."+m.Name())
 				}
 			}
 		}
@@ -303,20 +308,22 @@ var sharedTestFixtures = map[string]string{
 	"igp.TunedTimers":     "models sub-second BFD-tuned IGP timers in igp and sim tests",
 }
 
-// TestNoDeadExports fails on an exported identifier in internal/ that
-// only tests reference: such code moves into its package's _test.go
-// files, is unexported, or gets a production caller. Struct fields are
-// not scanned (encoding/json reads them by reflection).
+// TestNoDeadExports fails on code that only tests reference: an
+// exported identifier in internal/, or an unexported one in internal/
+// or cmd/. Exported code moves into its package's _test.go files, is
+// unexported, or gets a production caller; unexported code moves or
+// goes. Struct fields are not scanned (encoding/json reads them by
+// reflection).
 func TestNoDeadExports(t *testing.T) {
 	m, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := map[string]bool{}
-	for _, d := range deadExports(m.pkgs) {
+	for _, d := range deadCode(m.pkgs) {
 		found[d] = true
 		if sharedTestFixtures[d] == "" {
-			t.Errorf("%s: exported, but no non-test code references it", d)
+			t.Errorf("%s: no non-test code references it", d)
 		}
 	}
 	for d := range sharedTestFixtures {
@@ -340,8 +347,11 @@ func (d Disk) Area() float64        { return 3 * d.R * d.R } // implements Shape
 func (d Disk) String() string       { return "disk" }        // implements fmt.Stringer
 func (d Disk) Scale(k float64) Disk { return Disk{d.R * k} }
 
-func Used() int { return 1 }
+func Used() int { return one() }
 func Dead() int { return 2 }
+
+func one() int { return 1 }
+func two() int { return 2 }
 
 func Sum(m map[string]float64) (s float64) {
 	for _, v := range m {
@@ -363,8 +373,8 @@ func main() {
 	if got, want := mapRanges(fset, pkgs), []string{"internal/lib/x.go Sum: range m"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("mapRanges = %q, want %q", got, want)
 	}
-	if got, want := deadExports(pkgs), []string{"lib.Dead", "lib.Disk.Scale"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("deadExports = %q, want %q", got, want)
+	if got, want := deadCode(pkgs), []string{"lib.Dead", "lib.Disk.Scale", "lib.two"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("deadCode = %q, want %q", got, want)
 	}
 }
 

@@ -188,8 +188,7 @@ func TestFCPTreesMatchMemoLess(t *testing.T) {
 		t.Run(as, func(t *testing.T) {
 			t.Parallel()
 			w := newWorld(as)
-			f := fcp.New(w.topo)
-			f.UseCleanTrees(w.rtr.CleanTree)
+			f := fcp.New(w.topo, w.rtr.CleanTree)
 			rng := rand.New(rand.NewSource(6))
 			for draw := 0; draw < 2; draw++ {
 				sc := failure.RandomScenario(w.topo, rng)

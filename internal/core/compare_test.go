@@ -21,7 +21,7 @@ func TestRTRvsFCPShape(t *testing.T) {
 	for _, as := range []string{"AS209", "AS1239", "AS3549", "AS7018"} {
 		topo := topology.GenerateAS(as, 11)
 		r := New(topo, nil)
-		f := fcp.New(topo)
+		f := fcp.New(topo, r.CleanTree)
 		tables := routing.ComputeTables(topo)
 		rng := rand.New(rand.NewSource(1))
 		n := topo.G.NumNodes()

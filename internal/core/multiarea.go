@@ -41,12 +41,8 @@ func (r *RTR) Deliver(tables *routing.Tables, lv *routing.LocalView, src, dst gr
 		res.Reason = "source down"
 		return res, nil
 	}
-	if !lv.NodeAlive(dst) {
-		// The source cannot know this; the failure surfaces as an
-		// unreachable destination during recovery below. We still
-		// simulate the attempt to account the spent effort.
-		_ = dst
-	}
+	// A dead dst is not checked: the source cannot know it, so the
+	// attempt runs, and its effort is accounted, until recovery fails.
 
 	// Stage 1: default forwarding until blocked.
 	outcome, initiator, hops := routing.TraceDefault(tables, lv, src, dst)

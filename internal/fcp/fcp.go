@@ -24,31 +24,26 @@ import (
 )
 
 // FCP is the baseline engine bound to one topology. It is stateless
-// apart from the immutable topology (and an optional clean-tree
-// provider) and safe for concurrent use.
+// apart from the immutable topology and its clean-tree provider, and
+// safe for concurrent use.
 type FCP struct {
 	topo *topology.Topology
-	// clean optionally supplies the pre-failure forward SPT rooted at a
-	// node. The carried failure set only grows, so every recomputation
-	// is a delete-only update of that clean tree and can run as an
-	// spt.Recompute that settles only the affected region instead of a
-	// cold full-graph Dijkstra. Bit-identical either way (the
-	// incremental engine's canonical tie-break guarantee).
+	// clean supplies the pre-failure forward SPT rooted at a node. The
+	// carried failure set only grows, so every recomputation is a
+	// delete-only update of that clean tree and runs as an
+	// spt.Recompute that settles only the affected region.
 	clean func(graph.NodeID) *spt.Tree
 }
 
-// New creates an FCP engine for topo.
-func New(topo *topology.Topology) *FCP {
-	return &FCP{topo: topo}
+// New creates an FCP engine for topo that warm-starts its
+// per-iteration recomputations from clean, a provider of pre-failure
+// forward shortest path trees (the SPT every link-state router
+// maintains anyway). The provider must be safe for concurrent use and
+// the returned trees are treated as read-only; World passes RTR's
+// per-node cache so both protocols share one set of clean trees.
+func New(topo *topology.Topology, clean func(graph.NodeID) *spt.Tree) *FCP {
+	return &FCP{topo: topo, clean: clean}
 }
-
-// UseCleanTrees installs a provider of pre-failure forward shortest
-// path trees (the SPT every link-state router maintains anyway) that
-// Recover warm-starts its per-iteration recomputations from. The
-// provider must be safe for concurrent use and the returned trees are
-// treated as read-only; World wires RTR's per-node sync.Once cache
-// here so both protocols share one set of clean trees.
-func (f *FCP) UseCleanTrees(clean func(graph.NodeID) *spt.Tree) { f.clean = clean }
 
 // Result is the outcome of one FCP recovery attempt.
 type Result struct {
@@ -238,8 +233,7 @@ func (f *FCP) Recover(lv *routing.LocalView, initiator, dst graph.NodeID) (Resul
 
 // RecoverWith attempts delivery from the recovery initiator to dst
 // under the local view lv, reading and filling memo's pruned-view
-// trees when memo is non-nil and clean trees are installed (the memo
-// stores trees against them). The Result is identical to Recover's,
+// trees when memo is non-nil. The Result is identical to Recover's,
 // SPCalcs included: a tree read from memo is still one calculation
 // the protocol makes. The initiator already observes its own
 // unreachable neighbors and records them in the header before the
@@ -249,9 +243,6 @@ func (f *FCP) RecoverWith(memo *Memo, lv *routing.LocalView, initiator, dst grap
 	var res Result
 	if !lv.NodeAlive(initiator) {
 		return res, fmt.Errorf("fcp: initiator %d is down", initiator)
-	}
-	if f.clean == nil {
-		memo = nil
 	}
 	g := f.topo.G
 	res.Header.Mode = routing.ModeSource
@@ -317,8 +308,7 @@ func (f *FCP) RecoverWith(memo *Memo, lv *routing.LocalView, initiator, dst grap
 // view (the clean graph minus the carried links sc.failed) and
 // extracts the path to dst into sc.nodes and sc.links, reporting
 // whether there is one. The tree comes from memo when it holds it;
-// otherwise it is computed — delete-only from the router's clean tree
-// when a provider is installed, cold otherwise, with the same route —
+// otherwise it is computed delete-only from the router's clean tree
 // and then offered to memo.
 func (f *FCP) route(memo *Memo, sc *recoverScratch, ws *spt.Workspace, cur, dst graph.NodeID) (ok bool) {
 	g := f.topo.G
@@ -342,12 +332,7 @@ func (f *FCP) route(memo *Memo, sc *recoverScratch, ws *spt.Workspace, cur, dst 
 		sc.mask.FailLink(id)
 	}
 	sc.applied = len(sc.failed)
-	var tree *spt.Tree
-	if f.clean != nil {
-		tree = ws.Recompute(g, f.clean(cur), graph.Nothing, sc.mask)
-	} else {
-		tree = ws.Compute(g, cur, sc.mask)
-	}
+	tree := ws.Recompute(g, f.clean(cur), graph.Nothing, sc.mask)
 	if memo != nil {
 		sc.diff = appendDiff(sc.diff[:0], tree, f.clean(cur))
 		memo.put(sc.key, owned(sc.diff))

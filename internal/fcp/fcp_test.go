@@ -12,11 +12,21 @@ import (
 	"repro/internal/topology"
 )
 
+// newFCP builds an engine on topo whose clean-tree provider serves
+// every node's pre-failure forward SPT, computed up front.
+func newFCP(topo *topology.Topology) *FCP {
+	clean := make([]*spt.Tree, topo.G.NumNodes())
+	for v := range clean {
+		clean[v] = spt.Compute(topo.G, graph.NodeID(v), graph.Nothing)
+	}
+	return New(topo, func(v graph.NodeID) *spt.Tree { return clean[v] })
+}
+
 func paperWorld(t *testing.T) (*topology.Topology, *FCP, *routing.LocalView) {
 	t.Helper()
 	topo := topology.PaperExample()
 	sc := failure.NewScenario(topo, topology.PaperFailureArea())
-	return topo, New(topo), routing.NewLocalView(topo, sc)
+	return topo, newFCP(topo), routing.NewLocalView(topo, sc)
 }
 
 func TestRecoverPaperExample(t *testing.T) {
@@ -71,7 +81,7 @@ func TestFCPAlwaysDeliversWhenConnected(t *testing.T) {
 	// as the destination is reachable, iterative failure-carrying
 	// recomputation gets there.
 	topo := topology.GenerateAS("AS1239", 7)
-	f := New(topo)
+	f := newFCP(topo)
 	tables := routing.ComputeTables(topo)
 	rng := rand.New(rand.NewSource(99))
 	n := topo.G.NumNodes()
@@ -108,70 +118,13 @@ func TestFCPAlwaysDeliversWhenConnected(t *testing.T) {
 	}
 }
 
-// TestRecoverWarmMatchesCold is the warm-start differential contract:
-// with a clean-tree provider installed every recomputation runs as a
-// delete-only incremental update, and the full Result — trajectory,
-// header, SPCalcs, drop point — must be bit-identical to the cold
-// full-graph Dijkstra engine on the same cases.
-func TestRecoverWarmMatchesCold(t *testing.T) {
-	topo := topology.GenerateAS("AS1239", 7)
-	cold := New(topo)
-	warm := New(topo)
-	clean := map[graph.NodeID]*spt.Tree{}
-	warm.UseCleanTrees(func(v graph.NodeID) *spt.Tree {
-		tr := clean[v]
-		if tr == nil {
-			tr = spt.Compute(topo.G, v, graph.Nothing)
-			clean[v] = tr
-		}
-		return tr
-	})
-	tables := routing.ComputeTables(topo)
-	rng := rand.New(rand.NewSource(31))
-	n := topo.G.NumNodes()
-	tried := 0
-	for tried < 200 {
-		sc := failure.RandomScenario(topo, rng)
-		lv := routing.NewLocalView(topo, sc)
-		src := graph.NodeID(rng.Intn(n))
-		dst := graph.NodeID(rng.Intn(n))
-		if src == dst {
-			continue
-		}
-		outcome, initiator, _ := routing.TraceDefault(tables, lv, src, dst)
-		if outcome != routing.DefaultBlocked {
-			continue
-		}
-		tried++
-		rc, err := cold.Recover(lv, initiator, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rw, err := warm.Recover(lv, initiator, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rc, rw) {
-			t.Fatalf("warm result diverges from cold (initiator %d, dst %d):\n  cold: %+v\n  warm: %+v",
-				initiator, dst, rc, rw)
-		}
-	}
-}
-
 // TestMemoKeysOnCarriedSet: one router recovering under two carried
 // sets must get two trees. v6 first carries {l1} under one failure and
 // {l2} under the other; a memo keyed by the router alone would hand the
 // second failure a tree that routes over its dead link.
 func TestMemoKeysOnCarriedSet(t *testing.T) {
 	topo := topology.PaperExample()
-	f := New(topo)
-	clean := map[graph.NodeID]*spt.Tree{}
-	f.UseCleanTrees(func(v graph.NodeID) *spt.Tree {
-		if clean[v] == nil {
-			clean[v] = spt.Compute(topo.G, v, graph.Nothing)
-		}
-		return clean[v]
-	})
+	f := newFCP(topo)
 	v := topology.PaperNode(6)
 	adj := topo.G.Adj(v)
 	views := []*routing.LocalView{

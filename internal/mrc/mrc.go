@@ -32,10 +32,6 @@ type MRC struct {
 	k    int
 	// isolCfg[v] is the configuration in which node v is isolated.
 	isolCfg []int
-	// clean, when non-nil, holds the pre-failure routing tables of the
-	// same topology; buildTrees warm-starts each configuration tree
-	// from the matching clean reverse tree (see NewWarm).
-	clean *routing.Tables
 	// trees[c][d] is the reverse shortest path tree toward d in
 	// configuration c's usable graph (backbone links plus d's own
 	// restricted links).
@@ -48,22 +44,16 @@ type MRC struct {
 // its failure partitions the network.
 const Unisolated = -1
 
-// New builds MRC state for topo with k configurations (DefaultConfigs
-// if k <= 0), every configuration tree cold. Articulation points are
-// left unisolated.
-func New(topo *topology.Topology, k int) (*MRC, error) {
-	return NewWarm(topo, k, nil)
-}
-
-// NewWarm is New with a warm start. tables must be the pre-failure
-// routing tables of topo (computed under graph.Nothing): each of the
-// k*n configuration trees is then seeded from the matching clean
-// reverse tree and updated with the delete-only incremental recompute
-// — a configuration's isolation overlay only removes elements relative
-// to the clean graph, so the result is bit-identical to the cold build
-// while skipping the untouched backbone subtrees. If tables is nil,
-// built for a different topology, or computed under failures, the
-// constructor silently falls back to the cold build.
+// NewWarm builds MRC state for topo with k configurations
+// (DefaultConfigs if k <= 0); articulation points are left unisolated.
+// tables must be the pre-failure routing tables of topo (computed
+// under graph.Nothing): each of the k*n configuration trees is seeded
+// from the matching clean reverse tree and updated with the
+// delete-only incremental recompute — a configuration's isolation
+// overlay only removes elements relative to the clean graph, so the
+// tree is the one a cold build would give while the untouched backbone
+// subtrees are skipped. Nil tables, tables of another topology and
+// tables computed under failures are an error.
 func NewWarm(topo *topology.Topology, k int, tables *routing.Tables) (*MRC, error) {
 	if k <= 0 {
 		k = DefaultConfigs
@@ -71,11 +61,11 @@ func NewWarm(topo *topology.Topology, k int, tables *routing.Tables) (*MRC, erro
 	if k < 2 {
 		return nil, errors.New("mrc: need at least 2 configurations")
 	}
-	m := &MRC{topo: topo, k: k, isolCfg: assign(topo.G, k)}
-	if tables != nil && tables.Topology() == topo && tables.Under() == graph.Nothing {
-		m.clean = tables
+	if tables == nil || tables.Topology() != topo || tables.Under() != graph.Nothing {
+		return nil, errors.New("mrc: need the pre-failure routing tables of this topology")
 	}
-	m.buildTrees()
+	m := &MRC{topo: topo, k: k, isolCfg: assign(topo.G, k)}
+	m.buildTrees(tables)
 	return m, nil
 }
 
@@ -217,7 +207,9 @@ func (d cfgDenied) LinkDown(id graph.LinkID) bool {
 	return d.m.isolCfg[l.B] == d.c && l.B != d.dst
 }
 
-func (m *MRC) buildTrees() {
+// buildTrees builds the k*n configuration trees, each warm-started
+// from the destination's clean reverse tree in tables.
+func (m *MRC) buildTrees(tables *routing.Tables) {
 	n := m.topo.G.NumNodes()
 	m.trees = make([][]*spt.Tree, m.k)
 	for c := 0; c < m.k; c++ {
@@ -225,18 +217,9 @@ func (m *MRC) buildTrees() {
 	}
 	// The k*n per-configuration trees are independent of one another
 	// (isolCfg is read-only by now): build the whole matrix in parallel.
-	// With clean tables available, each tree warm-starts from the
-	// destination's clean reverse tree: the isolation overlay is
-	// delete-only relative to the clean graph, so the incremental
-	// recompute yields the bit-identical tree for a fraction of the work.
 	par.For(m.k*n, 0, func(i int) {
 		c, d := i/n, graph.NodeID(i%n)
-		den := cfgDenied{m: m, c: c, dst: d}
-		if m.clean != nil {
-			m.trees[c][d] = spt.Recompute(m.topo.G, m.clean.DestTree(d), graph.Nothing, den)
-		} else {
-			m.trees[c][d] = spt.ComputeReverse(m.topo.G, d, den)
-		}
+		m.trees[c][d] = spt.Recompute(m.topo.G, tables.DestTree(d), graph.Nothing, cfgDenied{m: m, c: c, dst: d})
 	})
 }
 

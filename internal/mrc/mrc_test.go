@@ -13,7 +13,7 @@ import (
 
 func build(t *testing.T, topo *topology.Topology) *MRC {
 	t.Helper()
-	m, err := New(topo, 0)
+	m, err := NewWarm(topo, 0, routing.ComputeTables(topo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,17 +246,32 @@ func TestRouteSelfDelivery(t *testing.T) {
 	}
 }
 
-// requireSameTrees asserts two MRC instances carry bit-identical
-// configuration tree matrices.
-func requireSameTrees(t *testing.T, as string, got, want *MRC) {
-	t.Helper()
-	if got.k != want.k {
-		t.Fatalf("%s: config counts differ: %d vs %d", as, got.k, want.k)
+// coldTrees builds m's configuration tree matrix the cold way: one
+// full reverse Dijkstra per (configuration, destination) under the
+// configuration's view.
+func coldTrees(m *MRC) [][]*spt.Tree {
+	n := m.topo.G.NumNodes()
+	trees := make([][]*spt.Tree, m.k)
+	for c := range trees {
+		trees[c] = make([]*spt.Tree, n)
+		for d := range trees[c] {
+			trees[c][d] = spt.ComputeReverse(m.topo.G, graph.NodeID(d), cfgDenied{m: m, c: c, dst: graph.NodeID(d)})
+		}
 	}
-	n := want.topo.G.NumNodes()
-	for c := 0; c < want.k; c++ {
+	return trees
+}
+
+// requireSameTrees asserts m carries the bit-identical configuration
+// tree matrix want.
+func requireSameTrees(t *testing.T, as string, m *MRC, want [][]*spt.Tree) {
+	t.Helper()
+	if m.k != len(want) {
+		t.Fatalf("%s: config counts differ: %d vs %d", as, m.k, len(want))
+	}
+	n := m.topo.G.NumNodes()
+	for c := 0; c < m.k; c++ {
 		for d := 0; d < n; d++ {
-			g, w := got.trees[c][d], want.trees[c][d]
+			g, w := m.trees[c][d], want[c][d]
 			if g.Kind != w.Kind || g.Root != w.Root {
 				t.Fatalf("%s: tree (%d, %d) identity mismatch", as, c, d)
 			}
@@ -281,30 +296,18 @@ func TestNewWarmMatchesCold(t *testing.T) {
 		as := as
 		t.Run(as, func(t *testing.T) {
 			t.Parallel()
-			topo := topology.GenerateAS(as, 3)
-			cold, err := New(topo, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			warm, err := NewWarm(topo, 0, routing.ComputeTables(topo))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if warm.clean == nil {
-				t.Fatal("NewWarm with matching clean tables must take the warm path")
-			}
-			requireSameTrees(t, as, warm, cold)
+			warm := build(t, topology.GenerateAS(as, 3))
+			requireSameTrees(t, as, warm, coldTrees(warm))
 		})
 	}
 }
 
-// TestNewWarmFallsBackCold covers the guard rails: nil tables, tables
-// of a foreign topology, and tables computed under failures must all
-// silently degrade to the cold build.
-func TestNewWarmFallsBackCold(t *testing.T) {
+// TestNewWarmRejectsUnusableTables covers the guard rails: nil tables,
+// tables of a foreign topology, and tables computed under failures are
+// each an error.
+func TestNewWarmRejectsUnusableTables(t *testing.T) {
 	topo := topology.GenerateAS("AS1239", 3)
 	other := topology.GenerateAS("AS209", 3)
-	cold := build(t, topo)
 
 	rng := rand.New(rand.NewSource(9))
 	sc := failure.RandomScenario(topo, rng)
@@ -321,14 +324,9 @@ func TestNewWarmFallsBackCold(t *testing.T) {
 		{"foreign", routing.ComputeTables(other)},
 		{"under-failures", failedTables},
 	} {
-		m, err := NewWarm(topo, 0, tc.tables)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.label, err)
+		if m, err := NewWarm(topo, 0, tc.tables); err == nil {
+			t.Errorf("%s: built %d configurations from unusable tables, want an error", tc.label, m.Configs())
 		}
-		if m.clean != nil {
-			t.Fatalf("%s: warm path taken with unusable tables", tc.label)
-		}
-		requireSameTrees(t, "AS1239/"+tc.label, m, cold)
 	}
 }
 
@@ -337,9 +335,8 @@ func TestNewWarmFallsBackCold(t *testing.T) {
 // engine value is an error.
 func TestNewWarmPhase2OnlyDijkstra(t *testing.T) {
 	topo := topology.PaperExample()
-	m, err := NewWarmPhase2(topo, 0, routing.ComputeTables(topo), spt.EngineDijkstra, nil)
-	if err != nil || m.clean == nil {
-		t.Fatalf("EngineDijkstra: warm=%v err=%v", m != nil && m.clean != nil, err)
+	if _, err := NewWarmPhase2(topo, 0, routing.ComputeTables(topo), spt.EngineDijkstra, nil); err != nil {
+		t.Fatalf("EngineDijkstra: %v", err)
 	}
 	if _, err := NewWarmPhase2(topo, 0, nil, spt.EngineDijkstra+1, nil); err == nil {
 		t.Fatal("a second engine must be rejected")

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -39,10 +40,17 @@ type TerminationAblation struct {
 	VerifiedP90Ms, PaperP90Ms float64
 }
 
+// withPaperTermination returns a copy of w whose RTR engine uses the
+// paper's literal termination rule; the tables, FCP and MRC are w's.
+func withPaperTermination(w *World) *World {
+	paper := *w
+	paper.RTR = core.New(w.Topo, w.CI, core.WithPaperTermination())
+	return &paper
+}
+
 // AblateTermination runs the same recoverable workload through the
-// default (enclosure-verified) world w and paper, a world of the same
-// topology built WithPaperTermination.
-func AblateTermination(w, paper *World, seed int64, cases int) TerminationAblation {
+// default (enclosure-verified) world w and its paper-termination copy.
+func AblateTermination(w *World, seed int64, cases int) TerminationAblation {
 	measure := func(w *World) (optPct, p90 float64) {
 		cs, _ := CollectBothG(w, failure.Default(), ablationCaseRNG(seed), cases, 0)
 		outs := RunAll(w, cs)
@@ -66,7 +74,7 @@ func AblateTermination(w, paper *World, seed int64, cases int) TerminationAblati
 	}
 	res := TerminationAblation{AS: w.Topo.Name}
 	res.VerifiedOptimal, res.VerifiedP90Ms = measure(w)
-	res.PaperOptimal, res.PaperP90Ms = measure(paper)
+	res.PaperOptimal, res.PaperP90Ms = measure(withPaperTermination(w))
 	return res
 }
 
@@ -94,8 +102,8 @@ type ConstraintAblation struct {
 }
 
 // AblateConstraints measures the 2x2 of constraints x termination on
-// the default world w and the paper-termination world paper.
-func AblateConstraints(w, paper *World, seed int64, cases int) ConstraintAblation {
+// the default world w and its paper-termination copy.
+func AblateConstraints(w *World, seed int64, cases int) ConstraintAblation {
 	run := func(w *World) (con, unc ConstraintCell) {
 		cs, _ := CollectBothG(w, failure.Default(), ablationCaseRNG(seed), cases, 0)
 
@@ -159,7 +167,7 @@ func AblateConstraints(w, paper *World, seed int64, cases int) ConstraintAblatio
 
 	res := ConstraintAblation{AS: w.Topo.Name}
 	res.VerifiedConstrained, res.VerifiedUnconstrained = run(w)
-	res.PaperConstrained, res.PaperUnconstrained = run(paper)
+	res.PaperConstrained, res.PaperUnconstrained = run(withPaperTermination(w))
 	return res
 }
 
@@ -177,7 +185,7 @@ func AblateMRCConfigs(w *World, seed int64, cases int, ks []int) ([]MRCConfigPoi
 
 	out := make([]MRCConfigPoint, 0, len(ks))
 	for _, k := range ks {
-		m, err := mrc.New(w.Topo, k)
+		m, err := mrc.NewWarm(w.Topo, k, w.Tables)
 		if err != nil {
 			return nil, err
 		}

@@ -1,29 +1,13 @@
 package sim
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/core"
-)
-
-// ablationWorlds builds the default and the paper-termination world of
-// one topology, the pair the termination and constraint ablations
-// compare.
-func ablationWorlds(t *testing.T, as string, seed int64) (w, paper *World) {
-	t.Helper()
-	w, err := NewWorld(as, seed)
+func TestAblateTermination(t *testing.T) {
+	w, err := NewWorld("AS1239", 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if paper, err = NewWorld(as, seed, core.WithPaperTermination()); err != nil {
-		t.Fatal(err)
-	}
-	return w, paper
-}
-
-func TestAblateTermination(t *testing.T) {
-	w, paper := ablationWorlds(t, "AS1239", 11)
-	res := AblateTermination(w, paper, 11, 300)
+	res := AblateTermination(w, 11, 300)
 	if res.VerifiedOptimal <= 0 || res.PaperOptimal <= 0 {
 		t.Fatalf("degenerate rates: %+v", res)
 	}
@@ -40,12 +24,9 @@ func TestAblateTermination(t *testing.T) {
 		res.VerifiedOptimal, res.VerifiedP90Ms, res.PaperOptimal, res.PaperP90Ms)
 }
 
-// An unknown topology fails where the termination ablation's worlds are
-// built: the paper-termination world as well as the default one.
+// An unknown topology fails where the termination ablation's world is
+// built.
 func TestAblateTerminationUnknownAS(t *testing.T) {
-	if _, err := NewWorld("ASnope", 1, core.WithPaperTermination()); err == nil {
-		t.Error("unknown topology must error for the paper-termination world")
-	}
 	if _, err := NewWorld("ASnope", 1); err == nil {
 		t.Error("unknown topology must error for the default world")
 	}
@@ -56,8 +37,11 @@ func TestAblateConstraints(t *testing.T) {
 	// is real but modest, and smaller workloads leave it inside the
 	// noise of which equal-cost converged paths the case generator
 	// happens to draw.
-	w, paper := ablationWorlds(t, "AS1239", 11)
-	res := AblateConstraints(w, paper, 11, 600)
+	w, err := NewWorld("AS1239", 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := AblateConstraints(w, 11, 600)
 	// With the exploration machinery (directed-edge freshness +
 	// escapes), the constraints' measurable benefit is walk length:
 	// the unconstrained walk wanders far longer for comparable

@@ -79,6 +79,6 @@ func ExamplePacketLoss() {
 			mode.name, res.MeanConvergence.Round(time.Millisecond), res.FailedPaths, res.RecoverablePaths, res.SavedPercent)
 	}
 	// Output:
-	// classic window 5.961s, 6971 failed paths (4489 recoverable), saved by RTR 51.8%
-	// tuned   window 214ms, 6971 failed paths (4489 recoverable), saved by RTR 48.3%
+	// classic window 5.961s, 6971 failed paths (4489 recoverable), saved by RTR 51.7%
+	// tuned   window 214ms, 6971 failed paths (4489 recoverable), saved by RTR 47.6%
 }

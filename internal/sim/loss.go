@@ -38,7 +38,7 @@ type LossResult struct {
 	FailedPaths      int
 	RecoverablePaths int
 	// Offered is the total traffic offered on failed paths over their
-	// convergence windows — the conserved quantity: in each column,
+	// outage windows — the conserved quantity: in each column,
 	// delivered + dropped must equal it exactly.
 	Offered float64
 	// DeliveredNoRecovery is the traffic delivered without recovery
@@ -48,7 +48,7 @@ type LossResult struct {
 	// deliver everything after the detection window.
 	DeliveredWithRTR float64
 	// DroppedNoRecovery is the packet loss without any recovery: every
-	// failed path drops its traffic for the whole convergence window.
+	// failed path drops its traffic for its whole outage window.
 	DroppedNoRecovery float64
 	// DroppedWithRTR keeps only the loss RTR cannot avoid:
 	// irrecoverable paths (no scheme can deliver them), recoverable
@@ -60,7 +60,11 @@ type LossResult struct {
 }
 
 // PacketLoss runs the convergence packet-loss experiment for one
-// topology.
+// topology. A failed path's outage window is how long IGP convergence
+// leaves it broken: for a recoverable case, until the routers on its
+// post-failure path have converged (pathConvergence, the model the
+// packet simulator in packetsim_test.go checks); for an irrecoverable
+// one, the scenario's whole convergence time.
 func PacketLoss(w *World, cfg LossConfig) LossResult {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := LossResult{AS: w.Topo.Name, Scenarios: cfg.Scenarios}
@@ -73,7 +77,6 @@ func PacketLoss(w *World, cfg LossConfig) LossResult {
 		}
 		conv := igp.Converge(sc, cfg.Timers)
 		convSum += conv.Total
-		window := conv.Total.Seconds()
 		detect := cfg.Timers.Detection.Seconds()
 
 		// Per-case RTR outcomes, shared by every failed path that
@@ -94,23 +97,23 @@ func PacketLoss(w *World, cfg LossConfig) LossResult {
 				// weight of 1 per (initiator, destination) case keeps
 				// this experiment cheap and unbiased across schemes.
 				res.FailedPaths++
-				res.Offered += cfg.PacketsPerSecond * window
-				if !recoverable {
-					// Nothing can deliver these packets; both columns
-					// lose the full window.
-					res.DroppedNoRecovery += cfg.PacketsPerSecond * window
-					res.DroppedWithRTR += cfg.PacketsPerSecond * window
-					continue
+				window := conv.Total.Seconds()
+				var o Outcome
+				if recoverable {
+					res.RecoverablePaths++
+					o = outcome[key{c.Initiator, c.Dst}]
+					window = pathConvergence(w, conv, o).Seconds()
 				}
-				res.RecoverablePaths++
+				res.Offered += cfg.PacketsPerSecond * window
 				res.DroppedNoRecovery += cfg.PacketsPerSecond * window
-				o := outcome[key{c.Initiator, c.Dst}]
 				if o.RTR.Recovered {
 					// RTR holds packets during phase 1 (delayed, not
 					// dropped); only the detection window is lost.
 					res.DroppedWithRTR += cfg.PacketsPerSecond * detect
 					res.DeliveredWithRTR += cfg.PacketsPerSecond * (window - detect)
 				} else {
+					// Irrecoverable paths (nothing can deliver them) and
+					// failed recoveries lose the full window.
 					res.DroppedWithRTR += cfg.PacketsPerSecond * window
 				}
 			}
@@ -126,4 +129,30 @@ func PacketLoss(w *World, cfg LossConfig) LossResult {
 		res.SavedPercent = 100 * (1 - res.DroppedWithRTR/res.DroppedNoRecovery)
 	}
 	return res
+}
+
+// pathConvergence estimates when IGP convergence restores a flow: the
+// latest convergence time among the routers on the post-failure
+// shortest path from the initiator to the destination. The outcome's
+// shared truth tree serves when grading built one.
+func pathConvergence(w *World, conv *igp.Convergence, o Outcome) time.Duration {
+	c := o.Case
+	tree := o.Truth
+	if tree == nil {
+		tree = w.StateOf(c).Truth(c.Initiator)
+	}
+	nodes, ok := tree.PathNodes(c.Dst)
+	if !ok {
+		return conv.Total
+	}
+	var latest time.Duration
+	for _, v := range nodes {
+		if conv.RouterTime[v] > latest {
+			latest = conv.RouterTime[v]
+		}
+	}
+	if latest == 0 {
+		latest = conv.Total
+	}
+	return latest
 }

@@ -585,32 +585,6 @@ func restoreTimes(w *World, conv *igp.Convergence, timers igp.Timers, o Outcome)
 	return noRecAt, timers.Detection + o.RTR.Phase1.Duration()
 }
 
-// pathConvergence estimates when IGP convergence restores a flow: the
-// latest convergence time among the routers on the post-failure
-// shortest path from the initiator to the destination. The outcome's
-// shared truth tree serves when grading built one.
-func pathConvergence(w *World, conv *igp.Convergence, o Outcome) time.Duration {
-	c := o.Case
-	tree := o.Truth
-	if tree == nil {
-		tree = w.StateOf(c).Truth(c.Initiator)
-	}
-	nodes, ok := tree.PathNodes(c.Dst)
-	if !ok {
-		return conv.Total
-	}
-	var latest time.Duration
-	for _, v := range nodes {
-		if conv.RouterTime[v] > latest {
-			latest = conv.RouterTime[v]
-		}
-	}
-	if latest == 0 {
-		latest = conv.Total
-	}
-	return latest
-}
-
 // TestPacketSimAgreesWithLossModel is the differential of the analytic
 // loss model (restoreTimes) against the packet simulator. On every
 // Table II topology, random failures give recoverable cases; each

@@ -61,7 +61,7 @@ func (w *World) StateOf(c *Case) *converged.State {
 
 // NewWorld synthesizes the named Table II topology with the given seed
 // and builds all engines on it.
-func NewWorld(asName string, seed int64, opts ...core.Option) (*World, error) {
+func NewWorld(asName string, seed int64) (*World, error) {
 	p, ok := topology.ParamsFor(asName)
 	if !ok {
 		return nil, fmt.Errorf("sim: unknown topology %q", asName)
@@ -70,25 +70,25 @@ func NewWorld(asName string, seed int64, opts ...core.Option) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewWorldFrom(topo, opts...)
+	return NewWorldFrom(topo)
 }
 
 // NewWorldPhase2 is NewWorld behind the former phase-2 engine
 // selector, kept with its signature for the benchmark harness. Phase 2
 // has one engine: any e other than spt.EngineDijkstra is an error.
-func NewWorldPhase2(asName string, seed int64, e spt.Engine, opts ...core.Option) (*World, error) {
+func NewWorldPhase2(asName string, seed int64, e spt.Engine) (*World, error) {
 	if e != spt.EngineDijkstra {
 		return nil, fmt.Errorf("sim: unknown phase-2 engine %d", e)
 	}
-	return NewWorld(asName, seed, opts...)
+	return NewWorld(asName, seed)
 }
 
 // NewWorldFrom builds a World for an existing topology. The converged
 // routing tables are built first, then RTR, whose clean-tree cache
 // feeds FCP's incremental warm starts; MRC warm-starts its k*n
 // configuration trees from the clean reverse tables.
-func NewWorldFrom(topo *topology.Topology, opts ...core.Option) (*World, error) {
-	return NewWorldFromConfig(topo, WorldConfig{Opts: opts})
+func NewWorldFrom(topo *topology.Topology) (*World, error) {
+	return NewWorldFromConfig(topo, WorldConfig{})
 }
 
 // ScaleWorldNodes is the node count at which NewWorldFromConfig
@@ -99,8 +99,6 @@ const ScaleWorldNodes = 1 << 14
 
 // WorldConfig selects how a World is constructed.
 type WorldConfig struct {
-	// Opts are extra RTR options.
-	Opts []core.Option
 	// Scale forces the memory-bounded scale construction: no MRC
 	// engine. When false, scale mode still engages automatically for
 	// graphs of at least ScaleWorldNodes nodes.
@@ -124,7 +122,7 @@ func NewWorldFromConfig(topo *topology.Topology, cfg WorldConfig) (*World, error
 	scale := cfg.Scale || topo.G.NumNodes() >= ScaleWorldNodes
 	ci := topology.BuildCrossIndex(topo)
 	tables := routing.ComputeTables(topo)
-	r := core.New(topo, ci, cfg.Opts...)
+	r := core.New(topo, ci)
 	var m *mrc.MRC
 	if scale {
 		if cfg.Log != nil {
@@ -138,14 +136,12 @@ func NewWorldFromConfig(topo *topology.Topology, cfg WorldConfig) (*World, error
 			return nil, fmt.Errorf("sim: building MRC for %s: %w", topo.Name, err)
 		}
 	}
-	f := fcp.New(topo)
-	f.UseCleanTrees(r.CleanTree)
 	return &World{
 		Topo:   topo,
 		CI:     ci,
 		Tables: tables,
 		RTR:    r,
-		FCP:    f,
+		FCP:    fcp.New(topo, r.CleanTree),
 		MRC:    m,
 	}, nil
 }

@@ -91,9 +91,10 @@ func (e *Engine) Run(ctx context.Context) (*RunResult, error) {
 		if w == nil {
 			return nil, fmt.Errorf("sweep: no world for topology %q", sh.Topology)
 		}
-		// Congestion shards resolve their scheme fail-fast, and the
+		// Congestion shards resolve their scheme fail-fast, the
 		// scheme's Prepare hook vets the world (e.g. mrc on a scale-mode
-		// world) before any shard spends compute.
+		// world), and the traffic matrix must fit in the topology's
+		// ordered pairs, all before any shard spends compute.
 		if sh.Kind == KindUtil {
 			s, err := sim.LookupScheme(sh.Scheme)
 			if err != nil {
@@ -101,6 +102,9 @@ func (e *Engine) Run(ctx context.Context) (*RunResult, error) {
 			}
 			if err := s.Prepare(w); err != nil {
 				return nil, fmt.Errorf("sweep: %w", err)
+			}
+			if n, pairs := w.Topo.G.NumNodes(), e.Spec.utilPairs(); pairs > n*(n-1) {
+				return nil, fmt.Errorf("sweep: %d traffic pairs exceed the %d ordered node pairs of %s", pairs, n*(n-1), sh.Topology)
 			}
 		}
 	}

@@ -247,10 +247,3 @@ func (s Spec) Shards() []Shard {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

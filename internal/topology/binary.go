@@ -224,14 +224,6 @@ func (br *binReader) payload(n int) ([]byte, error) {
 	return buf, nil
 }
 
-func (br *binReader) u8() (byte, error) {
-	b, err := br.payload(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
 func (br *binReader) u32() (uint32, error) {
 	b, err := br.payload(4)
 	if err != nil {
