@@ -154,8 +154,9 @@ scale-smoke:
 ## (the reference in internal/routing's tests for what RecordingBytes
 ## prices), the topology parser, the failure-generator spec parser, the
 ## failure-instance grammar, the capsule geometry predicates, the
-## invariant oracle over fuzzed failure geometry, and incremental
-## shortest-path recomputation against a heapless cold build (CI runs
+## invariant oracle over fuzzed failure geometry, incremental
+## shortest-path recomputation against a heapless cold build, and the
+## daemon's /recover answer encoder against encoding/json (CI runs
 ## this; use go test -fuzz directly for long sessions).
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -167,6 +168,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzCapsuleIntersect -fuzztime $(FUZZTIME) ./internal/geom
 	$(GO) test -run xxx -fuzz FuzzCheckCase -fuzztime $(FUZZTIME) ./internal/invariant
 	$(GO) test -run xxx -fuzz FuzzRecompute -fuzztime $(FUZZTIME) ./internal/spt
+	$(GO) test -run xxx -fuzz FuzzResponseJSON -fuzztime $(FUZZTIME) ./internal/serve
 
 clean:
 	rm -f repro.test

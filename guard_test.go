@@ -173,15 +173,16 @@ func declName(d ast.Decl) string {
 // fold that does (a float sum, a first-wins pick, an append left
 // unsorted) makes two runs of the same seed disagree.
 var orderFreeMapRanges = map[string]string{
-	"cmd/rtrscale/main.go main: range run.Results":             "an integer sum of case counts",
-	"internal/serve/serve.go New: range cfg.Worlds":            "copies the injected worlds into a map",
-	"internal/serve/serve.go New: range e.worlds":              "collects the names, sorted right after",
-	"internal/serve/serve.go New: range e.worlds #2":           "builds one checker per world into a map",
-	"internal/sim/cases.go candidateInitiators: range seen":    "collects a node set, sorted right after",
-	"internal/sim/record.go (*Outcome).Record: range o.Others": "copies each scheme's result into a map",
-	"internal/sim/scheme.go SchemeNames: range registry":       "collects the names, sorted right after",
-	"internal/sweep/engine.go (*Engine).Run: range loaded":     "copies checkpointed shard results into a map",
-	"internal/sweep/merge.go (*RunResult).Fig11: range acc":    "builds each topology's points in radius order into a map",
+	"cmd/rtrscale/main.go main: range run.Results":                 "an integer sum of case counts",
+	"internal/serve/encode.go appendCaseRecord: range rec.Schemes": "collects the scheme names, sorted right after",
+	"internal/serve/serve.go New: range cfg.Worlds":                "copies the injected worlds into a map",
+	"internal/serve/serve.go New: range e.worlds":                  "collects the names, sorted right after",
+	"internal/serve/serve.go New: range e.worlds #2":               "builds one checker per world into a map",
+	"internal/sim/cases.go candidateInitiators: range seen":        "collects a node set, sorted right after",
+	"internal/sim/record.go (*Outcome).Record: range o.Others":     "copies each scheme's result into a map",
+	"internal/sim/scheme.go SchemeNames: range registry":           "collects the names, sorted right after",
+	"internal/sweep/engine.go (*Engine).Run: range loaded":         "copies checkpointed shard results into a map",
+	"internal/sweep/merge.go (*RunResult).Fig11: range acc":        "builds each topology's points in radius order into a map",
 }
 
 // TestMapRangesAreOrderFree fails on a range over a map in non-test

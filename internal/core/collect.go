@@ -82,6 +82,7 @@ func (s *Session) Collect(trigger graph.LinkID) (*CollectResult, error) {
 		return nil, err
 	}
 	s.collected = res
+	s.phase1Bytes = res.Walk.HeaderBytes()
 	s.trigger = trigger
 	s.pruned = nil
 	s.tree = nil

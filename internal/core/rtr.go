@@ -140,6 +140,8 @@ type Session struct {
 	pruned  *graph.Mask // initiator's view: collected + own + seeded failures
 	tree    *spt.Tree   // forward SPT from initiator over the pruned view
 	spCalcs int
+
+	phase1Bytes []int // per-hop header bytes of the collection walk, built by Collect
 }
 
 // NewSession opens a recovery session at initiator under the local
@@ -157,6 +159,13 @@ func (s *Session) SPCalcs() int { return s.spCalcs }
 
 // Collected returns the phase-1 result, or nil before collection.
 func (s *Session) Collected() *CollectResult { return s.collected }
+
+// Phase1Bytes returns the header's recording-byte count on each hop of
+// the collection walk, derived once when Collect ran (nil before
+// collection, and for a walk of no hops). The slice is shared by every
+// record of every destination the session serves: read it, never
+// modify it.
+func (s *Session) Phase1Bytes() []int { return s.phase1Bytes }
 
 // Knows reports whether link id is down in the initiator's pruned view.
 func (s *Session) Knows(id graph.LinkID) bool { return s.prunedView().LinkDown(id) }

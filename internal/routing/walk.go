@@ -44,6 +44,19 @@ func (w *Walk) Duration() time.Duration {
 	return time.Duration(len(w.Records)) * HopDelay
 }
 
+// HeaderBytes returns each hop's HeaderBytes in travel order (nil for
+// a walk of no hops).
+func (w *Walk) HeaderBytes() []int {
+	if len(w.Records) == 0 {
+		return nil
+	}
+	out := make([]int, len(w.Records))
+	for i, r := range w.Records {
+		out[i] = r.HeaderBytes
+	}
+	return out
+}
+
 // Nodes returns the visited node sequence, starting node first.
 func (w *Walk) Nodes() []graph.NodeID {
 	if len(w.Records) == 0 {

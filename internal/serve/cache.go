@@ -2,9 +2,11 @@ package serve
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"repro/internal/converged"
+	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/sim"
 )
@@ -23,6 +25,13 @@ type entry struct {
 
 	once sync.Once
 	st   *converged.State
+
+	// frags holds, per prepared RTR session answers on this entry rode,
+	// the encoded phase1_bytes array of its walk (appendPhase1). Like
+	// st it lives as long as the entry: eviction drops it with the
+	// entry once no request holds that any more.
+	mu    sync.Mutex
+	frags map[*core.Session][]byte
 }
 
 func newEntry(key []byte, fpAt int) *entry {
@@ -44,6 +53,40 @@ func (en *entry) state(w *sim.World) *converged.State {
 		en.st = w.Converged(sc)
 	})
 	return en.st
+}
+
+// appendPhase1 appends p, the phase1_bytes series of an answer that
+// rode sess, as a JSON array. When p is sess's own shared series
+// (core.Session.Phase1Bytes), the first answer on the session encodes
+// it and keeps a copy, and every later one splices that copy. The lock
+// is never held across an encode: answers racing on a new session all
+// encode, produce identical bytes, and the first insert wins. A nil
+// entry or session encodes p every time.
+func (en *entry) appendPhase1(b []byte, sess *core.Session, p []int) []byte {
+	if en == nil || sess == nil {
+		return appendInts(b, p)
+	}
+	if shared := sess.Phase1Bytes(); len(p) == 0 || len(p) != len(shared) || &p[0] != &shared[0] {
+		return appendInts(b, p)
+	}
+	en.mu.Lock()
+	f, ok := en.frags[sess]
+	en.mu.Unlock()
+	if ok {
+		return append(b, f...)
+	}
+	at := len(b)
+	b = appendInts(b, p)
+	f = slices.Clone(b[at:])
+	en.mu.Lock()
+	if _, ok := en.frags[sess]; !ok {
+		if en.frags == nil {
+			en.frags = make(map[*core.Session][]byte)
+		}
+		en.frags[sess] = f
+	}
+	en.mu.Unlock()
+	return b
 }
 
 // lru is the bounded converged-state cache, shared across topologies

@@ -76,7 +76,7 @@ func TestWarmRepeatQueryFast(t *testing.T) {
 // scaleEngineQuery serves a generated scale-mode world of the given
 // size (three links a node) as "big" and draws one recovery query on
 // it, its failure in the canonical spelling.
-func scaleEngineQuery(t *testing.T, nodes int) (*Engine, Query) {
+func scaleEngineQuery(t testing.TB, nodes int) (*Engine, Query) {
 	t.Helper()
 	topo, err := topology.Generate(
 		topology.GenParams{Name: "big", Nodes: nodes, Links: 3 * nodes, Tiers: true},

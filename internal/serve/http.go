@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
+	"sync"
 )
 
 // Handler returns the daemon's HTTP mux:
@@ -67,7 +68,7 @@ func (e *Engine) handleRecover(w http.ResponseWriter, r *http.Request) {
 		q = body.Query
 	default:
 		w.Header().Set("Allow", "GET, POST")
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "use GET or POST"})
+		writeError(w, http.StatusMethodNotAllowed, "use GET or POST")
 		return
 	}
 	resp, err := e.Query(q)
@@ -79,34 +80,69 @@ func (e *Engine) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Write([]byte("ok\n"))
 }
 
+// handleStatsz serves the counter snapshot, a cold admin read that
+// stays on encoding/json.
 func (e *Engine) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, e.Stats())
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(e.Stats())
 }
 
 // badRequest rejects a request that never became a well-formed Query
 // (Engine.Query counts the ones that did).
 func (e *Engine) badRequest(w http.ResponseWriter, msg string) {
 	e.st.clientErrors.Add(1)
-	writeJSON(w, http.StatusBadRequest, map[string]string{"error": msg})
+	writeError(w, http.StatusBadRequest, msg)
+}
+
+// answer is a /recover payload that appends itself as JSON (encode.go).
+type answer interface {
+	appendJSON(b []byte) ([]byte, error)
 }
 
 // writeResult writes a successful payload, a 400 for client mistakes,
-// or a 500 for server-side failures.
-func writeResult(w http.ResponseWriter, resp any, err error) {
+// or a 500 for server-side failures — among them an answer with no
+// JSON form (a NaN or infinite float), which is never sent half
+// written.
+func writeResult(w http.ResponseWriter, resp answer, err error) {
 	if err != nil {
 		var ce *ClientError
 		if errors.As(err, &ce) {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": ce.Error()})
+			writeError(w, http.StatusBadRequest, ce.Error())
 		} else {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+			writeError(w, http.StatusInternalServerError, err.Error())
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, resp)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+func writeError(w http.ResponseWriter, code int, msg string) {
+	writeBody(w, code, errorBody(msg))
+}
+
+// bufPool holds the buffers bodies are encoded into.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBuf bounds the buffers returned to bufPool, so that one
+// large batch answer does not pin its memory.
+const maxPooledBuf = 64 << 10
+
+// writeBody encodes body into a pooled buffer, then sends it,
+// newline-terminated, under code in one Write. A body that fails to
+// encode is replaced by a 500 carrying the error.
+func writeBody(w http.ResponseWriter, code int, body answer) {
+	bp := bufPool.Get().(*[]byte)
+	b, err := body.appendJSON((*bp)[:0])
+	if err != nil {
+		code = http.StatusInternalServerError
+		b, _ = errorBody("serve: encoding the answer: " + err.Error()).appendJSON(b[:0])
+	}
+	b = append(b, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(b)
+	if cap(b) <= maxPooledBuf {
+		*bp = b
+		bufPool.Put(bp)
+	}
 }

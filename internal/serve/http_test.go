@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -185,5 +186,23 @@ func TestHTTPErrors(t *testing.T) {
 	pres.Body.Close()
 	if pres.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage POST: status %d, want 400", pres.StatusCode)
+	}
+}
+
+// TestHTTPUnencodableAnswer: an answer with no JSON form (a NaN
+// converged cost) is a 500 with a JSON error body, never a 200 with
+// a body cut short.
+func TestHTTPUnencodableAnswer(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeResult(rec, &Response{Topo: "AS1239", Disposition: DispRecovery, ConvergedCost: math.NaN()}, nil)
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("status %d, non-JSON body %q: %v", rec.Code, rec.Body.Bytes(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || body["error"] == "" {
+		t.Errorf("status %d, body %v; want 500 with an error", rec.Code, body)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q", ct)
 	}
 }

@@ -210,6 +210,13 @@ type Response struct {
 	// only the sub-records of the schemes it ran: rtr, fcp and mrc their
 	// own, any other scheme its entry under schemes.
 	Case *sim.CaseRecord `json:"case,omitempty"`
+
+	// en is the cache entry the answer was served from and sess the
+	// prepared RTR session it rode (nil when RTR did not run): the
+	// encoder splices en's encoding of sess's phase-1 series, built
+	// once per session, instead of encoding it per answer.
+	en   *entry
+	sess *core.Session
 }
 
 // ClientError marks a query the engine rejected as malformed (unknown
@@ -379,6 +386,7 @@ func (e *Engine) answerPair(w *sim.World, topoName string, en *entry, hit bool, 
 	}
 	rec := out.Record()
 	resp.Case = &rec
+	resp.en, resp.sess = en, out.RTR.Session
 	return resp, nil
 }
 

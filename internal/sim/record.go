@@ -37,7 +37,9 @@ type RTRRecord struct {
 	SPCalcs   int     `json:"sp_calcs,omitempty"`
 	// Phase1Bytes is the header's recording-byte count on each hop of
 	// the phase-1 collection walk; its length is the walk's hop count,
-	// from which the walk duration follows (1.8 ms/hop).
+	// from which the walk duration follows (1.8 ms/hop). It is the
+	// series of the session the case rode (core.Session.Phase1Bytes),
+	// shared by every record of that session: read it, never modify it.
 	Phase1Bytes           []int `json:"phase1_bytes,omitempty"`
 	RouteBytes            int   `json:"route_bytes,omitempty"`
 	IdentifiedUnreachable bool  `json:"identified_unreachable,omitempty"`
@@ -81,7 +83,7 @@ func (o *Outcome) Record() CaseRecord {
 			Optimal:               o.RTR.Optimal,
 			Stretch:               o.RTR.Stretch,
 			SPCalcs:               o.RTR.SPCalcs,
-			Phase1Bytes:           walkBytes(o.RTR.Phase1),
+			Phase1Bytes:           o.RTR.phase1Bytes(),
 			RouteBytes:            o.RTR.RouteBytes,
 			IdentifiedUnreachable: o.RTR.IdentifiedUnreachable,
 			WastedHops:            o.RTR.WastedHops,
@@ -92,7 +94,7 @@ func (o *Outcome) Record() CaseRecord {
 			Optimal:    o.FCP.Optimal,
 			Stretch:    o.FCP.Stretch,
 			SPCalcs:    o.FCP.SPCalcs,
-			WalkBytes:  walkBytes(o.FCP.Walk),
+			WalkBytes:  o.FCP.Walk.HeaderBytes(),
 			FinalBytes: o.FCP.FinalBytes,
 			WastedHops: o.FCP.WastedHops,
 		},
@@ -128,15 +130,15 @@ func Records(outs []Outcome) []CaseRecord {
 	return recs
 }
 
-func walkBytes(w routing.Walk) []int {
-	if len(w.Records) == 0 {
-		return nil
+// phase1Bytes is the collection walk's per-hop header bytes: the
+// series the case's session derived when it collected, shared by every
+// record of the session, or one read off the walk for a result that
+// carries no session.
+func (r *RTRResult) phase1Bytes() []int {
+	if r.Session != nil {
+		return r.Session.Phase1Bytes()
 	}
-	out := make([]int, len(w.Records))
-	for i, r := range w.Records {
-		out[i] = r.HeaderBytes
-	}
-	return out
+	return r.Phase1.HeaderBytes()
 }
 
 // RecordBytesAt returns the header recording bytes in flight at time

@@ -103,8 +103,8 @@ func (e *Engine) Run(ctx context.Context) (*RunResult, error) {
 			if err := s.Prepare(w); err != nil {
 				return nil, fmt.Errorf("sweep: %w", err)
 			}
-			if n, pairs := w.Topo.G.NumNodes(), e.Spec.utilPairs(); pairs > n*(n-1) {
-				return nil, fmt.Errorf("sweep: %d traffic pairs exceed the %d ordered node pairs of %s", pairs, n*(n-1), sh.Topology)
+			if n, pairs := w.Topo.G.NumNodes(), e.Spec.utilPairs(); pairs > traffic.MaxPairs(n) {
+				return nil, fmt.Errorf("sweep: %d traffic pairs exceed the %d ordered node pairs of %s", pairs, traffic.MaxPairs(n), sh.Topology)
 			}
 		}
 	}
@@ -271,7 +271,10 @@ func (e *Engine) runUtilShard(sh Shard, w *sim.World, rng *rand.Rand) (*traffic.
 	if err != nil {
 		return nil, err
 	}
-	m := traffic.Gravity(w.Topo, e.Spec.utilPairs(), rng)
+	m, err := traffic.Gravity(w.Topo, e.Spec.utilPairs(), rng)
+	if err != nil {
+		return nil, err
+	}
 	base := traffic.Baseline(w, m)
 	capacity := traffic.CalibrateCapacity(base, traffic.HeavyLoadTarget)
 	res := &traffic.Result{

@@ -42,6 +42,10 @@ type Matrix struct {
 	Total float64
 }
 
+// MaxPairs is the number of ordered (src, dst) pairs of distinct nodes
+// in a topology of n nodes, n(n−1): the most demands a matrix can hold.
+func MaxPairs(n int) int { return n * (n - 1) }
+
 // Gravity samples a gravity-model traffic matrix from the topology's
 // geometry: pair (s, d) is offered rate proportional to
 // deg(s)·deg(d) / (d0 + dist(s, d))², where dist is the Euclidean
@@ -50,10 +54,14 @@ type Matrix struct {
 // gravity mass proxy for a router's attraction (well-connected hubs
 // source and sink more traffic); the quadratic distance deterrence is
 // the classical form. pairs distinct (s, d) pairs are drawn from rng,
-// so the matrix is a pure function of (topology, seed, pairs).
-func Gravity(topo *topology.Topology, pairs int, rng *rand.Rand) *Matrix {
+// so the matrix is a pure function of (topology, seed, pairs). pairs
+// must lie in [1, MaxPairs(n)]: the draw could never finish beyond it.
+func Gravity(topo *topology.Topology, pairs int, rng *rand.Rand) (*Matrix, error) {
 	g := topo.G
 	n := g.NumNodes()
+	if pairs < 1 || pairs > MaxPairs(n) {
+		return nil, fmt.Errorf("traffic: %d pairs outside [1, %d], the ordered node pairs of %s", pairs, MaxPairs(n), topo.Name)
+	}
 	d0 := meanLinkLength(topo)
 	m := &Matrix{Demands: make([]Demand, 0, pairs)}
 	seen := make(map[[2]graph.NodeID]bool, pairs)
@@ -70,7 +78,7 @@ func Gravity(topo *topology.Topology, pairs int, rng *rand.Rand) *Matrix {
 		m.Demands = append(m.Demands, Demand{Src: s, Dst: d, Rate: rate})
 		m.Total += rate
 	}
-	return m
+	return m, nil
 }
 
 func meanLinkLength(topo *topology.Topology) float64 {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/converged"
 	"repro/internal/failure"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/spt"
+	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -39,9 +41,46 @@ func runnerFor(t *testing.T, w *sim.World, name string) traffic.Runner {
 	}
 }
 
+func mustGravity(t *testing.T, topo *topology.Topology, pairs int, rng *rand.Rand) *traffic.Matrix {
+	t.Helper()
+	m, err := traffic.Gravity(topo, pairs, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestGravityRejectsPairCountsOutOfRange: a matrix of no demands, or of
+// more than the n(n−1) ordered pairs of distinct nodes, is an error
+// returned at once — the rejection-sampling draw would never finish
+// past the bound. Each call runs under a deadline, so a draw that
+// spins fails the test instead of stalling it.
+func TestGravityRejectsPairCountsOutOfRange(t *testing.T) {
+	topo := testWorld(t).Topo
+	n := topo.G.NumNodes()
+	for _, pairs := range []int{-1, 0, traffic.MaxPairs(n) + 1} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := traffic.Gravity(topo, pairs, rand.New(rand.NewSource(5)))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("Gravity with %d pairs on %d nodes: no error", pairs, n)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Gravity with %d pairs on %d nodes did not return", pairs, n)
+		}
+	}
+	if m := mustGravity(t, topo, traffic.MaxPairs(n), rand.New(rand.NewSource(5))); len(m.Demands) != traffic.MaxPairs(n) {
+		t.Errorf("at the bound: %d demands, want %d", len(m.Demands), traffic.MaxPairs(n))
+	}
+}
+
 func TestGravityDeterministicAndWellFormed(t *testing.T) {
 	topo := testWorld(t).Topo
-	m := traffic.Gravity(topo, 100, rand.New(rand.NewSource(5)))
+	m := mustGravity(t, topo, 100, rand.New(rand.NewSource(5)))
 	if len(m.Demands) != 100 {
 		t.Fatalf("got %d demands, want 100", len(m.Demands))
 	}
@@ -64,7 +103,7 @@ func TestGravityDeterministicAndWellFormed(t *testing.T) {
 	if math.Abs(sum-m.Total) > 1e-9*m.Total {
 		t.Errorf("Total %v != demand sum %v", m.Total, sum)
 	}
-	again := traffic.Gravity(topo, 100, rand.New(rand.NewSource(5)))
+	again := mustGravity(t, topo, 100, rand.New(rand.NewSource(5)))
 	if !reflect.DeepEqual(m, again) {
 		t.Error("same (topology, seed, pairs) produced a different matrix")
 	}
@@ -72,7 +111,7 @@ func TestGravityDeterministicAndWellFormed(t *testing.T) {
 
 func TestCalibrationPutsCleanPeakAtTarget(t *testing.T) {
 	w := testWorld(t)
-	m := traffic.Gravity(w.Topo, 200, rand.New(rand.NewSource(5)))
+	m := mustGravity(t, w.Topo, 200, rand.New(rand.NewSource(5)))
 	base := traffic.Baseline(w, m)
 	cap := traffic.CalibrateCapacity(base, traffic.HeavyLoadTarget)
 	u := traffic.Summarize(base, cap, nil, w.Topo.G)
@@ -89,7 +128,7 @@ func TestCalibrationPutsCleanPeakAtTarget(t *testing.T) {
 // delivered + dropped — and never offers traffic from a dead source.
 func TestRunUnderConservation(t *testing.T) {
 	w := testWorld(t)
-	m := traffic.Gravity(w.Topo, 200, rand.New(rand.NewSource(5)))
+	m := mustGravity(t, w.Topo, 200, rand.New(rand.NewSource(5)))
 	for _, name := range []string{sim.SchemeRTR, sim.SchemeSpread, sim.SchemeFCP} {
 		run := runnerFor(t, w, name)
 		rng := rand.New(rand.NewSource(9))
@@ -129,7 +168,7 @@ func TestRunUnderConservation(t *testing.T) {
 // State hands every flow of a key the same session and tree.
 func TestReplaySharesOneWalkAndOneTree(t *testing.T) {
 	w := testWorld(t)
-	m := traffic.Gravity(w.Topo, 600, rand.New(rand.NewSource(5)))
+	m := mustGravity(t, w.Topo, 600, rand.New(rand.NewSource(5)))
 	type key struct {
 		initiator graph.NodeID
 		trigger   graph.LinkID
@@ -199,7 +238,7 @@ func TestReplaySharesOneWalkAndOneTree(t *testing.T) {
 // and requires both schemes to produce a valid aggregate.
 func TestSpreadPeakVersusRTR(t *testing.T) {
 	w := testWorld(t)
-	m := traffic.Gravity(w.Topo, 400, rand.New(rand.NewSource(5)))
+	m := mustGravity(t, w.Topo, 400, rand.New(rand.NewSource(5)))
 	base := traffic.Baseline(w, m)
 	cap := traffic.CalibrateCapacity(base, traffic.HeavyLoadTarget)
 	peaks := map[string]float64{}
