@@ -155,9 +155,10 @@ scale-smoke:
 ## prices), the topology parser, the failure-generator spec parser, the
 ## failure-instance grammar, the capsule geometry predicates, the
 ## invariant oracle over fuzzed failure geometry, incremental
-## shortest-path recomputation against a heapless cold build, and the
-## daemon's /recover answer encoder against encoding/json (CI runs
-## this; use go test -fuzz directly for long sessions).
+## shortest-path recomputation against a heapless cold build, phase 1's
+## table-backed sweep order against a per-hop sort, and the daemon's
+## /recover answer encoder against encoding/json (CI runs this; use go
+## test -fuzz directly for long sessions).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeHeader -fuzztime $(FUZZTIME) ./internal/routing
@@ -168,6 +169,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzCapsuleIntersect -fuzztime $(FUZZTIME) ./internal/geom
 	$(GO) test -run xxx -fuzz FuzzCheckCase -fuzztime $(FUZZTIME) ./internal/invariant
 	$(GO) test -run xxx -fuzz FuzzRecompute -fuzztime $(FUZZTIME) ./internal/spt
+	$(GO) test -run xxx -fuzz FuzzSweepOrder -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzResponseJSON -fuzztime $(FUZZTIME) ./internal/serve
 
 clean:

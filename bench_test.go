@@ -551,8 +551,9 @@ func tiered16k(b *testing.B) *topology.Topology {
 }
 
 // BenchmarkPhase1Walk measures one constrained collection walk on a
-// realistic random failure: on the AS1239 analogue, and on a
-// 16,384-node tiered world (the scale_serve generator parameters, one
+// realistic random failure: on the AS1239 analogue; on the AS3549
+// analogue, the densest Table II map (the widest sweep per hop); and on
+// a 16,384-node tiered world (the scale_serve generator parameters, one
 // recoverable case of a radius-50 disk), where Constraints 1-2 are
 // asked against a cross_link field of hundreds of entries.
 func BenchmarkPhase1Walk(b *testing.B) {
@@ -565,6 +566,17 @@ func BenchmarkPhase1Walk(b *testing.B) {
 			}
 		}
 		b.Fatal("no usable case")
+	})
+	b.Run("AS3549", func(b *testing.B) {
+		w, err := sim.NewWorld("AS3549", 11)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec, _ := sim.CollectBothG(w, failure.Default(), rand.New(rand.NewSource(42)), 1, 0)
+		if len(rec) == 0 {
+			b.Fatal("no usable case")
+		}
+		benchWalk(b, w, rec[0])
 	})
 	b.Run("tiered16k", func(b *testing.B) {
 		topo := tiered16k(b)

@@ -302,7 +302,6 @@ var sharedTestFixtures = map[string]string{
 	"sim.RunRTR":          "grades one case with RTR alone in scheme, serve and traffic tests",
 	"failure.Canonical":   "spells a failure's cache key in serve tests",
 	"routing.Walk.Nodes":  "reads a walk's node sequence in core and fcp tests",
-	"geom.SweepOrder":     "orders the collection sweep in core's exclusion tests",
 	"spt.Tree.Reachable":  "asks tree reachability in converged tests",
 	"fcp.Memo.Len":        "counts the trees a converged.State's memo holds in converged tests",
 	"topology.GenerateAS": "builds a Table II map in one call in converged, core, failure, fcp, igp, mrc, routing, spt, topology and root tests",

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -115,23 +117,14 @@ type dirEdge struct {
 	to   graph.NodeID
 }
 
-// sweepCand is one admissible neighbor with its sweep-order keys.
-type sweepCand struct {
-	he    graph.Halfedge
-	angle float64
-	dist2 float64
-}
-
 // collectScratch holds the buffers one phase-1 walk reuses across hops:
-// the candidate scoring and sweep-output slices of sweepCandidates, the
-// walked directed-edge set, and the per-link exclusion marks. Pooling
-// them makes the per-hop cost of a walk allocation-free (the sweep runs
-// at every hop, so without this it dominates the simulator's allocation
-// profile).
+// the sweep output of sweepCandidates, the walked directed-edge set,
+// and the per-link exclusion marks. Pooling them makes the per-hop cost
+// of a walk allocation-free (the sweep runs at every hop, so without
+// this it dominates the simulator's allocation profile).
 type collectScratch struct {
-	cands []sweepCand
-	out   []graph.Halfedge
-	seen  map[dirEdge]bool
+	out  []graph.Halfedge
+	seen map[dirEdge]bool
 	// excluded[l] reports whether link l crosses some cross_link entry
 	// of the walk in flight. cross_link is append-only, so a mark only
 	// ever goes from false to true: recordCross sets the marks once per
@@ -266,7 +259,10 @@ func (r *RTR) collect(lv *routing.LocalView, initiator graph.NodeID, trigger gra
 		res.FieldSizes = append(res.FieldSizes, FieldSizes{Failed: len(h.FailedLinks), Cross: len(h.CrossLinks)})
 	}
 
-	cands := r.sweepCandidates(cs, lv, initiator, trigger, h, constrained, false)
+	cands, err := r.sweepCandidates(cs, lv, initiator, trigger, h, constrained, false)
+	if err != nil {
+		return nil, err
+	}
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("%w: node %d", ErrNoLiveNeighbor, initiator)
 	}
@@ -305,7 +301,10 @@ func (r *RTR) collect(lv *routing.LocalView, initiator graph.NodeID, trigger gra
 			// exploring (the early-closing cycle demonstrably missed
 			// the area). Either way, running out of fresh directed
 			// edges at home ends the phase.
-			cands := r.sweepCandidates(cs, lv, cur, in.Link, h, constrained, true)
+			cands, err := r.sweepCandidates(cs, lv, cur, in.Link, h, constrained, true)
+			if err != nil {
+				return nil, err
+			}
 			if len(cands) == 0 {
 				return nil, fmt.Errorf("core: initiator %d cannot select a continuation hop", initiator)
 			}
@@ -329,7 +328,10 @@ func (r *RTR) collect(lv *routing.LocalView, initiator graph.NodeID, trigger gra
 		// far end is the initiator (the initiator already knows them).
 		recordUnreachable(lv, g, cur, h)
 
-		cands := r.sweepCandidates(cs, lv, cur, in.Link, h, constrained, true)
+		cands, err := r.sweepCandidates(cs, lv, cur, in.Link, h, constrained, true)
+		if err != nil {
+			return nil, err
+		}
 		if len(cands) == 0 {
 			// Cannot happen: the link we arrived over is always a
 			// valid candidate (allowIncoming keeps it admissible).
@@ -407,15 +409,24 @@ func (r *RTR) protect(cs *collectScratch, h *routing.Header, sel graph.LinkID) {
 // incident to the recovery initiator are never excluded — they are
 // where the walk must terminate, and every node can check incidence
 // locally from rec_init in the header.
+// The sweep order itself is static, so it is read from v's row for ref
+// in the router's sweep table and only filtered here.
 // The returned slice is backed by cs and valid until the next call.
-func (r *RTR) sweepCandidates(cs *collectScratch, lv *routing.LocalView, v graph.NodeID, ref graph.LinkID, h *routing.Header, constrained, allowIncoming bool) []graph.Halfedge {
+func (r *RTR) sweepCandidates(cs *collectScratch, lv *routing.LocalView, v graph.NodeID, ref graph.LinkID, h *routing.Header, constrained, allowIncoming bool) ([]graph.Halfedge, error) {
 	g := r.topo.G
-	refOther := g.Link(ref).Other(v)
-	origin := r.topo.Coord(v)
-	base := r.topo.Coord(refOther).Sub(origin)
-
-	cands := cs.cands[:0]
-	for _, he := range g.Adj(v) {
+	order, err := r.sweepRows(v)
+	if err != nil {
+		return nil, err
+	}
+	adj := g.Adj(v)
+	d := len(adj)
+	i := 0
+	for adj[i].Link != ref {
+		i++
+	}
+	out := cs.out[:0]
+	for _, k := range order[i*d : (i+1)*d] {
+		he := adj[k]
 		if lv.NeighborUnreachable(v, he.Link) {
 			continue
 		}
@@ -425,29 +436,65 @@ func (r *RTR) sweepCandidates(cs *collectScratch, lv *routing.LocalView, v graph
 				continue
 			}
 		}
-		pos := r.topo.Coord(he.Neighbor)
-		cands = append(cands, sweepCand{he, geom.CCWAngle(base, pos.Sub(origin)), origin.Dist2(pos)})
-	}
-	// Same ordering as geom.SweepOrder: by CCW angle, collinear
-	// candidates nearer-first. Candidate lists are node-degree-sized,
-	// so insertion sort wins over sort.Slice and allocates nothing.
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &cands[j-1], &cands[j]
-			if b.angle < a.angle || (b.angle == a.angle && b.dist2 < a.dist2) {
-				cands[j-1], cands[j] = cands[j], cands[j-1]
-			} else {
-				break
-			}
-		}
-	}
-	cs.cands = cands
-	out := cs.out[:0]
-	for _, c := range cands {
-		out = append(out, c.he)
+		out = append(out, he)
 	}
 	cs.out = out
-	return out
+	return out, nil
+}
+
+// sweepTable is one node's phase-1 sweep order from every incoming
+// link. With d = Degree(v), order[i*d:(i+1)*d] lists the indices into
+// Adj(v) in the order a counterclockwise sweep starting at link
+// Adj(v)[i] meets them.
+type sweepTable struct {
+	once  sync.Once
+	order []uint16
+}
+
+// sweepRows returns node v's sweep table, building it on the first
+// call — the first walk that visits v. The order depends only on the
+// coordinates every router holds, so one table serves every walk. A
+// node with more links than a uint16 indexes is an error.
+func (r *RTR) sweepRows(v graph.NodeID) ([]uint16, error) {
+	if d := r.topo.G.Degree(v); d > math.MaxUint16 {
+		return nil, fmt.Errorf("core: node %d has degree %d, more than a sweep table indexes (%d)", v, d, math.MaxUint16)
+	}
+	t := &r.sweep[v]
+	t.once.Do(func() { t.order = buildSweepRows(r.topo, v) })
+	return t.order, nil
+}
+
+// buildSweepRows sorts Adj(v) once per sweeping line: by
+// geom.CCWAngle from the line, collinear neighbors nearer-first, and
+// stably, so that exact ties (parallel links) keep adjacency order.
+// Filtering a stably sorted row gives the stable sort of the filtered
+// list, so the walk sees the order a per-hop sort of its admissible
+// candidates would produce.
+func buildSweepRows(topo *topology.Topology, v graph.NodeID) []uint16 {
+	adj := topo.G.Adj(v)
+	d := len(adj)
+	origin := topo.Coord(v)
+	angle := make([]float64, d)
+	dist2 := make([]float64, d)
+	for j, he := range adj {
+		dist2[j] = origin.Dist2(topo.Coord(he.Neighbor))
+	}
+	order := make([]uint16, d*d)
+	for i, ref := range adj {
+		base := topo.Coord(ref.Neighbor).Sub(origin)
+		row := order[i*d : (i+1)*d]
+		for j, he := range adj {
+			angle[j] = geom.CCWAngle(base, topo.Coord(he.Neighbor).Sub(origin))
+			row[j] = uint16(j)
+		}
+		slices.SortStableFunc(row, func(a, b uint16) int {
+			if c := cmp.Compare(angle[a], angle[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(dist2[a], dist2[b])
+		})
+	}
+	return order
 }
 
 // returnToInitiator handles a truncated walk: the packet retraces the

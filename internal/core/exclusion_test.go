@@ -138,8 +138,17 @@ func refWouldProtect(r *RTR, h *routing.Header, sel graph.LinkID) bool {
 	return false
 }
 
-// refSweepCandidates is sweepCandidates with the candidate filter asked
-// of the header through CrossesAny, sorted by geom.SweepOrder's keys.
+// sweepCand is one admissible neighbor with its sweep-order keys.
+type sweepCand struct {
+	he    graph.Halfedge
+	angle float64
+	dist2 float64
+}
+
+// refSweepCandidates is sweepCandidates without the sweep table: the
+// candidate filter is asked of the header through CrossesAny, and the
+// admissible candidates are scored and insertion-sorted by
+// geom.SweepOrder's keys at every call.
 func refSweepCandidates(r *RTR, lv *routing.LocalView, v graph.NodeID, ref graph.LinkID, h *routing.Header, constrained, allowIncoming bool) []graph.Halfedge {
 	g := r.topo.G
 	origin := r.topo.Coord(v)

@@ -47,6 +47,9 @@ type RTR struct {
 	// used to serialize every RunAll worker behind full Dijkstra runs.
 	cleanOnce []sync.Once
 	clean     []*spt.Tree
+	// Lazily built phase-1 sweep order per node (sweepRows), each
+	// entry behind its own sync.Once like clean.
+	sweep []sweepTable
 }
 
 // Option configures an RTR engine.
@@ -72,6 +75,7 @@ func New(topo *topology.Topology, ci *topology.CrossIndex, opts ...Option) *RTR 
 		ci:        ci,
 		cleanOnce: make([]sync.Once, topo.G.NumNodes()),
 		clean:     make([]*spt.Tree, topo.G.NumNodes()),
+		sweep:     make([]sweepTable, topo.G.NumNodes()),
 	}
 	for _, o := range opts {
 		o(r)

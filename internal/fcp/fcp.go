@@ -195,6 +195,7 @@ func getScratch(g *graph.Graph) *recoverScratch {
 		sc.mask = graph.NewMask(g)
 	}
 	sc.hops = sc.hops[:0]
+	sc.sorted = sc.sorted[:0]
 	return sc
 }
 
@@ -314,9 +315,13 @@ func (f *FCP) route(memo *Memo, sc *recoverScratch, ws *spt.Workspace, cur, dst 
 	g := f.topo.G
 	if memo != nil {
 		// The tree depends on the carried set, not on the order its
-		// links were discovered in.
-		sc.sorted = append(sc.sorted[:0], sc.failed...)
-		slices.Sort(sc.sorted)
+		// links were discovered in. The set is append-only within a
+		// recovery, so sc.sorted holds its first len(sc.sorted) links
+		// in order and only the newly carried ones are inserted.
+		for _, id := range sc.failed[len(sc.sorted):] {
+			i, _ := slices.BinarySearch(sc.sorted, id)
+			sc.sorted = slices.Insert(sc.sorted, i, id)
+		}
 		sc.key = binary.LittleEndian.AppendUint32(sc.key[:0], uint32(cur))
 		for _, id := range sc.sorted {
 			sc.key = binary.LittleEndian.AppendUint32(sc.key, uint32(id))

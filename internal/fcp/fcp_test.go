@@ -1,8 +1,11 @@
 package fcp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/failure"
@@ -149,6 +152,39 @@ func TestMemoKeysOnCarriedSet(t *testing.T) {
 	}
 	if own[0].Len() == 0 || shared.Len() != own[0].Len()+own[1].Len() {
 		t.Fatalf("shared memo holds %d trees, want %d + %d", shared.Len(), own[0].Len(), own[1].Len())
+	}
+}
+
+// TestMemoKeyIgnoresDiscoveryOrder: route keeps the carried set sorted
+// by inserting each newly carried link, so two recoveries at one router
+// that come to carry the same links in different orders build the same
+// key, and the second reads the first's tree instead of adding one.
+func TestMemoKeyIgnoresDiscoveryOrder(t *testing.T) {
+	topo := topology.PaperExample()
+	f := newFCP(topo)
+	v, dst := topology.PaperNode(6), topology.PaperNode(17)
+	ids := []graph.LinkID{3, 9, 14}
+	want := binary.LittleEndian.AppendUint32(nil, uint32(v))
+	for _, id := range ids {
+		want = binary.LittleEndian.AppendUint32(want, uint32(id))
+	}
+	ws := spt.GetWorkspace()
+	defer ws.Release()
+	var memo Memo
+	for r, order := range [][]graph.LinkID{{9, 14, 3}, {14, 3, 9}} {
+		sc := getScratch(topo.G)
+		for i := range order {
+			sc.failed = order[:i+1]
+			f.route(&memo, sc, ws, v, dst)
+		}
+		if !bytes.Equal(sc.key, want) || !slices.Equal(sc.sorted, ids) {
+			t.Errorf("recovery %d carrying %v: key %x, sorted %v; want %x, %v", r, order, sc.key, sc.sorted, want, ids)
+		}
+		sc.release()
+	}
+	// {9} {9,14} {3,9,14}, then {14} {3,14}; the second {3,9,14} hits.
+	if n := memo.Len(); n != 5 {
+		t.Errorf("memo holds %d trees, want 5", n)
 	}
 }
 

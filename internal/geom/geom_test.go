@@ -225,6 +225,23 @@ func TestCCWAngleRangeProperty(t *testing.T) {
 	}
 }
 
+// SweepOrder reports whether, sweeping counterclockwise starting from
+// the reference direction ref (anchored at origin o), the direction to
+// point p is reached strictly before the direction to point q.
+// Ties (collinear candidates) are broken by distance from o, nearer
+// first, so the sweep order is total for distinct points. Angles
+// within Eps count as ties here; phase 1's sweep table (package core)
+// compares the same keys exactly.
+func SweepOrder(o, ref, p, q Point) bool {
+	base := ref.Sub(o)
+	ap := CCWAngle(base, p.Sub(o))
+	aq := CCWAngle(base, q.Sub(o))
+	if math.Abs(ap-aq) > Eps {
+		return ap < aq
+	}
+	return o.Dist2(p) < o.Dist2(q)
+}
+
 func TestSweepOrder(t *testing.T) {
 	o := Point{0, 0}
 	ref := Point{1, 0} // sweeping line points east

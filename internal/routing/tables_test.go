@@ -459,7 +459,7 @@ func TestWalkAccounting(t *testing.T) {
 // neighbors, in adjacency order.
 func (lv *LocalView) LiveNeighbors(v graph.NodeID) []graph.Halfedge {
 	var out []graph.Halfedge
-	for _, h := range lv.topo.G.Adj(v) {
+	for _, h := range lv.g.Adj(v) {
 		if !lv.NeighborUnreachable(v, h.Link) {
 			out = append(out, h)
 		}

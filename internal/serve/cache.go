@@ -27,9 +27,10 @@ type entry struct {
 	st   *converged.State
 
 	// frags holds, per prepared RTR session answers on this entry rode,
-	// the encoded phase1_bytes array of its walk (appendPhase1). Like
-	// st it lives as long as the entry: eviction drops it with the
-	// entry once no request holds that any more.
+	// the encoded phase1_bytes array of its walk, or nil while only one
+	// answer has ridden it (appendPhase1). Like st it lives as long as
+	// the entry: eviction drops it with the entry once no request holds
+	// that any more.
 	mu    sync.Mutex
 	frags map[*core.Session][]byte
 }
@@ -58,9 +59,11 @@ func (en *entry) state(w *sim.World) *converged.State {
 // appendPhase1 appends p, the phase1_bytes series of an answer that
 // rode sess, as a JSON array. When p is sess's own shared series
 // (core.Session.Phase1Bytes), the first answer on the session encodes
-// it and keeps a copy, and every later one splices that copy. The lock
-// is never held across an encode: answers racing on a new session all
-// encode, produce identical bytes, and the first insert wins. A nil
+// it and only marks the session, the second keeps a copy of its
+// encoding, and every later one splices that copy: most sessions are
+// answered once, and their series are never copied. The lock is never
+// held across an encode: answers racing on a session all encode,
+// produce identical bytes, and the first copy inserted wins. A nil
 // entry or session encodes p every time.
 func (en *entry) appendPhase1(b []byte, sess *core.Session, p []int) []byte {
 	if en == nil || sess == nil {
@@ -70,19 +73,25 @@ func (en *entry) appendPhase1(b []byte, sess *core.Session, p []int) []byte {
 		return appendInts(b, p)
 	}
 	en.mu.Lock()
-	f, ok := en.frags[sess]
+	f, seen := en.frags[sess]
+	if !seen {
+		if en.frags == nil {
+			en.frags = make(map[*core.Session][]byte)
+		}
+		en.frags[sess] = nil
+	}
 	en.mu.Unlock()
-	if ok {
+	if f != nil {
 		return append(b, f...)
 	}
 	at := len(b)
 	b = appendInts(b, p)
+	if !seen {
+		return b
+	}
 	f = slices.Clone(b[at:])
 	en.mu.Lock()
-	if _, ok := en.frags[sess]; !ok {
-		if en.frags == nil {
-			en.frags = make(map[*core.Session][]byte)
-		}
+	if en.frags[sess] == nil {
 		en.frags[sess] = f
 	}
 	en.mu.Unlock()
