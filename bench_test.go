@@ -378,21 +378,57 @@ func BenchmarkSPTRecompute(b *testing.B) {
 }
 
 // BenchmarkSPTRecomputeWorkspace measures the incremental update into
-// workspace scratch, the allocation-free variant RTR's phase 2 mirrors.
+// workspace scratch, the allocation-free variant RTR's phase 2 mirrors,
+// under 10 random failed links and under the failed links of one
+// default disk: the clustered shape of FCP's carried sets.
 func BenchmarkSPTRecomputeWorkspace(b *testing.B) {
 	topo := topology.GenerateAS("AS3561", 1)
 	base := spt.Compute(topo.G, 0, graph.Nothing)
-	extra := graph.NewMask(topo.G)
+	random := graph.NewMask(topo.G)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 10; i++ {
-		extra.FailLink(graph.LinkID(rng.Intn(topo.G.NumLinks())))
+		random.FailLink(graph.LinkID(rng.Intn(topo.G.NumLinks())))
 	}
-	ws := spt.GetWorkspace()
-	defer ws.Release()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws.Recompute(topo.G, base, graph.Nothing, extra)
+	sc := failure.Default().Generate(topo, rng)
+	for sc.NumFailedLinks() == 0 {
+		sc = failure.Default().Generate(topo, rng)
+	}
+	disk := graph.NewMask(topo.G)
+	for _, id := range sc.FailedLinks() {
+		disk.FailLink(id)
+	}
+	for _, bc := range []struct {
+		name  string
+		extra *graph.Mask
+	}{{"random10", random}, {"disk", disk}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ws := spt.GetWorkspace()
+			defer ws.Release()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ws.Recompute(topo.G, base, graph.Nothing, bc.extra)
+			}
+		})
+	}
+}
+
+// BenchmarkCollectBoth measures what one sweep shard draws: five
+// recoverable and five irrecoverable default-disk cases, on each
+// Table II map.
+func BenchmarkCollectBoth(b *testing.B) {
+	for _, as := range topology.ASNames() {
+		b.Run(as, func(b *testing.B) {
+			w, err := sim.NewWorld(as, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.CollectBothG(w, failure.Default(), rng, 5, 5)
+			}
+		})
 	}
 }
 

@@ -178,7 +178,6 @@ var orderFreeMapRanges = map[string]string{
 	"internal/serve/serve.go New: range cfg.Worlds":                "copies the injected worlds into a map",
 	"internal/serve/serve.go New: range e.worlds":                  "collects the names, sorted right after",
 	"internal/serve/serve.go New: range e.worlds #2":               "builds one checker per world into a map",
-	"internal/sim/cases.go candidateInitiators: range seen":        "collects a node set, sorted right after",
 	"internal/sim/record.go (*Outcome).Record: range o.Others":     "copies each scheme's result into a map",
 	"internal/sim/scheme.go SchemeNames: range registry":           "collects the names, sorted right after",
 	"internal/sweep/engine.go (*Engine).Run: range loaded":         "copies checkpointed shard results into a map",

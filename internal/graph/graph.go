@@ -79,12 +79,14 @@ func (l Link) String() string {
 }
 
 // Halfedge is a link viewed from one of its endpoints, as stored in
-// adjacency lists: the neighbor it leads to and the cost in that
-// direction.
+// adjacency lists: the neighbor it leads to, the cost in that
+// direction, and the cost from the neighbor back, so that a walk over
+// adjacency never needs to load the link for either direction.
 type Halfedge struct {
-	Link     LinkID
-	Neighbor NodeID
-	Cost     float64
+	Link        LinkID
+	Neighbor    NodeID
+	Cost        float64
+	ReverseCost float64
 }
 
 // Graph is an immutable-after-construction undirected graph.
@@ -153,8 +155,8 @@ func (g *Graph) AddLinkCost(a, b NodeID, costAB, costBA float64) (LinkID, error)
 	}
 	id := LinkID(len(g.links))
 	g.links = append(g.links, Link{ID: id, A: a, B: b, CostAB: costAB, CostBA: costBA})
-	g.adj[a] = append(g.adj[a], Halfedge{Link: id, Neighbor: b, Cost: costAB})
-	g.adj[b] = append(g.adj[b], Halfedge{Link: id, Neighbor: a, Cost: costBA})
+	g.adj[a] = append(g.adj[a], Halfedge{Link: id, Neighbor: b, Cost: costAB, ReverseCost: costBA})
+	g.adj[b] = append(g.adj[b], Halfedge{Link: id, Neighbor: a, Cost: costBA, ReverseCost: costAB})
 	return id, nil
 }
 

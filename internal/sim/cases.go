@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -58,14 +59,25 @@ var (
 // dst is unreachable. It fails with ErrNoRoute or ErrForwarded when
 // the pair is no such case.
 func CaseAt(st *converged.State, src, dst graph.NodeID) (*Case, error) {
+	c, err := caseAt(st, src, dst)
+	if err != nil {
+		return nil, err
+	}
+	return &c, nil
+}
+
+// caseAt is CaseAt by value: the rule that makes a pair a case, shared
+// with the enumerator, which classifies every pair but keeps only the
+// cases its quota still wants.
+func caseAt(st *converged.State, src, dst graph.NodeID) (Case, error) {
 	nh, link, ok := st.Pre().NextHop(src, dst)
 	if !ok {
-		return nil, ErrNoRoute
+		return Case{}, ErrNoRoute
 	}
 	if !st.LocalView().NeighborUnreachable(src, link) {
-		return nil, ErrForwarded
+		return Case{}, ErrForwarded
 	}
-	return &Case{
+	return Case{
 		State:       st,
 		Scenario:    st.Scenario(),
 		LV:          st.LocalView(),
@@ -98,26 +110,45 @@ func CasesFromScenario(w *World, sc *failure.Scenario) (recoverable, irrecoverab
 // a lazy table world materializes. Initiators and destinations are
 // visited in ascending ID order.
 func ScaleCasesFromScenario(w *World, sc *failure.Scenario, rng *rand.Rand, dstSample int) (recoverable, irrecoverable []*Case) {
+	return appendCases(w, sc, rng, dstSample, nil, nil, math.MaxInt, math.MaxInt)
+}
+
+// appendCases scans sc's (initiator, destination) pairs in
+// ScaleCasesFromScenario's order and appends each case to rec or irr
+// while that list is shorter than wantRec or wantIrr. A pair whose kind
+// is full is classified but never built, and the scan stops once both
+// are full. The destinations are drawn before the scan, so the rng
+// ends where a full enumeration leaves it.
+func appendCases(w *World, sc *failure.Scenario, rng *rand.Rand, dstSample int, rec, irr []*Case, wantRec, wantIrr int) ([]*Case, []*Case) {
 	st := w.Converged(sc)
 	dsts := sampleDsts(w.Topo.G.NumNodes(), dstSample, rng)
 	for _, initiator := range candidateInitiators(w, sc) {
 		for _, dst := range dsts {
+			if len(rec) >= wantRec && len(irr) >= wantIrr {
+				return rec, irr
+			}
 			if dst == initiator {
 				continue
 			}
-			c, err := CaseAt(st, initiator, dst)
+			c, err := caseAt(st, initiator, dst)
 			if err != nil {
 				continue
 			}
-			c.State = nil // a case list is data; see Case.State
-			if c.Recoverable {
-				recoverable = append(recoverable, c)
-			} else {
-				irrecoverable = append(irrecoverable, c)
+			if c.Recoverable && len(rec) < wantRec {
+				rec = append(rec, kept(c))
+			} else if !c.Recoverable && len(irr) < wantIrr {
+				irr = append(irr, kept(c))
 			}
 		}
 	}
-	return recoverable, irrecoverable
+	return rec, irr
+}
+
+// kept moves an enumerated case to the heap with no State: a case list
+// is data; see Case.State.
+func kept(c Case) *Case {
+	c.State = nil
+	return &c
 }
 
 // candidateInitiators returns, in ascending order, every live node
@@ -126,10 +157,10 @@ func ScaleCasesFromScenario(w *World, sc *failure.Scenario, rng *rand.Rand, dstS
 // (NeighborUnreachable holds only for a failed incident link or a
 // failed direct neighbor).
 func candidateInitiators(w *World, sc *failure.Scenario) []graph.NodeID {
-	seen := make(map[graph.NodeID]bool)
+	var out []graph.NodeID
 	add := func(v graph.NodeID) {
 		if !sc.NodeDown(v) {
-			seen[v] = true
+			out = append(out, v)
 		}
 	}
 	for _, id := range sc.FailedLinks() {
@@ -142,12 +173,8 @@ func candidateInitiators(w *World, sc *failure.Scenario) []graph.NodeID {
 			add(h.Neighbor)
 		}
 	}
-	out := make([]graph.NodeID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
 	slices.Sort(out)
-	return out
+	return slices.Compact(out)
 }
 
 // sampleDsts draws `want` distinct destinations uniformly from [0, n)
@@ -178,24 +205,11 @@ func sampleDsts(n, want int, rng *rand.Rand) []graph.NodeID {
 // CollectBothSampledG draws failure areas from g until both kinds
 // have reached their targets, enumerating each scenario over dstSample
 // sampled destinations (all of them when dstSample <= 0); cases beyond
-// a kind's target are discarded. It gives up after MaxCollectDraws
+// a kind's target are never built. It gives up after MaxCollectDraws
 // scenarios and returns whatever accumulated.
 func CollectBothSampledG(w *World, g failure.Generator, rng *rand.Rand, wantRec, wantIrr, dstSample int) (rec, irr []*Case) {
 	for draws := 0; (len(rec) < wantRec || len(irr) < wantIrr) && draws < MaxCollectDraws; draws++ {
-		sc := g.Generate(w.Topo, rng)
-		r, i := ScaleCasesFromScenario(w, sc, rng, dstSample)
-		if len(rec) < wantRec {
-			rec = append(rec, r...)
-		}
-		if len(irr) < wantIrr {
-			irr = append(irr, i...)
-		}
-	}
-	if len(rec) > wantRec {
-		rec = rec[:wantRec]
-	}
-	if len(irr) > wantIrr {
-		irr = irr[:wantIrr]
+		rec, irr = appendCases(w, g.Generate(w.Topo, rng), rng, dstSample, rec, irr, wantRec, wantIrr)
 	}
 	return rec, irr
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/failure"
@@ -114,5 +116,107 @@ func TestCollectCasesDeterministic(t *testing.T) {
 		if a[i].Initiator != b[i].Initiator || a[i].Dst != b[i].Dst || a[i].Trigger != b[i].Trigger {
 			t.Fatalf("case %d differs between identical-seed draws", i)
 		}
+	}
+}
+
+// collectByFullEnumeration is the collection loop CollectBothSampledG
+// replaced, kept as its reference: enumerate every case of each drawn
+// scenario, append while a kind is short, truncate the overshoot.
+func collectByFullEnumeration(w *World, g failure.Generator, rng *rand.Rand, wantRec, wantIrr, dstSample int) (rec, irr []*Case) {
+	for draws := 0; (len(rec) < wantRec || len(irr) < wantIrr) && draws < MaxCollectDraws; draws++ {
+		sc := g.Generate(w.Topo, rng)
+		r, i := ScaleCasesFromScenario(w, sc, rng, dstSample)
+		if len(rec) < wantRec {
+			rec = append(rec, r...)
+		}
+		if len(irr) < wantIrr {
+			irr = append(irr, i...)
+		}
+	}
+	if len(rec) > wantRec {
+		rec = rec[:wantRec]
+	}
+	if len(irr) > wantIrr {
+		irr = irr[:wantIrr]
+	}
+	return rec, irr
+}
+
+// countingGen counts the scenarios a collection draws.
+type countingGen struct {
+	failure.Generator
+	draws int
+}
+
+func (g *countingGen) Generate(topo *topology.Topology, rng *rand.Rand) *failure.Scenario {
+	g.draws++
+	return g.Generator.Generate(topo, rng)
+}
+
+// collectedCase is a collected case's identity: its scalars and the
+// descriptor of the scenario it was drawn from.
+type collectedCase struct {
+	caseKey
+	Desc string
+}
+
+func collectedCases(cs []*Case) []collectedCase {
+	out := make([]collectedCase, len(cs))
+	for i, c := range cs {
+		out[i] = collectedCase{caseKeys([]*Case{c})[0], c.Scenario.Desc()}
+	}
+	return out
+}
+
+// TestCollectBothMatchesFullEnumeration: collection that builds only
+// the cases its quota keeps returns exactly what enumerating every case
+// and truncating returns, from the same number of drawn scenarios, and
+// leaves the rng where the full enumeration leaves it — on every
+// Table II map, for the generator families the sweep smoke runs, with
+// full and sampled destinations, and for quotas that fill one kind
+// long before the other.
+func TestCollectBothMatchesFullEnumeration(t *testing.T) {
+	specs := []string{"disks:k=2,disjoint", "disks:k=3", "cut:w=150", "srlg:g=9,n=2"}
+	quotas := [][2]int{{5, 5}, {0, 5}, {5, 0}, {1, 40}}
+	for _, as := range topology.ASNames() {
+		t.Run(as, func(t *testing.T) {
+			t.Parallel()
+			w, err := NewWorld(as, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range specs {
+				gen, err := failure.ParseSpec(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for seed := int64(1); seed <= 3; seed++ {
+					for _, dstSample := range []int{0, 8} {
+						for _, q := range quotas {
+							label := fmt.Sprintf("%s seed %d dsts %d quota %v", spec, seed, dstSample, q)
+							wantGen, gotGen := &countingGen{Generator: gen}, &countingGen{Generator: gen}
+							wantRng, gotRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+							wantRec, wantIrr := collectByFullEnumeration(w, wantGen, wantRng, q[0], q[1], dstSample)
+							gotRec, gotIrr := CollectBothSampledG(w, gotGen, gotRng, q[0], q[1], dstSample)
+							if !reflect.DeepEqual(collectedCases(gotRec), collectedCases(wantRec)) {
+								t.Fatalf("%s: recoverable cases differ from the full enumeration's", label)
+							}
+							if !reflect.DeepEqual(collectedCases(gotIrr), collectedCases(wantIrr)) {
+								t.Fatalf("%s: irrecoverable cases differ from the full enumeration's", label)
+							}
+							if gotGen.draws != wantGen.draws {
+								t.Fatalf("%s: drew %d scenarios, full enumeration %d", label, gotGen.draws, wantGen.draws)
+							}
+							if got, want := gotRng.Int63(), wantRng.Int63(); got != want {
+								t.Fatalf("%s: rng left at %d, full enumeration at %d", label, got, want)
+							}
+							if len(gotRec)+len(gotIrr) == 0 {
+								t.Fatalf("%s: no cases collected; the comparison is vacuous", label)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -20,7 +20,7 @@ func (d opaqueDenied) LinkDown(id graph.LinkID) bool { return d.m.LinkDown(id) }
 // costs. Each round scans all nodes for the unsettled one with the
 // smallest (dist, node) label, consults the overlay through
 // graph.Denied and reads costs from the link, so a fault in the heap,
-// the overlay compilation or the forward-cost shortcut cannot hide in
+// the overlay compilation or the half-edge costs cannot hide in
 // its own reference. O(n²), for small test graphs only.
 func referenceTree(g *graph.Graph, root graph.NodeID, d graph.Denied, kind Kind) *Tree {
 	n := g.NumNodes()
@@ -67,6 +67,17 @@ func referenceTree(g *graph.Graph, root graph.NodeID, d graph.Denied, kind Kind)
 			}
 		}
 	}
+}
+
+// edgeCost returns the cost of using link l to extend a tree of the
+// given kind from tree node u to frontier node w (the link's other
+// endpoint): forward trees pay u→w, reverse trees pay w→u because the
+// final path runs from w toward the root.
+func edgeCost(l graph.Link, kind Kind, w graph.NodeID) float64 {
+	if kind == Forward {
+		return l.CostFrom(l.Other(w))
+	}
+	return l.CostFrom(w)
 }
 
 // Property: the dense fast path (production Compute/ComputeReverse)

@@ -153,8 +153,11 @@ func settleGoal(g *graph.Graph, t *Tree, nodeDown, linkDown []bool, pq *minHeap,
 			if settled[w] || nodeDown[w] || linkDown[he.Link] {
 				continue
 			}
-			l := g.Link(he.Link)
-			nd := dv + edgeCost(l, t.Kind, w)
+			c := he.Cost // forward trees pay v→w
+			if t.Kind == Reverse {
+				c = he.ReverseCost // reverse trees w→v
+			}
+			nd := dv + c
 			if nd < t.Dist[w] {
 				t.Dist[w] = nd
 				pq.push(w, nd+goalLower(heur, w, goal))
@@ -166,7 +169,7 @@ func settleGoal(g *graph.Graph, t *Tree, nodeDown, linkDown []bool, pq *minHeap,
 // reconstructGoal derives the canonical shortest path from the A*
 // distance labels by walking backward from goal: at each node the
 // canonical predecessor is the settled live neighbor u minimizing
-// (Dist[u], u) among those with Dist[u] + edgeCost == Dist[cur]
+// (Dist[u], u) among those with Dist[u] + cost(u, cur) == Dist[cur]
 // exactly, taking the first (lowest-ID) link on equal-cost parallel
 // links. That reproduces Dijkstra's parent choice: Dijkstra's strict
 // '<' relaxation fixes w's parent to the first predecessor reaching
@@ -193,7 +196,11 @@ func reconstructGoal(res *GoalResult, g *graph.Graph, t *Tree, linkDown []bool, 
 				continue
 			}
 			du := t.Dist[u]
-			if du+edgeCost(g.Link(he.Link), t.Kind, cur) != dcur {
+			c := he.ReverseCost // forward trees pay u→cur
+			if t.Kind == Reverse {
+				c = he.Cost // reverse trees cur→u
+			}
+			if du+c != dcur {
 				continue
 			}
 			if !found || du < t.Dist[bestU] || (du == t.Dist[bestU] && u < bestU) {

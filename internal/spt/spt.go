@@ -163,17 +163,6 @@ func reverseLinks(s []graph.LinkID) {
 	}
 }
 
-// edgeCost returns the cost of using link l to extend a tree of the
-// given kind from tree node u to frontier node w (the link's other
-// endpoint): forward trees pay u→w, reverse trees pay w→u because the
-// final path runs from w toward the root.
-func edgeCost(l graph.Link, kind Kind, w graph.NodeID) float64 {
-	if kind == Forward {
-		return l.CostFrom(l.Other(w))
-	}
-	return l.CostFrom(w)
-}
-
 // Compute runs Dijkstra from root over the live subgraph under d and
 // returns the Forward shortest path tree.
 func Compute(g *graph.Graph, root graph.NodeID, d graph.Denied) *Tree {
@@ -211,9 +200,9 @@ func run(g *graph.Graph, root graph.NodeID, d graph.Denied, kind Kind) *Tree {
 // The failure overlay arrives compiled to flat tables: the per-edge
 // membership tests are two slice loads instead of two interface calls,
 // which dominates the inner loop on dense topologies (~4m dynamic
-// dispatches per tree otherwise). A forward tree pays v→w, which the
-// half-edge already carries (graph.AddLinkCost stores the same float
-// as Link.CostFrom(v)); a reverse tree pays w→v, read from the link.
+// dispatches per tree otherwise). A forward tree pays v→w and a
+// reverse tree w→v; the half-edge carries both (graph.AddLinkCost
+// stores the same floats as Link.CostFrom), so no link is loaded.
 // The heapless reference it must match bit for bit is in
 // dense_test.go.
 func settleDense(g *graph.Graph, t *Tree, nodeDown, linkDown []bool, h *minHeap, scope []bool) {
@@ -236,7 +225,7 @@ func settleDense(g *graph.Graph, t *Tree, nodeDown, linkDown []bool, h *minHeap,
 			}
 			c := he.Cost
 			if !forward {
-				c = g.Link(he.Link).CostFrom(w)
+				c = he.ReverseCost
 			}
 			nd := dv + c
 			if nd < t.Dist[w] {

@@ -284,15 +284,18 @@ func (ws *Workspace) recomputeInto(nt *Tree, g *graph.Graph, base, extra graph.D
 
 	// 3. Reset the region, then label each live region node from its
 	// reachable neighbours outside the region, over live links; their
-	// labels are final (region nodes labelled earlier in this pass are
-	// not). Take the smallest Dist[u] + cost(u→v), ties to the smallest
-	// (Dist[u], u), then to the first link in Adj(v). That is the parent
-	// a cold build's strict-< relaxation keeps among these neighbours:
-	// it pops them in (dist, node) order, and half-edges sit in link-ID
-	// order at both ends, so the first link in Adj(v) is the first in
-	// Adj(u). Forward trees pay u→v, read from the link; reverse trees
-	// pay v→u, which v's half-edge carries. Each labelled node is pushed
-	// once.
+	// labels are final. Take the smallest Dist[u] + cost(u→v), ties to
+	// the smallest (Dist[u], u), then to the first link in Adj(v). That
+	// is the parent a cold build's strict-< relaxation keeps among these
+	// neighbours: it pops them in (dist, node) order, and half-edges sit
+	// in link-ID order at both ends, so the first link in Adj(v) is the
+	// first in Adj(u). Forward trees pay u→v, reverse trees v→u; v's
+	// half-edge carries both. The seeds are staged in the heap, and
+	// their distances reach nt.Dist only after the pass, so every region
+	// node still reads Inf during it: a finite neighbour is outside the
+	// region, and live, since every down node the base tree reaches is
+	// in the region. Each labelled node is pushed once; push order does
+	// not matter, the heap's (dist, node) order is canonical.
 	for _, v := range queue {
 		nt.Dist[v] = Inf
 		nt.Parent[v] = None
@@ -308,12 +311,12 @@ func (ws *Workspace) recomputeInto(nt *Tree, g *graph.Graph, base, extra graph.D
 		for _, he := range g.Adj(v) {
 			u := he.Neighbor
 			du := nt.Dist[u]
-			if du == Inf || affected[u] || dl[he.Link] {
+			if du == Inf || dl[he.Link] {
 				continue
 			}
 			c := he.Cost
 			if forward {
-				c = g.Link(he.Link).CostFrom(u)
+				c = he.ReverseCost
 			}
 			e := heapEntry{dist: du, node: u}
 			if d := du + c; d < best || d == best && e.before(from) {
@@ -321,11 +324,13 @@ func (ws *Workspace) recomputeInto(nt *Tree, g *graph.Graph, base, extra graph.D
 			}
 		}
 		if link != None {
-			nt.Dist[v] = best
 			nt.Parent[v] = int32(from.node)
 			nt.ParentLink[v] = link
 			ws.h.push(v, best)
 		}
+	}
+	for _, e := range ws.h.items {
+		nt.Dist[e.node] = e.dist
 	}
 
 	// 4. Run Dijkstra over the region alone; settleDense lets a region

@@ -144,16 +144,17 @@ func TestComputeAllocFree(t *testing.T) {
 		t.Errorf("warmed-up Workspace.Compute allocates %.1f times per run, want 0", allocs)
 	}
 
-	base := ws.Compute(g, 0, graph.Nothing).Clone()
 	m := graph.NewMask(g)
 	m.FailLink(0)
 	m.FailLink(7)
-	ws.Recompute(g, base, graph.Nothing, m) // warm up recompute scratch
-	allocs = testing.AllocsPerRun(50, func() {
-		ws.Recompute(g, base, graph.Nothing, m)
-	})
-	if allocs != 0 {
-		t.Errorf("warmed-up Workspace.Recompute allocates %.1f times per run, want 0", allocs)
+	for _, base := range []*Tree{ws.Compute(g, 0, graph.Nothing).Clone(), ws.ComputeReverse(g, 0, graph.Nothing).Clone()} {
+		ws.Recompute(g, base, graph.Nothing, m) // warm up recompute scratch
+		allocs = testing.AllocsPerRun(50, func() {
+			ws.Recompute(g, base, graph.Nothing, m)
+		})
+		if allocs != 0 {
+			t.Errorf("warmed-up Workspace.Recompute of a kind-%d tree allocates %.1f times per run, want 0", base.Kind, allocs)
+		}
 	}
 }
 
